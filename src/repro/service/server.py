@@ -1149,10 +1149,13 @@ class ViewServer:
     def _update_durability_gauges(self) -> None:
         if self.durability is None:
             return
-        stats = self.durability.stats()
-        self.metrics.gauge("wal_bytes").set(stats["wal_bytes"])
-        self.metrics.gauge("wal_records").set(stats["wal_records"])
-        self.metrics.gauge("wal_fsyncs").set(stats["wal_fsyncs"])
+        # Runs after every request: the WAL's own append counters, not
+        # DurabilityManager.stats(), which lists and stats the state
+        # directory.
+        wal = self.durability.wal
+        self.metrics.gauge("wal_bytes").set(wal.bytes_appended)
+        self.metrics.gauge("wal_records").set(wal.records_appended)
+        self.metrics.gauge("wal_fsyncs").set(wal.fsyncs)
 
     def _note_durability_op(self) -> None:
         """Per-request durability tick: cadence checkpointing + gauges."""

@@ -58,6 +58,9 @@ class BloomFilter:
         if self.hashes < 1:
             raise ValueError(f"hashes must be >= 1, got {self.hashes}")
         self._array = bytearray((bits + 7) // 8)
+        #: Exact number of set bits, kept by :meth:`add` and :meth:`clear`
+        #: so the fill gauge never recounts the array.
+        self._set_bits = 0
         self.items_added = 0
         #: Lifetime probe statistics (not reset by :meth:`clear`): a
         #: negative answer is the filter doing its job — the AD lookup
@@ -98,6 +101,7 @@ class BloomFilter:
                 f"{doc['bits']} bits"
             )
         bloom._array[:] = array
+        bloom._set_bits = int.from_bytes(array, "little").bit_count()
         bloom.items_added = doc["items_added"]
         return bloom
 
@@ -110,8 +114,12 @@ class BloomFilter:
 
     def add(self, item: Any) -> None:
         """Insert an item's key signature."""
+        array = self._array
         for pos in self._positions(item):
-            self._array[pos >> 3] |= 1 << (pos & 7)
+            mask = 1 << (pos & 7)
+            if not array[pos >> 3] & mask:
+                array[pos >> 3] |= mask
+                self._set_bits += 1
         self.items_added += 1
 
     def maybe_contains(self, item: Any) -> bool:
@@ -130,15 +138,14 @@ class BloomFilter:
 
     def clear(self) -> None:
         """Reset to empty (used when the differential file is folded in)."""
-        for i in range(len(self._array)):
-            self._array[i] = 0
+        self._array[:] = bytes(len(self._array))
+        self._set_bits = 0
         self.items_added = 0
 
     @property
     def fill_fraction(self) -> float:
         """Fraction of bits set (load indicator)."""
-        set_bits = sum(bin(byte).count("1") for byte in self._array)
-        return set_bits / self.bits
+        return self._set_bits / self.bits
 
     def estimated_fp_rate(self) -> float:
         """Expected false-positive rate at the current load.

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Callable, Iterator
 
 from .columnar import ColumnBatch
@@ -28,6 +29,10 @@ from .pager import BufferPool, Page, PageId
 from .tuples import Record
 
 __all__ = ["BPlusTree", "TreeStats"]
+
+#: A leaf entry is ``((sort_key, tiebreak), record)``; leaves bisect on
+#: the first element.
+_ENTRY_KEY = itemgetter(0)
 
 
 @dataclass
@@ -114,14 +119,16 @@ class BPlusTree:
     def delete(self, record: Record) -> bool:
         """Delete one entry matching the record exactly; True if found."""
         entry = (self.sort_key(record), self._tiebreak(record))
-        leaf_id, path = self._descend(entry[0], entry[1])
-        page = self.pool.get(leaf_id)
-        for i, (stored_entry, stored) in enumerate(page.records):
-            if stored_entry == entry and stored == record:
-                del page.records[i]
+        page = self.pool.get(self._descend(entry[0], entry[1]))
+        entries = page.records
+        index = bisect.bisect_left(entries, entry, key=_ENTRY_KEY)
+        while index < len(entries) and entries[index][0] == entry:
+            if entries[index][1] == record:
+                del entries[index]
                 self.pool.put(page, dirty=True)
                 self._entries -= 1
                 return True
+            index += 1
         return False
 
     def search(self, sort_key_value: Any) -> list[Record]:
@@ -145,8 +152,7 @@ class BPlusTree:
         leaf up to and including the first one holding a key past
         ``hi``.  Leaves with no in-range entries yield nothing.
         """
-        leaf_id, _ = self._descend(lo, _NEG_INF)
-        current: PageId | None = leaf_id
+        current: PageId | None = self._descend(lo, _NEG_INF)
         while current is not None:
             page = self.pool.get(current)
             entries = page.records
@@ -192,9 +198,8 @@ class BPlusTree:
         consumed up to the match, so locate-and-patch and
         delete-then-insert touch the same page set.
         """
-        leaf_id, _ = self._descend(sort_key_value, _NEG_INF)
         target = (sort_key_value, tiebreak)
-        current: PageId | None = leaf_id
+        current: PageId | None = self._descend(sort_key_value, _NEG_INF)
         while current is not None:
             page = self.pool.get(current)
             for i, (entry, record) in enumerate(page.records):
@@ -277,7 +282,10 @@ class BPlusTree:
         """
         if self._entries:
             raise RuntimeError("bulk_load requires an empty tree")
-        ordered = sorted(records, key=lambda r: (self.sort_key(r), self._tiebreak(r)))
+        ordered = sorted(
+            (((self.sort_key(r), self._tiebreak(r)), r) for r in records),
+            key=_ENTRY_KEY,
+        )
         if not ordered:
             return
         # Reuse the pre-allocated empty root leaf as the first leaf.
@@ -285,14 +293,11 @@ class BPlusTree:
         leaf_first_keys: list[Any] = []
         prev_leaf: Page | None = None
         for start in range(0, len(ordered), self.records_per_leaf):
-            chunk = ordered[start : start + self.records_per_leaf]
             if start == 0:
                 page = self.pool.get(self.root_id)
             else:
                 page = self.pool.disk.allocate(self._file("leaf"), self.records_per_leaf)
-            page.records = [
-                ((self.sort_key(r), self._tiebreak(r)), r) for r in chunk
-            ]
+            page.records = ordered[start : start + self.records_per_leaf]
             if prev_leaf is not None:
                 prev_leaf.next_page = page.page_id
                 self.pool.put(prev_leaf, dirty=True)
@@ -344,18 +349,16 @@ class BPlusTree:
             level -= 1
         return page_id
 
-    def _descend(self, sort_key_value: Any, tiebreak: Any) -> tuple[PageId, list[PageId]]:
+    def _descend(self, sort_key_value: Any, tiebreak: Any) -> PageId:
         """Walk root->leaf for a key, charging one read per level."""
-        path: list[PageId] = []
         page_id, level = self.root_id, self._height
         while level > 1:
-            path.append(page_id)
             page = self.pool.get(page_id)
             node: _InternalNode = page.records[0]
             index = bisect.bisect_right(node.keys, (sort_key_value, tiebreak))
             page_id = node.children[index]
             level -= 1
-        return page_id, path
+        return page_id
 
     def _insert_into(
         self, page_id: PageId, level: int, record: Record
@@ -364,8 +367,7 @@ class BPlusTree:
         entry = (self.sort_key(record), self._tiebreak(record))
         page = self.pool.get(page_id)
         if level == 1:
-            keys = [e for e, _ in page.records]
-            index = bisect.bisect_right(keys, entry)
+            index = bisect.bisect_right(page.records, entry, key=_ENTRY_KEY)
             page.records.insert(index, (entry, record))
             if len(page.records) <= self.records_per_leaf:
                 self.pool.put(page, dirty=True)

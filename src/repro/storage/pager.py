@@ -16,12 +16,14 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.core.parameters import Parameters
+
+from .tuples import Record
 
 __all__ = [
     "PageId",
@@ -55,19 +57,39 @@ class PageChecksumError(RuntimeError):
 
 
 def page_checksum(page: "Page") -> int:
-    """CRC32 over a page's logical content (records + successor link).
+    """CRC32 over a page's logical content.
 
-    Records are hashed via ``repr`` so the checksum covers exactly what
-    :meth:`Page.clone` persists; any in-place mutation of the stored
-    image (simulated bit-rot) or truncation (torn write) changes it.
+    Covers every entry of ``page.records``, their order, and the
+    successor link — not ``capacity`` or the page id.  Any in-place
+    mutation of the stored image (simulated bit-rot), truncation (torn
+    write) or scrambled link changes it.
+
+    A :class:`Record` contributes its cached :meth:`Record.image`, on
+    its own (heap pages, hash buckets) or as the last element of a
+    tuple (B+-tree leaf entries, ``(entry_key, record)``), so
+    rewriting a page after a one-tuple edit serializes only the new
+    tuple.  Any other payload is serialized with ``repr`` each time.
     """
-    payload = repr((page.records, page.next_page)).encode("utf-8", "replace")
-    return zlib.crc32(payload)
+    parts: list[bytes] = []
+    append = parts.append
+    for entry in page.records:
+        if type(entry) is Record:
+            append(entry.image())
+        elif type(entry) is tuple and entry and type(entry[-1]) is Record:
+            append(repr(entry[:-1]).encode("utf-8", "replace"))
+            append(entry[-1].image())
+        else:
+            append(repr(entry).encode("utf-8", "replace"))
+    append(str(page.next_page).encode("utf-8", "replace"))
+    return zlib.crc32(b"\x1e".join(parts))
 
 
-@dataclass(frozen=True)
-class PageId:
-    """Identifies one disk page: a file name plus a page number."""
+class PageId(NamedTuple):
+    """Identifies one disk page: a file name plus a page number.
+
+    A named tuple so that the pool's and the disk's dict and set
+    lookups hash and compare it at C level.
+    """
 
     file: str
     number: int
@@ -309,6 +331,7 @@ class SimulatedDisk:
         self._pages: dict[PageId, Page] = {}
         self._checksums: dict[PageId, int] = {}
         self._next_number: dict[str, Iterator[int]] = {}
+        self._page_counts: Counter[str] = Counter()
         #: When true, every :meth:`read` recomputes the page checksum
         #: and raises :class:`PageChecksumError` on a mismatch.  Off by
         #: default: the clean substrate cannot rot, so the paper's cost
@@ -320,13 +343,13 @@ class SimulatedDisk:
 
     def page_count(self, file: str) -> int:
         """Number of allocated pages in one file."""
-        # list() snapshots the keys atomically (single bytecode under
-        # the GIL); bare iteration races concurrent allocate() calls
-        # with "dictionary changed size during iteration".
-        return sum(1 for pid in list(self._pages) if pid.file == file)
+        return self._page_counts[file]
 
     def files(self) -> list[str]:
         """Every file name with at least one allocated page, sorted."""
+        # list() snapshots the keys atomically (single bytecode under
+        # the GIL); bare iteration races concurrent allocate() calls
+        # with "dictionary changed size during iteration".
         return sorted({pid.file for pid in list(self._pages)})
 
     def allocate(self, file: str, capacity: int) -> Page:
@@ -336,6 +359,7 @@ class SimulatedDisk:
         page = Page(page_id, capacity)
         self._pages[page_id] = page
         self._checksums[page_id] = page_checksum(page)
+        self._page_counts[file] += 1
         return page.clone()
 
     def read(self, page_id: PageId) -> Page:
@@ -365,7 +389,8 @@ class SimulatedDisk:
 
     def free(self, page_id: PageId) -> None:
         """Deallocate a page (no I/O charged, mirroring the paper)."""
-        self._pages.pop(page_id, None)
+        if self._pages.pop(page_id, None) is not None:
+            self._page_counts[page_id.file] -= 1
         self._checksums.pop(page_id, None)
 
     def file_pages(self, file: str) -> list[PageId]:

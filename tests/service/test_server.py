@@ -212,6 +212,47 @@ class TestMetricsExport:
         assert "query_ms" in text and "v_total" in text
 
 
+class TestRequestPathGauges:
+    """Gauges set after every request read counters; they neither
+    recount nor touch the filesystem."""
+
+    def gauge(self, server, name):
+        (series,) = server.metrics.series(name)
+        return series.value
+
+    def test_durability_gauges_are_the_wal_counters(self, tmp_path, monkeypatch):
+        from repro.durability.manager import DurabilityManager
+
+        server = make_server()
+        manager = DurabilityManager(tmp_path, fsync_every=4)
+        manager.save_config(server.database.engine_config())
+        server.attach_durability(manager)
+        server.checkpoint()
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-request gauges walked the state directory")
+
+        monkeypatch.setattr(manager, "stats", forbidden)
+        monkeypatch.setattr(manager.wal, "segment_numbers", forbidden)
+        for i in range(6):
+            server.apply_update(Transaction.of("r", [Update(i, {"a": 3})]))
+            server.query("v_total")
+            wal = manager.wal
+            assert self.gauge(server, "wal_records") == wal.records_appended
+            assert self.gauge(server, "wal_bytes") == wal.bytes_appended
+            assert self.gauge(server, "wal_fsyncs") == wal.fsyncs
+        assert manager.wal.records_appended >= 6
+
+    def test_bloom_fill_gauge_is_exact(self):
+        server = make_server()
+        for i in range(20):
+            server.apply_update(Transaction.of("r", [Update(i, {"a": i % 50})]))
+        bloom = server.database.relations["r"].bloom
+        set_bits = sum(bin(byte).count("1") for byte in bloom._array)
+        assert set_bits > 0
+        assert self.gauge(server, "bloom_fill_fraction") == set_bits / bloom.bits
+
+
 class TestShutdown:
     """Graceful stop: idempotent, and resources released even on failure."""
 

@@ -71,6 +71,21 @@ class TestBehaviour:
         assert bf.items_added == 0
         assert bf.fill_fraction == 0.0
 
+    def test_fill_fraction_is_the_exact_share_of_set_bits(self):
+        def recount(bf):
+            return sum(bin(byte).count("1") for byte in bf._array) / bf.bits
+
+        bf = BloomFilter(300, hashes=5)
+        assert bf.fill_fraction == 0.0
+        for i in range(80):
+            bf.add(i % 50)  # repeats and colliding positions set no new bit
+            assert bf.fill_fraction == recount(bf)
+        assert 0.0 < bf.fill_fraction < 1.0
+        assert BloomFilter.from_dict(bf.to_dict()).fill_fraction == bf.fill_fraction
+        bf.clear()
+        bf.add("x")
+        assert bf.fill_fraction == recount(bf) == 5 / 300
+
     def test_probe_stats_track_negatives(self):
         bf = BloomFilter(256)
         assert bf.negative_rate == 0.0  # no probes yet

@@ -39,6 +39,29 @@ class TestPage:
         assert clone.records == ["x", "y"]
 
 
+class TestPageId:
+    def test_equality_and_hash_by_value(self):
+        assert PageId("f", 1) == PageId("f", 1)
+        assert hash(PageId("f", 1)) == hash(PageId("f", 1))
+        assert PageId("f", 1) != PageId("f", 2)
+        assert PageId("f", 1) != PageId("g", 1)
+        assert {PageId("f", 1): "x"}[PageId("f", 1)] == "x"
+        assert len({PageId("f", 1), PageId("f", 1), PageId("g", 1)}) == 2
+
+    def test_str_repr_and_fields(self):
+        pid = PageId("r.leaf", 3)
+        assert str(pid) == f"{pid}" == "r.leaf:3"
+        assert repr(pid) == "PageId(file='r.leaf', number=3)"
+        assert (pid.file, pid.number) == ("r.leaf", 3)
+        with pytest.raises(AttributeError):
+            pid.number = 4
+
+    def test_orders_by_file_then_number(self):
+        ids = [PageId("g", 0), PageId("f", 10), PageId("f", 2)]
+        assert sorted(ids) == [PageId("f", 2), PageId("f", 10), PageId("g", 0)]
+        assert sorted(ids, key=lambda pid: pid.number)[0] == PageId("g", 0)
+
+
 class TestDisk:
     def test_allocate_assigns_sequential_numbers(self, disk):
         a = disk.allocate("f", 4)
@@ -95,6 +118,18 @@ class TestDisk:
         disk.free(page.page_id)
         assert page.page_id not in disk
 
+    def test_page_count_follows_allocate_and_free(self, disk):
+        assert disk.page_count("f") == 0
+        pages = [disk.allocate("f", 4) for _ in range(3)]
+        disk.allocate("g", 4)
+        disk.free(pages[1].page_id)
+        disk.free(pages[1].page_id)  # freeing twice counts once
+        disk.free(PageId("f", 99))  # never allocated
+        assert disk.page_count("f") == len(disk.file_pages("f")) == 2
+        assert disk.page_count("g") == 1
+        disk.allocate("f", 4)
+        assert disk.page_count("f") == 3
+
 
 class TestChecksums:
     def write_one(self, disk, records=("x", "y")):
@@ -117,6 +152,26 @@ class TestChecksums:
         assert page_checksum(page) == base
         page.next_page = 7  # chain pointer is covered too
         assert page_checksum(page) != base
+
+    def test_checksum_covers_records_order_and_link_only(self):
+        """Pinned coverage: the entries, their order and the successor
+        link; neither the page's capacity nor its own id."""
+        from repro.storage.pager import page_checksum
+        from repro.storage.tuples import Record
+
+        first, second = Record(1, {"id": 1}), Record(2, {"id": 2})
+        page = Page(PageId("f", 0), capacity=4)
+        page.records = [first, ((2, 2), second)]
+        base = page_checksum(page)
+        other = Page(PageId("g", 7), capacity=9)
+        other.records = list(page.records)
+        assert page_checksum(other) == base
+        other.records.reverse()
+        assert page_checksum(other) != base
+        page.records[1] = ((2, 3), second)  # a leaf entry's key is covered
+        assert page_checksum(page) != base
+        page.records[1] = ((2, 2), Record(2, {"id": 2}))  # equal record, new object
+        assert page_checksum(page) == base
 
     def test_verify_reads_off_by_default_serves_rot_silently(self, disk):
         page = self.write_one(disk)
