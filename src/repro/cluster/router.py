@@ -38,7 +38,8 @@ the same traffic surface as a single :class:`ViewServer` — ``query``,
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Mapping
+from contextlib import contextmanager
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
@@ -266,57 +267,50 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # request accounting (drain-before-close)
     # ------------------------------------------------------------------
-    def _enter(self) -> None:
+    @contextmanager
+    def _in_flight(self) -> Iterator[None]:
+        """Count one request in; ``close`` drains the count to zero."""
         with self._flight_lock:
             if self._closing or self._closed:
                 raise ClusterClosedError("router is shut down")
             self._inflight += 1
-
-    def _exit(self) -> None:
-        with self._flight_cond:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._flight_cond.notify_all()
+        try:
+            yield
+        finally:
+            with self._flight_cond:
+                self._inflight -= 1
+                if self._inflight == 0:
+                    self._flight_cond.notify_all()
 
     # ------------------------------------------------------------------
     # scatter plumbing
     # ------------------------------------------------------------------
-    def _scatter(
-        self,
-        shards: Iterable[int],
-        op: str,
-        timeout: float | None = None,
-        **params: Any,
+    @staticmethod
+    def _fan_out(
+        shards: Iterable[int], leg: Callable[[int], Any]
     ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        """Issue one op to many shards concurrently.
+        """Run ``leg(shard)`` for many shards concurrently.
 
-        Each leg runs on its own thread against its own connection
-        under its own deadline; returns ``(results, failures)`` keyed
-        by shard id.
+        One shard runs inline; otherwise each leg runs on its own
+        daemon thread (against its own connection, under its own
+        deadline).  Returns ``(results, failures)`` keyed by shard id:
+        a leg's return value, or the RPC/replication error it raised.
         """
         shard_list = list(shards)
         results: dict[int, Any] = {}
         failures: dict[int, Exception] = {}
+
+        def run(shard: int) -> None:
+            try:
+                results[shard] = leg(shard)
+            except (RpcError, ReplicationError) as exc:
+                failures[shard] = exc
+
         if len(shard_list) == 1:
-            shard = shard_list[0]
-            try:
-                results[shard] = self.clients[shard].call(
-                    op, timeout=timeout, **params
-                )
-            except RpcError as exc:
-                failures[shard] = exc
+            run(shard_list[0])
             return results, failures
-
-        def leg(shard: int) -> None:
-            try:
-                results[shard] = self.clients[shard].call(
-                    op, timeout=timeout, **params
-                )
-            except RpcError as exc:
-                failures[shard] = exc
-
         threads = [
-            threading.Thread(target=leg, args=(shard,), daemon=True)
+            threading.Thread(target=run, args=(shard,), daemon=True)
             for shard in shard_list
         ]
         for thread in threads:
@@ -324,6 +318,14 @@ class ClusterRouter:
         for thread in threads:
             thread.join()
         return results, failures
+
+    def _scatter(
+        self, shards: Iterable[int], op: str, **params: Any
+    ) -> tuple[dict[int, Any], dict[int, Exception]]:
+        """Issue one admin op to many shards' clients concurrently."""
+        return self._fan_out(
+            shards, lambda shard: self.clients[shard].call(op, **params)
+        )
 
     # ------------------------------------------------------------------
     # queries
@@ -348,8 +350,7 @@ class ClusterRouter:
         meta = self._views.get(name)
         if meta is None:
             raise ClusterError(f"view {name!r} is not served by this cluster")
-        self._enter()
-        try:
+        with self._in_flight():
             if meta.prunable and (lo is not None or hi is not None):
                 shards = self.shard_map.shards_for_range(lo, hi)
             else:
@@ -382,8 +383,6 @@ class ClusterRouter:
                 # is fresh and safe to serve from cache.
                 self.cache.put(name, lo, hi, token, answer)
             return answer
-        finally:
-            self._exit()
 
     def _scatter_query(
         self,
@@ -404,21 +403,14 @@ class ClusterRouter:
         correct and carries no label.  Degraded labels only appear when
         every member of a shard is unreachable, the honest last resort.
         """
-        shard_list = list(shards)
-        results: dict[int, Any] = {}
-        failures: dict[int, Exception] = {}
-        retried_legs: dict[int, bool] = {}
+        retried_legs: set[int] = set()
 
-        def leg(shard: int) -> None:
-            try:
-                doc, info = self.shards[shard].query(
-                    timeout=timeout, view=name, lo=lo, hi=hi, client=client,
-                )
-            except (RpcError, ReplicationError) as exc:
-                failures[shard] = exc
-                return
+        def leg(shard: int) -> Any:
+            doc, info = self.shards[shard].query(
+                timeout=timeout, view=name, lo=lo, hi=hi, client=client,
+            )
             if info.get("retried"):
-                retried_legs[shard] = True
+                retried_legs.add(shard)
                 self.metrics.counter(
                     "replica_served_total", shard=str(shard)
                 ).inc()
@@ -435,20 +427,10 @@ class ClusterRouter:
                         "staleness_bound": lag,
                         "strategy": "replica",
                     }
-            results[shard] = doc
+            return doc
 
-        if len(shard_list) == 1:
-            leg(shard_list[0])
-        else:
-            threads = [
-                threading.Thread(target=leg, args=(shard,), daemon=True)
-                for shard in shard_list
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-        return results, failures, any(retried_legs.values())
+        results, failures = self._fan_out(shards, leg)
+        return results, failures, bool(retried_legs)
 
     def _cache_token(self, meta: _ViewMeta) -> Any:
         if self.cache is None:
@@ -560,8 +542,7 @@ class ClusterRouter:
         """
         field = self.shard_map.partition_field
         relation = txn.relation
-        self._enter()
-        try:
+        with self._in_flight():
             pending: dict[int, list[dict[str, Any]]] = {}
             # Directory mutations are *staged*, not applied: the
             # overlay answers ownership questions for later operations
@@ -608,8 +589,6 @@ class ClusterRouter:
                 # under the new epoch.
                 self.cache.bump(relation)
             self.metrics.counter("router_updates_total", client=client).inc()
-        finally:
-            self._exit()
 
     def _owner(
         self,
@@ -680,32 +659,15 @@ class ClusterRouter:
         client: str,
         timeout: float | None = None,
     ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        results: dict[int, Any] = {}
-        failures: dict[int, Exception] = {}
-
-        def leg(shard: int) -> None:
-            try:
-                # Through the replica set: the batch gets its epoch,
-                # lands on the (possibly just-promoted) primary, and is
-                # shipped to replicas before the ack comes back.
-                results[shard] = self.shards[shard].apply_update(
-                    relation, pending[shard], client=client, timeout=timeout,
-                )
-            except (RpcError, ReplicationError) as exc:
-                failures[shard] = exc
-
-        if len(shards) == 1:
-            leg(shards[0])
-            return results, failures
-        threads = [
-            threading.Thread(target=leg, args=(shard,), daemon=True)
-            for shard in shards
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results, failures
+        # Through the replica set: the batch gets its epoch, lands on
+        # the (possibly just-promoted) primary, and is shipped to
+        # replicas before the ack comes back.
+        return self._fan_out(
+            shards,
+            lambda shard: self.shards[shard].apply_update(
+                relation, pending[shard], client=client, timeout=timeout,
+            ),
+        )
 
     def _move(
         self,
@@ -778,8 +740,7 @@ class ClusterRouter:
           its leader died mid-epoch and loops back to take over the
           leadership instead of reporting an epoch that never happened.
         """
-        self._enter()
-        try:
+        with self._in_flight():
             while True:
                 with self._epoch_lock:
                     epochs_seen = self.epochs
@@ -819,38 +780,20 @@ class ClusterRouter:
                 # The leader failed without completing the epoch; take
                 # over rather than pretending a refresh happened.
 
-        finally:
-            self._exit()
-
     def _scatter_refresh(
         self, timeout: float | None
     ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        results: dict[int, Any] = {}
-        failures: dict[int, Exception] = {}
-
-        def leg(shard: int) -> None:
-            try:
-                results[shard] = self.shards[shard].refresh(timeout=timeout)
-            except (RpcError, ReplicationError) as exc:
-                failures[shard] = exc
-
-        threads = [
-            threading.Thread(target=leg, args=(shard,), daemon=True)
-            for shard in self.shard_map.all_shards()
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results, failures
+        return self._fan_out(
+            self.shard_map.all_shards(),
+            lambda shard: self.shards[shard].refresh(timeout=timeout),
+        )
 
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, Any]:
         """Cluster + per-shard planner counters (epoch accounting)."""
-        self._enter()
-        try:
+        with self._in_flight():
             results, failures = self._scatter(self.shard_map.all_shards(), "stats")
             return {
                 "epochs": self.epochs,
@@ -860,8 +803,6 @@ class ClusterRouter:
                     for shard in self.shard_map.all_shards()
                 },
             }
-        finally:
-            self._exit()
 
     def cluster_metrics(self) -> dict[str, Any]:
         """One v1 export: every shard registry merged, plus the router's.
@@ -870,8 +811,7 @@ class ClusterRouter:
         bucket-by-bucket — see :func:`repro.cluster.metrics
         .aggregate_metrics`.
         """
-        self._enter()
-        try:
+        with self._in_flight():
             results, failures = self._scatter(self.shard_map.all_shards(), "metrics")
             if failures:
                 shard, exc = next(iter(failures.items()))
@@ -879,20 +819,15 @@ class ClusterRouter:
             exports = [results[shard] for shard in sorted(results)]
             exports.append(self.metrics.to_dict())
             return aggregate_metrics(exports)
-        finally:
-            self._exit()
 
     def shard_metrics(self) -> dict[int, dict[str, Any]]:
         """The raw per-shard exports, keyed by shard id."""
-        self._enter()
-        try:
+        with self._in_flight():
             results, failures = self._scatter(self.shard_map.all_shards(), "metrics")
             if failures:
                 shard, exc = next(iter(failures.items()))
                 raise exc
             return dict(sorted(results.items()))
-        finally:
-            self._exit()
 
     # ------------------------------------------------------------------
     # shutdown

@@ -185,14 +185,9 @@ def build_server(spec: Mapping[str, Any]) -> ViewServer:
         lock_timeout=spec.get("lock_timeout", 30.0),
     )
     for view in spec.get("views", ()):
-        policy_doc = view.get("policy")
-        policy = (
-            RefreshPolicy(policy_doc["kind"], every=policy_doc.get("every", 1))
-            if policy_doc else None
-        )
         server.register_view(
             _definition_of(view), Strategy(view["strategy"]),
-            adaptive=False, policy=policy,
+            adaptive=False, policy=RefreshPolicy.from_doc(view.get("policy")),
         )
     state_dir = spec.get("state_dir")
     if state_dir is not None:

@@ -15,8 +15,11 @@ server builds its striped reader-writer scheme on:
 * :class:`Pacer` — realizes *modelled* milliseconds as wall-clock
   sleeps, so concurrent requests genuinely overlap their modelled I/O
   waits instead of being serialized by Python's GIL.
+* :class:`EngineMutex` — the one mutex around the shared buffer pool
+  and cost meter; each section's meter delta is priced into the
+  running request's :class:`CostBox` and paced outside the mutex.
 """
 
-from .locks import LockTimeout, LockManager, Pacer, RWLock
+from .locks import CostBox, EngineMutex, LockTimeout, LockManager, Pacer, RWLock
 
-__all__ = ["LockTimeout", "LockManager", "Pacer", "RWLock"]
+__all__ = ["CostBox", "EngineMutex", "LockTimeout", "LockManager", "Pacer", "RWLock"]

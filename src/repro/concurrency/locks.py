@@ -10,9 +10,9 @@ three mechanisms:
    out by a :class:`LockManager` and always acquired in one canonical
    sorted order, so queries on distinct views proceed concurrently and
    read-only queries on a fresh view never block each other;
-3. a single engine mutex (a plain lock owned by the server) that
-   serializes short sections touching the shared buffer pool and cost
-   meter.
+3. a single :class:`EngineMutex` that serializes short sections
+   touching the shared buffer pool and cost meter, and prices each
+   section's meter delta for the request that ran it.
 
 :class:`Pacer` converts each engine section's modelled cost into a
 wall-clock sleep taken while only the striped locks are held, which is
@@ -24,7 +24,7 @@ from __future__ import annotations
 import threading
 import time
 from contextlib import contextmanager
-from typing import Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Iterator, Protocol
 
 __all__ = [
     "LockTimeout",
@@ -32,6 +32,8 @@ __all__ = [
     "RWLock",
     "LockManager",
     "Pacer",
+    "CostBox",
+    "EngineMutex",
     "set_lock_observer",
     "get_lock_observer",
 ]
@@ -274,3 +276,57 @@ class Pacer:
     def pace(self, modelled_ms: float) -> None:
         if self.seconds_per_ms > 0 and modelled_ms > 0:
             time.sleep(modelled_ms * self.seconds_per_ms)
+
+
+class CostBox:
+    """Per-request accumulator of engine-section costs (modelled ms)."""
+
+    __slots__ = ("ms",)
+
+    def __init__(self) -> None:
+        self.ms = 0.0
+
+
+class EngineMutex:
+    """Engine sections: exclusive pool/meter access, metered and paced.
+
+    ``meter`` returns the engine's current cost meter and ``price``
+    converts a meter delta to modelled milliseconds.  The delta is
+    taken inside the mutex, so it belongs to exactly the request that
+    ran the section (a global before/after diff would misattribute
+    cost across concurrent requests) and is summed into that request's
+    :class:`CostBox`.  With pacing enabled it is then realized as a
+    wall sleep *after* the mutex is released — the caller still holds
+    its striped locks, so concurrent requests on other views sleep
+    through their modelled I/O simultaneously.
+    """
+
+    def __init__(
+        self,
+        meter: Callable[[], Any],
+        price: Callable[[Any], float],
+        pacing: float = 0.0,
+    ) -> None:
+        self._mutex = threading.RLock()
+        self._meter = meter
+        self._price = price
+        self.pacer = Pacer(pacing)
+
+    @contextmanager
+    def section(self, box: CostBox | None = None) -> Iterator[None]:
+        ms = 0.0
+        with self._mutex:
+            meter = self._meter()
+            before = meter.snapshot()
+            try:
+                yield
+            finally:
+                ms = self._price(meter.diff(before))
+                if box is not None:
+                    box.ms += ms
+        self.pacer.pace(ms)
+
+    def run(self, box: CostBox | None, work: Callable[..., Any], *args: Any) -> Any:
+        """``work(*args)`` inside one section."""
+        with self.section(box):
+            return work(*args)

@@ -21,11 +21,15 @@ This subsystem adds the missing persistence spine:
   recovered database equivalent to an uncrashed twin.
 * :mod:`repro.durability.manager` — :class:`DurabilityManager`, the
   one object the serving layer and CLIs hold.
+* :mod:`repro.durability.journal` — :class:`ServiceJournal`, the
+  serving layer's checkpoint cadence, durability metrics and the one
+  routine that produces a recovered engine.
 """
 
 from .checkpoint import CheckpointError, CheckpointInfo, CheckpointManager
 from .codec import CodecError, decode_event, encode_event
 from .faults import FaultOutcome, FaultScenario, KillPoint, SimulatedCrash, run_scenario
+from .journal import ServiceJournal
 from .manager import DurabilityManager
 from .recovery import RecoveryError, RecoveryReport, recover
 from .wal import WalError, WriteAheadLog
@@ -41,6 +45,7 @@ __all__ = [
     "KillPoint",
     "RecoveryError",
     "RecoveryReport",
+    "ServiceJournal",
     "SimulatedCrash",
     "WalError",
     "WriteAheadLog",

@@ -14,7 +14,7 @@ The shared :class:`~repro.storage.pager.CostMeter` prices everything;
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
@@ -64,12 +64,6 @@ class ViewMaintenanceError(RuntimeError):
     def view_names(self) -> list[str]:
         """The views whose maintenance raised."""
         return [name for name, _ in self.failures]
-
-
-@contextmanager
-def _null_phase():
-    """Stand-in for :meth:`CostMeter.setup_phase` when charging workload."""
-    yield
 
 
 class Database:
@@ -295,7 +289,7 @@ class Database:
         """
         if definition.name in self.views:
             raise CatalogError(f"view {definition.name!r} already exists")
-        builder = self.meter.setup_phase if setup_bucket else _null_phase
+        builder = self.meter.setup_phase if setup_bucket else nullcontext
         with builder():
             if isinstance(definition, SelectProjectView):
                 impl = self._define_select_project(
@@ -312,16 +306,13 @@ class Database:
             if setup_bucket:
                 self.pool.flush_all()
         self.views[definition.name] = impl
-        source = definition.outer if isinstance(definition, JoinView) else definition.relation
-        self._views_by_relation.setdefault(source, []).append(definition.name)
-        if isinstance(definition, JoinView):
-            # Inner-relation updates also affect the view (an extension
-            # beyond the paper's R2-is-never-updated simplification).
-            self._views_by_relation.setdefault(definition.inner, []).append(
-                definition.name
-            )
+        # A join is listed under its inner relation too: inner updates
+        # also affect it (an extension beyond the paper's
+        # R2-is-never-updated simplification).
+        for source in definition.sources:
+            self._views_by_relation.setdefault(source, []).append(definition.name)
         if strategy is Strategy.DEFERRED:
-            self._share_deferred_coordinator(source, impl)
+            self._share_deferred_coordinator(definition.sources[0], impl)
             self._hook_coordinator(impl.coordinator)
         self._view_specs[definition.name] = {
             "definition": definition,
@@ -407,14 +398,22 @@ class Database:
             raise ViewMaintenanceError(view_failures)
         return delta
 
-    def query_view(self, name: str, lo: Any = None, hi: Any = None) -> Any:
-        """Answer a view query under the view's strategy."""
+    def query_view(
+        self, name: str, lo: Any = None, hi: Any = None, refresh: bool = True
+    ) -> Any:
+        """Answer a view query under the view's strategy.
+
+        ``refresh=False`` reads the stored copy as it stands instead
+        (:meth:`MaintenanceStrategy.read_stored`): a periodic policy's
+        off-cycle queries, a fold already run by the caller, and the
+        degradation ladder's stale-read rung.
+        """
         impl = self.views.get(name)
         if impl is None:
             raise CatalogError(f"unknown view {name!r}")
         if self.cold_operations:
             self.pool.invalidate_all()
-        answer = impl.query(lo, hi)
+        answer = impl.query(lo, hi) if refresh else impl.read_stored(lo, hi)
         self.pool.flush_all()
         self.queries_answered += 1
         return answer
@@ -457,23 +456,56 @@ class Database:
 
         Query-modification plans read the *base* file, which lags the
         true relation while updates sit in the AD file — so a strategy
-        migration (or any base-level read) must settle first.  When
-        deferred views exist the fold goes through their shared
-        coordinator so every sibling is refreshed from the same AD read
-        (dropping the batch would corrupt them); otherwise the relation
-        folds directly.  Settling charges the normal refresh I/O.
+        migration (or any base-level read) must settle first.  Nothing
+        pending (or not a hypothetical relation) costs nothing;
+        otherwise this is one :meth:`fold_relation`.
         """
         relation = self._base_of(relation_name)
-        if not isinstance(relation, HypotheticalRelation):
+        if isinstance(relation, HypotheticalRelation) and relation.ad_entry_count():
+            self.fold_relation(relation_name)
+
+    def settle_unless_batched(self, relation_name: str) -> None:
+        """Fold a hypothetical relation eagerly when nothing defers.
+
+        Keeping relations hypothetical is what lets a view migrate back
+        to deferred later, but someone must eventually fold the AD
+        backlog.  The timing follows the strategies present:
+
+        * a deferred view exists — its refresh folds (batched, the
+          paper's scheme); leave the backlog alone.
+        * only query-modification views — fold lazily at query time
+          (the reader settles first), which batches the fold exactly
+          like a deferred refresh would.
+        * an immediate/snapshot-style materialized view exists (or no
+          view at all) — fold now, per transaction: write-through
+          semantics, the substrate the immediate cost model assumes.
+        """
+        strategies = {
+            self.views[name].strategy
+            for name in self._views_by_relation.get(relation_name, ())
+        }
+        if Strategy.DEFERRED in strategies:
             return
-        if relation.ad_entry_count() == 0:
+        if strategies and all(s.is_query_modification() for s in strategies):
             return
+        self.settle_relation(relation_name)
+
+    def fold_relation(self, relation_name: str) -> None:
+        """One refresh epoch of a hypothetical relation, unconditionally.
+
+        The paper's on-demand refresh: the AD file is read even when it
+        turns out to hold nothing.  When deferred views exist the fold
+        goes through their shared coordinator so every sibling is
+        refreshed from the same AD read (dropping the batch would
+        corrupt them); otherwise the relation folds directly.  Charges
+        the normal refresh I/O.
+        """
         coordinator = self._deferred_coordinators.get(relation_name)
         if coordinator is not None and coordinator.views:
             coordinator.refresh_all()
         else:
             self._journal("net_install", relation=relation_name)
-            relation.reset()
+            self._base_of(relation_name).reset()
         self.pool.flush_all()
 
     def drop_view(self, name: str) -> None:
@@ -527,7 +559,6 @@ class Database:
             raise CatalogError(f"unknown view {name!r}")
         if impl.strategy is strategy:
             return impl
-        definition = impl.definition
         # One composite journal record; the drop/settle/define inside
         # are replayed as a unit by re-running migrate_view.
         self._journal(
@@ -538,18 +569,10 @@ class Database:
             index_field=index_field,
             refresh_every=refresh_every,
         )
-        with self._journal_paused():
-            self.drop_view(name)
-            sources = [definition.outer if isinstance(definition, JoinView) else definition.relation]
-            for source in sources:
-                self.settle_relation(source)
-            new_impl = self.define_view(
-                definition, strategy,
-                plan=plan, index_field=index_field, refresh_every=refresh_every,
-                setup_bucket=False,
-            )
-        self.pool.flush_all()
-        return new_impl
+        return self._redefine(
+            impl.definition, strategy,
+            plan=plan, index_field=index_field, refresh_every=refresh_every,
+        )
 
     def rebuild_view(self, name: str) -> "MaintenanceStrategy":
         """Rebuild one view's stored state from its base relation(s).
@@ -564,36 +587,16 @@ class Database:
         ``migrate``), so replaying the log reproduces the repair
         deterministically.
         """
-        impl = self.views.get(name)
-        if impl is None:
+        if name not in self.views:
             raise CatalogError(f"unknown view {name!r}")
-        spec = self._view_specs[name]
-        definition = spec["definition"]
-        strategy = spec["strategy"]
-        plan = spec["plan"]
-        index_field = spec["index_field"]
-        refresh_every = spec["refresh_every"]
+        spec = dict(self._view_specs[name])
         self._journal("rebuild_view", view=name)
-        with self._journal_paused():
-            self.drop_view(name)
-            sources = [definition.outer if isinstance(definition, JoinView) else definition.relation]
-            for source in sources:
-                self.settle_relation(source)
-            new_impl = self.define_view(
-                definition, strategy,
-                plan=plan, index_field=index_field, refresh_every=refresh_every,
-                setup_bucket=False,
-            )
-        self.pool.flush_all()
-        return new_impl
+        return self._redefine(spec.pop("definition"), spec.pop("strategy"), **spec)
 
     def restore_view(
         self,
         definition: SelectProjectView | JoinView | AggregateView,
         strategy: Strategy,
-        plan: str | None = None,
-        index_field: str | None = None,
-        refresh_every: int = 10,
     ) -> "MaintenanceStrategy":
         """Re-create a view lost mid-composite-operation (repair path).
 
@@ -603,23 +606,34 @@ class Database:
         replays the whole operation, so this restore is deliberately
         *not* journaled — journaling it again would double-apply on
         replay.
-
-        The source relation is settled first, exactly like
-        :meth:`rebuild_view`: a freshly defined deferred view has no
-        screening markers, so any AD entries still pending at restore
-        time would otherwise never reach it — the bulk load must read a
-        base that already contains them.
         """
         if definition.name in self.views:
             raise CatalogError(f"view {definition.name!r} already exists")
+        return self._redefine(definition, strategy)
+
+    def _redefine(
+        self,
+        definition: SelectProjectView | JoinView | AggregateView,
+        strategy: Strategy,
+        **options: Any,
+    ) -> "MaintenanceStrategy":
+        """Drop (if present) -> settle the source -> define -> flush.
+
+        The body of every composite catalog operation; the caller has
+        already journaled (or deliberately not journaled) the composite
+        record, so nothing inside is journaled again.  The settle comes
+        before the define because a freshly defined deferred view has
+        no screening markers: AD entries still pending at that point
+        would never reach it, so the bulk load must read a base that
+        already contains them.  The rebuild charges workload counters,
+        not the setup bucket.
+        """
         with self._journal_paused():
-            sources = [definition.outer if isinstance(definition, JoinView) else definition.relation]
-            for source in sources:
-                self.settle_relation(source)
+            if definition.name in self.views:
+                self.drop_view(definition.name)
+            self.settle_relation(definition.sources[0])
             impl = self.define_view(
-                definition, strategy,
-                plan=plan, index_field=index_field, refresh_every=refresh_every,
-                setup_bucket=False,
+                definition, strategy, setup_bucket=False, **options
             )
         self.pool.flush_all()
         return impl
@@ -688,9 +702,6 @@ class Database:
         raise CatalogError(
             f"relation {relation_name!r} is not tree-clustered"
         )
-
-    def _records_per_page(self, schema: Schema) -> int:
-        return schema.records_per_page(self.block_bytes)
 
     def _snapshot(self, relation_name: str) -> list[Record]:
         relation = self._base_of(relation_name)

@@ -8,6 +8,7 @@ transactions and queries to the strategies of the affected views.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from typing import Any
 
@@ -45,3 +46,23 @@ class MaintenanceStrategy(ABC):
         the view key (``None`` bounds mean unbounded); aggregates
         ignore the range and return the scalar value.
         """
+
+    def read_stored(self, lo: Any = None, hi: Any = None) -> QueryAnswer:
+        """Read the stored copy as it stands: no refresh, no rebuild.
+
+        What every materialized strategy's ``query`` ends with, and
+        what the serving layer reads when it must not (periodic
+        policy, degraded view) or need not (it just ran the shared
+        refresh epoch itself) fold first.  An aggregate is one
+        state-page read; a tuple view is a range read of the stored
+        B+-tree at ``c1`` per tuple read.  Only materialized
+        strategies have a stored copy.
+        """
+        store = getattr(self, "store", None)
+        if store is not None:
+            return store.value()
+        result = self.matview.read_range(
+            -math.inf if lo is None else lo, math.inf if hi is None else hi
+        )
+        self.relation.meter.record_screen(len(result))
+        return result

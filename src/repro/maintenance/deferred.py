@@ -15,7 +15,7 @@ from typing import Any
 from repro.core.strategies import Strategy
 from repro.engine.transaction import Transaction
 from repro.hr.differential import HypotheticalRelation
-from repro.views.definition import AggregateView, JoinView, SelectProjectView, ViewTuple
+from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.delta import DeltaSet
 from repro.views.matview import AggregateStateStore, MaterializedView
 from .base import MaintenanceStrategy
@@ -28,9 +28,6 @@ __all__ = [
     "DeferredJoin",
     "DeferredAggregate",
 ]
-
-_UNBOUNDED_LO = float("-inf")
-_UNBOUNDED_HI = float("inf")
 
 
 class DeferredCoordinator:
@@ -161,6 +158,11 @@ class _DeferredBase(MaintenanceStrategy):
         fold the AD file down (one shared AD read, per Section 4)."""
         self.coordinator.refresh_all()
 
+    def query(self, lo: Any = None, hi: Any = None) -> Any:
+        """The paper's on-demand policy: fold, then read the copy."""
+        self.refresh()
+        return self.read_stored(lo, hi)
+
     def _marked(self, net: DeltaSet) -> tuple[list, list]:
         marked_ins = [r for r in net.inserted if r in self._markers]
         marked_del = [r for r in net.deleted if r in self._markers]
@@ -192,14 +194,6 @@ class DeferredSelectProject(_DeferredBase):
     def _apply_marked(self, marked_ins: list, marked_del: list) -> None:
         if marked_ins or marked_del:
             refresh_select_project(self.definition, self.matview, marked_ins, marked_del)
-
-    def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
-        self.refresh()
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
-        result = self.matview.read_range(lo, hi)
-        self.relation.meter.record_screen(len(result))
-        return result
 
 
 class DeferredJoin(_DeferredBase):
@@ -316,14 +310,6 @@ class DeferredJoin(_DeferredBase):
         if changes:
             self.matview.apply_changes(changes)
 
-    def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
-        self.refresh()
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
-        result = self.matview.read_range(lo, hi)
-        self.relation.meter.record_screen(len(result))
-        return result
-
 
 class DeferredAggregate(_DeferredBase):
     """Model 3 deferred maintenance of a one-page aggregate state."""
@@ -339,7 +325,3 @@ class DeferredAggregate(_DeferredBase):
 
     def _apply_marked(self, marked_ins: list, marked_del: list) -> None:
         refresh_aggregate(self.definition, self.store, marked_ins, marked_del)
-
-    def query(self, lo: Any = None, hi: Any = None) -> Any:
-        self.refresh()
-        return self.store.value()

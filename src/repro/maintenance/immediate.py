@@ -15,7 +15,7 @@ from repro.core.strategies import Strategy
 from repro.engine.relations import HashedRelation
 from repro.engine.transaction import Transaction
 from repro.hr.differential import ClusteredRelation
-from repro.views.definition import AggregateView, JoinView, SelectProjectView, ViewTuple
+from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.delta import DeltaSet
 from repro.views.matview import AggregateStateStore, MaterializedView
 from .base import MaintenanceStrategy
@@ -23,9 +23,6 @@ from .refresh import refresh_aggregate, refresh_join, refresh_select_project
 from .screening import TwoStageScreen
 
 __all__ = ["ImmediateSelectProject", "ImmediateJoin", "ImmediateAggregate"]
-
-_UNBOUNDED_LO = float("-inf")
-_UNBOUNDED_HI = float("inf")
 
 
 class _ImmediateBase(MaintenanceStrategy):
@@ -46,6 +43,10 @@ class _ImmediateBase(MaintenanceStrategy):
     @property
     def view_name(self) -> str:
         return self.definition.name
+
+    def query(self, lo: Any = None, hi: Any = None) -> Any:
+        """The copy is maintained per transaction: always current."""
+        return self.read_stored(lo, hi)
 
     def _marked(self, txn: Transaction, delta: DeltaSet):
         """Screen the transaction's delta; returns (ins, del) or None.
@@ -82,13 +83,6 @@ class ImmediateSelectProject(_ImmediateBase):
         if marked_ins or marked_del:
             refresh_select_project(self.definition, self.matview, marked_ins, marked_del)
             self.refresh_count += 1
-
-    def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
-        result = self.matview.read_range(lo, hi)
-        self.relation.meter.record_screen(len(result))  # c1 per tuple read
-        return result
 
 
 class ImmediateJoin(_ImmediateBase):
@@ -178,13 +172,6 @@ class ImmediateJoin(_ImmediateBase):
             self.matview.apply_changes(changes)
             self.refresh_count += 1
 
-    def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
-        result = self.matview.read_range(lo, hi)
-        self.relation.meter.record_screen(len(result))
-        return result
-
 
 class ImmediateAggregate(_ImmediateBase):
     """Model 3 immediate maintenance of a one-page aggregate state."""
@@ -205,6 +192,3 @@ class ImmediateAggregate(_ImmediateBase):
         marked_ins, marked_del = marked
         if refresh_aggregate(self.definition, self.store, marked_ins, marked_del):
             self.refresh_count += 1
-
-    def query(self, lo: Any = None, hi: Any = None) -> Any:
-        return self.store.value()

@@ -125,11 +125,5 @@ class SharedDeltaPlanner:
 
     def _refresh_now(self, relation_name: str) -> None:
         """The actual epoch: one net compute fanned out to all views."""
-        coordinator = self.database.deferred_coordinator(relation_name)
-        if coordinator is not None and coordinator.views:
-            coordinator.refresh_all()
-        else:
-            # No deferred views (left) on the relation: fold directly.
-            self.database.settle_relation(relation_name)
-        self.database.pool.flush_all()
+        self.database.fold_relation(relation_name)
         self.epochs += 1

@@ -25,9 +25,6 @@ from .base import MaintenanceStrategy
 
 __all__ = ["SnapshotSelectProject", "RecomputeOnChangeSelectProject"]
 
-_UNBOUNDED_LO = float("-inf")
-_UNBOUNDED_HI = float("inf")
-
 
 class SnapshotSelectProject(MaintenanceStrategy):
     """A Model 1 snapshot refreshed every ``refresh_every`` queries.
@@ -103,11 +100,7 @@ class SnapshotSelectProject(MaintenanceStrategy):
         if self.queries_since_rebuild % self.refresh_every == 0:
             self.rebuild()
         self.queries_since_rebuild += 1
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
-        result = self.matview.read_range(lo, hi)
-        self.relation.meter.record_screen(len(result))
-        return result
+        return self.read_stored(lo, hi)
 
 
 class RecomputeOnChangeSelectProject(SnapshotSelectProject):
@@ -152,8 +145,4 @@ class RecomputeOnChangeSelectProject(SnapshotSelectProject):
             self.rebuild()
             self._stale = False
         self.queries_since_rebuild = 1  # disable the periodic schedule
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
-        result = self.matview.read_range(lo, hi)
-        self.relation.meter.record_screen(len(result))
-        return result
+        return self.read_stored(lo, hi)

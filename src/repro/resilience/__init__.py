@@ -23,6 +23,9 @@ exploit that structure end to end:
 * :mod:`repro.resilience.degradation` — the caller-visible
   :class:`DegradedResult` and the query-modification / stale-read
   fallback evaluators the server degrades through.
+* :mod:`repro.resilience.health` — :class:`ViewHealth`, the degraded-
+  view state machine, the ladder and the repair queue (imported from
+  its module: it needs the engine, which imports this package).
 """
 
 from .degradation import DegradedResult, describe_failure, qm_fallback_answer

@@ -19,7 +19,7 @@ from typing import Any
 from repro.resilience.faults import TransientIOError
 from repro.resilience.policy import CircuitOpenError
 from repro.storage.pager import PageChecksumError
-from repro.views.definition import AggregateView, JoinView
+from repro.views.definition import AggregateView
 
 __all__ = [
     "DegradedResult",
@@ -89,13 +89,9 @@ def qm_fallback_answer(db: Any, definition: Any, lo: Any = None, hi: Any = None)
     Every page it reads is metered — degraded service has an honest,
     advisor-comparable cost.
     """
-    if isinstance(definition, JoinView):
-        tuples = definition.evaluate(
-            _logical_records(db, definition.outer),
-            _logical_records(db, definition.inner),
-        )
-    else:
-        tuples = definition.evaluate(_logical_records(db, definition.relation))
+    tuples = definition.evaluate(
+        *(_logical_records(db, source) for source in definition.sources)
+    )
     if isinstance(definition, AggregateView):
         return tuples  # AggregateView.evaluate returns the scalar state
     key = definition.view_key

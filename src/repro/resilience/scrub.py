@@ -22,13 +22,16 @@ CLI) can escalate to :func:`repro.durability.recovery.recover`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
+
+from repro.resilience.policy import RESILIENCE_ERRORS
 
 __all__ = [
     "PageDamage",
     "RepairOutcome",
     "ScrubReport",
     "classify_file",
+    "rebuild_verified",
     "repair_database",
     "scrub_database",
     "scrub_disk",
@@ -175,6 +178,33 @@ class RepairOutcome:
         }
 
 
+def rebuild_verified(db: Any, name: str, rebuild: Callable[[], Any] | None = None) -> bool:
+    """Rebuild one view's stored copy and re-verify it; True when whole.
+
+    ``rebuild`` defaults to :meth:`Database.rebuild_view`.  Open
+    breakers on the view's files are probed to half-open first (a
+    repair is deliberate, it does not wait out the cool-down); a
+    verified rebuild snaps them closed — the breaker-close shows up in
+    the disk's transition events like any other.
+    """
+    resilient = getattr(db, "resilient_disk", None)
+    if resilient is not None:
+        resilient.probe_open_breakers(list(view_files(name)))
+    try:
+        if rebuild is None:
+            db.rebuild_view(name)
+        else:
+            rebuild()
+        present = [f for f in view_files(name) if f in db.disk.files()]
+        verified = scrub_database(db, files=present).ok
+    except RESILIENCE_ERRORS:
+        return False
+    if verified and resilient is not None:
+        for file in view_files(name):
+            resilient.reset_file(file)
+    return verified
+
+
 def repair_database(db: Any, report: ScrubReport | None = None) -> RepairOutcome:
     """Apply every local repair a scrub report calls for.
 
@@ -183,34 +213,14 @@ def repair_database(db: Any, report: ScrubReport | None = None) -> RepairOutcome
     repair and is returned in ``unrepaired_files`` for escalation to
     the durability layer.
     """
-    from repro.resilience.policy import RESILIENCE_ERRORS
-
     if report is None:
         report = scrub_database(db)
     outcome = RepairOutcome()
     for name in report.damaged_views():
-        if name not in db.views:
-            continue
-        resilient = getattr(db, "resilient_disk", None)
-        if resilient is not None:
-            resilient.probe_open_breakers(list(view_files(name)))
-        try:
-            db.rebuild_view(name)
-            recheck = scrub_database(
-                db, files=[f for f in view_files(name) if f in db.disk.files()]
-            )
-        except RESILIENCE_ERRORS:
-            outcome.failed_views.append(name)
-            continue
-        if recheck.ok:
-            if resilient is not None:
-                for file in view_files(name):
-                    resilient.reset_file(file)
-            outcome.rebuilt_views.append(name)
-        else:
-            outcome.failed_views.append(name)
-    for damage in report.damage:
-        if damage.owner[0] != "view":
-            outcome.unrepaired_files.append(damage.file)
-    outcome.unrepaired_files = sorted(set(outcome.unrepaired_files))
+        if name in db.views:
+            fixed = rebuild_verified(db, name)
+            (outcome.rebuilt_views if fixed else outcome.failed_views).append(name)
+    outcome.unrepaired_files = sorted(
+        {damage.file for damage in report.damage if damage.owner[0] != "view"}
+    )
     return outcome

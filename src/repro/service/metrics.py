@@ -258,6 +258,14 @@ class MetricsRegistry:
                 )
             return instrument
 
+    def set_one_hot(self, name: str, hot: str, value: str, **key: str) -> None:
+        """Set gauge ``name{**key, hot=value}`` to 1 and every other
+        series of ``name`` carrying the ``key`` labels to 0."""
+        for inst in self.series(name):
+            if key.items() <= dict(inst.labels).items():
+                inst.set(0.0)
+        self.gauge(name, **key, **{hot: value}).set(1.0)
+
     def series(self, name: str | None = None) -> list[Counter | Gauge | Histogram]:
         """All instruments (optionally filtered by name), sorted by key."""
         with self._mutex:

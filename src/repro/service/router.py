@@ -130,6 +130,14 @@ def _model_of(definition: Any) -> ViewModel:
     raise TypeError(f"unknown view definition {type(definition).__name__}")
 
 
+def query_width(lo: Any, hi: Any) -> float | None:
+    """Width of a range query on the view key (``None`` when unbounded)."""
+    try:
+        return float(hi - lo + 1) if lo is not None and hi is not None else None
+    except TypeError:
+        return None
+
+
 class AdaptiveRouter:
     """Per-view statistics plus the decide-and-migrate loop."""
 
@@ -193,9 +201,7 @@ class AdaptiveRouter:
             return None
         definition = server.definition_of(view)
         db = server.database
-        relation_name = (
-            definition.outer if isinstance(definition, JoinView) else definition.relation
-        )
+        relation_name = definition.sources[0]
         relation = db.relations[relation_name]
         base = relation.base if hasattr(relation, "base") else relation
         n_tuples = max(1, len(base))
@@ -252,9 +258,7 @@ class AdaptiveRouter:
         """
         definition = server.definition_of(view)
         model = _model_of(definition)
-        relation_name = (
-            definition.outer if isinstance(definition, JoinView) else definition.relation
-        )
+        relation_name = definition.sources[0]
         relation = server.database.relations[relation_name]
         hypothetical = isinstance(relation, HypotheticalRelation)
         allowed = []
@@ -324,4 +328,5 @@ class AdaptiveRouter:
         )
         self.switches.append(switch)
         self._last_switch_op[view] = stats.operations
+        server.metrics.gauge("router_estimated_p", view=view).set(stats.P)
         return switch

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.core.parameters import Parameters
 from repro.core.policies import (
@@ -58,6 +59,17 @@ class RefreshPolicy:
     def async_refresh(cls) -> "RefreshPolicy":
         return cls("async")
 
+    def to_doc(self) -> dict[str, Any]:
+        """The JSON form checkpoints and worker specs carry."""
+        return {"kind": self.kind, "every": self.every}
+
+    @classmethod
+    def from_doc(cls, doc: Mapping[str, Any] | None) -> "RefreshPolicy":
+        """Inverse of :meth:`to_doc`; no document means on-demand."""
+        if not doc:
+            return cls.on_demand()
+        return cls(doc["kind"], every=int(doc.get("every", 1)))
+
 
 @dataclass(frozen=True)
 class StalenessReport:
@@ -82,8 +94,6 @@ class RefreshScheduler:
         self._policies: dict[str, RefreshPolicy] = {}
         self._queries_seen: dict[str, int] = {}
         self._queries_since_refresh: dict[str, int] = {}
-        self._checkpoint_every: int | None = None
-        self._ops_since_checkpoint = 0
         #: Serializes the counting decisions so concurrent request
         #: threads never double-count a periodic cycle position.
         self._mutex = threading.RLock()
@@ -134,36 +144,6 @@ class RefreshScheduler:
 
     def queries_since_refresh(self, view: str) -> int:
         return self._queries_since_refresh.get(view, 0)
-
-    # ------------------------------------------------------------------
-    # checkpoint cadence (repro.durability)
-    # ------------------------------------------------------------------
-    @property
-    def checkpoint_every(self) -> int | None:
-        return self._checkpoint_every
-
-    def set_checkpoint_every(self, every: int | None) -> None:
-        """Checkpoint after every ``every`` served requests (None = never)."""
-        if every is not None and every < 1:
-            raise ValueError(f"checkpoint period must be >= 1, got {every}")
-        with self._mutex:
-            self._checkpoint_every = every
-            self._ops_since_checkpoint = 0
-
-    def note_operation(self) -> None:
-        """Count one served request toward the checkpoint cadence."""
-        with self._mutex:
-            self._ops_since_checkpoint += 1
-
-    def should_checkpoint(self) -> bool:
-        return (
-            self._checkpoint_every is not None
-            and self._ops_since_checkpoint >= self._checkpoint_every
-        )
-
-    def note_checkpoint(self) -> None:
-        with self._mutex:
-            self._ops_since_checkpoint = 0
 
     # ------------------------------------------------------------------
     # pricing (Section 4 analyses)

@@ -163,13 +163,6 @@ class BPlusTree:
                 return
             current = page.next_page
 
-    def range_records(self, lo: Any, hi: Any) -> list[Record]:
-        """Eager range read: all in-range records as one list."""
-        out: list[Record] = []
-        for records in self.range_batches(lo, hi):
-            out.extend(records)
-        return out
-
     def scan_all(self) -> Iterator[Record]:
         """Full scan in sort order via the leaf chain."""
         for batch in self.scan_batches():

@@ -19,17 +19,10 @@ are built from exactly the page reads the tuple-at-a-time iterators
 performed, and CPU charges (``c1`` screens, ``c3`` ad ops) are metered
 per batch with the same totals (``meter.record_screen(n)`` instead of
 ``n`` calls).  See docs/performance.md ("Columnar batches").
-
-Fixed-width integer columns can additionally be packed into an
-``array('q')`` (:meth:`ColumnBatch.pack_fixed`) whose ``memoryview``
-slices share the buffer — useful for dense numeric post-processing;
-the general engine path keeps plain list columns because field values
-are arbitrary Python objects.
 """
 
 from __future__ import annotations
 
-from array import array
 from typing import Any, Iterator, Sequence
 
 from .tuples import Record
@@ -97,13 +90,12 @@ class ColumnBatch:
     exactly once.  Batches are treated as immutable once built.
     """
 
-    __slots__ = ("_records", "_columns", "_length", "_key_field")
+    __slots__ = ("_records", "_columns", "_length")
 
-    def __init__(self) -> None:  # use the classmethod constructors
-        self._records: Sequence[Record] | None = None
+    def __init__(self) -> None:  # use the classmethod constructor
+        self._records: Sequence[Record] = ()
         self._columns: dict[Any, list] = {}
         self._length = 0
-        self._key_field: str | None = None
 
     # ------------------------------------------------------------------
     # constructors
@@ -116,27 +108,6 @@ class ColumnBatch:
         batch._length = len(records)
         return batch
 
-    @classmethod
-    def from_columns(
-        cls,
-        columns: dict[str, list],
-        key_field: str | None = None,
-    ) -> "ColumnBatch":
-        """Build from per-field value lists (all the same length).
-
-        ``key_field`` names the column holding each row's record key;
-        it is required only if :meth:`record_at` / :meth:`to_records`
-        will be called on this batch.
-        """
-        lengths = {len(col) for col in columns.values()}
-        if len(lengths) > 1:
-            raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
-        batch = cls()
-        batch._columns = {field: list(col) for field, col in columns.items()}
-        batch._length = lengths.pop() if lengths else 0
-        batch._key_field = key_field
-        return batch
-
     # ------------------------------------------------------------------
     # shape
     # ------------------------------------------------------------------
@@ -145,17 +116,6 @@ class ColumnBatch:
 
     def __bool__(self) -> bool:
         return self._length > 0
-
-    @property
-    def fields(self) -> tuple[str, ...]:
-        """Fields with a materialized or materializable column."""
-        if self._records is not None:
-            seen: dict[str, None] = {}
-            for record in self._records:
-                for field in record.values:
-                    seen[field] = None
-            return tuple(seen)
-        return tuple(f for f in self._columns if isinstance(f, str))
 
     # ------------------------------------------------------------------
     # column access
@@ -168,8 +128,6 @@ class ColumnBatch:
         """
         col = self._columns.get(field)
         if col is None:
-            if self._records is None:
-                raise KeyError(f"no column {field!r} in this batch")
             # r._values is the record's mapping slot; going through it
             # directly keeps the build one C dict.get per row instead
             # of a Python-level Record.get frame per row.
@@ -186,91 +144,25 @@ class ColumnBatch:
         cache_key = (_ABSENT, field)
         col = self._columns.get(cache_key)
         if col is None:
-            if self._records is not None:
-                col = [field in r._values for r in self._records]
-            else:
-                present = field in self._columns
-                col = [present] * self._length
+            col = [field in r._values for r in self._records]
             self._columns[cache_key] = col
         return col
-
-    def pack_fixed(self, field: str) -> array | None:
-        """Pack an all-``int`` column into an ``array('q')``.
-
-        Returns ``None`` when any value does not fit a signed 64-bit
-        integer (floats, strings, ``None`` holes, big ints) — the
-        caller then falls back to the plain list column.  The packed
-        array's ``memoryview`` slices share the buffer, so fixed-width
-        post-processing can sub-range rows without copying.
-        """
-        try:
-            return array("q", self.column(field))
-        except (TypeError, OverflowError):
-            return None
 
     # ------------------------------------------------------------------
     # row access
     # ------------------------------------------------------------------
     def record_at(self, index: int) -> Record:
-        """The row as a :class:`Record` (zero-copy when record-backed)."""
-        if self._records is not None:
-            return self._records[index]
-        return self._build_record(index)
+        """The row as a :class:`Record` (zero-copy)."""
+        return self._records[index]
 
     def to_records(self) -> Sequence[Record]:
-        """All rows as records.
-
-        Record-backed batches return the original sequence unchanged;
-        column-backed batches build records once (requires
-        ``key_field``).
-        """
-        if self._records is not None:
-            return self._records
-        records = [self._build_record(i) for i in range(self._length)]
-        self._records = records
-        return records
+        """All rows as records: the original sequence, unchanged."""
+        return self._records
 
     def take(self, selection: SelectionVector) -> list[Record]:
         """Gather the selected rows as a record list (order-preserving)."""
-        if self._records is not None:
-            records = self._records
-            return [records[i] for i in selection.indices]
-        return [self._build_record(i) for i in selection.indices]
-
-    def slice(self, start: int, stop: int) -> "ColumnBatch":
-        """A contiguous row-range view of this batch.
-
-        Record-backed batches alias the same record objects; already
-        materialized columns are sliced (packed fixed-width columns
-        would share buffers via ``memoryview`` — list columns are
-        Python object vectors, so the slice copies references only).
-        """
-        if self._records is not None:
-            child = ColumnBatch.from_records(self._records[start:stop])
-        else:
-            child = ColumnBatch()
-            child._length = max(0, min(stop, self._length) - max(start, 0))
-            child._key_field = self._key_field
-        for field, col in self._columns.items():
-            child._columns[field] = col[start:stop]
-        return child
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _build_record(self, index: int) -> Record:
-        if self._key_field is None:
-            raise ValueError(
-                "this column-backed batch has no key_field; records "
-                "cannot be reconstructed from it"
-            )
-        values = {
-            field: col[index]
-            for field, col in self._columns.items()
-            if isinstance(field, str)
-        }
-        return Record(values[self._key_field], values)
+        records = self._records
+        return [records[i] for i in selection.indices]
 
     def __repr__(self) -> str:
-        kind = "records" if self._records is not None else "columns"
-        return f"ColumnBatch({self._length} rows, {kind}-backed)"
+        return f"ColumnBatch({self._length} rows)"

@@ -120,10 +120,6 @@ class Page:
     def is_full(self) -> bool:
         return len(self.records) >= self.capacity
 
-    @property
-    def is_empty(self) -> bool:
-        return not self.records
-
     def add(self, record: Any) -> None:
         """Append a record; raises :class:`PageOverflowError` when full."""
         if self.is_full:
@@ -223,18 +219,6 @@ class CostMeter:
             + params.c1 * self.setup_screens
             + params.c3 * self.setup_ad_ops
         )
-
-    def charge_setup_to_workload(self) -> None:
-        """Fold the setup bucket into the workload counters (and clear it).
-
-        Used when a caller explicitly wants setup I/O priced like
-        request work (``ViewServer.register_view(charge_setup=True)``).
-        """
-        self.page_reads += self.setup_page_reads
-        self.page_writes += self.setup_page_writes
-        self.screens += self.setup_screens
-        self.ad_ops += self.setup_ad_ops
-        self.clear_setup()
 
     def clear_setup(self) -> None:
         """Zero the setup bucket only."""

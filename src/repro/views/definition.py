@@ -16,7 +16,7 @@ from typing import Any, Iterable, Mapping
 
 from repro.storage.tuples import Record
 from .aggregates import AggregateFunction, make_aggregate
-from .predicate import Predicate, TruePredicate
+from .predicate import Predicate
 
 __all__ = [
     "ViewTuple",
@@ -106,6 +106,11 @@ class SelectProjectView:
                 f"view key {self.view_key!r} must be projected in {self.name!r}"
             )
 
+    @property
+    def sources(self) -> tuple[str, ...]:
+        """Relations the view reads; the first is the one it screens."""
+        return (self.relation,)
+
     def fields_read(self) -> frozenset[str]:
         """Fields the definition reads (predicate + projection): RIU set."""
         return self.predicate.fields_read() | frozenset(self.projection)
@@ -152,6 +157,11 @@ class JoinView:
             raise ViewDefinitionError(
                 f"view key {self.view_key!r} must be projected in {self.name!r}"
             )
+
+    @property
+    def sources(self) -> tuple[str, ...]:
+        """Relations the view reads; the first is the one it screens."""
+        return (self.outer, self.inner)
 
     def fields_read(self) -> frozenset[str]:
         """Outer-side fields the definition reads (RIU set for R1 updates)."""
@@ -201,6 +211,11 @@ class AggregateView:
         """Instantiate the aggregate function."""
         return make_aggregate(self.aggregate)
 
+    @property
+    def sources(self) -> tuple[str, ...]:
+        """Relations the view reads; the first is the one it screens."""
+        return (self.relation,)
+
     def fields_read(self) -> frozenset[str]:
         """Fields the definition reads (predicate + aggregated field)."""
         return self.predicate.fields_read() | frozenset((self.field,))
@@ -213,14 +228,3 @@ class AggregateView:
             if self.predicate.matches(record):
                 function.insert(state, record[self.field])
         return function.value(state)
-
-
-def unrestricted(name: str, relation: str, projection: tuple[str, ...], view_key: str) -> SelectProjectView:
-    """Convenience: a projection-only view (``f = 1``)."""
-    return SelectProjectView(
-        name=name,
-        relation=relation,
-        predicate=TruePredicate(),
-        projection=projection,
-        view_key=view_key,
-    )

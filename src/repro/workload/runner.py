@@ -78,13 +78,6 @@ class SimulationResult:
             return 0.0
         return self.view_overhead_ms / self.queries
 
-    @property
-    def avg_total_per_query(self) -> float:
-        """Total cost (including base updates) per view query."""
-        if self.queries == 0:
-            return 0.0
-        return self.total_ms / self.queries
-
     def describe(self) -> str:
         """One-line result summary."""
         return (

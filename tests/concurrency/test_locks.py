@@ -169,3 +169,57 @@ class TestPacer:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             Pacer(seconds_per_ms=-1.0)
+
+
+class TestEngineMutex:
+    class Meter:
+        """Stand-in cost meter: snapshots are counts, diffs are deltas."""
+
+        def __init__(self):
+            self.cost = 0
+
+        def snapshot(self):
+            return self.cost
+
+        def diff(self, before):
+            return self.cost - before
+
+    def test_section_cost_lands_in_the_box_even_on_failure(self):
+        from repro.concurrency import CostBox, EngineMutex
+
+        meter = self.Meter()
+        engine = EngineMutex(lambda: meter, lambda delta: delta * 2.0)
+        box = CostBox()
+        with engine.section(box):
+            meter.cost += 3
+        with pytest.raises(RuntimeError):
+            with engine.section(box):
+                meter.cost += 1
+                raise RuntimeError("fault mid-section")
+        assert box.ms == 8.0
+        assert engine.run(box, lambda x: x + 1, 41) == 42
+        with engine.section():  # unattributed sections are fine
+            meter.cost += 1
+        assert box.ms == 8.0
+
+    def test_pacing_sleeps_outside_the_mutex(self):
+        from repro.concurrency import CostBox, EngineMutex
+
+        meter = self.Meter()
+        engine = EngineMutex(lambda: meter, float, pacing=0.001)
+        entered = threading.Event()
+
+        def slow():
+            with engine.section(CostBox()):
+                meter.cost += 200  # 0.2 s of pacing, after the mutex drops
+            entered.set()
+
+        thread = threading.Thread(target=slow)
+        start = time.perf_counter()
+        thread.start()
+        time.sleep(0.02)
+        with engine.section():  # not blocked by the sleeper
+            waited = time.perf_counter() - start
+        thread.join(timeout=5)
+        assert not thread.is_alive() and entered.is_set()
+        assert waited < 0.15

@@ -70,6 +70,57 @@ class TestSettleRelation:
         assert delta.page_reads == 0 and delta.page_writes == 0
 
 
+class TestFoldAndStoredReads:
+    def test_fold_runs_the_epoch_even_on_an_empty_backlog(self, db):
+        """The paper's on-demand refresh reads AD before it knows it is
+        empty — unlike settle_relation, which is free then."""
+        db.define_view(AGG, Strategy.DEFERRED)
+        coordinator = db.deferred_coordinator("r")
+        db.settle_relation("r")
+        assert coordinator.net_computes == 0
+        db.fold_relation("r")
+        assert coordinator.net_computes == 1
+
+    def test_stored_read_skips_the_refresh(self, db):
+        db.define_view(AGG, Strategy.DEFERRED)
+        db.define_view(SP, Strategy.DEFERRED)
+        stale_total = db.query_view("sum_view")
+        stale_tuples = db.query_view("tuples_view", 0, 9)
+        touch(db)
+        answered = db.queries_answered
+        assert db.query_view("sum_view", refresh=False) == stale_total
+        assert db.query_view("tuples_view", 0, 9, refresh=False) == stale_tuples
+        assert db.queries_answered == answered + 2
+        assert db.relations["r"].ad_entry_count() > 0  # nothing was folded
+        assert db.query_view("sum_view") != stale_total
+
+    @pytest.mark.parametrize("strategies,folds", [
+        ((Strategy.DEFERRED, Strategy.IMMEDIATE), False),  # the refresh batches it
+        ((Strategy.QM_CLUSTERED,), False),                 # the reader settles first
+        ((Strategy.IMMEDIATE,), True),                     # write-through
+        ((), True),
+    ])
+    def test_write_through_settle_follows_the_strategies_present(
+        self, db, strategies, folds
+    ):
+        for definition, strategy in zip((AGG, SP), strategies):
+            db.define_view(definition, strategy)
+        touch(db)
+        db.settle_unless_batched("r")
+        assert (db.relations["r"].ad_entry_count() == 0) is folds
+
+    def test_restore_recreates_a_vanished_view_from_settled_data(self, db):
+        db.define_view(AGG, Strategy.DEFERRED)
+        db.drop_view("sum_view")
+        touch(db)  # pending while the view is gone
+        db.restore_view(AGG, Strategy.DEFERRED)
+        assert db.query_view("sum_view") == AGG.evaluate(
+            list(db.relations["r"].scan_logical())
+        )
+        with pytest.raises(CatalogError, match="already exists"):
+            db.restore_view(AGG, Strategy.DEFERRED)
+
+
 class TestDropView:
     def test_drop_removes_from_catalog(self, db):
         db.define_view(SP, Strategy.DEFERRED)

@@ -50,6 +50,11 @@ def corrupt_view_page(server, file):
     return pid
 
 
+def force_degraded(server, name):
+    """Report a failure on a view's own storage to the health tracker."""
+    server.health.fail(name, "query", PageChecksumError(PageId(f"agg.{name}", 0)))
+
+
 def counter_value(server, name, **labels):
     return server.metrics.counter(name, **labels).value
 
@@ -166,7 +171,7 @@ class TestDegradedServing:
         )
         pending = relation.ad_entry_count()
         assert pending > 0
-        server._mark_degraded("v_total", "checksum:forced", None)
+        force_degraded(server, "v_total")
         monkeypatch.setattr(
             "repro.service.server.qm_fallback_answer",
             lambda *a, **k: (_ for _ in ()).throw(
@@ -182,7 +187,7 @@ class TestDegradedServing:
     def test_missed_updates_widen_the_bound(self, monkeypatch):
         server = make_resilient_server(ResilienceConfig(repair=False))
         relation = server.database.relations["r"]
-        server._mark_degraded("v_total", "checksum:forced", None)
+        force_degraded(server, "v_total")
         for key in (3, 4):
             server.apply_update(
                 Transaction.of("r", [Update(key, {"v": 1})]), client="t"
@@ -200,7 +205,7 @@ class TestDegradedServing:
         server = make_resilient_server(
             ResilienceConfig(repair=False, degraded_reads=False)
         )
-        server._mark_degraded("v_total", "checksum:forced", None)
+        force_degraded(server, "v_total")
         monkeypatch.setattr(
             "repro.service.server.qm_fallback_answer",
             lambda *a, **k: (_ for _ in ()).throw(
@@ -215,7 +220,7 @@ class TestDegradedServing:
         server = make_resilient_server(
             ResilienceConfig(repair=False, staleness_limit=0)
         )
-        server._mark_degraded("v_total", "checksum:forced", None)
+        force_degraded(server, "v_total")
         server.apply_update(
             Transaction.of("r", [Update(5, {"v": 1})]), client="t"
         )
@@ -241,3 +246,62 @@ class TestDegradedServing:
         corrupt_view_page(server, "view.v_tuples.leaf")
         with pytest.raises(PageChecksumError):
             server.query("v_tuples", 0, 9)
+
+    def test_query_modification_view_has_no_stale_rung(self, monkeypatch):
+        """Regression: a QM view stores nothing, so when the fallback
+        fails too the query is *unavailable* — not an AttributeError out
+        of a stale read of a copy that does not exist."""
+        server = make_resilient_server(
+            ResilienceConfig(repair=False), strategy=Strategy.QM_CLUSTERED
+        )
+        force_degraded(server, "v_total")
+        monkeypatch.setattr(
+            "repro.service.server.qm_fallback_answer",
+            lambda *a, **k: (_ for _ in ()).throw(
+                PageChecksumError(PageId("r.leaf", 0))
+            ),
+        )
+        with pytest.raises(PageChecksumError):
+            server.query("v_total")
+        assert counter_value(server, "unavailable_queries_total", view="v_total") == 1
+
+
+class TestViewHealth:
+    """The collaborator's own surface (the server only forwards to it)."""
+
+    def test_fail_without_a_config_re_raises(self):
+        db = Database(buffer_pages=64)
+        db.create_relation(R, "a", kind="hypothetical", records=[])
+        server = ViewServer(db)
+        server.register_view(AGG, Strategy.DEFERRED, adaptive=False)
+        assert not server.health.enabled
+        error = PageChecksumError(PageId("agg.v_total", 0))
+        with pytest.raises(PageChecksumError) as raised:
+            server.health.fail("v_total", "query", error)
+        assert raised.value is error
+        assert server.health.healthy
+
+    def test_fail_prefixes_the_phase_and_ignores_unhosted_views(self):
+        server = make_resilient_server(ResilienceConfig(repair=False),
+                                       strategy=Strategy.IMMEDIATE)
+        error = PageChecksumError(PageId("agg.v_total", 0))
+        assert server.health.fail("v_total", "query", error).startswith("checksum:")
+        assert server.health.fail("v_total", "refresh", error).startswith(
+            "refresh:checksum:")
+        server.health.fail("not_hosted", "query", error)
+        # Immediate views share no refresh: the sibling stays healthy.
+        assert set(server.degraded_views()) == {"v_total"}
+        assert server.health.reason("v_tuples") is None
+        assert not server.health.healthy and not server.health.repairs_due()
+
+    def test_base_damage_escalates_only_when_recovery_is_possible(self, tmp_path):
+        from repro.durability.manager import DurabilityManager
+
+        server = make_resilient_server()
+        error = PageChecksumError(PageId("r.leaf", 0))
+        server.health.fail("v_total", "query", error)
+        assert not server.health.needs_recovery  # nothing to recover from
+        manager = DurabilityManager(tmp_path)
+        server.attach_durability(manager)
+        server.health.fail("v_total", "query", error)
+        assert server.health.needs_recovery and server.health.repairs_due()

@@ -123,3 +123,18 @@ class TestRepair:
         assert not outcome.fully_repaired
         assert outcome.unrepaired_files == ["r.leaf"]
         assert outcome.rebuilt_views == []
+
+    def test_rebuild_verified_reports_a_rebuild_that_cannot_complete(self):
+        from repro.resilience.scrub import rebuild_verified
+        from repro.storage.pager import PageChecksumError, PageId
+
+        db = make_db()
+        corrupt_first_page(db, "view.v_tuples.leaf")
+        assert rebuild_verified(db, "v_tuples")
+        assert scrub_database(db, files=["view.v_tuples.leaf"]).ok
+
+        def faulting_rebuild():
+            raise PageChecksumError(PageId("r.leaf", 0))
+
+        # A rebuild that trips on damage says so instead of raising.
+        assert not rebuild_verified(db, "v_tuples", faulting_rebuild)

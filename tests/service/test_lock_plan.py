@@ -1,0 +1,214 @@
+"""The lock plan, pinned: one row per strategy x request state x view shape.
+
+``TABLE`` was recorded once at the commit *before* the plan existed
+(six hand-built ``_rel_locks(...) + _view_locks(...)`` sites), with the
+``set_lock_observer`` hook around ``ViewServer.query``.  Every row is
+checked twice: against what :func:`repro.service.lockplan.lock_plan`
+returns, and against what the server actually acquires — so the plan
+cannot silently widen or narrow a lock, and the pipeline cannot bypass
+the plan.
+"""
+
+import random
+
+import pytest
+
+from repro.concurrency import locks
+from repro.core.strategies import Strategy
+from repro.engine.database import Database
+from repro.resilience.policy import ResilienceConfig
+from repro.service.scheduler import RefreshPolicy
+from repro.service.server import ViewServer
+from repro.storage.pager import PageChecksumError, PageId
+from repro.storage.tuples import Schema
+from repro.views.definition import AggregateView, JoinView, SelectProjectView
+from repro.views.predicate import IntervalPredicate
+
+R1 = Schema("r1", ("id", "a", "j", "v"), "id", tuple_bytes=100)
+R2 = Schema("r2", ("j", "c"), "j", tuple_bytes=100)
+IN_VIEW = IntervalPredicate("a", 0, 9)
+SHAPES = {
+    "single": SelectProjectView("v", "r1", IN_VIEW, ("id", "a"), "a"),
+    "join": JoinView("v", "r1", "r2", "j", IN_VIEW, ("id", "a"), ("j", "c"), "a"),
+}
+#: A deferred sibling on the same relation: what makes the fold set
+#: (refresh epochs, query-modification settles) wider than the view.
+SIBLING = AggregateView("sib", "r1", IN_VIEW, "sum", "v")
+
+STRATEGIES = {
+    # Not hostable on this catalog: qm_unclustered (needs a plain
+    # relation; plans like the other QM variants) and hybrid (needs a
+    # view key off the clustering attribute; plans like snapshot).
+    "single": ("deferred", "immediate", "qm_clustered", "qm_sequential",
+               "snapshot", "bc_recompute"),
+    "join": ("deferred", "immediate", "qm_loopjoin"),
+}
+STATES = ("refresh_now", "fresh", "known_degraded")
+
+#: (shape, strategy, state) -> (read locks, write locks) of one query.
+TABLE = {
+    ('single', 'deferred', 'refresh_now'):
+        (['rel:r1', 'view:v'], ['rel:r1', 'view:sib', 'view:v']),
+    ('single', 'deferred', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'deferred', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'immediate', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'immediate', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'immediate', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'qm_clustered', 'refresh_now'):
+        ([], ['rel:r1', 'view:sib', 'view:v']),
+    ('single', 'qm_clustered', 'fresh'):
+        ([], ['rel:r1', 'view:sib', 'view:v']),
+    ('single', 'qm_clustered', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'qm_sequential', 'refresh_now'):
+        ([], ['rel:r1', 'view:sib', 'view:v']),
+    ('single', 'qm_sequential', 'fresh'):
+        ([], ['rel:r1', 'view:sib', 'view:v']),
+    ('single', 'qm_sequential', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'snapshot', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'snapshot', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'snapshot', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'bc_recompute', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'bc_recompute', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'bc_recompute', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('join', 'deferred', 'refresh_now'):
+        (['rel:r1', 'rel:r2', 'view:v'], ['rel:r1', 'rel:r2', 'view:sib', 'view:v']),
+    ('join', 'deferred', 'fresh'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'deferred', 'known_degraded'):
+        ([], ['rel:r1', 'rel:r2', 'view:v']),
+    ('join', 'immediate', 'refresh_now'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'immediate', 'fresh'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'immediate', 'known_degraded'):
+        ([], ['rel:r1', 'rel:r2', 'view:v']),
+    ('join', 'qm_loopjoin', 'refresh_now'):
+        ([], ['rel:r1', 'rel:r2', 'view:sib', 'view:v']),
+    ('join', 'qm_loopjoin', 'fresh'):
+        ([], ['rel:r1', 'rel:r2', 'view:sib', 'view:v']),
+    ('join', 'qm_loopjoin', 'known_degraded'):
+        ([], ['rel:r1', 'rel:r2', 'view:v']),
+}
+
+
+def build(shape, strategy):
+    db = Database(buffer_pages=64, resilience=ResilienceConfig(repair=False))
+    rng = random.Random(3)
+    db.create_relation(
+        R1, "a", kind="hypothetical", ad_buckets=2,
+        records=[R1.new_record(id=i, a=rng.randrange(40), j=i % 8, v=i)
+                 for i in range(80)],
+    )
+    db.create_relation(
+        R2, "j", kind="hashed",
+        records=[R2.new_record(j=j, c=j * 10) for j in range(8)],
+    )
+    server = ViewServer(db)
+    # periodic(2): the first query folds before it serves
+    # ("refresh_now"), the second serves the stored copy as it stands.
+    server.register_view(SHAPES[shape], Strategy(strategy), adaptive=False,
+                         policy=RefreshPolicy.periodic(2))
+    server.register_view(SIBLING, Strategy.DEFERRED, adaptive=False)
+    return server
+
+
+def degrade(server):
+    server.health.fail("v", "query", PageChecksumError(PageId("view.v.leaf", 0)))
+
+
+class _Recorder:
+    def __init__(self):
+        self.reads, self.writes = set(), set()
+
+    def on_acquire(self, name, mode):
+        if name != "world":
+            (self.reads if mode == "read" else self.writes).add(name)
+
+    def on_release(self, name, mode):
+        pass
+
+
+def _observed(action):
+    recorder = _Recorder()
+    previous = locks.get_lock_observer()
+    locks.set_lock_observer(recorder)
+    try:
+        action()
+    finally:
+        locks.set_lock_observer(previous)
+    return sorted(recorder.reads), sorted(recorder.writes)
+
+
+def observe(server, state):
+    """The striped locks one ``query("v")`` takes in the given state."""
+    if state == "fresh":
+        server.query("v")
+    elif state == "known_degraded":
+        degrade(server)
+    return _observed(lambda: server.query("v"))
+
+
+ROWS = [(shape, strategy, state)
+        for shape in SHAPES for strategy in STRATEGIES[shape] for state in STATES]
+
+
+def test_table_covers_every_row():
+    assert sorted(TABLE) == sorted(ROWS)
+
+
+@pytest.mark.parametrize("shape,strategy,state", ROWS)
+def test_plan_matches_the_recorded_table(shape, strategy, state):
+    from repro.service.lockplan import lock_plan
+
+    server = build(shape, strategy)
+    plan = lock_plan(
+        server.database, SHAPES[shape],
+        None if state == "known_degraded" else Strategy(strategy),
+        refresh_now=state == "refresh_now",
+    )
+    reads, writes = TABLE[shape, strategy, state]
+    assert sorted(plan.reads) == reads
+    assert sorted(set(plan.fold) | set(plan.writes)) == writes
+    # A request never holds a read and a write side together.
+    assert not plan.reads or not plan.writes
+
+
+@pytest.mark.parametrize("shape,strategy,state", ROWS)
+def test_server_acquires_exactly_the_recorded_locks(shape, strategy, state):
+    reads, writes = TABLE[shape, strategy, state]
+    assert observe(build(shape, strategy), state) == (reads, writes)
+
+
+def test_update_locks_the_relation_and_every_view_on_it():
+    """Also recorded before the plan existed, like ``TABLE``."""
+    from repro.engine.transaction import Transaction, Update
+
+    server = build("join", "immediate")
+    outer = Transaction.of("r1", [Update(1, {"v": 5})])
+    inner = Transaction.of("r2", [Update(1, {"c": 5})])
+    assert _observed(lambda: server.apply_update(outer)) == (
+        [], ["rel:r1", "view:sib", "view:v"])
+    assert _observed(lambda: server.apply_update(inner)) == ([], ["rel:r2", "view:v"])
+
+
+def test_cache_hit_reads_only_the_source_relations():
+    from repro.service.cache import QueryResultCache
+
+    server = build("join", "immediate")
+    server.cache = QueryResultCache()
+    server.query("v", 0, 5)
+    assert _observed(lambda: server.query("v", 0, 5)) == (["rel:r1", "rel:r2"], [])
+    assert server.metrics.counter("cache_hits_total", view="v").value == 1

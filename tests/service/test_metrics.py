@@ -81,6 +81,23 @@ class TestRegistry:
         assert "query_ms{view=v}" in text
 
 
+class TestOneHot:
+    def test_only_the_latest_value_of_a_key_is_hot(self):
+        registry = MetricsRegistry()
+        registry.set_one_hot("view_strategy", "strategy", "deferred", view="v")
+        registry.set_one_hot("view_strategy", "strategy", "deferred", view="w")
+        registry.set_one_hot("view_strategy", "strategy", "immediate", view="v")
+        values = {
+            tuple(sorted(dict(inst.labels).items())): inst.value
+            for inst in registry.series("view_strategy")
+        }
+        assert values == {
+            (("strategy", "deferred"), ("view", "v")): 0.0,
+            (("strategy", "immediate"), ("view", "v")): 1.0,
+            (("strategy", "deferred"), ("view", "w")): 1.0,
+        }
+
+
 class TestExportSchema:
     def make_registry(self):
         registry = MetricsRegistry()

@@ -17,6 +17,13 @@ class TestRefreshPolicy:
         with pytest.raises(ValueError):
             RefreshPolicy("sometimes")
 
+    def test_doc_round_trip(self):
+        for policy in (RefreshPolicy.on_demand(), RefreshPolicy.periodic(4),
+                       RefreshPolicy.async_refresh()):
+            assert RefreshPolicy.from_doc(policy.to_doc()) == policy
+        assert RefreshPolicy.from_doc(None) == RefreshPolicy.on_demand()
+        assert RefreshPolicy.from_doc({"kind": "periodic", "every": 3}).every == 3
+
     def test_rejects_non_positive_period(self):
         with pytest.raises(ValueError):
             RefreshPolicy.periodic(0)

@@ -60,13 +60,6 @@ class TestCatalog:
         assert (delta.page_reads, delta.page_writes) == (0, 0)
         assert server.metrics.gauge("view_setup_ms", view="v_tuples").value > 0
 
-    def test_setup_cost_charged_on_request(self):
-        server = make_server(definitions=())
-        before = server.database.meter.snapshot()
-        server.register_view(SP, Strategy.IMMEDIATE, adaptive=False,
-                             charge_setup=True)
-        assert server.database.meter.diff(before).page_writes > 0
-
 
 class TestTraffic:
     @pytest.mark.parametrize("strategy", [

@@ -150,3 +150,9 @@ class TestAggregateView:
         view = AggregateView("s", "r", TruePredicate(), "bogus", "v")
         with pytest.raises(KeyError):
             view.function()
+
+
+def test_sources_lists_the_relations_read_screened_one_first():
+    assert sp_view().sources == ("r",)
+    assert join_view().sources == ("r1", "r2")
+    assert AggregateView("s", "r", TruePredicate(), "sum", "v").sources == ("r",)
