@@ -28,7 +28,7 @@ import ast
 import re
 from typing import Iterator, Sequence
 
-from .framework import Finding, LintContext, Rule
+from .framework import Finding, LintContext, Rule, _prefix_match
 
 __all__ = [
     "AsyncBlockingRule",
@@ -689,15 +689,29 @@ class BatchHotPathRule(Rule):
     merging sets) iterate the same sources without per-record kernel
     calls and stay clean; the tuple-at-a-time reference formulations
     live in ``repro.maintenance.reference``, outside this rule's scope.
+
+    A second pattern keeps the maintenance internals behind their
+    interface everywhere *outside* ``repro.maintenance``: a
+    ``getattr``/``hasattr`` probe for ``matview``, ``store``,
+    ``_markers`` or ``_track_outer`` guesses a view implementation's
+    model from its attributes.  Strategies and models answer those
+    questions themselves (``model.read``,
+    ``model.free``, ``state_doc``/``restore_state``,
+    ``model.stored_files``).
     """
 
     name = "batch-hot-path"
     description = (
         "per-record loop over a relation/delta iterator doing per-tuple "
-        "kernel work in a hot module; use the batch kernels "
-        "(matches_batch / screen_batch / _net_from_entries)"
+        "kernel work in a hot module (use the batch kernels: "
+        "matches_batch / screen_batch / _net_from_entries), or a "
+        "getattr/hasattr probe of view-implementation internals outside "
+        "repro.maintenance"
     )
-    scopes = ("repro.views.delta", "repro.maintenance.screening", "repro.hr")
+    scopes = ("repro",)
+
+    _HOT_MODULES = ("repro.views.delta", "repro.maintenance.screening", "repro.hr")
+    _VIEW_INTERNALS = frozenset({"matview", "store", "_markers", "_track_outer"})
 
     _SCAN_CALLS = frozenset(
         {"scan", "scan_all", "scan_logical", "range_scan", "scan_range"}
@@ -707,8 +721,22 @@ class BatchHotPathRule(Rule):
     _WORK_CTORS = frozenset({"Record", "ViewTuple"})
 
     def check(self, ctx: LintContext) -> list[Finding]:
+        hot = any(_prefix_match(ctx.module, prefix) for prefix in self._HOT_MODULES)
+        outside = not _prefix_match(ctx.module, "repro.maintenance")
         findings: list[Finding] = []
         for node in ast.walk(ctx.tree):
+            if outside and (probed := self._probed_internal(node)) is not None:
+                findings.append(
+                    self.finding(
+                        ctx,
+                        node,
+                        f"probe of view-implementation internal {probed!r}; ask "
+                        "the strategy or its model instead of guessing from "
+                        "attributes",
+                    )
+                )
+            if not hot:
+                continue
             for iter_expr, body, anchor in self._loops(node):
                 source = self._record_source(iter_expr)
                 if source is None:
@@ -725,6 +753,19 @@ class BatchHotPathRule(Rule):
                     )
                 )
         return findings
+
+    def _probed_internal(self, node: ast.AST) -> str | None:
+        """The internal a ``getattr``/``hasattr`` call probes for, if any."""
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in self._VIEW_INTERNALS
+        ):
+            return node.args[1].value
+        return None
 
     @staticmethod
     def _loops(

@@ -204,13 +204,6 @@ def build_server(spec: Mapping[str, Any]) -> ViewServer:
 # ----------------------------------------------------------------------
 # the serve loop
 # ----------------------------------------------------------------------
-def _logical_records(database: Database, relation_name: str) -> list[Any]:
-    relation = database.relations[relation_name]
-    if hasattr(relation, "scan_logical"):
-        return list(relation.scan_logical())
-    return list(relation.records_snapshot())
-
-
 def _apply_ops(
     server: ViewServer, relation: str, ops: Any, client: str
 ) -> int:
@@ -271,13 +264,13 @@ def _handle(
         relations = {
             name: [
                 dict(record.values)
-                for record in _logical_records(server.database, name)
+                for record in server.database.logical_records(name)
             ]
             for name in sorted(server.database.relations)
         }
         return {"epoch": state.applied_epoch, "relations": relations}
     if op == "fetch":
-        for record in _logical_records(server.database, request["relation"]):
+        for record in server.database.logical_records(request["relation"]):
             if record.key == request["key"]:
                 return {"values": dict(record.values)}
         return {"values": None}

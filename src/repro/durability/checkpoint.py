@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.engine.database import Database
-from repro.hr.differential import HypotheticalRelation
+from repro.hr.differential import DifferentialRelation
 from repro.storage.pager import CostMeter
 
 from . import codec
@@ -93,11 +93,6 @@ def _unmetered(meter: CostMeter) -> Iterator[None]:
 
 def _line(kind: str, **fields: Any) -> dict[str, Any]:
     return {"version": VERSION, "kind": kind, **fields}
-
-
-def _is_hr(relation: Any) -> bool:
-    """Any relation with an AD differential file + Bloom filter."""
-    return hasattr(relation, "ad") and hasattr(relation, "bloom")
 
 
 class CheckpointManager:
@@ -253,7 +248,8 @@ class CheckpointManager:
         relations: list[dict[str, Any]] = []
         differential: list[dict[str, Any]] = []
         for name, relation in db.relations.items():
-            base = relation.base if hasattr(relation, "base") else relation
+            pending = isinstance(relation, DifferentialRelation)
+            base = relation.base if pending else relation
             relations.append(
                 _line(
                     "base",
@@ -261,22 +257,16 @@ class CheckpointManager:
                     records=[codec.encode_record(r) for r in base.records_snapshot()],
                 )
             )
-            if _is_hr(relation):
+            if pending:
                 differential.append(self._capture_differential(name, relation))
 
         views: list[dict[str, Any]] = []
         for name, impl in db.views.items():
-            markers = getattr(impl, "_markers", None)
-            if markers is None:
+            state = impl.state_doc()
+            if state is None:
                 continue
-            views.append(
-                _line(
-                    "deferred_state",
-                    view=name,
-                    markers=[codec.encode_record(r) for r in sorted(markers, key=repr)],
-                    refresh_count=getattr(impl, "refresh_count", 0),
-                )
-            )
+            state["markers"] = [codec.encode_record(r) for r in state["markers"]]
+            views.append(_line("deferred_state", view=name, **state))
 
         service: list[dict[str, Any]] = []
         if service_state is not None:

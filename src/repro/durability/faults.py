@@ -332,21 +332,14 @@ def _compare(recovered: Database, twin: Database, views: list[str]) -> list[str]
                 f"({len(got) if isinstance(got, list) else got} vs "
                 f"{len(want) if isinstance(want, list) else want})"
             )
-    got_rel = _logical_content(recovered, "r")
-    want_rel = _logical_content(twin, "r")
+    got_rel = set(recovered.logical_records("r"))
+    want_rel = set(twin.logical_records("r"))
     if got_rel != want_rel:
         mismatches.append(
             f"relation 'r': logical content differs "
             f"({len(got_rel)} vs {len(want_rel)} tuples)"
         )
     return mismatches
-
-
-def _logical_content(db: Database, relation: str) -> set[Record]:
-    rel = db.relations[relation]
-    if hasattr(rel, "logical_snapshot"):
-        return set(rel.logical_snapshot())
-    return set(rel.records_snapshot())
 
 
 # ----------------------------------------------------------------------

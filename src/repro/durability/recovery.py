@@ -28,6 +28,7 @@ from typing import Any
 from repro.core.parameters import Parameters
 from repro.core.strategies import Strategy
 from repro.engine.database import Database
+from repro.hr.differential import DifferentialRelation
 from repro.storage.bloom import BloomFilter
 from repro.storage.pager import CostMeter
 from repro.storage.tuples import Record
@@ -93,24 +94,18 @@ def apply_event(db: Database, event: str, payload: dict[str, Any]) -> None:
             hash_buckets=payload["hash_buckets"],
         )
     elif event == "define_view":
+        options = dict(payload)
         db.define_view(
-            payload["definition"],
-            Strategy(payload["strategy"]),
-            plan=payload["plan"],
-            index_field=payload["index_field"],
-            refresh_every=payload["refresh_every"],
+            options.pop("definition"), Strategy(options.pop("strategy")), **options
         )
     elif event == "drop_view":
         db.drop_view(payload["view"])
     elif event == "rebuild_view":
         db.rebuild_view(payload["view"])
     elif event == "migrate":
+        options = dict(payload)
         db.migrate_view(
-            payload["view"],
-            Strategy(payload["strategy"]),
-            plan=payload["plan"],
-            index_field=payload["index_field"],
-            refresh_every=payload["refresh_every"],
+            options.pop("view"), Strategy(options.pop("strategy")), **options
         )
     else:
         raise RecoveryError(f"cannot replay unknown event {event!r}")
@@ -191,7 +186,6 @@ def _restore_checkpoint(db: Database, ckpt: CheckpointManager, name: str) -> Non
             codec.decode_record(r) for r in doc["records"]
         ]
 
-    deferred_views: list[tuple[str, dict[str, Any]]] = []
     for doc in ckpt.read_lines(name, "catalog.jsonl"):
         kind = doc["kind"]
         if kind == "relation":
@@ -221,16 +215,17 @@ def _restore_checkpoint(db: Database, ckpt: CheckpointManager, name: str) -> Non
     for doc in ckpt.read_lines(name, "differential.jsonl"):
         _restore_differential(db, doc)
     for doc in ckpt.read_lines(name, "views.jsonl"):
-        deferred_views.append((doc["view"], doc))
-    for view_name, doc in deferred_views:
-        _restore_deferred_state(db, view_name, doc)
-    _reindex_deferred_joins(db)
+        impl = db.views.get(doc["view"])
+        if impl is not None:
+            impl.restore_state(
+                {**doc, "markers": [codec.decode_record(r) for r in doc["markers"]]}
+            )
 
 
 def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
     """Rebuild one relation's AD file, Bloom filter and pending delta."""
     relation = db.relations.get(doc["relation"])
-    if relation is None or not hasattr(relation, "ad"):
+    if not isinstance(relation, DifferentialRelation):
         raise RecoveryError(
             f"checkpoint AD state for unknown/non-hypothetical relation "
             f"{doc['relation']!r}"
@@ -263,29 +258,6 @@ def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
             bloom.add(codec.decode_value(entry["record"]["key"]))
 
 
-def _restore_deferred_state(db: Database, view_name: str, doc: dict[str, Any]) -> None:
-    impl = db.views.get(view_name)
-    if impl is None or not hasattr(impl, "_markers"):
-        return
-    impl._markers = {codec.decode_record(r) for r in doc["markers"]}
-    impl.refresh_count = doc.get("refresh_count", 0)
-
-
-def _reindex_deferred_joins(db: Database) -> None:
-    """Fold pending outer deltas into each deferred join's join index.
-
-    ``DeferredJoin.__init__`` seeds ``_outer_by_join`` from the *base*
-    file only; changes sitting in the AD file were tracked by
-    ``_track_outer`` as their transactions arrived, so the restored
-    pending delta must be run through the same bookkeeping.
-    """
-    for impl in db.views.values():
-        if hasattr(impl, "_track_outer") and hasattr(impl, "relation"):
-            pending = getattr(impl.relation, "_pending", None)
-            if pending is not None and pending:
-                impl._track_outer(pending)
-
-
 def _read_service_state(
     ckpt: CheckpointManager, name: str
 ) -> dict[str, Any] | None:
@@ -296,9 +268,4 @@ def _read_service_state(
 
 
 def _full_recompute_ops(db: Database) -> int:
-    total = 0
-    for impl in db.views.values():
-        matview = getattr(impl, "matview", None)
-        if matview is not None:
-            total += matview.bulk_loads + matview.rebuilds
-    return total
+    return sum(impl.model.full_recomputes for impl in db.views.values())

@@ -1,6 +1,11 @@
 """Database engine: catalog, transactions, executor, relations."""
 
-from .database import CatalogError, Database, ViewMaintenanceError
+from .database import (
+    CatalogError,
+    Database,
+    UnsupportedTransactionError,
+    ViewMaintenanceError,
+)
 from .executor import (
     SecondaryIndex,
     clustered_scan,
@@ -20,6 +25,7 @@ __all__ = [
     "Operation",
     "SecondaryIndex",
     "Transaction",
+    "UnsupportedTransactionError",
     "Update",
     "ViewMaintenanceError",
     "clustered_scan",

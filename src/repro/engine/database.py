@@ -15,19 +15,23 @@ The shared :class:`~repro.storage.pager.CostMeter` prices everything;
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Any, Iterable, Mapping
 
 from repro.core.parameters import Parameters
 from repro.core.strategies import Strategy
-from repro.hr.differential import ClusteredRelation, HypotheticalRelation, SeparateFilesHR
+from repro.hr.differential import (
+    ClusteredRelation,
+    DifferentialRelation,
+    HypotheticalRelation,
+    SeparateFilesHR,
+)
 from repro.resilience.faults import FaultProfile, FaultyDisk
 from repro.resilience.policy import RESILIENCE_ERRORS, ResilienceConfig, ResilientDisk
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
 from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.delta import DeltaSet
-from repro.views.matview import AggregateStateStore, MaterializedView
 from .executor import SecondaryIndex
 from .relations import HashedRelation
 from .transaction import Delete, Insert, Transaction, Update
@@ -35,13 +39,28 @@ from .transaction import Delete, Insert, Transaction, Update
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.maintenance.base import MaintenanceStrategy
 
-__all__ = ["Database", "CatalogError", "ViewMaintenanceError"]
+__all__ = [
+    "Database",
+    "CatalogError",
+    "UnsupportedTransactionError",
+    "ViewMaintenanceError",
+]
 
 BaseRelation = ClusteredRelation | HashedRelation
 
 
 class CatalogError(ValueError):
     """Invalid catalog operation (unknown names, bad combinations)."""
+
+
+class UnsupportedTransactionError(CatalogError, NotImplementedError):
+    """A transaction some affected view cannot be maintained under.
+
+    Raised by :meth:`Database.apply_transaction` *before* the
+    transaction is journaled or any page is touched, so refusing it
+    leaves no trace.  Also a ``NotImplementedError``: the catalog knows
+    the relation and the view, it has no way to maintain the pair.
+    """
 
 
 class ViewMaintenanceError(RuntimeError):
@@ -291,18 +310,10 @@ class Database:
             raise CatalogError(f"view {definition.name!r} already exists")
         builder = self.meter.setup_phase if setup_bucket else nullcontext
         with builder():
-            if isinstance(definition, SelectProjectView):
-                impl = self._define_select_project(
-                    definition, strategy, plan, index_field, refresh_every
-                )
-            elif isinstance(definition, JoinView):
-                impl = self._define_join(definition, strategy)
-            elif isinstance(definition, AggregateView):
-                impl = self._define_aggregate(definition, strategy)
-            else:
-                raise CatalogError(
-                    f"unsupported view definition {type(definition).__name__}"
-                )
+            impl = self._build_view(
+                definition, strategy,
+                plan=plan, index_field=index_field, refresh_every=refresh_every,
+            )
             if setup_bucket:
                 self.pool.flush_all()
         self.views[definition.name] = impl
@@ -312,39 +323,65 @@ class Database:
         for source in definition.sources:
             self._views_by_relation.setdefault(source, []).append(definition.name)
         if strategy is Strategy.DEFERRED:
-            self._share_deferred_coordinator(definition.sources[0], impl)
-            self._hook_coordinator(impl.coordinator)
-        self._view_specs[definition.name] = {
+            # All deferred views on one relation share a refresh
+            # coordinator: one view's refresh folds the AD file down, so
+            # siblings must be refreshed from the same AD read (Section
+            # 4's shared-refresh optimization — and a correctness
+            # requirement here).
+            shared = self._deferred_coordinators.setdefault(
+                definition.sources[0], impl.coordinator
+            )
+            if shared is not impl.coordinator:
+                impl.join_coordinator(shared)
+            self._hook_coordinator(shared)
+        spec = {
             "definition": definition,
             "strategy": strategy,
             "plan": plan,
             "index_field": index_field,
             "refresh_every": refresh_every,
         }
-        self._journal(
-            "define_view",
-            definition=definition,
-            strategy=strategy.value,
-            plan=plan,
-            index_field=index_field,
-            refresh_every=refresh_every,
-        )
+        self._view_specs[definition.name] = spec
+        self._journal("define_view", **{**spec, "strategy": strategy.value})
         return impl
 
-    def _share_deferred_coordinator(self, relation_name: str, impl: Any) -> None:
-        """All deferred views on one relation share a refresh coordinator.
+    def _build_view(
+        self,
+        definition: SelectProjectView | JoinView | AggregateView,
+        strategy: Strategy,
+        **options: Any,
+    ) -> "MaintenanceStrategy":
+        """Pair the definition's model with the strategy's class.
 
-        One view's refresh folds the AD file down, so siblings must be
-        refreshed from the same AD read (Section 4's shared-refresh
-        optimization — and a correctness requirement here).
+        Which pairs exist is :data:`repro.maintenance.catalog.SUPPORTED`;
+        the strategy class names the ``define_view`` options it takes.
         """
-        from repro.maintenance.deferred import DeferredCoordinator
+        # Imported here: the maintenance package imports the engine.
+        from repro.maintenance.catalog import model_class, strategy_class
 
-        coordinator = self._deferred_coordinators.get(relation_name)
-        if coordinator is None:
-            self._deferred_coordinators[relation_name] = impl.coordinator
-        else:
-            impl.join_coordinator(coordinator)
+        model_cls = model_class(definition)
+        strategy_cls = strategy_class(strategy, model_cls)
+        source, *others = definition.sources
+        # Deferred maintenance reads its relation through the pending
+        # changes; every other strategy reads the base file.
+        screened = (
+            self._base_of(source)
+            if strategy is Strategy.DEFERRED
+            else self._plain_base(source)
+        )
+        model = model_cls(
+            definition, screened, *(self._base_of(name) for name in others),
+            pool=self.pool, block_bytes=self.block_bytes, fanout=self.fanout,
+        )
+        options["index_for"] = lambda field: self.secondary_indexes.get(
+            (source, field)
+        ) or self.create_secondary_index(source, field)
+        impl = strategy_cls(
+            model, strategy, **{name: options[name] for name in strategy_cls.options}
+        )
+        if strategy.is_materialized():
+            model.bootstrap()
+        return impl
 
     # ------------------------------------------------------------------
     # workload surface
@@ -357,6 +394,10 @@ class Database:
         relation = self.relations.get(txn.relation)
         if relation is None:
             raise CatalogError(f"unknown relation {txn.relation!r}")
+        # A view that cannot be maintained under this transaction
+        # refuses it now, before it is journaled or applied.
+        for view_name in self._views_by_relation.get(txn.relation, ()):
+            self.views[view_name].check_transaction(txn)
         # Write-ahead: journal before touching any page, so a crash
         # mid-transaction replays the whole batch from the log.
         self._journal("txn", txn=txn)
@@ -417,6 +458,16 @@ class Database:
         self.pool.flush_all()
         self.queries_answered += 1
         return answer
+
+    def logical_records(self, relation_name: str) -> list[Record]:
+        """A relation's true current content: its base file plus the
+        changes still pending in its differential file.  Charges no
+        I/O (baselines, snapshots and the degraded-read fallback; a
+        costed client pays ``scan_logical``)."""
+        relation = self._base_of(relation_name)
+        if isinstance(relation, DifferentialRelation):
+            return relation.logical_snapshot()
+        return relation.records_snapshot()
 
     def reset_meter(self) -> None:
         """Zero the cost counters (typically after setup/bulk load)."""
@@ -530,12 +581,7 @@ class Database:
             for rel_name, shared in list(self._deferred_coordinators.items()):
                 if shared is coordinator and not coordinator.views:
                     del self._deferred_coordinators[rel_name]
-        matview = getattr(impl, "matview", None)
-        if matview is not None:
-            matview.tree.reset()
-        store = getattr(impl, "store", None)
-        if store is not None:
-            store.free()
+        impl.model.free()
 
     def migrate_view(
         self,
@@ -561,18 +607,11 @@ class Database:
             return impl
         # One composite journal record; the drop/settle/define inside
         # are replayed as a unit by re-running migrate_view.
-        self._journal(
-            "migrate",
-            view=name,
-            strategy=strategy.value,
-            plan=plan,
-            index_field=index_field,
-            refresh_every=refresh_every,
-        )
-        return self._redefine(
-            impl.definition, strategy,
-            plan=plan, index_field=index_field, refresh_every=refresh_every,
-        )
+        options = {
+            "plan": plan, "index_field": index_field, "refresh_every": refresh_every
+        }
+        self._journal("migrate", view=name, strategy=strategy.value, **options)
+        return self._redefine(impl.definition, strategy, **options)
 
     def rebuild_view(self, name: str) -> "MaintenanceStrategy":
         """Rebuild one view's stored state from its base relation(s).
@@ -647,10 +686,8 @@ class Database:
         to detach (recovery replays with the journal detached)."""
         self.journal = journal
         if journal is not None:
-            for impl in self.views.values():
-                coordinator = getattr(impl, "coordinator", None)
-                if coordinator is not None:
-                    self._hook_coordinator(coordinator)
+            for coordinator in self._deferred_coordinators.values():
+                self._hook_coordinator(coordinator)
 
     def catalog_specs(self) -> dict[str, Any]:
         """The create_relation/define_view arguments of the live catalog
@@ -677,12 +714,9 @@ class Database:
 
     def _hook_coordinator(self, coordinator: Any) -> None:
         """Journal coordinator folds (query-triggered deferred refresh)."""
-        relation_name = coordinator.relation.schema.name
-
-        def on_refresh() -> None:
-            self._journal("net_install", relation=relation_name)
-
-        coordinator.on_refresh = on_refresh
+        coordinator.on_refresh = partial(
+            self._journal, "net_install", relation=coordinator.relation.schema.name
+        )
 
     # ------------------------------------------------------------------
     # internals
@@ -703,12 +737,6 @@ class Database:
             f"relation {relation_name!r} is not tree-clustered"
         )
 
-    def _snapshot(self, relation_name: str) -> list[Record]:
-        relation = self._base_of(relation_name)
-        if isinstance(relation, HypotheticalRelation):
-            return relation.base.records_snapshot()
-        return relation.records_snapshot()
-
     def _index_event(
         self,
         relation_name: str,
@@ -722,172 +750,3 @@ class Database:
                 index.on_delete(deleted)
             if inserted is not None:
                 index.on_insert(inserted)
-
-    def _define_select_project(
-        self,
-        definition: SelectProjectView,
-        strategy: Strategy,
-        plan: str | None,
-        index_field: str | None,
-        refresh_every: int = 10,
-    ) -> "MaintenanceStrategy":
-        from repro.maintenance.deferred import DeferredSelectProject
-        from repro.maintenance.hybrid import HybridSelectProject
-        from repro.maintenance.immediate import ImmediateSelectProject
-        from repro.maintenance.query_modification import QueryModificationSelectProject
-        from repro.maintenance.snapshot import (
-            RecomputeOnChangeSelectProject,
-            SnapshotSelectProject,
-        )
-
-        relation = self._base_of(definition.relation)
-        if strategy.is_query_modification():
-            chosen_plan = plan or {
-                Strategy.QM_CLUSTERED: "clustered",
-                Strategy.QM_UNCLUSTERED: "unclustered",
-                Strategy.QM_SEQUENTIAL: "sequential",
-            }.get(strategy, "clustered")
-            secondary = None
-            if chosen_plan == "unclustered":
-                field = index_field or definition.view_key
-                secondary = self.secondary_indexes.get((definition.relation, field))
-                if secondary is None:
-                    secondary = self.create_secondary_index(definition.relation, field)
-            return QueryModificationSelectProject(
-                definition, self._plain_base(definition.relation),
-                plan=chosen_plan, secondary_index=secondary,
-            )
-        # Model 1 views project half the attributes: view tuples are
-        # half the base tuple size, doubling the blocking factor (the
-        # paper's fb/2 view size).
-        schema = self._plain_base(definition.relation).schema
-        matview = self._new_matview(
-            definition.name, definition.view_key, max(1, schema.tuple_bytes // 2)
-        )
-        matview.bulk_load(definition.evaluate(self._snapshot(definition.relation)))
-        if strategy is Strategy.IMMEDIATE:
-            return ImmediateSelectProject(
-                definition, self._plain_base(definition.relation), matview
-            )
-        if strategy is Strategy.DEFERRED:
-            if not isinstance(relation, HypotheticalRelation):
-                raise CatalogError(
-                    "deferred views need a hypothetical relation; create "
-                    f"{definition.relation!r} with kind='hypothetical'"
-                )
-            return DeferredSelectProject(definition, relation, matview)
-        if strategy is Strategy.SNAPSHOT:
-            return SnapshotSelectProject(
-                definition, self._plain_base(definition.relation), matview,
-                refresh_every=refresh_every,
-            )
-        if strategy is Strategy.BC_RECOMPUTE:
-            return RecomputeOnChangeSelectProject(
-                definition, self._plain_base(definition.relation), matview
-            )
-        if strategy is Strategy.HYBRID:
-            params = Parameters.from_mapping(
-                {"N": max(1, len(self._snapshot(definition.relation))),
-                 "B": self.block_bytes,
-                 "f": definition.predicate.selectivity_hint() or 0.1}
-            )
-            return HybridSelectProject(
-                definition, self._plain_base(definition.relation), matview, params
-            )
-        raise CatalogError(f"unsupported strategy {strategy} for select-project views")
-
-    def _define_join(
-        self, definition: JoinView, strategy: Strategy
-    ) -> "MaintenanceStrategy":
-        from repro.maintenance.deferred import DeferredJoin
-        from repro.maintenance.immediate import ImmediateJoin
-        from repro.maintenance.query_modification import QueryModificationJoin
-
-        from repro.hr.hashed import HashedHypotheticalRelation
-
-        outer = self._base_of(definition.outer)
-        inner = self._base_of(definition.inner)
-        if not isinstance(inner, (HashedRelation, HashedHypotheticalRelation)):
-            raise CatalogError(
-                f"join inner relation {definition.inner!r} must be hashed "
-                "(create it with kind='hashed' or 'hashed_hypothetical')"
-            )
-        if (
-            isinstance(inner, HashedHypotheticalRelation)
-            and strategy is not Strategy.DEFERRED
-        ):
-            raise CatalogError(
-                "a hashed_hypothetical inner relation is only usable by "
-                "deferred join views; use kind='hashed' for "
-                f"{strategy.label} maintenance"
-            )
-        if strategy is Strategy.QM_LOOPJOIN or strategy.is_query_modification():
-            return QueryModificationJoin(
-                definition, self._plain_base(definition.outer), inner
-            )
-        # Model 2 projects half of each side's attributes: result
-        # tuples are the same S bytes as base tuples (the paper's fb
-        # view size).
-        outer_schema = self._plain_base(definition.outer).schema
-        join_tuple_bytes = (outer_schema.tuple_bytes + inner.schema.tuple_bytes) // 2
-        matview = self._new_matview(
-            definition.name, definition.view_key, max(1, join_tuple_bytes)
-        )
-        matview.bulk_load(
-            definition.evaluate(
-                self._snapshot(definition.outer), inner.records_snapshot()
-            )
-        )
-        if strategy is Strategy.IMMEDIATE:
-            return ImmediateJoin(
-                definition, self._plain_base(definition.outer), inner, matview
-            )
-        if strategy is Strategy.DEFERRED:
-            if not isinstance(outer, HypotheticalRelation):
-                raise CatalogError(
-                    "deferred views need a hypothetical outer relation; create "
-                    f"{definition.outer!r} with kind='hypothetical'"
-                )
-            return DeferredJoin(definition, outer, inner, matview)
-        raise CatalogError(f"unsupported strategy {strategy} for join views")
-
-    def _define_aggregate(
-        self, definition: AggregateView, strategy: Strategy
-    ) -> "MaintenanceStrategy":
-        from repro.maintenance.deferred import DeferredAggregate
-        from repro.maintenance.immediate import ImmediateAggregate
-        from repro.maintenance.query_modification import QueryModificationAggregate
-
-        relation = self._base_of(definition.relation)
-        if strategy.is_query_modification():
-            return QueryModificationAggregate(
-                definition, self._plain_base(definition.relation)
-            )
-        store = AggregateStateStore(definition.name, self.pool, definition.function())
-        function = definition.function()
-        state = function.initial_state()
-        for record in self._snapshot(definition.relation):
-            if definition.predicate.matches(record):
-                function.insert(state, record[definition.field])
-        store.write_state(state)
-        if strategy is Strategy.IMMEDIATE:
-            return ImmediateAggregate(
-                definition, self._plain_base(definition.relation), store
-            )
-        if strategy is Strategy.DEFERRED:
-            if not isinstance(relation, HypotheticalRelation):
-                raise CatalogError(
-                    "deferred views need a hypothetical relation; create "
-                    f"{definition.relation!r} with kind='hypothetical'"
-                )
-            return DeferredAggregate(definition, relation, store)
-        raise CatalogError(f"unsupported strategy {strategy} for aggregate views")
-
-    def _new_matview(
-        self, name: str, view_key: str, tuple_bytes: int
-    ) -> MaterializedView:
-        records_per_page = max(1, self.block_bytes // max(1, tuple_bytes))
-        return MaterializedView(
-            name, self.pool, view_key,
-            records_per_page=records_per_page, fanout=self.fanout,
-        )

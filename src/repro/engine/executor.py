@@ -31,6 +31,7 @@ __all__ = [
     "clustered_scan",
     "unclustered_scan",
     "sequential_scan",
+    "selection_scan",
     "nested_loop_join",
 ]
 
@@ -155,6 +156,28 @@ def sequential_scan(
         meter.record_screen(len(batch))
         result.extend(batch.take(predicate.matches_batch(batch)))
     return result
+
+
+def selection_scan(
+    relation: ClusteredRelation, predicate: Predicate, meter: CostMeter
+) -> list[Record]:
+    """``sigma_predicate(R)`` by the cheaper of the two base plans.
+
+    Scans the predicate's interval on the clustering field when it has
+    one (the paper's clustered-scan recomputation), else the whole
+    relation.  What an aggregate is recomputed from and what a
+    snapshot is rebuilt from.
+    """
+    usable = [iv for iv in predicate.intervals() if iv.field == relation.clustered_on]
+    if usable:
+        return clustered_scan(
+            relation,
+            min(iv.lo for iv in usable),
+            max(iv.hi for iv in usable),
+            predicate,
+            meter,
+        )
+    return sequential_scan(relation, predicate, meter)
 
 
 def nested_loop_join(

@@ -92,6 +92,11 @@ class HashedRelation:
         """Hash lookup by the clustering field (reads one chain)."""
         return self.file.lookup(value)
 
+    def read_by_key(self, key: Any) -> Record | None:
+        """Fetch one tuple of a relation hashed on its key (one probe)."""
+        matches = self.file.lookup(key)
+        return matches[0] if matches else None
+
     def probe_pinned(self, value: Any) -> list[Record]:
         """Hash lookup that leaves touched pages pinned (join inner)."""
         return self.file.lookup_pinned(value)

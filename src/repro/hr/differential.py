@@ -35,7 +35,12 @@ from repro.storage.pager import BufferPool
 from repro.storage.tuples import Record, Schema
 from repro.views.delta import DeltaSet
 
-__all__ = ["ClusteredRelation", "HypotheticalRelation", "SeparateFilesHR"]
+__all__ = [
+    "ClusteredRelation",
+    "DifferentialRelation",
+    "HypotheticalRelation",
+    "SeparateFilesHR",
+]
 
 _ROLE_FIELD = "_role"
 _SEQ_FIELD = "_seq"
@@ -186,30 +191,23 @@ class ClusteredRelation:
         return list(self._by_key.values())
 
 
-class HypotheticalRelation:
-    """Base relation + ``AD`` differential file + Bloom filter.
+class DifferentialRelation:
+    """Any keyed base file + ``AD`` differential file + Bloom filter.
 
-    Logical content ("the true value of the relation") is
-    ``(R ∪ A) - D``; all modifications land in ``AD`` until
-    :meth:`reset` folds them down.
+    Section 2.2's protocol, written once for both base organizations
+    (the B+-tree-clustered :class:`HypotheticalRelation` and the
+    hash-clustered ``HashedHypotheticalRelation``).  Logical content
+    ("the true value of the relation") is ``(R ∪ A) - D``; all
+    modifications land in ``AD`` until :meth:`reset` folds them down.
+    The base file answers ``read_by_key`` (one charged read),
+    ``peek_by_key`` (no I/O), ``insert`` and ``delete_by_key``.
     """
 
-    def __init__(
-        self,
-        base: ClusteredRelation,
-        bloom_bits: int = 4096,
-        ad_buckets: int = 64,
-    ) -> None:
+    def __init__(self, base: Any, bloom_bits: int = 4096, ad_buckets: int = 64) -> None:
         self.base = base
         self.schema = base.schema
         self.pool = base.pool
-        self.ad = HashFile(
-            f"{self.schema.name}.ad",
-            base.pool,
-            hash_key=lambda record: record["_k"],
-            records_per_page=base.records_per_page,
-            buckets=ad_buckets,
-        )
+        self.ad = self._differential_file("ad", ad_buckets)
         self.bloom = BloomFilter(bloom_bits)
         self._seq = itertools.count()
         self._pending = DeltaSet(self.schema.name)
@@ -221,6 +219,16 @@ class HypotheticalRelation:
     @property
     def meter(self):
         return self.base.meter
+
+    def _differential_file(self, suffix: str, buckets: int) -> HashFile:
+        """A differential file: clustered hashing on the tuple key."""
+        return HashFile(
+            f"{self.schema.name}.{suffix}",
+            self.pool,
+            hash_key=lambda record: record["_k"],
+            records_per_page=self.base.records_per_page,
+            buckets=buckets,
+        )
 
     # ------------------------------------------------------------------
     # modifications (all go to AD)
@@ -272,25 +280,11 @@ class HypotheticalRelation:
         """Bloom-screened read: skip AD entirely for unmodified tuples."""
         return self._lookup_current(key, charge_base_read=True)
 
-    def scan_logical(self) -> Iterator[Record]:
-        """Scan ``(R ∪ A) - D``: base scan merged with AD contents.
-
-        Reads every base leaf page and every AD page once.
-        """
-        overlay = self._overlay_by_key()
-        for record in self.base.scan_all():
-            if record.key in overlay:
-                continue
-            yield record
-        for key, record in overlay.items():
-            if record is not None:
-                yield record
-
     def logical_snapshot(self) -> list[Record]:
         """Current logical contents without charging any I/O.
 
         Uses the in-memory pending-delta mirror; for baseline/assertion
-        paths only (a real client pays :meth:`scan_logical`).
+        paths only (a real client pays a scan).
         """
         deleted = set(self._pending.deleted)
         merged = [r for r in self.base.records_snapshot() if r not in deleted]
@@ -303,15 +297,11 @@ class HypotheticalRelation:
     def net_changes(self) -> DeltaSet:
         """Compute ``A-net``/``D-net`` by reading the whole AD file."""
         self.net_reads += 1
-        return _net_from_entries(self.schema.name, self.ad.scan_all())
+        return _net_from_entries(self.schema.name, self._ad_entries())
 
     def ad_entry_count(self) -> int:
         """Entries currently in AD (no I/O; catalog statistic)."""
         return len(self.ad)
-
-    def ad_page_count(self) -> int:
-        """Pages currently allocated to AD (no I/O)."""
-        return self.ad.page_count()
 
     def reset(self, net: DeltaSet | None = None) -> None:
         """Fold AD into the base file: ``R := (R ∪ A) - D``; clear AD.
@@ -328,13 +318,14 @@ class HypotheticalRelation:
         of failing on a missing delete or a duplicate insert.
         """
         delta = net if net is not None else self.net_changes()
+        base = self.base
         for record in delta.deleted:
-            if self.base.contains_key(record.key):
-                self.base.delete_by_key(record.key)
+            if base.peek_by_key(record.key) is not None:
+                base.delete_by_key(record.key)
         for record in delta.inserted:
-            if self.base.contains_key(record.key):
-                self.base.delete_by_key(record.key)
-            self.base.insert(record)
+            if base.peek_by_key(record.key) is not None:
+                base.delete_by_key(record.key)
+            base.insert(record)
         self.ad.truncate()
         self.bloom.clear()
         self._pending.clear()
@@ -356,6 +347,10 @@ class HypotheticalRelation:
     def _unwrap(entry: Record) -> Record:
         return Record(entry["_k"], dict(entry["_values"]))
 
+    def _ad_entries(self) -> Iterable[Record]:
+        """Every differential entry (reads the whole AD file)."""
+        return self.ad.scan_all()
+
     def _lookup_current(self, key: Any, charge_base_read: bool) -> Record | None:
         if self.bloom.maybe_contains(key):
             entries = self.ad.lookup(key)
@@ -369,10 +364,37 @@ class HypotheticalRelation:
             return self.base.read_by_key(key)
         return self.base.peek_by_key(key)
 
+
+class HypotheticalRelation(DifferentialRelation):
+    """Clustered B+-tree base relation + ``AD`` file (Section 2.2)."""
+
+    # Bound in this class's own namespace as well: the end-to-end
+    # benchmark's tracer wraps them as HypotheticalRelation's.
+    net_changes = DifferentialRelation.net_changes
+    reset = DifferentialRelation.reset
+
+    def scan_logical(self) -> Iterator[Record]:
+        """Scan ``(R ∪ A) - D``: base scan merged with AD contents.
+
+        Reads every base leaf page and every AD page once.
+        """
+        overlay = self._overlay_by_key()
+        for record in self.base.scan_all():
+            if record.key in overlay:
+                continue
+            yield record
+        for key, record in overlay.items():
+            if record is not None:
+                yield record
+
+    def ad_page_count(self) -> int:
+        """Pages currently allocated to AD (no I/O)."""
+        return self.ad.page_count()
+
     def _overlay_by_key(self) -> dict[Any, Record | None]:
         """Latest AD action per key (None = deleted); reads all of AD."""
         latest: dict[Any, Record] = {}
-        for entry in self.ad.scan_all():
+        for entry in self._ad_entries():
             key = entry["_k"]
             if key not in latest or entry[_SEQ_FIELD] > latest[key][_SEQ_FIELD]:
                 latest[key] = entry
@@ -398,20 +420,8 @@ class SeparateFilesHR(HypotheticalRelation):
         ad_buckets: int = 64,
     ) -> None:
         super().__init__(base, bloom_bits=bloom_bits, ad_buckets=ad_buckets)
-        self.a_file = HashFile(
-            f"{self.schema.name}.a",
-            base.pool,
-            hash_key=lambda record: record["_k"],
-            records_per_page=base.records_per_page,
-            buckets=ad_buckets,
-        )
-        self.d_file = HashFile(
-            f"{self.schema.name}.d",
-            base.pool,
-            hash_key=lambda record: record["_k"],
-            records_per_page=base.records_per_page,
-            buckets=ad_buckets,
-        )
+        self.a_file = self._differential_file("a", ad_buckets)
+        self.d_file = self._differential_file("d", ad_buckets)
 
     def insert(self, record: Record) -> None:
         """Append: one entry in the ``A`` file."""
@@ -446,12 +456,6 @@ class SeparateFilesHR(HypotheticalRelation):
         self._pending.add_update(old, new)
         return old, new
 
-    def net_changes(self) -> DeltaSet:
-        """Compute the net delta by reading both differential files."""
-        self.net_reads += 1
-        entries = itertools.chain(self.a_file.scan_all(), self.d_file.scan_all())
-        return _net_from_entries(self.schema.name, entries)
-
     def reset(self, net: DeltaSet | None = None) -> None:
         """Fold both files into the base and clear them."""
         delta = net if net is not None else self.net_changes()
@@ -482,14 +486,5 @@ class SeparateFilesHR(HypotheticalRelation):
             return self.base.read_by_key(key)
         return self.base.peek_by_key(key)
 
-    def _overlay_by_key(self) -> dict[Any, Record | None]:
-        latest: dict[Any, Record] = {}
-        for file in (self.a_file, self.d_file):
-            for entry in file.scan_all():
-                key = entry["_k"]
-                if key not in latest or entry[_SEQ_FIELD] > latest[key][_SEQ_FIELD]:
-                    latest[key] = entry
-        return {
-            key: (self._unwrap(e) if e[_ROLE_FIELD] == ROLE_APPENDED else None)
-            for key, e in latest.items()
-        }
+    def _ad_entries(self) -> Iterable[Record]:
+        return itertools.chain(self.a_file.scan_all(), self.d_file.scan_all())

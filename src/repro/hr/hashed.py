@@ -6,8 +6,8 @@ clustered outer.  This extension applies the same Section 2.2 design to
 a hash-clustered relation: base hash file + combined ``AD`` differential
 file + Bloom filter, with the identical 3-I/O update protocol, net-
 change computation and fold-down reset.  It is what lets
-:class:`~repro.maintenance.deferred.DeferredJoin` accept updates on
-*both* sides of the join.
+:class:`~repro.maintenance.models.JoinModel` accept deferred updates
+on *both* sides of the join.
 
 The relation must be hashed on its key field (the paper's natural join
 joins to a key of ``R2``), so probes by join value and reads by key are
@@ -16,26 +16,16 @@ the same operation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Any
 
 from repro.engine.relations import HashedRelation
-from repro.storage.bloom import BloomFilter
-from repro.storage.hashindex import HashFile
 from repro.storage.tuples import Record
-from repro.views.delta import DeltaSet
-from .differential import (
-    ROLE_APPENDED,
-    ROLE_DELETED,
-    _ROLE_FIELD,
-    _SEQ_FIELD,
-    _net_from_entries,
-)
+from .differential import DifferentialRelation
 
 __all__ = ["HashedHypotheticalRelation"]
 
 
-class HashedHypotheticalRelation:
+class HashedHypotheticalRelation(DifferentialRelation):
     """``R2`` as base hash file + AD differential file + Bloom filter."""
 
     def __init__(
@@ -49,75 +39,10 @@ class HashedHypotheticalRelation:
                 "a hashed hypothetical relation must be hashed on its key "
                 f"field ({base.schema.key_field!r}), got {base.hashed_on!r}"
             )
-        self.base = base
-        self.schema = base.schema
-        self.pool = base.pool
-        self.ad = HashFile(
-            f"{self.schema.name}.ad",
-            base.pool,
-            hash_key=lambda record: record["_k"],
-            records_per_page=base.records_per_page,
-            buckets=ad_buckets,
-        )
-        self.bloom = BloomFilter(bloom_bits)
-        self._seq = itertools.count()
-        self._pending = DeltaSet(self.schema.name)
-        #: AD-file reads that computed a net delta (see
-        #: :attr:`~repro.hr.differential.HypotheticalRelation.net_reads`).
-        self.net_reads = 0
-
-    @property
-    def meter(self):
-        """Shared cost meter (via the buffer pool's disk)."""
-        return self.base.meter
+        super().__init__(base, bloom_bits=bloom_bits, ad_buckets=ad_buckets)
 
     def __len__(self) -> int:
         return len(self.logical_snapshot())
-
-    # ------------------------------------------------------------------
-    # modifications (all go to AD)
-    # ------------------------------------------------------------------
-    def insert(self, record: Record) -> None:
-        """Append a tuple: one AD entry with role ``A``."""
-        if self._lookup_current(record.key, charge_base_read=False) is not None:
-            raise KeyError(
-                f"duplicate key {record.key!r} in hypothetical {self.schema.name!r}"
-            )
-        self.ad.insert(self._ad_entry(record, ROLE_APPENDED))
-        self.bloom.add(record.key)
-        self._pending.add_insert(record)
-
-    def delete_by_key(self, key: Any) -> Record:
-        """Delete a tuple: read it, add an AD entry with role ``D``."""
-        current = self.read_by_key(key)
-        if current is None:
-            raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
-        self.ad.insert(self._ad_entry(current, ROLE_DELETED))
-        self.bloom.add(key)
-        self._pending.add_delete(current)
-        return current
-
-    def update_by_key(self, key: Any, **changes: Any) -> tuple[Record, Record]:
-        """The 3-I/O update: read tuple, read AD page, write AD page."""
-        old = self.read_by_key(key)
-        if old is None:
-            raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
-        new = self.schema.updated(old, **changes)
-        self.ad.insert_pair(
-            self._ad_entry(old, ROLE_DELETED),
-            self._ad_entry(new, ROLE_APPENDED),
-        )
-        self.bloom.add(old.key)
-        self.bloom.add(new.key)
-        self._pending.add_update(old, new)
-        return old, new
-
-    # ------------------------------------------------------------------
-    # reads
-    # ------------------------------------------------------------------
-    def read_by_key(self, key: Any) -> Record | None:
-        """Bloom-screened keyed read (one base probe when unmodified)."""
-        return self._lookup_current(key, charge_base_read=True)
 
     def probe(self, value: Any) -> list[Record]:
         """Current-state probe by the hash/join field (= the key)."""
@@ -132,69 +57,6 @@ class HashedHypotheticalRelation:
         """
         return self.base.probe(value)
 
-    def logical_snapshot(self) -> list[Record]:
-        """Current logical contents without charging I/O."""
-        deleted = set(self._pending.deleted)
-        merged = [r for r in self.base.records_snapshot() if r not in deleted]
-        merged.extend(self._pending.inserted)
-        return merged
-
     def records_snapshot(self) -> list[Record]:
         """Alias of :meth:`logical_snapshot` (catalog interface parity)."""
         return self.logical_snapshot()
-
-    # ------------------------------------------------------------------
-    # deferred-refresh support
-    # ------------------------------------------------------------------
-    def net_changes(self) -> DeltaSet:
-        """Compute the net delta by reading the whole AD file."""
-        self.net_reads += 1
-        return _net_from_entries(self.schema.name, self.ad.scan_all())
-
-    def ad_entry_count(self) -> int:
-        """Entries currently in AD (no I/O; catalog statistic)."""
-        return len(self.ad)
-
-    def reset(self, net: DeltaSet | None = None) -> None:
-        """Fold AD into the base hash file and clear it.
-
-        Idempotent like :meth:`HypotheticalRelation.reset`: re-applying
-        an interrupted fold's already-folded prefix is harmless.
-        """
-        delta = net if net is not None else self.net_changes()
-        for record in delta.deleted:
-            if self.base.peek_by_key(record.key) is not None:
-                self.base.delete_by_key(record.key)
-        for record in delta.inserted:
-            if self.base.peek_by_key(record.key) is not None:
-                self.base.delete_by_key(record.key)
-            self.base.insert(record)
-        self.ad.truncate()
-        self.bloom.clear()
-        self._pending.clear()
-
-    # ------------------------------------------------------------------
-    # internals
-    # ------------------------------------------------------------------
-    def _ad_entry(self, record: Record, role: str) -> Record:
-        values = {
-            "_k": record.key,
-            "_values": tuple(sorted(record.values.items())),
-            _ROLE_FIELD: role,
-            _SEQ_FIELD: next(self._seq),
-        }
-        return Record((record.key, values[_SEQ_FIELD], role), values)
-
-    def _lookup_current(self, key: Any, charge_base_read: bool) -> Record | None:
-        if self.bloom.maybe_contains(key):
-            entries = self.ad.lookup(key)
-            if entries:
-                latest = max(entries, key=lambda e: e[_SEQ_FIELD])
-                if latest[_ROLE_FIELD] == ROLE_APPENDED:
-                    return Record(latest["_k"], dict(latest["_values"]))
-                return None
-        if charge_base_read:
-            matches = self.base.probe(key)
-            return matches[0] if matches else None
-        peeked = self.base.peek_by_key(key)
-        return peeked

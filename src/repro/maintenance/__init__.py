@@ -1,41 +1,32 @@
-"""The three view materialization strategies, runnable over the engine."""
+"""The view materialization strategies, runnable over the engine:
+one class per strategy (when to maintain), one per view model (what is
+stored and how a delta changes it)."""
 
 from .base import MaintenanceStrategy
-from .hybrid import HybridSelectProject, RouteDecision
-from .snapshot import RecomputeOnChangeSelectProject, SnapshotSelectProject
-from .deferred import (
-    DeferredAggregate,
-    DeferredCoordinator,
-    DeferredJoin,
-    DeferredSelectProject,
-)
-from .immediate import ImmediateAggregate, ImmediateJoin, ImmediateSelectProject
+from .deferred import Deferred, DeferredCoordinator
+from .hybrid import Hybrid, RouteDecision
+from .immediate import Immediate
+from .models import AggregateModel, JoinModel, Model, SelectProjectModel
 from .planner import SharedDeltaPlanner
-from .query_modification import (
-    QueryModificationAggregate,
-    QueryModificationJoin,
-    QueryModificationSelectProject,
-)
+from .query_modification import QueryModification
 from .screening import ScreenStats, TLockIndex, TwoStageScreen
+from .snapshot import Snapshot
 
 __all__ = [
-    "DeferredAggregate",
+    "AggregateModel",
+    "Deferred",
     "DeferredCoordinator",
-    "HybridSelectProject",
-    "RouteDecision",
-    "RecomputeOnChangeSelectProject",
-    "SnapshotSelectProject",
-    "DeferredJoin",
-    "DeferredSelectProject",
-    "ImmediateAggregate",
-    "ImmediateJoin",
-    "ImmediateSelectProject",
+    "Hybrid",
+    "Immediate",
+    "JoinModel",
     "MaintenanceStrategy",
-    "QueryModificationAggregate",
-    "QueryModificationJoin",
-    "QueryModificationSelectProject",
+    "Model",
+    "QueryModification",
+    "RouteDecision",
     "ScreenStats",
+    "SelectProjectModel",
     "SharedDeltaPlanner",
+    "Snapshot",
     "TLockIndex",
     "TwoStageScreen",
 ]

@@ -1,20 +1,22 @@
 """Maintenance strategy interface.
 
-A strategy owns everything view-specific: whether a materialized copy
-exists, what happens after each base transaction, and how a view query
-is answered.  The :class:`~repro.engine.database.Database` routes
-transactions and queries to the strategies of the affected views.
+A strategy decides *when* a view's model (:mod:`.models`) is screened
+against, refreshed, read or recomputed: after each transaction, before
+each query, on a schedule, or never.  Everything that depends on the
+view's shape lives in the model the strategy holds.  The
+:class:`~repro.engine.database.Database` routes transactions and
+queries to the strategies of the affected views.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
 from typing import Any
 
 from repro.core.strategies import Strategy
 from repro.engine.transaction import Transaction
 from repro.views.delta import DeltaSet
+from .models import Model
 
 __all__ = ["MaintenanceStrategy", "QueryAnswer"]
 
@@ -26,13 +28,29 @@ QueryAnswer = Any
 class MaintenanceStrategy(ABC):
     """One view maintained under one strategy."""
 
-    #: Which paper strategy this implements (set by subclasses).
-    strategy: Strategy
+    #: Names of the ``define_view`` options this strategy's constructor
+    #: takes (after ``model`` and ``strategy``).
+    options: tuple[str, ...] = ()
+
+    def __init__(self, model: Model, strategy: Strategy) -> None:
+        self.model = model
+        #: Which paper strategy this runs as.
+        self.strategy = strategy
+        self.definition = model.definition
+        self.relation = model.relation
 
     @property
-    @abstractmethod
     def view_name(self) -> str:
         """Name of the view this strategy maintains."""
+        return self.definition.name
+
+    def check_transaction(self, txn: Transaction) -> None:
+        """Raise if this view cannot be maintained under ``txn``.
+
+        Asked before the engine journals or applies anything, so a
+        refused transaction leaves no trace.
+        """
+        self.model.check_transaction(txn)
 
     @abstractmethod
     def on_transaction(self, txn: Transaction, delta: DeltaSet) -> None:
@@ -53,16 +71,14 @@ class MaintenanceStrategy(ABC):
         What every materialized strategy's ``query`` ends with, and
         what the serving layer reads when it must not (periodic
         policy, degraded view) or need not (it just ran the shared
-        refresh epoch itself) fold first.  An aggregate is one
-        state-page read; a tuple view is a range read of the stored
-        B+-tree at ``c1`` per tuple read.  Only materialized
-        strategies have a stored copy.
+        refresh epoch itself) fold first.
         """
-        store = getattr(self, "store", None)
-        if store is not None:
-            return store.value()
-        result = self.matview.read_range(
-            -math.inf if lo is None else lo, math.inf if hi is None else hi
-        )
-        self.relation.meter.record_screen(len(result))
-        return result
+        return self.model.read(lo, hi)
+
+    def state_doc(self) -> dict[str, Any] | None:
+        """In-memory maintenance state a checkpoint must carry, or
+        ``None`` when the stored pages are the whole state."""
+        return None
+
+    def restore_state(self, doc: dict[str, Any]) -> None:
+        """Adopt a :meth:`state_doc` read back from a checkpoint."""

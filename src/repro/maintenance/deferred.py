@@ -13,21 +13,15 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.strategies import Strategy
+from repro.engine.database import CatalogError
 from repro.engine.transaction import Transaction
 from repro.hr.differential import HypotheticalRelation
-from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.delta import DeltaSet
-from repro.views.matview import AggregateStateStore, MaterializedView
 from .base import MaintenanceStrategy
-from .refresh import refresh_aggregate, refresh_select_project
+from .models import Model
 from .screening import TwoStageScreen
 
-__all__ = [
-    "DeferredCoordinator",
-    "DeferredSelectProject",
-    "DeferredJoin",
-    "DeferredAggregate",
-]
+__all__ = ["DeferredCoordinator", "Deferred"]
 
 
 class DeferredCoordinator:
@@ -46,7 +40,7 @@ class DeferredCoordinator:
 
     def __init__(self, relation: HypotheticalRelation) -> None:
         self.relation = relation
-        self._views: list["_DeferredBase"] = []
+        self._views: list["Deferred"] = []
         #: Durability hook: called (when set) just before a fold that
         #: actually installs pending changes, so the write-ahead log can
         #: journal the net-change install (:mod:`repro.durability`).
@@ -57,7 +51,7 @@ class DeferredCoordinator:
         #: tests assert.
         self.net_computes = 0
 
-    def register(self, view: "_DeferredBase") -> None:
+    def register(self, view: "Deferred") -> None:
         """Add a view over this coordinator's relation."""
         if view.relation is not self.relation:
             raise ValueError(
@@ -66,10 +60,10 @@ class DeferredCoordinator:
         self._views.append(view)
 
     @property
-    def views(self) -> tuple["_DeferredBase", ...]:
+    def views(self) -> tuple["Deferred", ...]:
         return tuple(self._views)
 
-    def deregister(self, view: "_DeferredBase") -> None:
+    def deregister(self, view: "Deferred") -> None:
         """Remove a view (catalog drop); the AD backlog stays for the
         remaining siblings."""
         if view in self._views:
@@ -103,24 +97,20 @@ class DeferredCoordinator:
         self.install(self.compute_net())
 
 
-class _DeferredBase(MaintenanceStrategy):
-    """Shared screening/refresh plumbing for deferred variants."""
+class Deferred(MaintenanceStrategy):
+    """Mark tuples as they change; apply the net batch before a read."""
 
-    strategy = Strategy.DEFERRED
-
-    def __init__(self, definition, relation: HypotheticalRelation) -> None:
-        if not isinstance(relation, HypotheticalRelation):
-            raise TypeError(
-                "deferred maintenance requires a HypotheticalRelation "
-                f"(got {type(relation).__name__}); create the relation with "
-                "kind='hypothetical'"
+    def __init__(self, model: Model, strategy: Strategy = Strategy.DEFERRED) -> None:
+        super().__init__(model, strategy)
+        if not isinstance(self.relation, HypotheticalRelation):
+            raise CatalogError(
+                "deferred views need a hypothetical relation; create "
+                f"{self.definition.sources[0]!r} with kind='hypothetical'"
             )
-        self.definition = definition
-        self.relation = relation
         self.screen = TwoStageScreen(
-            definition.predicate,
-            relation.meter,
-            view_fields_read=definition.fields_read(),
+            self.definition.predicate,
+            self.relation.meter,
+            view_fields_read=self.definition.fields_read(),
         )
         #: Markers: identities of tuples that passed screening at
         #: update time.  Mirrors the paper's per-tuple view markers.
@@ -128,12 +118,8 @@ class _DeferredBase(MaintenanceStrategy):
         self.refresh_count = 0
         #: Every deferred view belongs to a coordinator; standalone
         #: construction gets a private one.
-        self.coordinator = DeferredCoordinator(relation)
+        self.coordinator = DeferredCoordinator(self.relation)
         self.coordinator.register(self)
-
-    @property
-    def view_name(self) -> str:
-        return self.definition.name
 
     def on_transaction(self, txn: Transaction, delta: DeltaSet) -> None:
         """Screen incoming/deleted tuples and mark the survivors.
@@ -142,14 +128,21 @@ class _DeferredBase(MaintenanceStrategy):
         by the hypothetical relation when the database executed the
         transaction's operations.
         """
+        if txn.relation != self.relation.schema.name:
+            # A join's inner side: the delta sits in the inner AD file
+            # until refresh, and the view predicate screens outer
+            # tuples only, so there is no per-tuple work here.
+            return
+        self.model.track(delta)
         if self.screen.transaction_is_riu(txn.written_fields()):
             return
-        for record in self.screen.screen_many(list(delta.inserted) + list(delta.deleted)):
-            self._markers.add(record)
+        self._markers.update(
+            self.screen.screen_many(list(delta.inserted) + list(delta.deleted))
+        )
 
     def join_coordinator(self, coordinator: DeferredCoordinator) -> None:
         """Move this view into a shared coordinator (database-managed)."""
-        self.coordinator._views.remove(self)
+        self.coordinator.deregister(self)
         self.coordinator = coordinator
         coordinator.register(self)
 
@@ -163,165 +156,27 @@ class _DeferredBase(MaintenanceStrategy):
         self.refresh()
         return self.read_stored(lo, hi)
 
-    def _marked(self, net: DeltaSet) -> tuple[list, list]:
-        marked_ins = [r for r in net.inserted if r in self._markers]
-        marked_del = [r for r in net.deleted if r in self._markers]
-        return marked_ins, marked_del
-
     def apply_net(self, net: DeltaSet) -> None:
-        """Apply one already-read net delta to this view's stored copy."""
-        marked_ins, marked_del = self._marked(net)
-        self._apply_marked(marked_ins, marked_del)
+        """Apply one already-read net delta to this view's stored copy.
+
+        Screening happened at update time, so the marked tuples are
+        picked out of the net sets without paying ``c1`` again.
+        """
+        self.model.apply(
+            [r for r in net.inserted if r in self._markers],
+            [r for r in net.deleted if r in self._markers],
+        )
         self._markers.clear()
         self.refresh_count += 1
 
-    def _apply_marked(self, marked_ins: list, marked_del: list) -> None:
-        raise NotImplementedError
+    def state_doc(self) -> dict[str, Any]:
+        return {
+            **self.model.state_doc(),
+            "markers": sorted(self._markers, key=repr),
+            "refresh_count": self.refresh_count,
+        }
 
-
-class DeferredSelectProject(_DeferredBase):
-    """Model 1 deferred maintenance over a duplicate-counted copy."""
-
-    def __init__(
-        self,
-        definition: SelectProjectView,
-        relation: HypotheticalRelation,
-        matview: MaterializedView,
-    ) -> None:
-        super().__init__(definition, relation)
-        self.matview = matview
-
-    def _apply_marked(self, marked_ins: list, marked_del: list) -> None:
-        if marked_ins or marked_del:
-            refresh_select_project(self.definition, self.matview, marked_ins, marked_del)
-
-
-class DeferredJoin(_DeferredBase):
-    """Model 2 deferred maintenance, one- or two-sided.
-
-    With a plain hashed inner relation this is the paper's Model 2
-    (``R2`` never updated): only outer-side deltas are deferred and
-    applied.  Give the inner relation its own hypothetical storage
-    (``kind='hashed_hypothetical'``) and inner updates defer too; the
-    refresh then applies the telescoped two-sided differential update
-
-        ΔV = Δ1 × R2_old  +  R1_new × Δ2
-
-    — outer deltas joined against the *pre-batch* inner state (its base
-    file), inner deltas joined against the *post-batch* outer state
-    (HR reads see pending changes) — and folds both AD files down.
-    """
-
-    def __init__(
-        self,
-        definition: JoinView,
-        relation: HypotheticalRelation,
-        inner,
-        matview: MaterializedView,
-    ) -> None:
-        super().__init__(definition, relation)
-        self.inner = inner
-        self.matview = matview
-        #: join value -> outer keys, kept current with every outer
-        #: transaction (in-memory, like a resident secondary index).
-        self._outer_by_join: dict = {}
-        for record in relation.base.records_snapshot():
-            self._outer_by_join.setdefault(
-                record[definition.join_field], set()
-            ).add(record.key)
-
-    def _inner_is_deferred(self) -> bool:
-        from repro.hr.hashed import HashedHypotheticalRelation
-
-        return isinstance(self.inner, HashedHypotheticalRelation)
-
-    def on_transaction(self, txn: Transaction, delta: DeltaSet) -> None:
-        if txn.relation == self.definition.inner:
-            if not self._inner_is_deferred():
-                raise NotImplementedError(
-                    "this deferred join's inner relation is plain hashed "
-                    "storage; create it with kind='hashed_hypothetical' to "
-                    "defer inner updates, or use Strategy.IMMEDIATE"
-                )
-            # Inner deltas sit in the inner AD file until refresh; the
-            # view predicate screens outer tuples only, so there is no
-            # per-tuple screening work here.
-            return
-        self._track_outer(delta)
-        super().on_transaction(txn, delta)
-
-    def _track_outer(self, delta: DeltaSet) -> None:
-        field = self.definition.join_field
-        for record in delta.deleted:
-            keys = self._outer_by_join.get(record[field])
-            if keys is not None:
-                keys.discard(record.key)
-                if not keys:
-                    del self._outer_by_join[record[field]]
-        for record in delta.inserted:
-            self._outer_by_join.setdefault(record[field], set()).add(record.key)
-
-    def _apply_marked(self, marked_ins: list, marked_del: list) -> None:
-        from repro.views.delta import ChangeSet
-
-        changes = ChangeSet()
-        meter = self.relation.meter
-        # Term 1: outer deltas against the pre-batch inner state.
-        try:
-            for record, sign in (
-                [(r, +1) for r in marked_ins] + [(r, -1) for r in marked_del]
-            ):
-                join_value = record[self.definition.join_field]
-                if self._inner_is_deferred():
-                    partners = self.inner.probe_base(join_value)
-                else:
-                    partners = self.inner.probe_pinned(join_value)
-                for inner_record in partners:
-                    meter.record_screen()
-                    vt = self.definition.combine(record, inner_record)
-                    if sign > 0:
-                        changes.insert(vt)
-                    else:
-                        changes.delete(vt)
-        finally:
-            if not self._inner_is_deferred():
-                self.inner.pool.unpin_all()
-        # Term 2: inner deltas against the post-batch outer state.
-        if self._inner_is_deferred():
-            inner_net = self.inner.net_changes()  # reads the inner AD
-            for inner_record, sign in (
-                [(r, +1) for r in inner_net.inserted]
-                + [(r, -1) for r in inner_net.deleted]
-            ):
-                join_value = inner_record[self.definition.join_field]
-                for outer_key in sorted(self._outer_by_join.get(join_value, ())):
-                    outer = self.relation.read_by_key(outer_key)
-                    if outer is None:
-                        continue
-                    meter.record_screen()
-                    if not self.definition.predicate.matches(outer):
-                        continue
-                    vt = self.definition.combine(outer, inner_record)
-                    if sign > 0:
-                        changes.insert(vt)
-                    else:
-                        changes.delete(vt)
-            self.inner.reset(inner_net)
-        if changes:
-            self.matview.apply_changes(changes)
-
-
-class DeferredAggregate(_DeferredBase):
-    """Model 3 deferred maintenance of a one-page aggregate state."""
-
-    def __init__(
-        self,
-        definition: AggregateView,
-        relation: HypotheticalRelation,
-        store: AggregateStateStore,
-    ) -> None:
-        super().__init__(definition, relation)
-        self.store = store
-
-    def _apply_marked(self, marked_ins: list, marked_del: list) -> None:
-        refresh_aggregate(self.definition, self.store, marked_ins, marked_del)
+    def restore_state(self, doc: dict[str, Any]) -> None:
+        self._markers = set(doc["markers"])
+        self.refresh_count = doc.get("refresh_count", 0)
+        self.model.restore_state(doc)

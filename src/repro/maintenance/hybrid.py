@@ -5,7 +5,7 @@
     could choose to process a view query in one of two ways, depending
     on the query predicate."
 
-:class:`HybridSelectProject` maintains the materialized copy (immediate
+:class:`Hybrid` maintains the materialized copy (immediate
 scheme) clustered on the view key while the base relation stays
 clustered on a different attribute.  Each query names the attribute it
 ranges over; the router sends it down whichever access path its
@@ -19,16 +19,11 @@ from typing import Any
 
 from repro.core.parameters import Parameters
 from repro.core.strategies import Strategy
-from repro.engine import executor
-from repro.hr.differential import ClusteredRelation
-from repro.views.definition import SelectProjectView, ViewTuple
-from repro.views.matview import MaterializedView
-from .immediate import ImmediateSelectProject
+from repro.views.definition import ViewTuple
+from .immediate import Immediate
+from .models import Model
 
-__all__ = ["HybridSelectProject", "RouteDecision"]
-
-_UNBOUNDED_LO = float("-inf")
-_UNBOUNDED_HI = float("inf")
+__all__ = ["Hybrid", "RouteDecision"]
 
 
 class RouteDecision:
@@ -50,7 +45,7 @@ class RouteDecision:
         )
 
 
-class HybridSelectProject(ImmediateSelectProject):
+class Hybrid(Immediate):
     """Immediate maintenance plus per-query access-path choice.
 
     The base relation is clustered on ``relation.clustered_on``; the
@@ -58,30 +53,25 @@ class HybridSelectProject(ImmediateSelectProject):
     routes to whichever path covers ``field`` with a clustered scan; a
     query on a field covered by *neither* clustering falls back to the
     cheaper of (sequential base scan, full view scan), estimated with
-    the Section 3 formulas at ``params``.
+    the Section 3 formulas at ``params`` (sized from the relation as it
+    stands at definition).
     """
 
-    strategy = Strategy.HYBRID
-
-    def __init__(
-        self,
-        definition: SelectProjectView,
-        relation: ClusteredRelation,
-        matview: MaterializedView,
-        params: Parameters,
-    ) -> None:
-        if relation.clustered_on == definition.view_key:
+    def __init__(self, model: Model, strategy: Strategy = Strategy.HYBRID) -> None:
+        definition = model.definition
+        if model.relation.clustered_on == definition.view_key:
             raise ValueError(
                 "hybrid routing is pointless when base and view share a "
                 f"clustering attribute ({definition.view_key!r})"
             )
-        super().__init__(definition, relation, matview)
-        self.params = params
+        super().__init__(model, strategy)
+        self.params = Parameters.from_mapping(
+            {"N": max(1, len(model.base.records_snapshot())),
+             "B": model.block_bytes,
+             "f": definition.predicate.selectivity_hint() or 0.1}
+        )
         self.decisions: list[RouteDecision] = []
 
-    # ------------------------------------------------------------------
-    # routing
-    # ------------------------------------------------------------------
     def _estimate_base_ms(self, field: str, selectivity: float) -> float:
         p = self.params
         if field == self.relation.clustered_on:
@@ -120,43 +110,10 @@ class HybridSelectProject(ImmediateSelectProject):
         view_ms = self._estimate_view_ms(field, selectivity)
         path = "base" if base_ms < view_ms else "view"
         self.decisions.append(RouteDecision(field, path, base_ms, view_ms))
-
-        lo = _UNBOUNDED_LO if lo is None else lo
-        hi = _UNBOUNDED_HI if hi is None else hi
         if path == "base":
-            return self._query_base(field, lo, hi)
-        return self._query_view(field, lo, hi)
+            return self.model.recompute(lo, hi, field)
+        return self.model.read(lo, hi, field)
 
     def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
         """Default entry point: a range on the view key."""
         return self.query_on(self.definition.view_key, lo, hi)
-
-    # ------------------------------------------------------------------
-    # execution paths
-    # ------------------------------------------------------------------
-    def _query_base(self, field: str, lo: Any, hi: Any) -> list[ViewTuple]:
-        meter = self.relation.meter
-        if field == self.relation.clustered_on:
-            records = executor.clustered_scan(
-                self.relation, lo, hi, self.definition.predicate, meter
-            )
-        else:
-            records = [
-                r
-                for r in executor.sequential_scan(
-                    self.relation, self.definition.predicate, meter
-                )
-                if lo <= r[field] <= hi
-            ]
-        return [
-            self.definition.project(r) for r in records if lo <= r[field] <= hi
-        ]
-
-    def _query_view(self, field: str, lo: Any, hi: Any) -> list[ViewTuple]:
-        meter = self.relation.meter
-        if field == self.definition.view_key:
-            candidates = self.matview.read_range(lo, hi)
-        else:
-            candidates = list(self.matview.scan_all())
-        meter.record_screen(len(candidates))
-        return [vt for vt in candidates if lo <= vt[field] <= hi]

@@ -1,9 +1,9 @@
 """Query modification: no stored copy; rewrite queries on base relations.
 
 The conventional approach (Stonebraker 1975).  A transaction needs no
-view work at all; every view query is answered by one of the paper's
-plans (clustered / unclustered / sequential scan for Model 1, nested
-loops for Model 2, clustered recomputation for Model 3 aggregates).
+view work at all; every view query is answered by the model's
+recompute plan (clustered / unclustered / sequential scan for Model 1,
+nested loops for Model 2, clustered recomputation for Model 3).
 """
 
 from __future__ import annotations
@@ -11,168 +11,33 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.strategies import Strategy
-from repro.engine import executor
-from repro.engine.relations import HashedRelation
+from repro.engine.database import CatalogError
 from repro.engine.transaction import Transaction
-from repro.hr.differential import ClusteredRelation
-from repro.views.definition import AggregateView, JoinView, SelectProjectView, ViewTuple
 from repro.views.delta import DeltaSet
 from .base import MaintenanceStrategy
+from .models import Model
 
-__all__ = [
-    "QueryModificationSelectProject",
-    "QueryModificationJoin",
-    "QueryModificationAggregate",
-]
-
-_PLAN_STRATEGIES = {
-    "clustered": Strategy.QM_CLUSTERED,
-    "unclustered": Strategy.QM_UNCLUSTERED,
-    "sequential": Strategy.QM_SEQUENTIAL,
-}
-
-_UNBOUNDED_LO = float("-inf")
-_UNBOUNDED_HI = float("inf")
+__all__ = ["QueryModification"]
 
 
-def _bounds(lo: Any, hi: Any) -> tuple[Any, Any]:
-    return (
-        _UNBOUNDED_LO if lo is None else lo,
-        _UNBOUNDED_HI if hi is None else hi,
-    )
+class QueryModification(MaintenanceStrategy):
+    """Never screen, never store: recompute at every query."""
 
+    options = ("plan", "index_field", "index_for")
 
-class QueryModificationSelectProject(MaintenanceStrategy):
-    """Model 1 query modification with a selectable access plan."""
-
-    def __init__(
-        self,
-        definition: SelectProjectView,
-        relation: ClusteredRelation,
-        plan: str = "clustered",
-        secondary_index: executor.SecondaryIndex | None = None,
-    ) -> None:
-        if plan not in _PLAN_STRATEGIES:
-            raise ValueError(
-                f"unknown plan {plan!r}; expected one of {sorted(_PLAN_STRATEGIES)}"
-            )
-        if plan == "clustered" and relation.clustered_on != definition.view_key:
-            raise ValueError(
-                "clustered plan requires the relation clustered on the view key "
-                f"({definition.view_key!r}), got {relation.clustered_on!r}"
-            )
-        if plan == "unclustered" and secondary_index is None:
-            raise ValueError("unclustered plan requires a secondary index")
-        self.definition = definition
-        self.relation = relation
-        self.plan = plan
-        self.secondary_index = secondary_index
-        self.strategy = _PLAN_STRATEGIES[plan]
-
-    @property
-    def view_name(self) -> str:
-        return self.definition.name
+    def __init__(self, model: Model, strategy: Strategy, **plan_options: Any) -> None:
+        # The requested variant picks Model 1's default plan; the view
+        # then reports the curve its model actually recomputes under.
+        super().__init__(model, model.plan_recompute(strategy, **plan_options))
 
     def on_transaction(self, txn: Transaction, delta: DeltaSet) -> None:
         """Nothing to do: there is no stored copy."""
-
-    def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
-        lo, hi = _bounds(lo, hi)
-        meter = self.relation.meter
-        if self.plan == "clustered":
-            records = executor.clustered_scan(
-                self.relation, lo, hi, self.definition.predicate, meter
-            )
-        elif self.plan == "unclustered":
-            assert self.secondary_index is not None
-            records = executor.unclustered_scan(
-                self.relation, self.secondary_index, lo, hi,
-                self.definition.predicate, meter,
-            )
-        else:
-            records = [
-                r
-                for r in executor.sequential_scan(
-                    self.relation, self.definition.predicate, meter
-                )
-                if lo <= r[self.definition.view_key] <= hi
-            ]
-        return [self.definition.project(r) for r in records]
-
-
-class QueryModificationJoin(MaintenanceStrategy):
-    """Model 2 query modification: nested loops over R1 (outer) and R2."""
-
-    strategy = Strategy.QM_LOOPJOIN
-
-    def __init__(
-        self,
-        definition: JoinView,
-        outer: ClusteredRelation,
-        inner: HashedRelation,
-    ) -> None:
-        if outer.clustered_on != definition.view_key:
-            raise ValueError(
-                "loopjoin expects the outer relation clustered on the view key "
-                f"({definition.view_key!r}), got {outer.clustered_on!r}"
-            )
-        if inner.hashed_on != definition.join_field:
-            raise ValueError(
-                "loopjoin expects the inner relation hashed on the join field "
-                f"({definition.join_field!r}), got {inner.hashed_on!r}"
-            )
-        self.definition = definition
-        self.outer = outer
-        self.inner = inner
-
-    @property
-    def view_name(self) -> str:
-        return self.definition.name
-
-    def on_transaction(self, txn: Transaction, delta: DeltaSet) -> None:
-        """Nothing to do: there is no stored copy."""
-
-    def query(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
-        lo, hi = _bounds(lo, hi)
-        return executor.nested_loop_join(
-            self.definition, self.outer, self.inner.file, lo, hi, self.outer.meter
-        )
-
-
-class QueryModificationAggregate(MaintenanceStrategy):
-    """Model 3 recomputation: clustered scan of the selected set."""
-
-    strategy = Strategy.QM_CLUSTERED
-
-    def __init__(self, definition: AggregateView, relation: ClusteredRelation) -> None:
-        self.definition = definition
-        self.relation = relation
-
-    @property
-    def view_name(self) -> str:
-        return self.definition.name
-
-    def on_transaction(self, txn: Transaction, delta: DeltaSet) -> None:
-        """Nothing to do: there is no stored state."""
 
     def query(self, lo: Any = None, hi: Any = None) -> Any:
-        """Recompute the aggregate from scratch (ignores the range).
+        return self.model.recompute(lo, hi)
 
-        Scans the predicate's clustered interval when one exists (the
-        paper's clustered-scan recomputation), else the whole relation.
-        """
-        intervals = self.definition.predicate.intervals()
-        meter = self.relation.meter
-        field = self.relation.clustered_on
-        usable = [iv for iv in intervals if iv.field == field]
-        if usable:
-            scan_lo = min(iv.lo for iv in usable)
-            scan_hi = max(iv.hi for iv in usable)
-            records = executor.clustered_scan(
-                self.relation, scan_lo, scan_hi, self.definition.predicate, meter
-            )
-        else:
-            records = executor.sequential_scan(
-                self.relation, self.definition.predicate, meter
-            )
-        return self.definition.evaluate(records)
+    def read_stored(self, lo: Any = None, hi: Any = None) -> Any:
+        raise CatalogError(
+            f"view {self.view_name!r} is answered by query modification "
+            f"({self.strategy.label}) and has no stored copy to read"
+        )

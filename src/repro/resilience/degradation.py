@@ -72,14 +72,6 @@ def describe_failure(exc: Exception) -> tuple[str, str | None]:
     return (f"{type(exc).__name__}: {exc}", None)
 
 
-def _logical_records(db: Any, relation_name: str) -> list[Any]:
-    """A relation's true current content (base + pending differential)."""
-    relation = db.relations[relation_name]
-    if hasattr(relation, "logical_snapshot"):
-        return relation.logical_snapshot()
-    return relation.records_snapshot()
-
-
 def qm_fallback_answer(db: Any, definition: Any, lo: Any = None, hi: Any = None) -> Any:
     """Answer a view query by query modification over base relations.
 
@@ -90,7 +82,7 @@ def qm_fallback_answer(db: Any, definition: Any, lo: Any = None, hi: Any = None)
     advisor-comparable cost.
     """
     tuples = definition.evaluate(
-        *(_logical_records(db, source) for source in definition.sources)
+        *(db.logical_records(source) for source in definition.sources)
     )
     if isinstance(definition, AggregateView):
         return tuples  # AggregateView.evaluate returns the scalar state

@@ -342,7 +342,9 @@ class ViewHealth:
             # composite WAL record already covers the re-define on
             # replay, so the restore is unjournaled.
             repaired = rebuild_verified(
-                db, name, lambda: db.restore_view(queued.definition, queued.strategy)
+                db, name,
+                lambda: db.restore_view(queued.definition, queued.strategy),
+                definition=queued.definition,
             )
         else:
             # Nothing left to restore from locally; the WAL replay

@@ -118,9 +118,13 @@ def classify_file(db: Any, file: str) -> tuple[str, str]:
     return ("unknown", file)
 
 
-def view_files(name: str) -> tuple[str, ...]:
-    """Every disk file a view's stored state may live in."""
-    return (f"view.{name}.leaf", f"view.{name}.int", f"agg.{name}")
+def view_files(definition: Any) -> tuple[str, ...]:
+    """The disk files a view's stored copy lives in; its model knows."""
+    # Imported here: the maintenance package imports the engine, which
+    # imports this package.
+    from repro.maintenance.catalog import model_class
+
+    return model_class(definition).stored_files(definition.name)
 
 
 def scrub_disk(disk: Any, files: list[str] | None = None, db: Any = None) -> ScrubReport:
@@ -178,29 +182,37 @@ class RepairOutcome:
         }
 
 
-def rebuild_verified(db: Any, name: str, rebuild: Callable[[], Any] | None = None) -> bool:
+def rebuild_verified(
+    db: Any,
+    name: str,
+    rebuild: Callable[[], Any] | None = None,
+    definition: Any = None,
+) -> bool:
     """Rebuild one view's stored copy and re-verify it; True when whole.
 
-    ``rebuild`` defaults to :meth:`Database.rebuild_view`.  Open
-    breakers on the view's files are probed to half-open first (a
-    repair is deliberate, it does not wait out the cool-down); a
-    verified rebuild snaps them closed — the breaker-close shows up in
-    the disk's transition events like any other.
+    ``rebuild`` defaults to :meth:`Database.rebuild_view`; pass the
+    view's ``definition`` along when the view is missing from the
+    catalog and ``rebuild`` re-creates it.  Open breakers on the view's
+    files are probed to half-open first (a repair is deliberate, it
+    does not wait out the cool-down); a verified rebuild snaps them
+    closed — the breaker-close shows up in the disk's transition events
+    like any other.
     """
+    files = view_files(definition or db.view_definition(name))
     resilient = getattr(db, "resilient_disk", None)
     if resilient is not None:
-        resilient.probe_open_breakers(list(view_files(name)))
+        resilient.probe_open_breakers(list(files))
     try:
         if rebuild is None:
             db.rebuild_view(name)
         else:
             rebuild()
-        present = [f for f in view_files(name) if f in db.disk.files()]
+        present = [f for f in files if f in db.disk.files()]
         verified = scrub_database(db, files=present).ok
     except RESILIENCE_ERRORS:
         return False
     if verified and resilient is not None:
-        for file in view_files(name):
+        for file in files:
             resilient.reset_file(file)
     return verified
 

@@ -28,7 +28,8 @@ from repro.core.estimation import estimate_selectivity
 from repro.core.parameters import PAPER_DEFAULTS, Parameters
 from repro.core.strategies import Strategy, ViewModel
 from repro.hr.differential import HypotheticalRelation
-from repro.views.definition import AggregateView, JoinView, SelectProjectView
+from repro.maintenance.catalog import model_class
+from repro.views.definition import AggregateView, JoinView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import ViewServer
@@ -118,16 +119,6 @@ _CANDIDATES: dict[ViewModel, tuple[Strategy, ...]] = {
     ViewModel.JOIN: (Strategy.DEFERRED, Strategy.IMMEDIATE, Strategy.QM_LOOPJOIN),
     ViewModel.AGGREGATE: (Strategy.DEFERRED, Strategy.IMMEDIATE, Strategy.QM_CLUSTERED),
 }
-
-
-def _model_of(definition: Any) -> ViewModel:
-    if isinstance(definition, JoinView):
-        return ViewModel.JOIN
-    if isinstance(definition, AggregateView):
-        return ViewModel.AGGREGATE
-    if isinstance(definition, SelectProjectView):
-        return ViewModel.SELECT_PROJECT
-    raise TypeError(f"unknown view definition {type(definition).__name__}")
 
 
 def query_width(lo: Any, hi: Any) -> float | None:
@@ -257,7 +248,7 @@ class AdaptiveRouter:
         attribute the view selects on.
         """
         definition = server.definition_of(view)
-        model = _model_of(definition)
+        model = model_class(definition).number
         relation_name = definition.sources[0]
         relation = server.database.relations[relation_name]
         hypothetical = isinstance(relation, HypotheticalRelation)
@@ -303,7 +294,7 @@ class AdaptiveRouter:
         current = server.strategy_of(view)
         if current not in candidates or len(candidates) < 2:
             return None
-        model = _model_of(server.definition_of(view))
+        model = model_class(server.definition_of(view)).number
         breakdowns = evaluate(params, model, strategies=candidates)
         best = min(breakdowns.values(), key=lambda bd: bd.total)
         if best.strategy is current:

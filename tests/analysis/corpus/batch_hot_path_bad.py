@@ -2,7 +2,9 @@
 
 Each marked construct iterates a relation/delta source and runs a
 per-tuple kernel (predicate test, projection, record construction)
-in the loop body — the shapes the vectorization replaced.
+in the loop body — the shapes the vectorization replaced.  The last
+two functions guess a view implementation's model by probing for its
+internals, which only ``repro.maintenance`` may know about.
 """
 
 
@@ -31,3 +33,16 @@ def combine_pairs(view, outer_relation, partners, changes):
     for outer in outer_relation.range_scan(0, 10):  # BAD
         for inner in partners:
             changes.insert(view.combine(outer, inner))
+
+
+def drop_stored_copy(impl):
+    matview = getattr(impl, "matview", None)  # BAD
+    if matview is not None:
+        matview.tree.reset()
+    if hasattr(impl, "store"):  # BAD
+        impl.store.free()
+
+
+def capture_deferred_state(impl):
+    markers = getattr(impl, "_markers", None)  # BAD
+    return markers, hasattr(impl, "_track_outer")  # BAD

@@ -32,3 +32,14 @@ def scan_logical(self, overlay):
         if record.key in overlay:
             continue
         yield record
+
+
+def drop_stored_copy(impl):
+    impl.model.free()
+
+
+def capture_deferred_state(impl, relation):
+    # Probing for public collaborators or relation kinds is not a guess
+    # at the view's model.
+    coordinator = getattr(impl, "coordinator", None)
+    return impl.state_doc(), coordinator, hasattr(relation, "base")

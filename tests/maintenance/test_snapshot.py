@@ -102,11 +102,12 @@ class TestAccounting:
 
 class TestValidation:
     def test_rejects_bad_period(self):
-        db = build()
-        from repro.maintenance.snapshot import SnapshotSelectProject
-
-        with pytest.raises(ValueError):
-            SnapshotSelectProject(VIEW, db.relations["r"], None, refresh_every=0)
+        db = Database()
+        records = [R.new_record(id=i, a=i, v=0) for i in range(10)]
+        db.create_relation(R, "a", kind="plain", records=records)
+        with pytest.raises(ValueError, match="refresh_every"):
+            db.define_view(VIEW, Strategy.SNAPSHOT, refresh_every=0)
+        assert "v" not in db.views
 
     def test_requires_matching_clustering(self):
         db = Database()

@@ -57,7 +57,14 @@ class TestClassification:
         assert classify_file(db, "ghost.leaf") == ("unknown", "ghost.leaf")
 
     def test_view_files_covers_all_storage_shapes(self):
-        assert view_files("v") == ("view.v.leaf", "view.v.int", "agg.v")
+        """Each view's model names its own files — and they are the
+        files the stored copy really lives in."""
+        assert view_files(SP) == ("view.v_tuples.leaf", "view.v_tuples.int")
+        assert view_files(AGG) == ("agg.v_total",)
+        db = make_db()
+        stored = {f for f in db.disk.files() if classify_file(db, f)[0] == "view"}
+        assert {"view.v_tuples.leaf", "agg.v_total"} <= stored
+        assert stored <= set(view_files(SP) + view_files(AGG))
 
 
 class TestScrub:

@@ -66,7 +66,7 @@ class TestDuplicateCountsThroughEngine:
         snapshot = db.relations["r"].records_snapshot()
         expected = Counter(DUP_VIEW.evaluate(snapshot))
         for vt, count in expected.items():
-            assert strategy.matview.duplicate_count(vt) == count
+            assert strategy.model.matview.duplicate_count(vt) == count
 
     def test_delete_to_zero_removes_view_tuple(self):
         db = Database(buffer_pages=64)
@@ -75,11 +75,32 @@ class TestDuplicateCountsThroughEngine:
         db.define_view(DUP_VIEW, Strategy.IMMEDIATE)
         strategy = db.views["v"]
         vt = DUP_VIEW.evaluate(records)[0]
-        assert strategy.matview.duplicate_count(vt) == 3
+        assert strategy.model.matview.duplicate_count(vt) == 3
         for key in range(3):
             db.apply_transaction(Transaction.of("r", [Delete(key)]))
-        assert strategy.matview.duplicate_count(vt) == 0
+        assert strategy.model.matview.duplicate_count(vt) == 0
         assert db.query_view("v", 0, 9) == []
+
+
+class TestStoredReadWithoutStoredCopy:
+    @pytest.mark.parametrize(
+        "strategy",
+        [Strategy.QM_CLUSTERED, Strategy.QM_SEQUENTIAL],
+        ids=lambda s: s.label,
+    )
+    def test_query_modification_has_no_stored_copy_to_read(self, strategy):
+        """``refresh=False`` asks for the stored copy as it stands; a
+        query-modification view has none, and must say so by name."""
+        from repro.engine.database import CatalogError
+
+        db = build_dup_db(strategy)
+        answered = db.queries_answered
+        with pytest.raises(CatalogError, match=f"'v'.*{strategy.label}"):
+            db.query_view("v", 0, 9, refresh=False)
+        assert db.queries_answered == answered
+        # The refusal leaves the view fully usable.
+        expected = Counter(DUP_VIEW.evaluate(db.relations["r"].records_snapshot()))
+        assert Counter(db.query_view("v", 0, 9)) == expected
 
 
 class TestDegradedBloomFilter:
