@@ -92,33 +92,50 @@ def _functions(tree: ast.Module) -> Iterator[ast.FunctionDef | ast.AsyncFunction
 class AsyncBlockingRule(Rule):
     """No blocking work on the gateway's event loop.
 
-    Inside ``async def`` bodies in ``repro.gateway``: no ``time.sleep``,
-    no ``open``, no synchronous lock acquisition (an un-awaited
-    ``.acquire()`` / ``.acquire_read()`` / ``.acquire_write()`` or a
-    plain ``with X.read():``), and no direct backend/engine calls
-    (anything on a ``backend`` receiver) — blocking work must be routed
-    through ``run_in_executor``.  Code inside a nested synchronous
-    ``def`` is exempt: that is exactly the executor-thunk pattern.
+    Inside ``async def`` bodies in ``repro.gateway``, and inside the
+    methods of a class deriving from ``asyncio.Protocol`` /
+    ``asyncio.BufferedProtocol`` (its callbacks run on the loop just
+    the same): no ``time.sleep``, no ``open``, no synchronous lock
+    acquisition (an un-awaited ``.acquire()`` / ``.acquire_read()`` /
+    ``.acquire_write()`` or a plain ``with X.read():``), and no direct
+    backend/engine calls (anything on a ``backend`` receiver) —
+    blocking work must be routed through ``run_in_executor``.  Code
+    inside a nested synchronous ``def`` is exempt: that is exactly the
+    executor-thunk pattern.
     """
 
     name = "async-blocking"
     description = (
         "blocking call (sleep/file IO/lock acquire/backend work) inside an "
-        "async def; route it through run_in_executor"
+        "async def or a protocol callback; route it through run_in_executor"
     )
     scopes = ("repro.gateway",)
 
     def check(self, ctx: LintContext) -> list[Finding]:
         findings: list[Finding] = []
-        for func in _functions(ctx.tree):
-            if isinstance(func, ast.AsyncFunctionDef):
-                self._check_async(ctx, func, findings)
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.AsyncFunctionDef):
+                self._check_loop_body(ctx, node, f"async def {node.name}", findings)
+            elif isinstance(node, ast.ClassDef) and any(
+                _terminal_name(base) in ("Protocol", "BufferedProtocol")
+                and isinstance(base, ast.Attribute)
+                and _terminal_name(base.value) == "asyncio"
+                for base in node.bases
+            ):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef):
+                        self._check_loop_body(
+                            ctx, method,
+                            f"protocol callback {node.name}.{method.name}",
+                            findings,
+                        )
         return findings
 
-    def _check_async(
+    def _check_loop_body(
         self,
         ctx: LintContext,
-        func: ast.AsyncFunctionDef,
+        func: ast.FunctionDef | ast.AsyncFunctionDef,
+        where: str,
         findings: list[Finding],
     ) -> None:
         awaited: set[int] = set()
@@ -139,7 +156,7 @@ class AsyncBlockingRule(Rule):
             if id(node) in executor_args:
                 continue
             if isinstance(node, ast.Call):
-                self._check_call(ctx, node, awaited, findings)
+                self._check_call(ctx, node, awaited, where, findings)
             elif isinstance(node, ast.With):
                 for item in node.items:
                     kind = _classify_with_item(item.context_expr)
@@ -148,12 +165,13 @@ class AsyncBlockingRule(Rule):
                             ctx, item.context_expr,
                             f"synchronous lock hold "
                             f"`with {_unparse(item.context_expr)}` inside "
-                            f"async def {node_name(node, ctx)}; it blocks the "
-                            f"event loop",
+                            f"{where}; it blocks the event loop",
                         ))
 
-    def _loop_nodes(self, func: ast.AsyncFunctionDef) -> Iterator[ast.AST]:
-        """Walk the async body, skipping nested synchronous functions."""
+    def _loop_nodes(
+        self, func: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> Iterator[ast.AST]:
+        """Walk the body, skipping nested synchronous functions."""
         stack: list[ast.AST] = list(func.body)
         while stack:
             node = stack.pop()
@@ -167,6 +185,7 @@ class AsyncBlockingRule(Rule):
         ctx: LintContext,
         node: ast.Call,
         awaited: set[int],
+        where: str,
         findings: list[Finding],
     ) -> None:
         func = node.func
@@ -203,14 +222,10 @@ class AsyncBlockingRule(Rule):
             if "backend" in receiver_names:
                 findings.append(self.finding(
                     ctx, node,
-                    f"direct backend call `{_unparse(node.func)}` inside an "
-                    f"async def; engine work belongs on a worker thread or "
+                    f"direct backend call `{_unparse(node.func)}` inside "
+                    f"{where}; engine work belongs on a worker thread or "
                     f"run_in_executor",
                 ))
-
-
-def node_name(node: ast.AST, ctx: LintContext) -> str:
-    return getattr(node, "name", "<anonymous>")
 
 
 # ----------------------------------------------------------------------

@@ -43,8 +43,9 @@ __all__ = [
     "RemoteOpError",
     "FrameError",
     "ShardClient",
+    "FrameParser",
+    "pack_frame",
     "send_frame",
-    "recv_frame",
 ]
 
 _LENGTH = struct.Struct("!I")
@@ -93,47 +94,93 @@ class RemoteOpError(RpcError):
         self.message = message
 
 
-def send_frame(sock: socket.socket, doc: Mapping[str, Any]) -> None:
-    """Write one length-prefixed JSON frame."""
+def pack_frame(doc: Mapping[str, Any]) -> bytes:
+    """One length-prefixed JSON frame as bytes."""
     payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME_BYTES:
         raise FrameError(f"frame of {len(payload)} bytes exceeds the protocol cap")
-    sock.sendall(_LENGTH.pack(len(payload)) + payload)
+    return _LENGTH.pack(len(payload)) + payload
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Read exactly ``n`` bytes; ``None`` on clean EOF at a boundary."""
-    chunks: list[bytes] = []
-    remaining = n
-    while remaining:
-        chunk = sock.recv(remaining)
-        if not chunk:
-            if chunks:
-                raise FrameError("connection closed mid-frame")
-            return None
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
+def send_frame(sock: socket.socket, doc: Mapping[str, Any]) -> None:
+    """Write one length-prefixed JSON frame."""
+    sock.sendall(pack_frame(doc))
 
 
-def recv_frame(sock: socket.socket) -> dict[str, Any] | None:
-    """Read one frame; ``None`` means the peer closed cleanly."""
-    header = _recv_exact(sock, _LENGTH.size)
-    if header is None:
-        return None
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds the protocol cap")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise FrameError("connection closed between header and payload")
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"frame payload is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FrameError(f"frame must be a JSON object, got {type(doc).__name__}")
-    return doc
+class FrameParser:
+    """Incremental decoder of the framed protocol: bytes in, documents out.
+
+    The one frame decoder of the stack: the gateway's two protocol ends
+    push chunks through :meth:`feed`, the shard RPC's blocking ends
+    pull through :meth:`recv`.  An incomplete frame stays buffered, so
+    any chunking of a stream yields the same documents.  A malformed
+    frame poisons the parser: the documents completed before it are
+    still delivered, then every call raises its :class:`FrameError`.
+    """
+
+    __slots__ = ("_buf", "_ready", "_error")
+
+    def __init__(self) -> None:
+        self._buf = bytearray()
+        #: Documents :meth:`recv` has decoded but not yet handed out.
+        self._ready: list[dict[str, Any]] = []
+        self._error: FrameError | None = None
+
+    def feed(self, data: bytes) -> list[dict[str, Any]]:
+        """Every document ``data`` completes, in order."""
+        if self._error is not None:
+            raise self._error
+        buf = self._buf
+        buf += data
+        docs: list[dict[str, Any]] = []
+        pos = 0
+        try:
+            while len(buf) - pos >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(buf, pos)
+                if length > MAX_FRAME_BYTES:
+                    raise FrameError(f"frame length {length} exceeds the protocol cap")
+                end = pos + _LENGTH.size + length
+                if end > len(buf):
+                    break
+                try:
+                    doc = json.loads(buf[pos + _LENGTH.size:end].decode("utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise FrameError(f"frame payload is not JSON: {exc}") from exc
+                if not isinstance(doc, dict):
+                    raise FrameError(
+                        f"frame must be a JSON object, got {type(doc).__name__}"
+                    )
+                docs.append(doc)
+                pos = end
+        except FrameError as exc:
+            self._error = exc
+            if not docs:
+                raise
+        del buf[:pos]
+        return docs
+
+    def eof(self) -> None:
+        """The peer closed: raise unless it did so at a frame boundary."""
+        if self._error is not None:
+            raise self._error
+        if self._buf:
+            raise FrameError("connection closed mid-frame")
+
+    def recv(self, sock: socket.socket) -> dict[str, Any] | None:
+        """Next document off a blocking socket; ``None`` on a clean EOF.
+
+        A ``socket.timeout`` leaves every received byte buffered, so
+        the next call resumes at the exact framing position.
+        """
+        while not self._ready:
+            if self._error is not None:
+                raise self._error
+            chunk = sock.recv(65536)
+            if not chunk:
+                self.eof()
+                return None
+            self._ready = self.feed(chunk)
+        return self._ready.pop(0)
 
 
 class ShardClient:
@@ -143,8 +190,9 @@ class ShardClient:
     connection); cross-shard parallelism comes from the router issuing
     calls on *different* clients concurrently.  A per-call timeout
     abandons that call but keeps the connection serviceable: received
-    bytes persist in :attr:`_rxbuf` (so a partial frame resumes where
-    it stopped) and later calls discard stale replies by id.  Only
+    bytes persist in the client's :class:`FrameParser` (so a partial
+    frame resumes where it stopped) and later calls discard stale
+    replies by id.  Only
     unrecoverable desynchronization — a send timing out mid-frame, a
     transport error, a response id from the future — poisons the
     connection, after which every call fails fast with
@@ -172,11 +220,9 @@ class ShardClient:
         self._next_id = 0
         self._broken: str | None = None
         self._closed = False
-        #: Bytes received but not yet consumed as a whole frame.  This
-        #: is what makes a recv timeout recoverable: the next call
-        #: resumes at the exact framing position instead of treating
-        #: mid-frame bytes as a fresh header.
-        self._rxbuf = bytearray()
+        #: Keeps a partial frame across a recv timeout, which is what
+        #: makes the timeout recoverable (see the class docstring).
+        self._parser = FrameParser()
 
     @property
     def broken(self) -> str | None:
@@ -236,7 +282,7 @@ class ShardClient:
                     pass
                 sock.settimeout(self.timeout)
                 self.sock = sock
-                self._rxbuf.clear()
+                self._parser = FrameParser()
                 self._next_id = 0
                 self._broken = None
                 self.reconnects_total += 1
@@ -246,38 +292,6 @@ class ShardClient:
                 f"reconnect to {self.address} failed after {attempts} "
                 f"attempts: {last_error}",
             )
-
-    def _read_frame(self) -> dict[str, Any] | None:
-        """One frame via the persistent receive buffer."""
-        while True:
-            if len(self._rxbuf) >= _LENGTH.size:
-                (length,) = _LENGTH.unpack(bytes(self._rxbuf[:_LENGTH.size]))
-                if length > MAX_FRAME_BYTES:
-                    raise FrameError(
-                        f"frame length {length} exceeds the protocol cap"
-                    )
-                end = _LENGTH.size + length
-                if len(self._rxbuf) >= end:
-                    payload = bytes(self._rxbuf[_LENGTH.size:end])
-                    del self._rxbuf[:end]
-                    try:
-                        doc = json.loads(payload.decode("utf-8"))
-                    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-                        raise FrameError(
-                            f"frame payload is not JSON: {exc}"
-                        ) from exc
-                    if not isinstance(doc, dict):
-                        raise FrameError(
-                            f"frame must be a JSON object, "
-                            f"got {type(doc).__name__}"
-                        )
-                    return doc
-            chunk = self.sock.recv(65536)
-            if not chunk:
-                if self._rxbuf:
-                    raise FrameError("connection closed mid-frame")
-                return None
-            self._rxbuf += chunk
 
     def call(self, op: str, timeout: float | None = None, **params: Any) -> Any:
         """One request/response round trip; returns the result payload."""
@@ -304,7 +318,7 @@ class ShardClient:
                 raise ShardUnavailable(self.shard_id, self._broken) from exc
             try:
                 while True:
-                    response = self._read_frame()
+                    response = self._parser.recv(self.sock)
                     if response is None:
                         self._broken = "worker closed the connection"
                         raise ShardUnavailable(self.shard_id, self._broken)

@@ -37,7 +37,7 @@ from repro.views.definition import (
     ViewTuple,
 )
 from repro.views.predicate import IntervalPredicate, TruePredicate
-from .rpc import recv_frame, send_frame
+from .rpc import FrameParser, send_frame
 
 __all__ = [
     "WorkerSpecError",
@@ -329,9 +329,10 @@ def serve(
     """
     if state is None:
         state = WorkerState()
+    parser = FrameParser()
     while True:
         try:
-            request = recv_frame(sock)
+            request = parser.recv(sock)
         except OSError:
             return "eof"
         if request is None:

@@ -33,8 +33,9 @@ from .admission import (
     TokenBucket,
 )
 from .client import AsyncGatewayClient, GatewayCallError, call_once
-from .protocol import GATEWAY_PROTOCOL, pack_frame, read_frame
+from .protocol import GATEWAY_PROTOCOL, FrameParser, pack_frame
 from .server import (
+    Backend,
     ClusterBackend,
     GatewayConfig,
     GatewayError,
@@ -52,10 +53,12 @@ __all__ = [
     "AdmissionConfig",
     "AdmissionController",
     "AsyncGatewayClient",
+    "Backend",
     "BoundedQueue",
     "ClusterBackend",
     "ConcurrencyGuard",
     "DeadLetterLog",
+    "FrameParser",
     "GATEWAY_PROTOCOL",
     "GatewayCallError",
     "GatewayConfig",
@@ -66,5 +69,4 @@ __all__ = [
     "ViewServerBackend",
     "call_once",
     "pack_frame",
-    "read_frame",
 ]

@@ -35,6 +35,7 @@ from .admission import AdmissionConfig
 from .client import GatewayCallError, call_once
 from .protocol import GATEWAY_PROTOCOL
 from .server import (
+    Backend,
     ClusterBackend,
     GatewayConfig,
     GatewayHandle,
@@ -59,7 +60,7 @@ def parse_listen(text: str) -> tuple[str, int]:
 
 
 def serve_until_interrupted(
-    backend: ViewServerBackend | ClusterBackend,
+    backend: Backend,
     host: str,
     port: int,
     config: GatewayConfig | None = None,

@@ -1,10 +1,10 @@
 """Asyncio client for the gateway protocol.
 
 One :class:`AsyncGatewayClient` owns one TCP connection and any number
-of in-flight requests on it: a background reader task demultiplexes
-response frames by ``id`` back to their awaiting callers, which is what
-lets the open-loop load generator keep issuing requests on schedule
-while earlier ones are still queued server-side.
+of in-flight requests on it: the connection's ``data_received``
+demultiplexes response frames by ``id`` back to their awaiting callers,
+which is what lets the open-loop load generator keep issuing requests
+on schedule while earlier ones are still queued server-side.
 
 Responses come back as :class:`GatewayReply` — a small record exposing
 the three outcome classes (``ok`` / ``rejected`` / ``error``) without
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.cluster.worker import decode_answer
-from .protocol import FrameError, pack_frame, read_frame
+from .protocol import FrameError, FrameParser, pack_frame
 
 __all__ = ["AsyncGatewayClient", "GatewayCallError", "GatewayReply", "call_once"]
 
@@ -69,19 +69,49 @@ class GatewayReply:
         return decode_answer(self.doc["result"])
 
 
+class _Replies(asyncio.Protocol):
+    """The client's end of the connection: reply frames in, futures resolved."""
+
+    def __init__(self, client: "AsyncGatewayClient") -> None:
+        self.client = client
+        self.parser = FrameParser()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            docs = self.parser.feed(data)
+        except FrameError as exc:
+            self.client._drop(GatewayCallError(f"connection lost: {exc}"))
+            return
+        pending = self.client._pending
+        for doc in docs:
+            future = pending.pop(doc.get("id"), None)
+            if future is not None and not future.done():
+                future.set_result(GatewayReply(doc))
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        if exc is None:
+            try:
+                self.parser.eof()
+            except FrameError as torn:
+                exc = torn
+        self.client._fail_pending(GatewayCallError(
+            "gateway closed the connection" if exc is None
+            else f"connection lost: {exc}"
+        ))
+
+
 class AsyncGatewayClient:
     """A pipelined connection to one gateway.
 
     Every ``call`` is bounded: the server may legitimately drop a
-    response (send failure, shutdown race, requests left queued at
-    stop), and an unbounded await on a still-open connection would hang
-    the caller forever.  Requests carrying ``deadline_ms`` wait that
-    budget plus ``reply_slack_s`` (engine work is not interruptible, so
-    a late ``expired`` reply can trail the deadline by the full
-    execution time); requests without one wait ``reply_timeout_s``.
-    Either knob can be ``None`` to disable the bound.  Expiry raises
-    :class:`GatewayCallError`, which the load generators record as a
-    ``lost`` outcome.
+    response (send failure, shutdown race), and an unbounded await on a
+    still-open connection would hang the caller forever.  Requests
+    carrying ``deadline_ms`` wait that budget plus ``reply_slack_s``
+    (engine work is not interruptible, so a late ``expired`` reply can
+    trail the deadline by the full execution time); requests without
+    one wait ``reply_timeout_s``.  Either knob can be ``None`` to
+    disable the bound.  Expiry raises :class:`GatewayCallError`, which
+    the load generators record as a ``lost`` outcome.
     """
 
     def __init__(
@@ -99,17 +129,14 @@ class AsyncGatewayClient:
         self.reply_slack_s = reply_slack_s
         self._ids = itertools.count(1)
         self._pending: dict[int, asyncio.Future[GatewayReply]] = {}
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
-        self._reader_task: asyncio.Task[None] | None = None
+        self._loop: asyncio.AbstractEventLoop | None = None
+        self._transport: asyncio.Transport | None = None
         self._closed = False
 
     async def connect(self) -> "AsyncGatewayClient":
-        self._reader, self._writer = await asyncio.open_connection(
-            self.host, self.port
-        )
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop()
+        self._loop = asyncio.get_running_loop()
+        self._transport, _ = await self._loop.create_connection(
+            lambda: _Replies(self), self.host, self.port
         )
         return self
 
@@ -120,43 +147,23 @@ class AsyncGatewayClient:
         await self.close()
 
     async def close(self) -> None:
+        self._drop(GatewayCallError("connection closed"))
+        # One more pass of the loop runs connection_lost, which is what
+        # closes the socket; the loop may be closed right after.
+        await asyncio.sleep(0)
+
+    def _drop(self, exc: Exception) -> None:
+        """Abandon the connection: nothing sent or received after this."""
         self._closed = True
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        if self._reader_task is not None:
-            self._reader_task.cancel()
-            try:
-                await self._reader_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        self._fail_pending(GatewayCallError("connection closed"))
+        if self._transport is not None:
+            self._transport.abort()
+        self._fail_pending(exc)
 
     def _fail_pending(self, exc: Exception) -> None:
         for future in self._pending.values():
             if not future.done():
                 future.set_exception(exc)
         self._pending.clear()
-
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        try:
-            while True:
-                doc = await read_frame(self._reader)
-                if doc is None:
-                    break
-                future = self._pending.pop(doc.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(GatewayReply(doc))
-        except (FrameError, ConnectionError, OSError) as exc:
-            self._fail_pending(GatewayCallError(f"connection lost: {exc}"))
-            return
-        except asyncio.CancelledError:
-            raise
-        self._fail_pending(GatewayCallError("gateway closed the connection"))
 
     def _reply_budget(self, request: Mapping[str, Any]) -> float | None:
         deadline_ms = request.get("deadline_ms")
@@ -168,6 +175,16 @@ class AsyncGatewayClient:
             return max(0.0, deadline_ms) / 1000.0 + self.reply_slack_s
         return self.reply_timeout_s
 
+    @staticmethod
+    def _expire(
+        future: asyncio.Future[GatewayReply], request_id: int, budget: float
+    ) -> None:
+        if not future.done():
+            future.set_exception(GatewayCallError(
+                f"no reply to request {request_id} within {budget:.3f}s "
+                f"(response lost)"
+            ))
+
     async def call(
         self, doc: Mapping[str, Any], timeout: float | None = None
     ) -> GatewayReply:
@@ -175,31 +192,27 @@ class AsyncGatewayClient:
 
         ``timeout`` overrides the computed reply bound for this call.
         """
-        if self._writer is None or self._closed:
+        if self._transport is None or self._loop is None or self._closed:
             raise GatewayCallError("client is not connected")
+        if self._transport.is_closing():
+            raise GatewayCallError("send failed: Connection lost")
         request = dict(doc)
-        request["id"] = next(self._ids)
-        future: asyncio.Future[GatewayReply] = (
-            asyncio.get_running_loop().create_future()
-        )
-        self._pending[request["id"]] = future
+        request_id = request["id"] = next(self._ids)
+        future: asyncio.Future[GatewayReply] = self._loop.create_future()
+        self._pending[request_id] = future
+        timer: asyncio.TimerHandle | None = None
         try:
-            self._writer.write(pack_frame(request))
-            await self._writer.drain()
-        except (ConnectionError, OSError) as exc:
-            self._pending.pop(request["id"], None)
-            raise GatewayCallError(f"send failed: {exc}") from exc
-        budget = timeout if timeout is not None else self._reply_budget(request)
-        if budget is None:
+            self._transport.write(pack_frame(request))
+            budget = timeout if timeout is not None else self._reply_budget(request)
+            if budget is not None:
+                timer = self._loop.call_later(
+                    budget, self._expire, future, request_id, budget
+                )
             return await future
-        try:
-            return await asyncio.wait_for(future, timeout=budget)
-        except asyncio.TimeoutError:
-            self._pending.pop(request["id"], None)
-            raise GatewayCallError(
-                f"no reply to request {request['id']} within {budget:.3f}s "
-                f"(response lost)"
-            ) from None
+        finally:
+            if timer is not None:
+                timer.cancel()
+            self._pending.pop(request_id, None)
 
     # -- typed helpers --------------------------------------------------
     async def ping(self) -> GatewayReply:

@@ -1,9 +1,10 @@
-"""Asyncio framing for the gateway wire protocol.
+"""The gateway wire protocol.
 
-Same bytes as the cluster's shard RPC (:mod:`repro.cluster.rpc`): one
-JSON object per message, preceded by a 4-byte big-endian length, with
-the same frame-size cap — a shard worker and a gateway can be read
-with the same tooling.  The difference is *ordering*: shard RPC
+Same bytes and same code as the cluster's shard RPC: one JSON object
+per message, preceded by a 4-byte big-endian length, with the same
+frame-size cap, encoded by :func:`repro.cluster.rpc.pack_frame` and
+decoded by :class:`repro.cluster.rpc.FrameParser` on both ends (they
+are re-exported here).  The difference is *ordering*: shard RPC
 serializes one call per connection, while the gateway pipelines —
 responses carry the request's ``id`` and may arrive out of order, so
 clients must demultiplex by id.
@@ -32,48 +33,9 @@ labels — the wire composes both vocabularies.
 
 from __future__ import annotations
 
-import asyncio
-import json
-import struct
-from typing import Any, Mapping
+from repro.cluster.rpc import FrameError, FrameParser, pack_frame
 
-from repro.cluster.rpc import MAX_FRAME_BYTES, FrameError
-
-__all__ = ["GATEWAY_PROTOCOL", "pack_frame", "read_frame", "FrameError"]
+__all__ = ["GATEWAY_PROTOCOL", "pack_frame", "FrameParser", "FrameError"]
 
 #: Protocol tag echoed by ``ping`` so clients can sanity-check peers.
 GATEWAY_PROTOCOL = "repro.gateway/v1"
-
-_LENGTH = struct.Struct("!I")
-
-
-def pack_frame(doc: Mapping[str, Any]) -> bytes:
-    """One length-prefixed JSON frame as bytes."""
-    payload = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    if len(payload) > MAX_FRAME_BYTES:
-        raise FrameError(f"frame of {len(payload)} bytes exceeds the protocol cap")
-    return _LENGTH.pack(len(payload)) + payload
-
-
-async def read_frame(reader: asyncio.StreamReader) -> dict[str, Any] | None:
-    """Read one frame; ``None`` means the peer closed at a boundary."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise FrameError("connection closed mid-header") from exc
-    (length,) = _LENGTH.unpack(header)
-    if length > MAX_FRAME_BYTES:
-        raise FrameError(f"frame length {length} exceeds the protocol cap")
-    try:
-        payload = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise FrameError("connection closed between header and payload") from exc
-    try:
-        doc = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FrameError(f"frame payload is not JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise FrameError(f"frame must be a JSON object, got {type(doc).__name__}")
-    return doc

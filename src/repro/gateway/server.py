@@ -1,22 +1,26 @@
-"""The gateway server: asyncio edge, admission control, worker pool.
+"""The gateway server: event-driven asyncio edge, admission, worker pool.
 
 Architecture (one process)::
 
-    clients ──TCP──▶ asyncio event loop          worker threads
-                     ├─ frame parse              ├─ deadline check
+    clients ──TCP──▶ event loop (protocol callbacks)   worker threads
+                     ├─ data_received: FrameParser      ├─ deadline check
                      ├─ admission pipeline ──▶ BoundedQueue ──▶ backend call
-                     └─ immediate rejections ◀── responses (by id) ◀─┘
+                     ├─ immediate rejections            └─ pack_frame(reply)
+                     └─ conn.write(frame) ◀── call_soon_threadsafe ──┘
 
-The event loop never executes engine work: it parses frames, runs the
-admission pipeline (token buckets, concurrency guard, bounded queue)
-and writes responses.  A small pool of worker threads pops admitted
-requests from the bounded ingress queue and drives the backend — a
+The event loop never executes engine work: a connection is an
+:class:`asyncio.Protocol` whose ``data_received`` parses frames and runs
+the admission pipeline (token buckets, concurrency guard, bounded queue)
+on the spot.  Worker threads pop admitted requests from the bounded
+ingress queue and drive the backend — a
 :class:`~repro.service.server.ViewServer` (thread-safe since the
 striped-lock refactor) or a :class:`~repro.cluster.router.ClusterRouter`
-(scatter-gather legs already run on their own threads).  Responses are
-scheduled back onto the loop and matched by request id, so one
-connection can carry many overlapping requests (the open-loop load
-generator depends on this).
+(scatter-gather legs already run on their own threads) — then encode
+the reply themselves and hand the bytes to the loop.  Whole frames are
+written from the loop thread only, so they cannot interleave and one
+connection carries many overlapping requests matched by id (the
+open-loop load generator depends on this).  A client that does not read
+its replies fills its write buffer, which pauses *reading* from it.
 
 Deadlines propagate: the budget a request arrives with is checked
 again when a worker picks it up (expired in queue → dead letter,
@@ -34,7 +38,7 @@ import math
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any, Mapping, Protocol
 
 from repro.cluster.worker import decode_operation, encode_answer
 from repro.engine.transaction import Transaction
@@ -45,11 +49,12 @@ from .admission import (
     AdmissionConfig,
     AdmissionController,
 )
-from .protocol import GATEWAY_PROTOCOL, FrameError, pack_frame, read_frame
+from .protocol import GATEWAY_PROTOCOL, FrameError, FrameParser, pack_frame
 
 __all__ = [
     "GatewayError",
     "GatewayConfig",
+    "Backend",
     "ViewServerBackend",
     "ClusterBackend",
     "GatewayServer",
@@ -88,6 +93,19 @@ class GatewayConfig:
 # ----------------------------------------------------------------------
 # backends
 # ----------------------------------------------------------------------
+class Backend(Protocol):
+    """What the gateway needs from the serving stack behind it."""
+
+    def views(self) -> tuple[str, ...]: ...
+    def query(self, view: str, lo: Any, hi: Any, client: str,
+              timeout: float | None = None) -> Any: ...
+    def update(self, relation: str, ops: list[Mapping[str, Any]], client: str,
+               timeout: float | None = None) -> int: ...
+    def pop_retry_flag(self) -> bool:
+        """Whether the calling thread's last query needed a replica retry."""
+    def metrics(self) -> dict[str, Any]: ...
+
+
 class ViewServerBackend:
     """Adapt one in-process :class:`ViewServer` to the gateway."""
 
@@ -117,6 +135,9 @@ class ViewServerBackend:
         self.server.apply_update(txn, client=client)
         return len(txn)
 
+    def pop_retry_flag(self) -> bool:
+        return False  # one server, no replicas to retry on
+
     def metrics(self) -> dict[str, Any]:
         return self.server.metrics_dict()
 
@@ -145,7 +166,6 @@ class ClusterBackend:
         return self.router.query(view, lo, hi, client=client, timeout=timeout)
 
     def pop_retry_flag(self) -> bool:
-        """Whether this thread's last query was served via replica retry."""
         return self.router.pop_retried()
 
     def update(
@@ -174,12 +194,63 @@ class ClusterBackend:
 # ----------------------------------------------------------------------
 # the server
 # ----------------------------------------------------------------------
-@dataclass
-class _Conn:
-    """Per-connection state: the writer plus a write-ordering lock."""
+def _error_doc(request: Mapping[str, Any], kind: str, error: str) -> dict[str, Any]:
+    return {"id": request.get("id"), "ok": False, "kind": kind, "error": error}
 
-    writer: asyncio.StreamWriter
-    lock: asyncio.Lock
+
+class _Conn(asyncio.Protocol):
+    """One client connection: frames parsed in, whole frames written out.
+
+    Every method runs on the event loop.  :meth:`write` is the only
+    place a reply reaches the socket, so frames cannot interleave.
+    """
+
+    transport: asyncio.Transport
+
+    def __init__(self, gateway: "GatewayServer") -> None:
+        self.gateway = gateway
+        self.parser = FrameParser()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        assert isinstance(transport, asyncio.Transport)
+        self.transport = transport
+        if self.gateway._stopping.is_set():
+            transport.abort()  # accepted while stop() was closing the rest
+        else:
+            self.gateway._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            requests = self.parser.feed(data)
+        except FrameError:
+            self.close()  # garbage on the wire: drop the connection
+            return
+        for request in requests:
+            self.gateway._dispatch(self, request)
+
+    def write(self, frame: bytes) -> None:
+        if self.transport.is_closing():
+            self.gateway.metrics.counter("gateway_send_failures_total").inc()
+        else:
+            self.transport.write(frame)
+
+    def pause_writing(self) -> None:
+        # The client is not reading its replies: stop reading its
+        # requests until the write buffer drains.
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def close(self) -> None:
+        """Flush what the peer is taking, drop what it is not."""
+        if self.transport.get_write_buffer_size():
+            self.transport.abort()
+        else:
+            self.transport.close()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self.gateway._conns.discard(self)
 
 
 @dataclass
@@ -205,7 +276,7 @@ class GatewayServer:
 
     def __init__(
         self,
-        backend: ViewServerBackend | ClusterBackend,
+        backend: Backend,
         config: GatewayConfig | None = None,
         registry: MetricsRegistry | None = None,
     ) -> None:
@@ -215,18 +286,23 @@ class GatewayServer:
         self.admission = AdmissionController(self.config.admission)
         self._loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
+        self._conns: set[_Conn] = set()
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
         self._started = 0.0
+        #: ``(outcome, op)`` -> the five series one reply touches.
+        self._series: dict[tuple[str, str], tuple[Any, ...]] = {}
 
     # -- lifecycle ------------------------------------------------------
     async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
         if self._server is not None:
             raise GatewayError("gateway already started")
         self._loop = asyncio.get_running_loop()
-        self._server = await asyncio.start_server(self._handle_conn, host, port)
-        self._started = time.monotonic()
         self._stopping.clear()
+        self._server = await self._loop.create_server(
+            lambda: _Conn(self), host, port
+        )
+        self._started = time.monotonic()
         self._threads = [
             threading.Thread(
                 target=self._worker_loop, name=f"gateway-worker-{i}", daemon=True
@@ -243,14 +319,25 @@ class GatewayServer:
         return self._server.sockets[0].getsockname()[1]
 
     async def stop(self) -> None:
-        """Stop accepting, drain workers, close the listener."""
+        """Stop accepting, finish what is executing, close every connection.
+
+        Requests still queued when the workers exit are not run: their
+        admission slots are released and their callers, like every
+        other pending caller, see the connection close at once.
+        """
         if self._server is None:
             return
         self._server.close()
-        await self._server.wait_closed()
         self._stopping.set()
         for thread in self._threads:
             await asyncio.get_running_loop().run_in_executor(None, thread.join)
+        while (leftover := self.admission.queue.pop(timeout=0)) is not None:
+            self.admission.release(leftover.client)
+        for conn in list(self._conns):
+            conn.close()
+        # One more pass of the loop runs each connection_lost, which is
+        # what closes the socket; the loop may be closed right after.
+        await asyncio.sleep(0)
         self._server = None
         self._threads = []
 
@@ -272,50 +359,36 @@ class GatewayServer:
         return self.metrics.to_dict()
 
     def _observe(self, outcome: str, op: str, latency_ms: float) -> None:
-        self.metrics.counter("gateway_outcomes_total", outcome=outcome).inc()
-        self.metrics.counter("gateway_requests_total", op=op).inc()
-        self.metrics.histogram(
-            "gateway_request_ms",
-            buckets=GATEWAY_LATENCY_BUCKETS_MS,
-            outcome=outcome,
-        ).observe(latency_ms)
+        series = self._series.get((outcome, op))
+        if series is None:
+            series = self._series[outcome, op] = (
+                self.metrics.counter("gateway_outcomes_total", outcome=outcome),
+                self.metrics.counter("gateway_requests_total", op=op),
+                self.metrics.histogram(
+                    "gateway_request_ms",
+                    buckets=GATEWAY_LATENCY_BUCKETS_MS,
+                    outcome=outcome,
+                ),
+                self.metrics.gauge("gateway_queue_depth"),
+                self.metrics.gauge("gateway_queue_peak"),
+            )
+        outcomes, requests, latency, depth, peak = series
+        outcomes.inc()
+        requests.inc()
+        latency.observe(latency_ms)
         queue = self.admission.queue
-        self.metrics.gauge("gateway_queue_depth").set(queue.depth)
-        self.metrics.gauge("gateway_queue_peak").set(queue.peak)
+        depth.set(queue.depth)
+        peak.set(queue.peak)
 
     def _dead_letter(
-        self, label: str, pending_or_client: Any, op: str,
-        detail: str, waited_ms: float,
+        self, label: str, client: str, op: str, detail: str, waited_ms: float
     ) -> None:
-        client = (
-            pending_or_client.client
-            if isinstance(pending_or_client, _Pending) else pending_or_client
-        )
         self.admission.dead_letters.record(
             label, client, op, detail=detail, waited_ms=waited_ms
         )
         self.metrics.counter("gateway_dead_letters_total", reason=label).inc()
 
     # -- the asyncio edge ----------------------------------------------
-    async def _handle_conn(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        conn = _Conn(writer, asyncio.Lock())
-        try:
-            while True:
-                try:
-                    request = await read_frame(reader)
-                except FrameError:
-                    return  # garbage on the wire: drop the connection
-                if request is None:
-                    return
-                self._dispatch(conn, request)
-        finally:
-            try:
-                writer.close()
-            except Exception:
-                pass
-
     def _dispatch(self, conn: _Conn, request: dict[str, Any]) -> None:
         """Admission decision for one frame, on the event loop."""
         op = str(request.get("op", ""))
@@ -326,10 +399,8 @@ class GatewayServer:
             self._answer_control(conn, request, op)
             return
         if op not in ("query", "update"):
-            self._respond(conn, {
-                "id": request.get("id"), "ok": False,
-                "kind": "GatewayError", "error": f"unknown op {op!r}",
-            })
+            self._respond(conn, _error_doc(
+                request, "GatewayError", f"unknown op {op!r}"))
             return
 
         # Malformed deadlines are rejected *before* admission: anything
@@ -343,22 +414,15 @@ class GatewayServer:
             or not isinstance(budget_ms, (int, float))
             or not math.isfinite(budget_ms)
         ):
-            self._respond(conn, {
-                "id": request.get("id"), "ok": False,
-                "kind": "GatewayError",
-                "error": f"deadline_ms must be a finite number, got {budget_ms!r}",
-            })
+            self._respond(conn, _error_doc(
+                request, "GatewayError",
+                f"deadline_ms must be a finite number, got {budget_ms!r}"))
             return
 
         decision = self.admission.admit(client)
         if not decision.admitted:
             assert decision.label is not None
-            self._dead_letter(decision.label, client, op, decision.detail, 0.0)
-            self._observe(decision.label, op, 0.0)
-            self._respond(conn, {
-                "id": request.get("id"), "ok": False,
-                "rejected": decision.label,
-            })
+            self._reject(conn, request, client, op, decision.label, decision.detail)
             return
 
         try:
@@ -374,15 +438,16 @@ class GatewayServer:
             raise
         if not pushed:
             self.admission.release(client)
-            self._dead_letter(
-                REJECTED_QUEUE_FULL, client, op,
-                f"queue at cap {self.admission.queue.cap}", 0.0,
-            )
-            self._observe(REJECTED_QUEUE_FULL, op, 0.0)
-            self._respond(conn, {
-                "id": request.get("id"), "ok": False,
-                "rejected": REJECTED_QUEUE_FULL,
-            })
+            self._reject(conn, request, client, op, REJECTED_QUEUE_FULL,
+                         f"queue at cap {self.admission.queue.cap}")
+
+    def _reject(
+        self, conn: _Conn, request: dict[str, Any], client: str, op: str,
+        label: str, detail: str,
+    ) -> None:
+        self._dead_letter(label, client, op, detail, 0.0)
+        self._observe(label, op, 0.0)
+        self._respond(conn, {"id": request.get("id"), "ok": False, "rejected": label})
 
     def _answer_control(self, conn: _Conn, request: dict[str, Any], op: str) -> None:
         if op == "ping":
@@ -399,40 +464,39 @@ class GatewayServer:
             # stall parsing, admission and responses on every
             # connection while it waits).
             assert self._loop is not None
-            self._loop.create_task(self._answer_metrics(conn, request))
+            self._loop.run_in_executor(None, self._answer_metrics, conn, request)
             return
         self._respond(conn, {"id": request.get("id"), "ok": True, "result": result})
 
-    async def _answer_metrics(self, conn: _Conn, request: dict[str, Any]) -> None:
-        loop = asyncio.get_running_loop()
-
-        def collect() -> dict[str, Any]:
-            return {
+    def _answer_metrics(self, conn: _Conn, request: dict[str, Any]) -> None:
+        """Collect and answer ``metrics`` on an executor thread."""
+        try:
+            doc = {"id": request.get("id"), "ok": True, "result": {
                 "gateway": self.metrics_dict(),
                 "backend": self.backend.metrics(),
-            }
-
-        try:
-            result = await loop.run_in_executor(None, collect)
+            }}
         except Exception as exc:
-            await self._send(conn, {
-                "id": request.get("id"), "ok": False,
-                "kind": type(exc).__name__, "error": str(exc),
-            })
-            return
-        await self._send(conn, {"id": request.get("id"), "ok": True, "result": result})
+            doc = _error_doc(request, type(exc).__name__, str(exc))
+        self._reply(conn, doc)
 
     def _respond(self, conn: _Conn, doc: dict[str, Any]) -> None:
-        """Send from the event loop (fire-and-forget task per frame)."""
-        assert self._loop is not None
-        self._loop.create_task(self._send(conn, doc))
+        """Answer from the event loop."""
+        conn.write(pack_frame(doc))
 
-    async def _send(self, conn: _Conn, doc: dict[str, Any]) -> None:
+    def _reply(self, conn: _Conn, doc: dict[str, Any]) -> None:
+        """Answer from any other thread: encode here, write on the loop."""
         try:
-            async with conn.lock:
-                conn.writer.write(pack_frame(doc))
-                await conn.writer.drain()
-        except (ConnectionError, RuntimeError, OSError):
+            frame = pack_frame(doc)
+        except (FrameError, TypeError, ValueError) as exc:
+            # An answer that cannot ride the wire (over the frame cap,
+            # not JSON) still owes its caller a reply.
+            frame = pack_frame(_error_doc(doc, type(exc).__name__, str(exc)))
+        assert self._loop is not None
+        try:
+            self._loop.call_soon_threadsafe(conn.write, frame)
+        except RuntimeError:
+            # Loop already closed (shutdown race); the response is lost
+            # with the connection, which is the normal close semantics.
             self.metrics.counter("gateway_send_failures_total").inc()
 
     # -- the worker pool ------------------------------------------------
@@ -448,15 +512,10 @@ class GatewayServer:
 
     def _execute(self, pending: _Pending) -> None:
         now = time.monotonic()
-        waited_ms = (now - pending.received) * 1000.0
         request = pending.request
         if pending.deadline is not None and now >= pending.deadline:
             # Expired while queued: the engine never sees it.
-            self._dead_letter(EXPIRED, pending, pending.op,
-                              "expired in queue", waited_ms)
-            self._finish(pending, EXPIRED, {
-                "id": request.get("id"), "ok": False, "rejected": EXPIRED,
-            })
+            self._expire(pending, "expired in queue", now)
             return
         remaining = (
             pending.deadline - now if pending.deadline is not None else None
@@ -471,9 +530,7 @@ class GatewayServer:
                 # pop_retry_flag runs on this same worker thread, so
                 # the flag the router parked thread-locally belongs to
                 # exactly this request.
-                retried = bool(getattr(
-                    self.backend, "pop_retry_flag", lambda: False
-                )())
+                retried = self.backend.pop_retry_flag()
                 if retried:
                     result["retried"] = True
                 if result.get("degraded"):
@@ -501,49 +558,36 @@ class GatewayServer:
                 # remaining-time budget (cluster shard legs) raise when
                 # it is exhausted, so the honest label is the deadline's
                 # — expired — not an engine error.
-                self._dead_letter(
-                    EXPIRED, pending, pending.op, "deadline cut mid-call",
-                    (time.monotonic() - pending.received) * 1000.0,
-                )
-                self._finish(pending, EXPIRED, {
-                    "id": request.get("id"), "ok": False,
-                    "rejected": EXPIRED, "late": True,
-                })
+                self._expire(pending, "deadline cut mid-call")
                 return
-            self._finish(pending, "error", {
-                "id": request.get("id"), "ok": False,
-                "kind": type(exc).__name__, "error": str(exc),
-            })
+            self._finish(pending, "error",
+                         _error_doc(request, type(exc).__name__, str(exc)))
             return
         if pending.deadline is not None and time.monotonic() > pending.deadline:
             # Served too late to count: the caller's budget is blown, so
             # the answer is withheld and the work dead-lettered — this
             # is what bounds the latency of *admitted* successes.
-            self._dead_letter(
-                EXPIRED, pending, pending.op, "completed past deadline",
-                (time.monotonic() - pending.received) * 1000.0,
-            )
-            self._finish(pending, EXPIRED, {
-                "id": request.get("id"), "ok": False,
-                "rejected": EXPIRED, "late": True,
-            })
+            self._expire(pending, "completed past deadline")
             return
         self._finish(pending, outcome, {
             "id": request.get("id"), "ok": True, "result": result,
         })
 
+    def _expire(
+        self, pending: _Pending, detail: str, pickup: float | None = None
+    ) -> None:
+        """Dead-letter and answer ``expired``; ``late`` unless cut at pickup."""
+        waited = (time.monotonic() if pickup is None else pickup) - pending.received
+        self._dead_letter(EXPIRED, pending.client, pending.op, detail, waited * 1000.0)
+        doc = {"id": pending.request.get("id"), "ok": False, "rejected": EXPIRED}
+        if pickup is None:
+            doc["late"] = True
+        self._finish(pending, EXPIRED, doc)
+
     def _finish(self, pending: _Pending, outcome: str, doc: dict[str, Any]) -> None:
         latency_ms = (time.monotonic() - pending.received) * 1000.0
         self._observe(outcome, pending.op, latency_ms)
-        assert self._loop is not None
-        try:
-            asyncio.run_coroutine_threadsafe(
-                self._send(pending.conn, doc), self._loop
-            )
-        except RuntimeError:
-            # Loop already closed (shutdown race); the response is lost
-            # with the connection, which is the normal close semantics.
-            self.metrics.counter("gateway_send_failures_total").inc()
+        self._reply(pending.conn, doc)
 
 
 class GatewayHandle:
@@ -565,7 +609,7 @@ class GatewayHandle:
     @classmethod
     def launch(
         cls,
-        backend: ViewServerBackend | ClusterBackend,
+        backend: Backend,
         config: GatewayConfig | None = None,
         host: str = "127.0.0.1",
         port: int = 0,

@@ -74,6 +74,16 @@ def test_scoped_rules_skip_out_of_scope_modules(rule_name):
         assert findings == []
 
 
+def test_protocol_callbacks_are_checked_like_async_bodies():
+    # The gateway's loop-side request path is synchronous protocol
+    # callbacks; the rule must see into them.
+    bad, good = "async_blocking_protocol_bad.py", "async_blocking_protocol_good.py"
+    findings = run_rule("async-blocking", bad, "repro.gateway.corpus")
+    assert {f.line for f in findings} == marked_lines(bad)
+    assert run_rule("async-blocking", good, "repro.gateway.corpus") == []
+    assert run_rule("async-blocking", bad, "repro.cluster.corpus") == []
+
+
 def test_rule_excludes_win_over_scopes():
     findings = run_rule(
         "snapshot-iteration", "snapshot_iteration_bad.py", "repro.analysis.self"

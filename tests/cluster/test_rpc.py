@@ -5,19 +5,28 @@ import socket
 import struct
 import threading
 import time
+import weakref
 
 import pytest
 
 from repro.cluster.rpc import (
     FrameError,
+    FrameParser,
     MAX_FRAME_BYTES,
     RemoteOpError,
     ShardClient,
     ShardTimeout,
     ShardUnavailable,
-    recv_frame,
+    pack_frame,
     send_frame,
 )
+
+_parsers = weakref.WeakKeyDictionary()
+
+
+def recv_frame(sock):
+    """The worker side of a test: next frame via one parser per socket."""
+    return _parsers.setdefault(sock, FrameParser()).recv(sock)
 
 
 @pytest.fixture()
@@ -33,6 +42,14 @@ class TestFrames:
         left, right = pair
         send_frame(left, {"op": "ping", "id": 7})
         assert recv_frame(right) == {"op": "ping", "id": 7}
+
+    def test_bytes_are_what_the_parent_commit_wrote(self, pair):
+        # Captured from send_frame before the parser was shared.
+        left, right = pair
+        send_frame(left, {"id": 1, "op": "query", "view": "v", "lo": 0, "hi": 9})
+        assert right.recv(4096) == (
+            b'\x00\x00\x00.{"id":1,"op":"query","view":"v","lo":0,"hi":9}'
+        )
 
     def test_clean_eof_is_none(self, pair):
         left, right = pair
@@ -168,6 +185,30 @@ class TestShardClient:
         assert client.broken is None
         assert client.call("b", timeout=5.0) == "fresh"
         thread.join(timeout=5.0)
+
+    def test_timeout_inside_the_header_resynchronizes(self, pair):
+        left, right = pair
+        client = ShardClient(left, shard_id=3, timeout=0.1)
+
+        def dribble():
+            request = recv_frame(right)
+            frame = pack_frame({"id": request["id"], "ok": True,
+                                "result": "stale"})
+            right.sendall(frame[:2])  # half the length prefix, then stall
+            time.sleep(0.3)           # the client times out meanwhile
+            right.sendall(frame[2:])
+            retry = recv_frame(right)
+            send_frame(right, {"id": retry["id"], "ok": True,
+                               "result": "fresh"})
+
+        thread = threading.Thread(target=dribble, daemon=True)
+        thread.start()
+        with pytest.raises(ShardTimeout):
+            client.call("a")
+        assert client.broken is None
+        assert client.call("b", timeout=5.0) == "fresh"
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
 
     def test_send_timeout_poisons_the_connection(self, pair):
         left, _right = pair

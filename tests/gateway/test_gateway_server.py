@@ -7,6 +7,12 @@ front the real demo :class:`ViewServer` and a 1-shard cluster.
 """
 
 import asyncio
+import concurrent.futures
+import gc
+import json
+import logging
+import socket
+import struct
 import threading
 import time
 
@@ -49,6 +55,9 @@ class StubBackend:
     def update(self, relation, ops, client, timeout=None):
         self.updates.append((relation, len(ops)))
         return len(ops)
+
+    def pop_retry_flag(self):
+        return False
 
     def metrics(self):
         return {"stub": True}
@@ -289,6 +298,155 @@ class TestAdmissionOverTheWire:
             reply = call(handle, {"op": "query", "view": "sleep",
                                   "lo": 0.2, "hi": None})
         assert reply.rejected == "expired"
+
+
+#: Frames exactly as the commit before the event-driven edge wrote
+#: them (captured from its ``pack_frame``): the bytes must not move.
+PARENT_QUERY = (
+    b'\x00\x00\x00c{"id":7,"op":"query","view":"echo","lo":"h\\u00e9llo",'
+    b'"hi":null,"client":"raw","deadline_ms":5000.0}'
+)
+PARENT_PING = b'\x00\x00\x00\x14{"id":8,"op":"ping"}'
+PARENT_REPLY = (
+    b'\x00\x00\x00R{"id":7,"ok":true,"result":{"kind":"scalar",'
+    b'"value":"h\\u00e9llo","degraded":null}}'
+)
+
+
+def raw_frame(sock):
+    """The next frame off a blocking socket, ``struct`` only, as bytes."""
+    def exactly(n):
+        data = b""
+        while len(data) < n:
+            chunk = sock.recv(n - len(data))
+            assert chunk, "gateway closed the connection mid-reply"
+            data += chunk
+        return data
+    header = exactly(4)
+    return header + exactly(struct.unpack("!I", header)[0])
+
+
+class TestWireCompatibility:
+    def test_parent_format_bytes_in_and_out(self):
+        _, handle = launch_stub(GatewayConfig())
+        with handle, socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=5.0
+        ) as sock:
+            sock.sendall(PARENT_QUERY)
+            assert raw_frame(sock) == PARENT_REPLY
+            sock.sendall(PARENT_PING[:3])  # a frame split mid-header
+            sock.sendall(PARENT_PING[3:])
+            pong = json.loads(raw_frame(sock)[4:])
+        assert pong["id"] == 8 and pong["ok"] is True
+        assert pong["result"]["protocol"] == "repro.gateway/v1"
+
+    def test_garbage_drops_the_connection(self):
+        _, handle = launch_stub(GatewayConfig())
+        with handle, socket.create_connection(
+            ("127.0.0.1", handle.port), timeout=5.0
+        ) as sock:
+            sock.sendall(struct.pack("!I", 8) + b"not json")
+            assert sock.recv(1) == b""
+
+
+class TestBackPressure:
+    def test_unread_replies_pause_reading_and_arrive_in_full(self):
+        # A client pipelines requests with 256 KiB answers and reads
+        # nothing: once the kernel's socket buffers are full the
+        # transport's write buffer passes its high-water mark, and the
+        # gateway must stop *reading* that client instead of queueing
+        # ever more replies for it.
+        count, blob = 48, "x" * (256 * 1024)
+        _, handle = launch_stub(GatewayConfig(admission=AdmissionConfig(
+            client_concurrency=None, max_queue=count)))
+
+        def on_loop(fn):
+            done = concurrent.futures.Future()
+            handle._loop.call_soon_threadsafe(lambda: done.set_result(fn()))
+            return done.result(timeout=5.0)
+
+        def edge():
+            (conn,) = handle.gateway._conns
+            return (conn.transport.is_reading(),
+                    conn.transport.get_write_buffer_size())
+
+        with handle, socket.socket() as sock:
+            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 64 * 1024)
+            sock.settimeout(10.0)
+            sock.connect(("127.0.0.1", handle.port))
+            requests = b"".join(
+                struct.pack("!I", len(payload)) + payload
+                for payload in (
+                    json.dumps({"id": i, "op": "query", "view": "echo",
+                                "lo": blob, "hi": None}).encode()
+                    for i in range(count)
+                )
+            )
+            sender = threading.Thread(target=sock.sendall, args=(requests,),
+                                      daemon=True)
+            sender.start()
+            assert wait_until(lambda: not on_loop(edge)[0], timeout=10.0)
+            samples = []
+            for _ in range(20):
+                time.sleep(0.01)
+                samples.append(on_loop(edge))
+            # Nothing was read meanwhile: reading stays paused and the
+            # buffer holds a few replies, not all 12 MiB of them.
+            assert not any(reading for reading, _ in samples)
+            assert 0 < max(size for _, size in samples) < 8 * len(blob)
+
+            replies = [json.loads(raw_frame(sock)[4:]) for _ in range(count)]
+            sender.join(timeout=10.0)
+            assert not sender.is_alive()
+            assert wait_until(lambda: on_loop(edge) == (True, 0))
+        assert sorted(reply["id"] for reply in replies) == list(range(count))
+        assert all(reply["ok"] and reply["result"]["value"] == blob
+                   for reply in replies)
+
+
+class TestStopDrain:
+    def test_stop_fails_queued_calls_at_once_and_closes_connections(self, caplog):
+        # One worker blocked in the backend, a second request queued
+        # behind it: stop() used to answer the first, abandon the
+        # second with its socket open (the caller sat out its whole
+        # reply bound) and destroy the connection's pending task.
+        backend, handle = launch_stub(GatewayConfig(workers=1))
+        admission = handle.gateway.admission
+
+        async def go():
+            loop = asyncio.get_running_loop()
+            async with AsyncGatewayClient(
+                "127.0.0.1", handle.port, client="c", reply_timeout_s=8.0
+            ) as conn:
+                blocked = loop.create_task(conn.query("block", 0, None))
+                assert await loop.run_in_executor(
+                    None, wait_until,
+                    lambda: admission.stats()["inflight"] == 1
+                    and admission.queue.depth == 0,
+                )
+                queued = loop.create_task(conn.query("echo", 2, None))
+                assert await loop.run_in_executor(
+                    None, wait_until, lambda: admission.queue.depth == 1)
+                stopping = loop.run_in_executor(None, handle.stop)
+                assert await loop.run_in_executor(
+                    None, wait_until, handle.gateway._stopping.is_set)
+                backend.gate.set()
+                first = await blocked
+                await stopping
+                stopped = time.monotonic()
+                with pytest.raises(GatewayCallError,
+                                   match="gateway closed the connection"):
+                    await queued
+                return first, time.monotonic() - stopped
+
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            first, waited = asyncio.run(go())
+            gc.collect()
+        assert first.ok
+        assert waited < 2.0
+        assert admission.stats()["inflight"] == 0
+        assert admission.queue.depth == 0
+        assert "Task was destroyed" not in caplog.text
 
 
 class TestBoundedClientAwait:
