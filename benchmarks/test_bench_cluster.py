@@ -27,7 +27,8 @@ import json
 import os
 from pathlib import Path
 
-from repro.cluster.harness import DOMAIN, launch_demo, run_cluster_traffic
+from repro.cluster.harness import DOMAIN, launch_demo, partitioned_cluster_streams
+from repro.service.traffic import TrafficSummary, run_traffic
 
 #: Wall seconds per modelled millisecond inside each shard worker.
 #: Heavier than the thread benchmark's pacing: sleep-dominated runs
@@ -52,6 +53,15 @@ def merge_report(updates: dict) -> dict:
     return report
 
 
+def drive(router, n_threads: int, ops_per_thread: int) -> TrafficSummary:
+    """Each client thread replays its own commuting partitioned stream."""
+    return run_traffic(
+        router,
+        partitioned_cluster_streams(n_threads, ops_per_thread, N_RECORDS),
+        threads=n_threads,
+    )
+
+
 def measure(n_shards: int) -> dict:
     """Aggregate qps through the router at one shard count."""
     router = launch_demo(
@@ -60,17 +70,15 @@ def measure(n_shards: int) -> dict:
     try:
         # Warm the per-shard buffer pools and view materializations so
         # the timed window measures steady-state serving.
-        run_cluster_traffic(router, 2, 4, N_RECORDS)
-        summary = run_cluster_traffic(
-            router, CLIENT_THREADS, OPS_PER_THREAD, N_RECORDS
-        )
+        drive(router, 2, 4)
+        summary = drive(router, CLIENT_THREADS, OPS_PER_THREAD)
     finally:
         router.close()
     return {
-        "queries": summary["queries"],
-        "updates": summary["updates"],
-        "wall_s": round(summary["wall_seconds"], 4),
-        "qps": round(summary["qps"], 2),
+        "queries": summary.queries,
+        "updates": summary.updates,
+        "wall_s": round(summary.wall_seconds, 4),
+        "qps": round(summary.qps, 2),
     }
 
 
@@ -85,7 +93,7 @@ def final_answers(strategy: str, n_shards: int = 4) -> dict:
         n_shards, strategy=strategy, pacing=0.0, n_records=N_RECORDS
     )
     try:
-        run_cluster_traffic(router, 4, 18, N_RECORDS)
+        drive(router, 4, 18)
         router.refresh_epoch()
         tuples = router.query("by_a", 0, DOMAIN - 1, client="check")
         return {

@@ -22,17 +22,13 @@ from __future__ import annotations
 import json
 import os
 import random
-import threading
-import time
 from pathlib import Path
 
 from repro.core.strategies import Strategy
-from repro.engine.database import Database
 from repro.engine.transaction import Transaction, Update
 from repro.service.server import ViewServer
-from repro.storage.tuples import Schema
-from repro.views.definition import SelectProjectView
-from repro.views.predicate import IntervalPredicate
+from repro.service.spec import build_server
+from repro.service.traffic import Request, run_traffic
 from repro.workload.clients import exact_percentile
 
 #: Wall seconds per modelled millisecond (~10 ms sleep per typical op).
@@ -44,34 +40,36 @@ OUT_PATH = Path(__file__).parent / "BENCH_parallel.json"
 SCALE = float(os.environ.get("REPRO_PARALLEL_SCALE", "1.0"))
 OPS_PER_RELATION = max(6, int(24 * SCALE))
 
-SCHEMAS = [
-    Schema(f"r{i}", ("id", "a", "v"), "id", tuple_bytes=100)
-    for i in range(N_RELATIONS)
-]
-VIEWS = [
-    SelectProjectView(f"v{i}", f"r{i}", IntervalPredicate("a", 0, 9),
-                      ("id", "a"), "a")
-    for i in range(N_RELATIONS)
-]
 
-
-def build_server(strategy: Strategy, pacing: float = PACING) -> ViewServer:
-    database = Database(buffer_pages=512)
-    for schema in SCHEMAS:
+def make_spec(strategy: Strategy, pacing: float = PACING) -> dict:
+    """Eight single-view relations ``r0..r7`` with the same seeded data."""
+    relations, views = [], []
+    for i in range(N_RELATIONS):
         rng = random.Random(7)
-        records = [
-            schema.new_record(id=i, a=rng.randrange(20), v=rng.randrange(100))
-            for i in range(N_RECORDS)
-        ]
-        database.create_relation(schema, "a", kind="hypothetical",
-                                 records=records, ad_buckets=2)
-    server = ViewServer(database, pacing=pacing, lock_timeout=120.0)
-    for view in VIEWS:
-        server.register_view(view, strategy, adaptive=False)
-    return server
+        relations.append({
+            "name": f"r{i}", "fields": ["id", "a", "v"], "key_field": "id",
+            "tuple_bytes": 100, "clustered_on": "a", "kind": "hypothetical",
+            "ad_buckets": 2,
+            "records": [
+                {"id": k, "a": rng.randrange(20), "v": rng.randrange(100)}
+                for k in range(N_RECORDS)
+            ],
+        })
+        views.append({
+            "type": "select_project", "name": f"v{i}", "relation": f"r{i}",
+            "predicate": {"field": "a", "lo": 0, "hi": 9},
+            "projection": ["id", "a"], "view_key": "a",
+            "strategy": strategy.value,
+        })
+    return {"buffer_pages": 512, "pacing": pacing, "lock_timeout": 120.0,
+            "relations": relations, "views": views}
 
 
-def make_streams() -> list[list[tuple[str, tuple[int, int]]]]:
+def make_server(strategy: Strategy, pacing: float = PACING) -> ViewServer:
+    return build_server(make_spec(strategy, pacing))
+
+
+def make_streams() -> list[list[Request]]:
     """One deterministic mixed op stream per relation (2:1 query:update)."""
     streams = []
     for rel_idx in range(N_RELATIONS):
@@ -79,10 +77,12 @@ def make_streams() -> list[list[tuple[str, tuple[int, int]]]]:
         ops = []
         for step in range(OPS_PER_RELATION):
             if step % 3 == 0:
-                ops.append(("update", (rng.randrange(N_RECORDS),
-                                       rng.randrange(1000))))
+                key, value = rng.randrange(N_RECORDS), rng.randrange(1000)
+                ops.append(Request("anon", "update", txn=Transaction.of(
+                    f"r{rel_idx}", [Update(key, {"v": value})])))
             else:
-                ops.append(("query", (0, 9)))
+                ops.append(Request("anon", "query", view=f"v{rel_idx}",
+                                   lo=0, hi=9))
         streams.append(ops)
     return streams
 
@@ -90,48 +90,11 @@ def make_streams() -> list[list[tuple[str, tuple[int, int]]]]:
 def drive(server: ViewServer, streams, n_threads: int) -> dict:
     """Run every stream to completion on ``n_threads`` workers
     (thread t owns the relations with index ≡ t mod n_threads)."""
-    queries = 0
-    latencies_ms: list[float] = []
-    count_lock = threading.Lock()
-    errors: list[Exception] = []
-
-    def worker(thread_idx: int) -> None:
-        nonlocal queries
-        done = 0
-        mine: list[float] = []
-        try:
-            for rel_idx in range(thread_idx, N_RELATIONS, n_threads):
-                relation = SCHEMAS[rel_idx].name
-                view = VIEWS[rel_idx].name
-                for op, payload in streams[rel_idx]:
-                    if op == "update":
-                        key, value = payload
-                        server.apply_update(Transaction.of(
-                            relation, [Update(key, {"v": value})]))
-                    else:
-                        began = time.perf_counter()
-                        server.query(view, *payload)
-                        mine.append((time.perf_counter() - began) * 1000.0)
-                        done += 1
-        except Exception as exc:  # pragma: no cover - surfaced below
-            errors.append(exc)
-        with count_lock:
-            queries += done
-            latencies_ms.extend(mine)
-
-    threads = [threading.Thread(target=worker, args=(t,), daemon=True)
-               for t in range(n_threads)]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(600)
-        assert not t.is_alive(), "benchmark worker wedged"
-    wall = time.perf_counter() - start
-    assert not errors, errors
-    point = {"queries": queries, "wall_s": round(wall, 4),
-             "qps": round(queries / wall, 2)}
-    p95 = exact_percentile(latencies_ms, 0.95)
+    summary = run_traffic(server, streams, threads=n_threads, join_timeout=600.0)
+    point = {"queries": summary.queries,
+             "wall_s": round(summary.wall_seconds, 4),
+             "qps": round(summary.queries / summary.wall_seconds, 2)}
+    p95 = exact_percentile(summary.query_ms, 0.95)
     if p95 is not None:
         # Pacing makes per-query wall latency machine-comparable, so
         # the regression gate can bound p95 alongside qps.
@@ -145,12 +108,12 @@ def check_equivalence() -> int:
     streams = make_streams()
     finals = {}
     for strategy in (Strategy.DEFERRED, Strategy.IMMEDIATE):
-        server = build_server(strategy, pacing=0.0)
+        server = make_server(strategy, pacing=0.0)
         drive(server, streams, n_threads=4)
         finals[strategy] = [
             sorted((t.values["id"], t.values["a"])
-                   for t in server.query(view.name, 0, 9))
-            for view in VIEWS
+                   for t in server.query(view, 0, 9))
+            for view in server.views()
         ]
     return sum(
         1 for a, b in zip(finals[Strategy.DEFERRED], finals[Strategy.IMMEDIATE])
@@ -162,7 +125,7 @@ def test_parallel_throughput_scales_and_strategies_agree():
     streams = make_streams()
     per_thread = {}
     for n_threads in THREAD_COUNTS:
-        server = build_server(Strategy.DEFERRED)
+        server = make_server(Strategy.DEFERRED)
         per_thread[str(n_threads)] = drive(server, streams, n_threads)
 
     violations = check_equivalence()

@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 from pathlib import Path
 from typing import Any
 
@@ -45,7 +44,6 @@ def run_lock_order_harness(
     operations: int = 240,
     threads: int = 4,
     seed: int = 7,
-    capture_stacks: bool = True,
 ) -> dict[str, Any]:
     """Drive the serving stack's lock hierarchy and record the order graph.
 
@@ -66,28 +64,13 @@ def run_lock_order_harness(
     phases = (PhaseSpec(update_probability=0.3, operations=operations,
                         batch_size=4),)
     requests = drifting_traffic(demo, phases, seed=seed)
-    slices = [requests[i::threads] for i in range(threads)]
-    errors: list[BaseException] = []
-
-    with recording(capture_stacks=capture_stacks) as recorder:
-        def worker(index: int) -> None:
-            try:
-                run_traffic(demo.server, slices[index])
-            except BaseException as exc:  # surfaced after join
-                errors.append(exc)
-
-        pool = [
-            threading.Thread(target=worker, args=(i,), daemon=True)
-            for i in range(threads)
-        ]
-        for thread in pool:
-            thread.start()
-        for thread in pool:
-            thread.join(timeout=120.0)
+    with recording() as recorder:
+        run_traffic(
+            demo.server, [requests[i::threads] for i in range(threads)],
+            threads=threads,
+        )
         demo.server.refresh_all_stale()
         report = recorder.report()
-    if errors:
-        raise errors[0]
     report["harness"] = {
         "operations": operations, "threads": threads, "seed": seed,
     }

@@ -408,7 +408,7 @@ class DeadlineThreadingRule(Rule):
 # seeded-determinism
 # ----------------------------------------------------------------------
 class SeededDeterminismRule(Rule):
-    """Chaos, fault and experiment code must be replayable from a seed.
+    """Chaos, fault, demo and experiment code must be replayable from a seed.
 
     In the scoped packages: no module-level ``random.*`` calls (the
     shared global RNG makes schedules irreproducible), no unseeded
@@ -424,7 +424,12 @@ class SeededDeterminismRule(Rule):
     )
     scopes = (
         "repro.cluster.chaos",
+        # The demo data and every request-stream generator the
+        # experiments and the paced benchmark series are seeded from.
+        "repro.service.spec",
+        "repro.service.traffic",
         "repro.cluster.harness",
+        "repro.workload.clients",
         "repro.durability.faults",
         "repro.resilience",
         "repro.experiments",

@@ -20,11 +20,16 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import DOMAIN, launch_demo, run_cluster_traffic
+from repro.service.traffic import run_traffic
+from .harness import (
+    DOMAIN,
+    add_stack_args,
+    partitioned_cluster_streams,
+    stack_from_args,
+)
+from .router import ClusterRouter
 
 __all__ = ["main"]
-
-_STRATEGIES = ("deferred", "immediate", "qm_clustered")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -33,98 +38,41 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Serve a sharded multi-process materialized-view cluster "
         "behind a scatter-gather router (Hanson, SIGMOD 1987).",
     )
-    parser.add_argument("--shards", type=int, default=2, metavar="N",
-                        help="shard worker processes (default 2)")
-    parser.add_argument("--scheme", choices=("range", "hash"), default="range",
-                        help="tuple placement: key range (prunable routing) "
-                        "or consistent hash (default range)")
-    parser.add_argument("--strategy", choices=_STRATEGIES, default="deferred",
-                        help="maintenance strategy on every shard "
-                        "(default deferred)")
-    parser.add_argument("--records", type=int, default=480,
-                        help="tuples in the demo relation (default 480)")
     parser.add_argument("--threads", type=int, default=4,
                         help="concurrent client threads (default 4)")
     parser.add_argument("--ops", type=int, default=60, metavar="N",
                         help="operations per client thread (default 60)")
-    parser.add_argument("--pacing", type=float, default=0.0, metavar="S",
-                        help="wall seconds per modelled ms inside each worker "
-                        "(default 0: as fast as possible)")
-    parser.add_argument("--seed", type=int, default=17,
-                        help="seed for data and traffic (default 17)")
-    parser.add_argument("--replicas", type=int, default=0, metavar="N",
-                        help="replica workers per shard beyond the primary "
-                        "(default 0: unreplicated)")
-    parser.add_argument("--supervise", action="store_true",
-                        help="attach the health-checking supervisor "
-                        "(heartbeats, failover promotion, replica respawn); "
-                        "implied by --replicas > 0")
-    parser.add_argument("--router-cache", action="store_true",
-                        help="cache merged cross-shard results at the router")
-    parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="per-shard durability directories under DIR "
-                        "(DIR/shard-000, DIR/shard-001, ...)")
     parser.add_argument("--json", action="store_true",
                         help="print the aggregated cluster metrics export "
                         "(schema v1) instead of the summary")
     parser.add_argument("--shard-map-out", type=Path, default=None,
                         metavar="FILE",
                         help="also write the versioned shard map JSON to FILE")
-    parser.add_argument("--listen", default=None, metavar="HOST:PORT",
-                        help="serve the cluster over TCP via the repro.gateway "
-                        "front door instead of running local traffic "
-                        "(admission knobs: repro-gateway serve)")
-    parser.add_argument("--listen-duration", type=float, default=None,
-                        metavar="S", help="with --listen: serve for S seconds "
-                        "then exit (default: until ^C)")
+    add_stack_args(parser, "cluster")
+    # The key range of the traffic below is the demo's default size.
+    parser.set_defaults(shards=2, records=480)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.shards < 1:
-        print(f"--shards must be >= 1, got {args.shards}", file=sys.stderr)
-        return 2
     if args.threads < 1:
         print(f"--threads must be >= 1, got {args.threads}", file=sys.stderr)
         return 2
-    if args.replicas < 0:
-        print(f"--replicas must be >= 0, got {args.replicas}", file=sys.stderr)
+    try:
+        router = stack_from_args(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    router = launch_demo(
-        args.shards,
-        strategy=args.strategy,
-        scheme=args.scheme,
-        pacing=args.pacing,
-        router_cache=args.router_cache,
-        n_records=args.records,
-        seed=args.seed,
-        state_dir=args.state_dir,
-        replicas=args.replicas,
-        supervise=args.supervise or args.replicas > 0,
-    )
+    assert isinstance(router, ClusterRouter)
     try:
         if args.shard_map_out is not None:
             args.shard_map_out.parent.mkdir(parents=True, exist_ok=True)
             args.shard_map_out.write_text(router.shard_map.to_json(indent=2) + "\n")
-        if args.listen is not None:
-            # Thin shim: one network entry point — the gateway fronts
-            # the scatter-gather router.
-            from repro.gateway.cli import parse_listen, serve_until_interrupted
-            from repro.gateway.server import ClusterBackend
-
-            try:
-                host, port = parse_listen(args.listen)
-            except ValueError as exc:
-                print(f"invalid --listen: {exc}", file=sys.stderr)
-                return 2
-            return serve_until_interrupted(
-                ClusterBackend(router), host, port,
-                duration=args.listen_duration,
-            )
-        summary = run_cluster_traffic(
-            router, args.threads, args.ops, args.records
+        summary = run_traffic(
+            router,
+            partitioned_cluster_streams(args.threads, args.ops, args.records),
+            threads=args.threads,
         )
         router.refresh_epoch()
         stats = router.stats()
@@ -141,9 +89,9 @@ def main(argv: list[str] | None = None) -> int:
             f"map v{router.shard_map.version}{replication}"
         )
         print(
-            f"served {summary['ops']} requests ({summary['queries']} queries, "
-            f"{summary['updates']} updates) from {args.threads} threads "
-            f"in {summary['wall_seconds']:.2f}s -> {summary['qps']:.0f} qps "
+            f"served {summary.operations} requests ({summary.queries} queries, "
+            f"{summary.updates} updates) from {args.threads} threads "
+            f"in {summary.wall_seconds:.2f}s -> {summary.qps:.0f} qps "
             f"aggregate"
         )
         print(

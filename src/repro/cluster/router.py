@@ -129,6 +129,7 @@ class ClusterRouter:
         directory: dict[tuple[str, Any], int],
         cache: QueryResultCache | None = None,
         rpc_timeout: float = 30.0,
+        key_fields: Mapping[str, str] | None = None,
     ) -> None:
         self.shard_map = shard_map
         #: One :class:`ReplicaSet` per shard id, in shard order.
@@ -144,6 +145,9 @@ class ClusterRouter:
         #: ``_directory_lock``; cross-shard moves mutate it.
         self._directory = directory
         self._directory_lock = threading.Lock()
+        #: relation -> primary-key field: where an insert document
+        #: carries the key its directory entry is filed under.
+        self._key_fields = dict(key_fields or {})
         #: Cluster refresh-epoch coalescing (the planner's leader /
         #: follower pattern lifted one level up).
         self._epoch_lock = threading.Lock()
@@ -205,7 +209,7 @@ class ClusterRouter:
     ) -> "ClusterRouter":
         """Partition a cluster spec and launch one replica set per shard.
 
-        ``spec`` is a worker spec (see :mod:`repro.cluster.worker`)
+        ``spec`` is a stack spec (see :mod:`repro.service.spec`)
         whose relation ``records`` hold the *whole* data set; this
         splits every relation by the shard map's partition field,
         builds per-shard specs (with per-shard ``state_dir``
@@ -241,6 +245,9 @@ class ClusterRouter:
         router = cls(
             shard_map, [], views, directory,
             cache=cache, rpc_timeout=rpc_timeout,
+            key_fields={
+                rel["name"]: rel["key_field"] for rel in spec.get("relations", ())
+            },
         )
         try:
             for shard in range(shard_map.n_shards):
@@ -528,12 +535,30 @@ class ClusterRouter:
     ) -> None:
         """Route one transaction's operations to their owning shards.
 
-        Operations that stay within a shard are batched per shard and
-        applied as one transaction there (concurrently across shards).
-        An update that changes the partition field across a boundary is
-        executed as a fetch + insert + delete move; pending batches for
-        the involved shards are flushed first so per-key operation
-        order is preserved.
+        Encodes the operations and hands them to
+        :meth:`apply_documents`, which is where the routing happens.
+        """
+        self.apply_documents(
+            txn.relation, (encode_operation(op) for op in txn.operations),
+            client=client, timeout=timeout,
+        )
+
+    def apply_documents(
+        self,
+        relation: str,
+        ops: Iterable[dict[str, Any]],
+        client: str = "anon",
+        timeout: float | None = None,
+    ) -> None:
+        """Route one transaction, given as wire operation documents.
+
+        The write entry for callers that already hold documents (the
+        gateway).  Operations that stay within a shard are batched per
+        shard and applied as one transaction there (concurrently across
+        shards).  An update that changes the partition field across a
+        boundary is executed as a fetch + insert + delete move; pending
+        batches for the involved shards are flushed first so per-key
+        operation order is preserved.
 
         ``timeout`` is the caller's remaining deadline budget (the
         gateway passes what is left of ``deadline_ms``); it bounds
@@ -541,7 +566,6 @@ class ClusterRouter:
         back to each shard client's construction-time default.
         """
         field = self.shard_map.partition_field
-        relation = txn.relation
         with self._in_flight():
             pending: dict[int, list[dict[str, Any]]] = {}
             # Directory mutations are *staged*, not applied: the
@@ -552,19 +576,26 @@ class ClusterRouter:
             # leave phantom entries that misroute later updates.
             staged: dict[int, list[tuple[Any, int | None]]] = {}
             overlay: dict[tuple[str, Any], int | None] = {}
-            for op in txn.operations:
-                doc = encode_operation(op)
-                if doc["kind"] == "insert":
+            for doc in ops:
+                kind = doc.get("kind")
+                if kind == "insert":
+                    key_field = self._key_fields.get(relation)
+                    if key_field is None:
+                        raise ClusterError(
+                            f"relation {relation!r} is not served by this cluster"
+                        )
                     shard = self.shard_map.shard_of(doc["values"][field])
-                    key = op.record.key
+                    key = doc["values"][key_field]
                     overlay[(relation, key)] = shard
                     staged.setdefault(shard, []).append((key, shard))
                     pending.setdefault(shard, []).append(doc)
-                elif doc["kind"] == "delete":
+                elif kind == "delete":
                     shard = self._owner(relation, doc["key"], overlay)
                     overlay[(relation, doc["key"])] = None
                     staged.setdefault(shard, []).append((doc["key"], None))
                     pending.setdefault(shard, []).append(doc)
+                elif kind != "update":
+                    raise ClusterError(f"unknown operation kind {kind!r}")
                 else:
                     shard = self._owner(relation, doc["key"], overlay)
                     changes = doc["changes"]

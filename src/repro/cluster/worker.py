@@ -5,55 +5,45 @@ A worker hosts a complete :class:`~repro.service.server.ViewServer`
 slice of every base relation, and speaks the framed RPC protocol of
 :mod:`repro.cluster.rpc` over a socket inherited from the router.
 
-Everything a worker needs is described by a plain-dict *worker spec*
-(picklable, JSON-able), so the same spec document drives the in-process
-test harness, the forked benchmark workers and the ``repro-cluster``
-CLI.  Views are registered with ``adaptive=False`` inside workers: a
-strategy migration must be a cluster-wide decision (all shards answer
-under the same strategy or the equivalence guarantee means nothing),
-so per-shard routers stay off.
+Everything a worker needs is described by its slice of the stack's spec
+(a plain dict, picklable and JSON-able; see :mod:`repro.service.spec`),
+built by the same :func:`~repro.service.spec.build_server` that stands
+the whole spec up in one process.  Workers are built without a router,
+so their views never adapt: a strategy migration must be a cluster-wide
+decision (all shards answer under the same strategy or the equivalence
+guarantee means nothing).
 """
 
 from __future__ import annotations
 
 import signal
 import socket
-from pathlib import Path
 from typing import Any, Mapping
 
-from repro.core.strategies import Strategy
-from repro.engine.database import Database
 from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
 from repro.hr.differential import HypotheticalRelation
 from repro.resilience.degradation import DegradedResult
-from repro.service.cache import QueryResultCache
-from repro.service.scheduler import RefreshPolicy
 from repro.service.server import ViewServer
+from repro.service.spec import build_server
 from repro.storage.tuples import Schema
-from repro.views.definition import (
-    AggregateView,
-    JoinView,
-    SelectProjectView,
-    ViewTuple,
-)
-from repro.views.predicate import IntervalPredicate, TruePredicate
+from repro.views.definition import ViewTuple
 from .rpc import FrameParser, send_frame
 
 __all__ = [
     "WorkerSpecError",
     "DeltaGapError",
     "WorkerState",
-    "build_server",
     "worker_main",
     "encode_operation",
     "decode_operation",
+    "apply_documents",
     "encode_answer",
     "decode_answer",
 ]
 
 
 class WorkerSpecError(ValueError):
-    """A worker spec document is malformed or unsupported."""
+    """A wire document names an operation or op the worker does not know."""
 
 
 class DeltaGapError(RuntimeError):
@@ -98,6 +88,23 @@ def decode_operation(schema: Schema, doc: Mapping[str, Any]) -> Operation:
     raise WorkerSpecError(f"unknown operation kind {kind!r}")
 
 
+def apply_documents(
+    server: ViewServer, relation: str, ops: Any, client: str
+) -> int:
+    """Apply wire operation documents as one transaction; returns its size.
+
+    How every in-process server takes a write off the wire: a shard
+    worker (``update`` / ``apply_delta``) and the gateway's
+    ``ViewServerBackend`` alike.
+    """
+    schema = server.database.relations[relation].schema
+    txn = Transaction.of(
+        relation, [decode_operation(schema, doc) for doc in ops]
+    )
+    server.apply_update(txn, client=client)
+    return len(txn)
+
+
 def encode_answer(answer: Any) -> dict[str, Any]:
     """Flatten a ViewServer answer (tuples, scalar, or degraded) to JSON."""
     degraded = None
@@ -129,92 +136,8 @@ def decode_answer(doc: Mapping[str, Any]) -> tuple[Any, dict[str, Any] | None]:
 
 
 # ----------------------------------------------------------------------
-# spec -> server
-# ----------------------------------------------------------------------
-def _predicate_of(doc: Mapping[str, Any] | None) -> Any:
-    if doc is None:
-        return TruePredicate()
-    return IntervalPredicate(
-        doc["field"], doc["lo"], doc["hi"], doc.get("selectivity")
-    )
-
-
-def _definition_of(doc: Mapping[str, Any]) -> Any:
-    kind = doc.get("type")
-    if kind == "select_project":
-        return SelectProjectView(
-            doc["name"], doc["relation"], _predicate_of(doc.get("predicate")),
-            tuple(doc["projection"]), doc["view_key"],
-        )
-    if kind == "aggregate":
-        return AggregateView(
-            doc["name"], doc["relation"], _predicate_of(doc.get("predicate")),
-            doc["aggregate"], doc["field"],
-        )
-    if kind == "join":
-        return JoinView(
-            doc["name"], doc["outer"], doc["inner"], doc["join_field"],
-            _predicate_of(doc.get("predicate")),
-            tuple(doc["outer_projection"]), tuple(doc["inner_projection"]),
-            doc["view_key"],
-        )
-    raise WorkerSpecError(f"unknown view type {kind!r}")
-
-
-def build_server(spec: Mapping[str, Any]) -> ViewServer:
-    """Materialize one shard's serving stack from a worker spec.
-
-    The spec's ``records`` lists hold only this shard's partition —
-    the router does the partitioning before forking workers.
-    """
-    database = Database(buffer_pages=int(spec.get("buffer_pages", 256)))
-    for rel in spec.get("relations", ()):
-        schema = Schema(
-            rel["name"], tuple(rel["fields"]), rel["key_field"],
-            tuple_bytes=int(rel.get("tuple_bytes", 100)),
-        )
-        records = [schema.new_record(**values) for values in rel.get("records", ())]
-        database.create_relation(
-            schema, rel["clustered_on"], kind=rel.get("kind", "hypothetical"),
-            records=records, ad_buckets=int(rel.get("ad_buckets", 2)),
-        )
-    server = ViewServer(
-        database,
-        cache=QueryResultCache() if spec.get("cache") else None,
-        pacing=float(spec.get("pacing", 0.0)),
-        lock_timeout=spec.get("lock_timeout", 30.0),
-    )
-    for view in spec.get("views", ()):
-        server.register_view(
-            _definition_of(view), Strategy(view["strategy"]),
-            adaptive=False, policy=RefreshPolicy.from_doc(view.get("policy")),
-        )
-    state_dir = spec.get("state_dir")
-    if state_dir is not None:
-        from repro.durability.manager import DurabilityManager
-
-        manager = DurabilityManager(Path(state_dir))
-        server.attach_durability(
-            manager, checkpoint_every=spec.get("checkpoint_every")
-        )
-        server.checkpoint()
-    return server
-
-
-# ----------------------------------------------------------------------
 # the serve loop
 # ----------------------------------------------------------------------
-def _apply_ops(
-    server: ViewServer, relation: str, ops: Any, client: str
-) -> int:
-    schema = server.database.relations[relation].schema
-    txn = Transaction.of(
-        relation, [decode_operation(schema, doc) for doc in ops]
-    )
-    server.apply_update(txn, client=client)
-    return len(txn)
-
-
 def _handle(
     server: ViewServer,
     op: str,
@@ -233,7 +156,7 @@ def _handle(
         if isinstance(epoch, int) and epoch <= state.applied_epoch:
             return {"applied": 0, "epoch": state.applied_epoch,
                     "duplicate": True}
-        applied = _apply_ops(
+        applied = apply_documents(
             server, request["relation"], request["ops"],
             request.get("client", "router"),
         )
@@ -252,7 +175,7 @@ def _handle(
                 f"delta epoch {epoch} skips ahead of applied "
                 f"{state.applied_epoch}; replica needs a snapshot bootstrap"
             )
-        applied = _apply_ops(
+        applied = apply_documents(
             server, request["relation"], request["ops"],
             request.get("client", "replication"),
         )

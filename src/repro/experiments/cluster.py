@@ -11,7 +11,8 @@ so the speedup measures process parallelism past the GIL (see
 
 from __future__ import annotations
 
-from repro.cluster.harness import launch_demo, run_cluster_traffic
+from repro.cluster.harness import launch_demo, partitioned_cluster_streams
+from repro.service.traffic import run_traffic
 from .series import TableData
 
 __all__ = [
@@ -76,24 +77,25 @@ def cluster_scaling_table(
             n_shards, strategy="deferred", pacing=pacing, n_records=N_RECORDS
         )
         try:
-            run_cluster_traffic(router, 2, 4, N_RECORDS)  # warm-up
-            summary = run_cluster_traffic(
-                router, CLIENT_THREADS, OPS_PER_THREAD, N_RECORDS
-            )
+            for threads, ops in ((2, 4), (CLIENT_THREADS, OPS_PER_THREAD)):
+                summary = run_traffic(  # the first, short pass warms up
+                    router, partitioned_cluster_streams(threads, ops, N_RECORDS),
+                    threads=threads,
+                )
             router.refresh_epoch()
             single, scatter = _routing_mix(router.cluster_metrics())
             epochs = router.stats()["epochs"]
         finally:
             router.close()
         if baseline_qps is None:
-            baseline_qps = summary["qps"]
-        speedup = summary["qps"] / baseline_qps if baseline_qps else 0.0
+            baseline_qps = summary.qps
+        speedup = summary.qps / baseline_qps if baseline_qps else 0.0
         rows.append((
             n_shards,
-            summary["queries"],
-            summary["updates"],
-            round(summary["wall_seconds"], 2),
-            round(summary["qps"], 1),
+            summary.queries,
+            summary.updates,
+            round(summary.wall_seconds, 2),
+            round(summary.qps, 1),
             f"{speedup:.2f}x",
             single,
             scatter,

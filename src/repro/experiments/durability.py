@@ -27,7 +27,6 @@ runs as JSON; CI uploads that file as the ``ext-durability`` artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
@@ -43,6 +42,7 @@ from repro.durability.faults import (
     make_workload,
 )
 from repro.durability.manager import DurabilityManager
+from .acceptance import acceptance_main
 from .series import TableData
 
 __all__ = [
@@ -224,36 +224,20 @@ def durability_table(
     )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="ext-durability: durability overhead per strategy"
-    )
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write runs + table as a JSON document")
+def _add_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--transactions", type=int, default=60)
     parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
 
-    runs = run_durability_comparison(
-        transactions=args.transactions, seed=args.seed
+
+def main(argv: list[str] | None = None) -> int:
+    return acceptance_main(
+        argv, "ext-durability: durability overhead per strategy",
+        _add_args, run_durability_comparison,
+        lambda runs: durability_table(runs=runs),
+        to_doc=lambda runs: {"runs": [
+            {**asdict(run), "recovery_ms": run.recovery_ms} for run in runs
+        ]},
     )
-    table = durability_table(runs=runs)
-    print(table.render())
-    if args.json:
-        doc = {
-            "experiment": "ext-durability",
-            "title": table.title,
-            "columns": list(table.columns),
-            "rows": [list(row) for row in table.rows],
-            "notes": table.notes,
-            "runs": [
-                {**asdict(run), "recovery_ms": run.recovery_ms}
-                for run in runs
-            ],
-        }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

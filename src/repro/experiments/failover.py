@@ -34,7 +34,7 @@ shorter windows) and uploads the document as an artifact.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import random
 import sys
 import threading
@@ -51,16 +51,15 @@ from repro.cluster.harness import (
 )
 from repro.cluster.replication import ReplicationConfig
 from repro.cluster.rpc import ShardTimeout
-from repro.cluster.worker import build_server
 from repro.engine.transaction import Transaction, Update
 from repro.gateway import (
     AdmissionConfig,
     ClusterBackend,
     GatewayConfig,
     GatewayHandle,
-    REJECTION_LABELS,
 )
 from repro.resilience.degradation import DegradedResult
+from repro.service.spec import build_server
 from repro.workload.clients import (
     LoadReport,
     OpenLoopConfig,
@@ -69,6 +68,7 @@ from repro.workload.clients import (
     run_closed_loop,
     run_open_loop,
 )
+from .acceptance import acceptance_main, fmt_ms
 from .series import TableData
 
 __all__ = [
@@ -106,9 +106,6 @@ CHAOS_REPLICATION = ReplicationConfig(
     respawn=True,
 )
 
-_ALLOWED_OUTCOMES = (
-    frozenset(("ok", "ok_retry", "degraded")) | frozenset(REJECTION_LABELS)
-)
 _SERVED = ("ok", "ok_retry")
 
 
@@ -328,8 +325,7 @@ def run_failover(
         supervise=True,
     )
     factory = demo_request_factory(
-        tuples_view="by_a", total_view="total",
-        view_bound=DOMAIN, query_fraction=1.0,
+        demo_spec(n_records=N_RECORDS, seed=seed), query_fraction=1.0
     )
     config = GatewayConfig(
         admission=AdmissionConfig(max_queue=256, client_concurrency=None),
@@ -415,8 +411,6 @@ def run_failover(
     finally:
         router.close()
 
-    import os
-
     orphans = []
     for pid in worker_pids:
         try:
@@ -455,10 +449,10 @@ def check_acceptance(run: FailoverRun) -> list[str]:
         violations.append(
             f"{len(report.wrong)} wrong results, e.g. {report.wrong[0]}"
         )
-    unknown = set(report.outcomes) - _ALLOWED_OUTCOMES
+    unknown = report.unexpected_outcomes()
     if unknown:
         violations.append(
-            f"unexpected outcome labels: {sorted(unknown)} "
+            f"unexpected outcome labels: {unknown} "
             "(a kill must surface as retry/degraded/rejection, never error)"
         )
     if not run.kills:
@@ -541,7 +535,7 @@ def failover_table(run: FailoverRun | None = None) -> TableData:
         rows.append((
             f"kill primary s{kill['shard']}",
             f"{kill['at_s']:.1f}",
-            _fmt_ms(kill["failover_ms"]),
+            fmt_ms(kill["failover_ms"]),
             kill["window_samples"],
             kill["window_disrupted"],
             counters.get("promotions", 0),
@@ -575,49 +569,22 @@ def failover_table(run: FailoverRun | None = None) -> TableData:
     )
 
 
-def _fmt_ms(value: float | None) -> str:
-    return f"{value:.0f}" if value is not None else "-"
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="ext-failover: primary kills under live gateway load"
-    )
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write phases + verdicts as a JSON document")
-    parser.add_argument("--duration", type=float, default=6.0,
+def _add_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--duration", dest="duration_s", type=float, default=6.0,
                         help="open-loop chaos window in seconds")
-    parser.add_argument("--probe", type=float, default=1.5,
+    parser.add_argument("--probe", dest="probe_s", type=float, default=1.5,
                         help="closed-loop saturation probe window in seconds")
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--reduced", action="store_true",
                         help="CI smoke mode: one kill, shorter windows")
-    args = parser.parse_args(argv)
 
-    run = run_failover(
-        duration_s=args.duration, probe_s=args.probe,
-        seed=args.seed, reduced=args.reduced,
+
+def main(argv: list[str] | None = None) -> int:
+    return acceptance_main(
+        argv, "ext-failover: primary kills under live gateway load",
+        _add_args, run_failover, failover_table,
+        to_doc=lambda run: {"run": run.to_dict()}, check=check_acceptance,
     )
-    table = failover_table(run=run)
-    print(table.render())
-    violations = check_acceptance(run)
-    for violation in violations:
-        print(f"ACCEPTANCE VIOLATION: {violation}", file=sys.stderr)
-    if args.json:
-        from pathlib import Path
-
-        doc = {
-            "experiment": "ext-failover",
-            "title": table.title,
-            "columns": list(table.columns),
-            "rows": [list(row) for row in table.rows],
-            "notes": table.notes,
-            "acceptance_violations": violations,
-            "run": run.to_dict(),
-        }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    return 1 if violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

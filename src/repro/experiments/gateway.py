@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import json
 import sys
 from dataclasses import dataclass
 from typing import Any
@@ -39,7 +38,6 @@ from repro.gateway import (
     AdmissionConfig,
     GatewayConfig,
     GatewayHandle,
-    REJECTION_LABELS,
     ViewServerBackend,
     call_once,
 )
@@ -52,6 +50,7 @@ from repro.workload.clients import (
     run_closed_loop,
     run_open_loop,
 )
+from .acceptance import acceptance_main, fmt_ms
 from .series import TableData
 
 __all__ = [
@@ -74,11 +73,6 @@ DEADLINE_MS = 600.0
 QUEUE_CAP = 16
 GLOBAL_BURST = 8
 CLIENT_CONCURRENCY = 64
-
-#: Outcomes an overload run is allowed to produce.
-_ALLOWED_OUTCOMES = (
-    frozenset(("ok", "ok_retry", "degraded")) | frozenset(REJECTION_LABELS)
-)
 
 
 @dataclass
@@ -147,7 +141,7 @@ def run_overload(
 ) -> GatewayOverloadRun:
     demo = demo_server(seed=seed, pacing=PACING)
     backend = ViewServerBackend(demo.server)
-    factory = demo_request_factory()
+    factory = demo_request_factory(demo.spec)
 
     # Phases 1–2: saturation probes through a wide-open gateway.
     probe_cfg = GatewayConfig(
@@ -262,9 +256,9 @@ def check_acceptance(run: GatewayOverloadRun) -> list[str]:
             "2x offered load produced no labeled rejections — admission "
             "control never engaged"
         )
-    unknown = set(report.outcomes) - _ALLOWED_OUTCOMES
+    unknown = report.unexpected_outcomes()
     if unknown:
-        violations.append(f"unexpected outcome labels: {sorted(unknown)}")
+        violations.append(f"unexpected outcome labels: {unknown}")
 
     ok_summary = run.metrics_summary.get("ok", {})
     for field in ("p50_ms", "p95_ms", "p99_ms"):
@@ -288,9 +282,9 @@ def gateway_table(run: GatewayOverloadRun | None = None) -> TableData:
             report.ok,
             report.rejected,
             report.outcomes.get("expired", 0),
-            _fmt_ms(report.percentile("ok", 0.50)),
-            _fmt_ms(report.percentile("ok", 0.95)),
-            _fmt_ms(report.percentile("ok", 0.99)),
+            fmt_ms(report.percentile("ok", 0.50)),
+            fmt_ms(report.percentile("ok", 0.95)),
+            fmt_ms(report.percentile("ok", 0.99)),
             len(report.wrong),
         )
 
@@ -323,45 +317,20 @@ def gateway_table(run: GatewayOverloadRun | None = None) -> TableData:
     )
 
 
-def _fmt_ms(value: float | None) -> str:
-    return f"{value:.0f}" if value is not None else "-"
+def _add_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--duration", dest="duration_s", type=float, default=2.0,
+                        help="open-loop overload window in seconds")
+    parser.add_argument("--probe", dest="probe_s", type=float, default=1.5,
+                        help="closed-loop saturation probe window in seconds")
+    parser.add_argument("--seed", type=int, default=7)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="ext-gateway: overload behaviour of the network front door"
+    return acceptance_main(
+        argv, "ext-gateway: overload behaviour of the network front door",
+        _add_args, run_overload, gateway_table,
+        to_doc=lambda run: {"run": run.to_dict()}, check=check_acceptance,
     )
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write phases + summaries as a JSON document")
-    parser.add_argument("--duration", type=float, default=2.0,
-                        help="open-loop overload window in seconds")
-    parser.add_argument("--probe", type=float, default=1.5,
-                        help="closed-loop saturation probe window in seconds")
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args(argv)
-
-    run = run_overload(duration_s=args.duration, probe_s=args.probe,
-                       seed=args.seed)
-    table = gateway_table(run=run)
-    print(table.render())
-    violations = check_acceptance(run)
-    for violation in violations:
-        print(f"ACCEPTANCE VIOLATION: {violation}", file=sys.stderr)
-    if args.json:
-        from pathlib import Path
-
-        doc = {
-            "experiment": "ext-gateway",
-            "title": table.title,
-            "columns": list(table.columns),
-            "rows": [list(row) for row in table.rows],
-            "notes": table.notes,
-            "acceptance_violations": violations,
-            "run": run.to_dict(),
-        }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    return 1 if violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

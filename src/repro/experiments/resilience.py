@@ -36,18 +36,24 @@ matrix as JSON; CI uploads it as the ``ext-resilience`` artifact.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import tempfile
 from dataclasses import asdict, dataclass
 from typing import Any
 
 from repro.core.strategies import Strategy
-from repro.durability.manager import DurabilityManager
 from repro.resilience.degradation import DegradedResult
 from repro.resilience.faults import fault_profile
 from repro.resilience.policy import ResilienceConfig, RetryPolicy
-from repro.service.traffic import PhaseSpec, demo_server, drifting_traffic
+from repro.service.traffic import (
+    PhaseSpec,
+    Request,
+    ServiceDemo,
+    demo_server,
+    drifting_traffic,
+    run_traffic,
+)
+from .acceptance import acceptance_main
 from .series import TableData
 
 __all__ = [
@@ -108,7 +114,10 @@ def _normalize(answer: Any) -> Any:
     return answer
 
 
-def _build_demo(profile_name: str | None, strategy: Strategy, resilient: bool):
+def _build_demo(
+    profile_name: str | None, strategy: Strategy, resilient: bool,
+    state_dir: str | None = None,
+) -> ServiceDemo:
     profile = fault_profile(profile_name) if profile_name else None
     return demo_server(
         n_tuples=N_TUPLES,
@@ -118,10 +127,14 @@ def _build_demo(profile_name: str | None, strategy: Strategy, resilient: bool):
         adaptive=False,
         fault_profile=profile,
         resilience=RESILIENCE if resilient else None,
+        state_dir=state_dir,
+        checkpoint_every=40 if state_dir is not None else None,
     )
 
 
-def _drive(demo, requests, oracle_answers: list[Any] | None):
+def _drive(
+    demo: ServiceDemo, requests: list[Request], oracle_answers: list[Any] | None
+) -> tuple[dict[str, Any], list[Any]]:
     """Replay one stream; compare each answer against the oracle's.
 
     Returns ``(stats dict, answers list)``.  ``oracle_answers is None``
@@ -135,44 +148,33 @@ def _drive(demo, requests, oracle_answers: list[Any] | None):
         "modelled_ms": 0.0,
     }
     answers: list[Any] = []
-    qi = 0
-    for request in requests:
-        meter = server.database.meter
-        before = meter.snapshot()
+    meter = server.database.meter
+    before = meter.snapshot()
+
+    def on_result(request: Request, answer: Any, error: Exception | None) -> None:
+        nonlocal meter, before
         if request.kind == "update":
             stats["updates"] += 1
-            try:
-                server.apply_update(request.txn, client=request.client)
-            except Exception:
+            if error is not None:
                 # The baseline has no recovery: the transaction is
                 # simply gone (and may leave partial state behind).
                 stats["lost_updates"] += 1
         else:
-            stats["queries"] += 1
-            answer: Any = None
-            failed = False
-            try:
-                answer = server.query(
-                    request.view, request.lo, request.hi, client=request.client
-                )
-            except Exception:
-                failed = True
-            if not failed:
+            if error is None:
                 stats["answered"] += 1
                 is_degraded = isinstance(answer, DegradedResult)
-                payload = answer.unwrap() if is_degraded else answer
-                norm = _normalize(payload)
+                norm = _normalize(answer.unwrap() if is_degraded else answer)
                 if oracle_answers is None:
                     answers.append(norm)
                 else:
-                    matches = norm == oracle_answers[qi]
+                    matches = norm == oracle_answers[stats["queries"]]
                     if is_degraded:
                         stats["degraded"] += 1
                         if not matches:
                             stats["degraded_divergent"] += 1
                     elif not matches:
                         stats["wrong"] += 1
-            qi += 1
+            stats["queries"] += 1
         # The engine may have been swapped by WAL recovery mid-request;
         # the fresh meter then carries the replay + post-swap cost.
         after_meter = server.database.meter
@@ -180,6 +182,9 @@ def _drive(demo, requests, oracle_answers: list[Any] | None):
             stats["modelled_ms"] += meter.diff(before).milliseconds(params)
         else:
             stats["modelled_ms"] += after_meter.milliseconds(params)
+        meter, before = after_meter, after_meter.snapshot()
+
+    run_traffic(server, requests, on_result=on_result)
     return stats, answers
 
 
@@ -195,15 +200,11 @@ def run_resilience_cell(
     baseline_stats, _ = _drive(baseline_demo, requests, oracle_answers)
 
     with tempfile.TemporaryDirectory(prefix="repro-ext-resilience-") as tmp:
-        resilient_demo = _build_demo(profile_name, strategy, resilient=True)
-        faults = resilient_demo.database.faults
-        assert faults is not None
-        faults.disarm()  # the baseline checkpoint must capture clean state
-        manager = DurabilityManager(tmp)
-        manager.save_config(resilient_demo.database.engine_config())
-        resilient_demo.server.attach_durability(manager, checkpoint_every=40)
-        resilient_demo.server.checkpoint()
-        faults.arm()
+        # Journaled behind a baseline checkpoint of the clean bootstrap:
+        # the faults arm only after it.
+        resilient_demo = _build_demo(
+            profile_name, strategy, resilient=True, state_dir=tmp
+        )
         resilient_stats, _ = _drive(resilient_demo, requests, oracle_answers)
         resilient_faults = resilient_demo.database.faults
         injected = resilient_faults.injected_total if resilient_faults else 0
@@ -323,41 +324,22 @@ def resilience_table(runs: tuple[ResilienceRun, ...] | None = None) -> TableData
     )
 
 
+def _add_args(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--profiles", default=PROFILES,
+                        type=lambda text: tuple(p for p in text.split(",") if p),
+                        help="comma-separated fault profiles to run "
+                        f"(default {','.join(PROFILES)})")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="ext-resilience: chaos matrix for the resilience stack"
+    return acceptance_main(
+        argv, "ext-resilience: chaos matrix for the resilience stack",
+        _add_args, run_resilience_matrix, resilience_table,
+        to_doc=lambda runs: {"runs": [
+            {**asdict(run), "availability": run.availability} for run in runs
+        ]},
+        check=check_acceptance,
     )
-    parser.add_argument("--json", metavar="PATH", default=None,
-                        help="also write runs + table as a JSON document")
-    parser.add_argument("--profiles", default=",".join(PROFILES),
-                        help="comma-separated fault profiles to run")
-    args = parser.parse_args(argv)
-
-    profiles = tuple(p for p in args.profiles.split(",") if p)
-    runs = run_resilience_matrix(profiles=profiles)
-    table = resilience_table(runs=runs)
-    print(table.render())
-    violations = check_acceptance(runs)
-    for violation in violations:
-        print(f"ACCEPTANCE VIOLATION: {violation}", file=sys.stderr)
-    if args.json:
-        from pathlib import Path
-
-        doc = {
-            "experiment": "ext-resilience",
-            "title": table.title,
-            "columns": list(table.columns),
-            "rows": [list(row) for row in table.rows],
-            "notes": table.notes,
-            "acceptance_violations": violations,
-            "runs": [
-                {**asdict(run), "availability": run.availability}
-                for run in runs
-            ],
-        }
-        Path(args.json).write_text(json.dumps(doc, indent=2) + "\n")
-        print(f"wrote {args.json}")
-    return 1 if violations else 0
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised by CI

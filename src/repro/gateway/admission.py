@@ -299,8 +299,6 @@ class AdmissionConfig:
     max_queue: int = 64
     #: Default deadline budget (wall ms) when a request names none.
     default_deadline_ms: float | None = None
-    #: Dead-letter ring size.
-    dead_letter_cap: int = 2048
 
 
 @dataclass
@@ -339,7 +337,7 @@ class AdmissionController:
             if cfg.client_concurrency is not None else None
         )
         self.queue = BoundedQueue(cfg.max_queue)
-        self.dead_letters = DeadLetterLog(cfg.dead_letter_cap)
+        self.dead_letters = DeadLetterLog()
 
     def _client_bucket(self, client: str) -> TokenBucket | None:
         cfg = self.config

@@ -3,7 +3,9 @@
 Two subcommands::
 
     repro-gateway serve --listen 127.0.0.1:7411            # demo ViewServer
-    repro-gateway serve --cluster 4 --pacing 2e-4          # sharded backend
+    repro-gateway serve --shards 4 --pacing 2e-4           # sharded backend
+    repro-gateway serve --shards 2 --replicas 1            # replicated shards
+    repro-gateway serve --static deferred --state-dir st   # pinned, journaled
     repro-gateway serve --global-rate 60 --max-queue 16    # tuned admission
 
     repro-gateway load --connect 127.0.0.1:7411 --rate 120 --duration 2
@@ -23,8 +25,11 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Callable
 
+from repro.cluster.harness import add_stack_args, stack_from_args
+from repro.cluster.router import ClusterRouter
+from repro.service.spec import demo_spec
 from repro.workload.clients import (
     OpenLoopConfig,
     demo_request_factory,
@@ -65,15 +70,10 @@ def serve_until_interrupted(
     port: int,
     config: GatewayConfig | None = None,
     duration: float | None = None,
-    announce: Any = print,
 ) -> int:
-    """Run a gateway over ``backend`` until ^C (or for ``duration`` s).
-
-    The shared serving path of ``repro-gateway serve`` and the
-    ``--listen`` shims on ``repro-serve`` / ``repro-cluster``.
-    """
+    """Run a gateway over ``backend`` until ^C (or for ``duration`` s)."""
     handle = GatewayHandle.launch(backend, config, host=host, port=port)
-    announce(
+    print(
         f"gateway listening on {handle.host}:{handle.port} "
         f"(protocol {GATEWAY_PROTOCOL}, "
         f"views: {', '.join(backend.views())})"
@@ -145,29 +145,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     config = GatewayConfig(
         admission=_admission_from_args(args), workers=args.workers
     )
-    if args.cluster is not None:
-        from repro.cluster.harness import launch_demo
-
-        router = launch_demo(
-            args.cluster, pacing=args.pacing,
-            n_records=args.records, seed=args.seed,
+    try:
+        stack = stack_from_args(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    close: Callable[[], None]
+    if isinstance(stack, ClusterRouter):
+        backend: Backend = ClusterBackend(stack)
+        close = stack.close
+    else:
+        backend = ViewServerBackend(stack.server)
+        close = stack.server.shutdown
+    try:
+        return serve_until_interrupted(
+            backend, host, port, config=config, duration=args.duration,
         )
-        try:
-            return serve_until_interrupted(
-                ClusterBackend(router), host, port,
-                config=config, duration=args.duration,
-            )
-        finally:
-            router.close()
-    from repro.service.traffic import demo_server
-
-    demo = demo_server(
-        n_tuples=args.records, seed=args.seed, pacing=args.pacing
-    )
-    return serve_until_interrupted(
-        ViewServerBackend(demo.server), host, port,
-        config=config, duration=args.duration,
-    )
+    finally:
+        close()
 
 
 def _cmd_load(args: argparse.Namespace) -> int:
@@ -180,20 +175,12 @@ def _cmd_load(args: argparse.Namespace) -> int:
         print(f"no gateway answered at {host}:{port} within "
               f"{args.connect_timeout:.0f}s", file=sys.stderr)
         return 2
-    if args.target == "cluster":
-        from repro.cluster.harness import DOMAIN
-
-        # Updating a key no shard owns is a routing error, so the
-        # generated key range must match the serve side's record count
-        # (defaults mirror repro-cluster / repro-gateway serve).
-        records = args.records if args.records is not None else 480
-        factory = demo_request_factory(
-            tuples_view="by_a", total_view="total",
-            view_bound=DOMAIN, key_count=records,
-        )
-    else:
-        records = args.records if args.records is not None else 2000
-        factory = demo_request_factory(key_count=records)
+    # Updating a key no shard owns is a routing error, so the generated
+    # key range must match the serve side's record count: the same demo
+    # spec, hence the same defaults, describes both sides.
+    factory = demo_request_factory(
+        demo_spec(n_records=args.records, serving=args.target == "demo")
+    )
 
     if args.closed is not None:
         report = run_closed_loop(
@@ -236,9 +223,10 @@ def _cmd_load(args: argparse.Namespace) -> int:
           f"{len(report.wrong)} wrong")
     for outcome in sorted(report.outcomes):
         summary = doc["outcomes"][outcome]
+        # Every listed outcome completed at least once: its percentiles exist.
         print(f"  {outcome:<22} n={summary['count']:<6} "
-              f"p50={_ms(summary['p50_ms'])} "
-              f"p95={_ms(summary['p95_ms'])} p99={_ms(summary['p99_ms'])}")
+              f"p50={summary['p50_ms']:7.1f}ms "
+              f"p95={summary['p95_ms']:7.1f}ms p99={summary['p99_ms']:7.1f}ms")
     if queue:
         print(f"  queue: peak {queue['peak']} / cap {queue['cap']}, "
               f"{queue['rejected']} rejected at the door")
@@ -247,10 +235,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     if args.json:
         print(f"wrote {args.json}")
     return 1 if failures else 0
-
-
-def _ms(value: float | None) -> str:
-    return f"{value:7.1f}ms" if value is not None else "      - "
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -263,15 +247,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="serve a demo backend behind the gateway")
     serve.add_argument("--listen", default="127.0.0.1:7411", metavar="HOST:PORT")
-    serve.add_argument("--cluster", type=int, default=None, metavar="N",
-                       help="front an N-shard cluster instead of one ViewServer")
-    serve.add_argument("--records", type=int, default=2000,
-                       help="demo relation size (default 2000)")
-    serve.add_argument("--seed", type=int, default=7)
-    serve.add_argument("--pacing", type=float, default=0.0, metavar="S",
-                       help="wall seconds per modelled ms (default 0)")
     serve.add_argument("--duration", type=float, default=None, metavar="S",
                        help="serve for S seconds then exit (default: until ^C)")
+    add_stack_args(serve)
     _add_admission_args(serve)
     serve.set_defaults(func=_cmd_serve)
 
@@ -281,8 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="request mix matching the serve-side backend")
     load.add_argument("--records", type=int, default=None,
                       help="key range for generated updates — must match the "
-                      "serve side's record count (default: 2000 for demo, "
-                      "480 for cluster, mirroring the serve defaults)")
+                      "serve side's record count (default: the target's "
+                      "serve default, 2000 for demo, 480 for cluster)")
     load.add_argument("--rate", type=float, default=100.0, metavar="RPS",
                       help="open-loop offered load (default 100)")
     load.add_argument("--duration", type=float, default=2.0, metavar="S")

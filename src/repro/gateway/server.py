@@ -40,8 +40,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Mapping, Protocol
 
-from repro.cluster.worker import decode_operation, encode_answer
-from repro.engine.transaction import Transaction
+from repro.cluster.worker import apply_documents, encode_answer
 from repro.service.metrics import MetricsRegistry
 from .admission import (
     EXPIRED,
@@ -71,6 +70,10 @@ GATEWAY_LATENCY_BUCKETS_MS: tuple[float, ...] = (
 )
 
 
+#: Seconds a worker waits on an empty queue before re-checking stop.
+_IDLE_POLL_S = 0.05
+
+
 class GatewayError(RuntimeError):
     """Gateway configuration or protocol misuse."""
 
@@ -82,8 +85,6 @@ class GatewayConfig:
     admission: AdmissionConfig = field(default_factory=AdmissionConfig)
     #: Worker threads executing admitted requests against the backend.
     workers: int = 4
-    #: Seconds a worker waits on an empty queue before re-checking stop.
-    idle_poll_s: float = 0.05
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -128,12 +129,7 @@ class ViewServerBackend:
         self, relation: str, ops: list[Mapping[str, Any]], client: str,
         timeout: float | None = None,
     ) -> int:
-        schema = self.server.database.relations[relation].schema
-        txn = Transaction.of(
-            relation, [decode_operation(schema, doc) for doc in ops]
-        )
-        self.server.apply_update(txn, client=client)
-        return len(txn)
+        return apply_documents(self.server, relation, ops, client)
 
     def pop_retry_flag(self) -> bool:
         return False  # one server, no replicas to retry on
@@ -147,14 +143,10 @@ class ClusterBackend:
 
     The remaining deadline budget becomes the router's per-call RPC
     timeout, so a gateway deadline bounds every shard leg too.
-    ``schemas`` is only needed for ``insert`` operations (a record must
-    be built against its schema before routing); updates and deletes
-    carry their own keys.
     """
 
-    def __init__(self, router: Any, schemas: Mapping[str, Any] | None = None) -> None:
+    def __init__(self, router: Any) -> None:
         self.router = router
-        self.schemas = dict(schemas or {})
 
     def views(self) -> tuple[str, ...]:
         return tuple(self.router.views())
@@ -172,20 +164,11 @@ class ClusterBackend:
         self, relation: str, ops: list[Mapping[str, Any]], client: str,
         timeout: float | None = None,
     ) -> int:
-        schema = self.schemas.get(relation)
-        operations = []
-        for doc in ops:
-            if doc.get("kind") == "insert" and schema is None:
-                raise GatewayError(
-                    f"insert into {relation!r} needs a schema; give the "
-                    "ClusterBackend a schemas mapping"
-                )
-            operations.append(decode_operation(schema, doc))
-        txn = Transaction.of(relation, operations)
-        # The remaining deadline budget bounds every shard leg of the
-        # write fan-out, exactly as it already does for queries.
-        self.router.apply_update(txn, client=client, timeout=timeout)
-        return len(txn)
+        # The documents are routed as they arrived (the shards decode
+        # them); the remaining deadline budget bounds every shard leg of
+        # the write fan-out, exactly as it already does for queries.
+        self.router.apply_documents(relation, ops, client=client, timeout=timeout)
+        return len(ops)
 
     def metrics(self) -> dict[str, Any]:
         return self.router.cluster_metrics()
@@ -271,7 +254,7 @@ class GatewayServer:
 
     Use :meth:`start`/:meth:`stop` inside an event loop, or
     :class:`GatewayHandle` to run the whole thing on a background
-    thread (tests, experiments, and the in-process ``--listen`` shims).
+    thread (tests, experiments and ``repro-gateway serve``).
     """
 
     def __init__(
@@ -502,7 +485,7 @@ class GatewayServer:
     # -- the worker pool ------------------------------------------------
     def _worker_loop(self) -> None:
         while not self._stopping.is_set():
-            pending = self.admission.queue.pop(timeout=self.config.idle_poll_s)
+            pending = self.admission.queue.pop(timeout=_IDLE_POLL_S)
             if pending is None:
                 continue
             try:
@@ -593,7 +576,7 @@ class GatewayServer:
 class GatewayHandle:
     """A gateway running on its own thread with its own event loop.
 
-    What tests, experiments and the CLI shims use: ``launch`` returns
+    What tests, experiments and ``repro-gateway serve`` use: ``launch`` returns
     once the socket is listening; ``stop`` tears the loop down and
     joins the thread.  The handle owns only the gateway — backend
     lifecycle (server shutdown, cluster close) stays with the caller.

@@ -22,8 +22,13 @@ experiment harness into a long-lived **view server**:
 * :mod:`repro.service.cache` — :class:`QueryResultCache`, a versioned
   (epoch-invalidated) result cache in front of the materialized read
   path; opt-in so the default cost accounting stays paper-faithful.
+* :mod:`repro.service.spec` — a serving stack described as data:
+  :func:`build_server` stands a spec up in this process (the cluster
+  partitions the same spec over shard workers), :func:`demo_spec`
+  produces the demo data.
 * :mod:`repro.service.traffic` — multi-client, multi-phase workload
-  generation (drifting update probability) and a demo server builder.
+  generation (drifting update probability), the demo server, and
+  :func:`run_traffic`, the one replay loop over any placement.
 * :mod:`repro.service.cli` — the ``repro-serve`` entry point.
 """
 
@@ -39,6 +44,7 @@ from .metrics import (
 from .router import AdaptiveRouter, RouterConfig, StrategySwitch, WorkloadStats
 from .scheduler import RefreshPolicy, RefreshScheduler, StalenessReport
 from .server import ViewServer
+from .spec import build_server, demo_spec
 from .traffic import (
     PhaseSpec,
     Request,
@@ -68,7 +74,9 @@ __all__ = [
     "TrafficSummary",
     "ViewServer",
     "WorkloadStats",
+    "build_server",
     "demo_server",
+    "demo_spec",
     "drifting_traffic",
     "run_traffic",
     "validate_metrics",

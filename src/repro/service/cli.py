@@ -18,16 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.core.strategies import Strategy
-from repro.resilience.faults import fault_profile, profile_names
-from repro.resilience.policy import ResilienceConfig
-from .router import RouterConfig
+from repro.cluster.harness import add_stack_args, stack_from_args
 from .server import DEGRADABLE_ERRORS
-from .traffic import PhaseSpec, demo_server, drifting_traffic, run_traffic
+from .traffic import PhaseSpec, ServiceDemo, drifting_traffic, run_traffic
 
 __all__ = ["main", "parse_phases"]
-
-_STATIC_CHOICES = ("deferred", "immediate", "qm_clustered")
 
 DEFAULT_PHASES = "0.15:70:3,0.9:70:8"
 
@@ -56,50 +51,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Serve a drifting update/query workload over materialized "
         "views, with adaptive strategy routing (Hanson, SIGMOD 1987).",
     )
-    parser.add_argument("--n-tuples", type=int, default=2000,
-                        help="tuples in the base relation (default 2000)")
-    parser.add_argument("--domain", type=int, default=1000,
-                        help="attribute domain size (default 1000)")
-    parser.add_argument("--view-bound", type=int, default=100,
-                        help="view covers a in [0, bound) (default 100)")
     parser.add_argument("--phases", default=DEFAULT_PHASES,
                         help="comma-separated P:operations[:batch] phases "
                         f"(default {DEFAULT_PHASES!r})")
-    parser.add_argument("--seed", type=int, default=7,
-                        help="seed for data and traffic (default 7)")
-    parser.add_argument("--static", choices=_STATIC_CHOICES, default=None,
-                        help="pin one strategy instead of adaptive routing")
-    parser.add_argument("--decision-every", type=int, default=20,
-                        help="router re-decides every N ops per view (default 20)")
     parser.add_argument("--json", action="store_true",
                         help="print the metrics JSON export instead of the summary")
     parser.add_argument("--dashboard", action="store_true",
                         help="print the ASCII metrics dashboard after the summary")
-    parser.add_argument("--state-dir", default=None, metavar="DIR",
-                        help="durability state directory (WAL + checkpoints); "
-                        "the run is journaled and recoverable with repro-recover")
-    parser.add_argument("--checkpoint-every", type=int, default=None, metavar="N",
-                        help="checkpoint every N served requests "
-                        "(requires --state-dir)")
-    parser.add_argument("--fault-profile", choices=profile_names(), default=None,
-                        help="inject seeded storage faults after bootstrap; "
-                        "also installs checksums, retries, breakers and "
-                        "degraded serving")
-    parser.add_argument("--fault-seed", type=int, default=None, metavar="SEED",
-                        help="re-seed the fault profile's RNG "
-                        "(requires --fault-profile)")
-    parser.add_argument("--degraded-reads", action=argparse.BooleanOptionalAction,
-                        default=True,
-                        help="allow bounded-staleness stale reads as the last "
-                        "degradation rung (default on; only meaningful with "
-                        "--fault-profile)")
-    parser.add_argument("--listen", default=None, metavar="HOST:PORT",
-                        help="serve the demo over TCP via the repro.gateway "
-                        "front door instead of replaying local traffic "
-                        "(admission knobs: repro-gateway serve)")
-    parser.add_argument("--listen-duration", type=float, default=None,
-                        metavar="S", help="with --listen: serve for S seconds "
-                        "then exit (default: until ^C)")
+    add_stack_args(parser, "server")
+    # The traffic below is seeded from the data seed, and the default
+    # drift phases are short: decide sooner than the router's own cadence.
+    parser.set_defaults(seed=7, decision_every=20)
     return parser
 
 
@@ -110,64 +72,14 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"invalid phases: {exc}", file=sys.stderr)
         return 2
-    if args.checkpoint_every is not None:
-        if args.state_dir is None:
-            print("--checkpoint-every requires --state-dir "
-                  "(there is nowhere to write the checkpoint)", file=sys.stderr)
-            return 2
-        if args.checkpoint_every < 1:
-            print(f"invalid --checkpoint-every {args.checkpoint_every}: "
-                  "must be >= 1", file=sys.stderr)
-            return 2
-    if args.fault_seed is not None and args.fault_profile is None:
-        print("--fault-seed requires --fault-profile", file=sys.stderr)
+    try:
+        demo = stack_from_args(args)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
         return 2
-
-    profile = None
-    resilience = None
-    if args.fault_profile is not None:
-        profile = fault_profile(args.fault_profile, seed=args.fault_seed)
-        resilience = ResilienceConfig(degraded_reads=args.degraded_reads)
-
+    assert isinstance(demo, ServiceDemo)
     adaptive = args.static is None
-    demo = demo_server(
-        n_tuples=args.n_tuples,
-        domain=args.domain,
-        view_bound=args.view_bound,
-        seed=args.seed,
-        strategy=Strategy(args.static) if args.static else Strategy.DEFERRED,
-        adaptive=adaptive,
-        router_config=RouterConfig(decision_every=args.decision_every),
-        fault_profile=profile,
-        resilience=resilience,
-    )
-    if args.state_dir is not None:
-        from repro.durability.manager import DurabilityManager
-
-        manager = DurabilityManager(args.state_dir)
-        demo.server.attach_durability(manager, checkpoint_every=args.checkpoint_every)
-        # Baseline checkpoint: the demo bootstrap ran before journaling,
-        # so recovery must start from a snapshot that includes it.
-        demo.server.checkpoint()
-
-    if args.listen is not None:
-        # Thin shim: the gateway is the one network entry point; this
-        # just hands it the demo server as a backend.
-        from repro.gateway.cli import parse_listen, serve_until_interrupted
-        from repro.gateway.server import ViewServerBackend
-
-        try:
-            host, port = parse_listen(args.listen)
-        except ValueError as exc:
-            print(f"invalid --listen: {exc}", file=sys.stderr)
-            return 2
-        try:
-            return serve_until_interrupted(
-                ViewServerBackend(demo.server), host, port,
-                duration=args.listen_duration,
-            )
-        finally:
-            demo.server.shutdown()
+    profile = demo.database.fault_profile
 
     requests = drifting_traffic(demo, phases, seed=args.seed + 1)
     try:

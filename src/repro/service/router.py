@@ -86,15 +86,17 @@ class RouterConfig:
 
     #: Re-run the advisor every this-many operations per view.
     decision_every: int = 25
-    #: Minimum operations between two migrations of the same view.
-    min_dwell: int = 50
     #: The challenger must beat the incumbent's estimated cost by this
     #: relative margin before a migration is worth its rebuild cost.
     min_relative_margin: float = 0.15
     #: Statistics decay per operation (see :class:`WorkloadStats`).
     decay: float = 0.98
-    #: Don't decide before both sides of the mix have been seen a bit.
-    min_weight: float = 2.0
+
+
+#: Minimum operations between two migrations of the same view.
+_MIN_DWELL = 50
+#: Don't decide before both sides of the mix have been seen a bit.
+_MIN_WEIGHT = 2.0
 
 
 @dataclass(frozen=True)
@@ -187,8 +189,7 @@ class AdaptiveRouter:
         weights.  Returns ``None`` while the window is too thin.
         """
         stats = self.stats_for(view)
-        cfg = self.config
-        if stats.query_weight < cfg.min_weight:
+        if stats.query_weight < _MIN_WEIGHT:
             return None
         definition = server.definition_of(view)
         db = server.database
@@ -285,7 +286,7 @@ class AdaptiveRouter:
         if stats.operations - last_decision < cfg.decision_every:
             return None
         self._last_decision_op[view] = stats.operations
-        if min(stats.update_weight, stats.query_weight) < cfg.min_weight:
+        if min(stats.update_weight, stats.query_weight) < _MIN_WEIGHT:
             return None
         params = self.estimate_parameters(server, view)
         if params is None:
@@ -306,7 +307,7 @@ class AdaptiveRouter:
         if advantage < cfg.min_relative_margin:
             return None
         last_switch = self._last_switch_op.get(view)
-        if last_switch is not None and stats.operations - last_switch < cfg.min_dwell:
+        if last_switch is not None and stats.operations - last_switch < _MIN_DWELL:
             return None
         server.migrate(view, best.strategy)
         switch = StrategySwitch(

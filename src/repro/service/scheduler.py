@@ -60,7 +60,7 @@ class RefreshPolicy:
         return cls("async")
 
     def to_doc(self) -> dict[str, Any]:
-        """The JSON form checkpoints and worker specs carry."""
+        """The JSON form checkpoints and stack specs carry."""
         return {"kind": self.kind, "every": self.every}
 
     @classmethod

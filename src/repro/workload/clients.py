@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.gateway.admission import REJECTION_LABELS
 from repro.gateway.client import AsyncGatewayClient, GatewayCallError
 
 __all__ = [
@@ -138,6 +139,15 @@ class LoadReport:
             if label.startswith("rejected_") or label == "expired"
         )
 
+    def unexpected_outcomes(self) -> list[str]:
+        """Outcome labels beyond served, degraded and labelled load shed.
+
+        ``error`` and ``lost`` land here: a stack under overload or
+        faults may shed or degrade, never fail a request unlabelled.
+        """
+        allowed = {"ok", "ok_retry", "degraded", *REJECTION_LABELS}
+        return sorted(set(self.outcomes) - allowed)
+
     def goodput(self) -> float:
         """Admitted-and-served requests per second."""
         return self.ok / self.duration_s if self.duration_s > 0 else 0.0
@@ -188,21 +198,23 @@ class OpenLoopConfig:
 
 
 def demo_request_factory(
-    relation: str = "r",
-    tuples_view: str = "v_tuples",
-    total_view: str = "v_total",
-    view_bound: int = 100,
-    key_count: int = 2000,
-    query_fraction: float = 0.8,
+    spec: Mapping[str, Any], query_fraction: float = 0.8
 ) -> RequestFactory:
-    """Requests (and validators) for the standard 2-view demo schema.
+    """Requests (and validators) for a demo stack, read off its spec.
 
-    Queries split between ``v_tuples`` range reads (validated: every
-    returned tuple's ``a`` lies inside the queried interval) and
-    ``v_total`` reads (validated: the sum is a number).  Updates rewrite
-    the non-view attribute ``v`` of a random record (validated: the
-    whole transaction applied).
+    ``spec`` is what the serve side was built from
+    (:func:`repro.service.spec.demo_spec`): the relation, its key
+    count, the two view names and the range the views cover all come
+    from it.  Queries split between tuple-view range reads (validated:
+    every returned tuple's ``a`` lies inside the queried interval) and
+    reads of the sum (validated: it is a number).  Updates rewrite the
+    non-view attribute ``v`` of a random record (validated: the whole
+    transaction applied).
     """
+    relation = spec["relations"][0]["name"]
+    key_count = len(spec["relations"][0]["records"])
+    tuples_view, total_view = (view["name"] for view in spec["views"])
+    view_bound = spec["views"][0]["predicate"]["hi"] + 1
 
     def tuples_validator(lo: int, hi: int) -> Callable[[Any], str | None]:
         def check(result: Any) -> str | None:

@@ -74,6 +74,17 @@ def test_scoped_rules_skip_out_of_scope_modules(rule_name):
         assert findings == []
 
 
+@pytest.mark.parametrize("module", [
+    "repro.service.spec", "repro.service.traffic",
+    "repro.cluster.harness", "repro.workload.clients",
+])
+def test_demo_data_and_stream_generators_must_be_seeded(module):
+    # Where the ext-service / ext-resilience / ext-gateway streams and
+    # the paced benchmark series draw their data from.
+    findings = run_rule("seeded-determinism", "seeded_determinism_bad.py", module)
+    assert {f.line for f in findings} == marked_lines("seeded_determinism_bad.py")
+
+
 def test_protocol_callbacks_are_checked_like_async_bodies():
     # The gateway's loop-side request path is synchronous protocol
     # callbacks; the rule must see into them.

@@ -96,8 +96,8 @@ class FakeRouter:
     def views(self):
         return ("v_total",)
 
-    def apply_update(self, txn, client="anon", timeout=None):
-        self.calls.append({"txn": txn, "client": client, "timeout": timeout})
+    def apply_documents(self, relation, ops, client="anon", timeout=None):
+        self.calls.append({"ops": ops, "client": client, "timeout": timeout})
 
 
 def test_gateway_backend_forwards_remaining_budget():

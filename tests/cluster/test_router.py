@@ -10,12 +10,13 @@ from repro.cluster.harness import (
     demo_shard_map,
     demo_spec,
     launch_demo,
-    run_cluster_traffic,
+    partitioned_cluster_streams,
 )
 from repro.cluster.router import ClusterClosedError, ClusterError, ClusterRouter
 from repro.cluster.rpc import ShardUnavailable
 from repro.engine.transaction import Insert, Transaction, Update
 from repro.resilience.degradation import DegradedResult
+from repro.service.traffic import run_traffic
 from repro.storage.tuples import Schema
 
 N_RECORDS = 240
@@ -193,7 +194,9 @@ class TestUpdateFailureAtomicity:
 
 class TestRefreshEpochs:
     def test_per_shard_net_once_per_epoch_survives_sharding(self, router):
-        run_cluster_traffic(router, 2, 12, N_RECORDS)
+        run_traffic(
+            router, partitioned_cluster_streams(2, 12, N_RECORDS), threads=2
+        )
         router.refresh_epoch()
         stats = router.stats()
         for shard_stats in stats["shards"].values():
@@ -376,7 +379,10 @@ class TestTrafficHarness:
         for n_shards in (1, 2):
             router = launch_demo(n_shards, n_records=N_RECORDS)
             try:
-                run_cluster_traffic(router, 2, 9, N_RECORDS)
+                run_traffic(
+                    router, partitioned_cluster_streams(2, 9, N_RECORDS),
+                    threads=2,
+                )
                 finals[n_shards] = (
                     sorted(
                         (vt.values["id"], vt.values["v"])

@@ -545,6 +545,43 @@ class TestRealBackends:
         finally:
             router.close()
 
+    def test_cluster_backend_inserts_moves_and_deletes_a_new_key(self):
+        """Wire documents reach the shards as they arrived: an insert
+        needs no schema on the gateway side (it used to be refused)."""
+        harness = pytest.importorskip("repro.cluster.harness")
+        from repro.cluster.worker import build_server
+        from repro.gateway import ClusterBackend
+
+        twin = ViewServerBackend(
+            build_server(harness.demo_spec(n_records=120, seed=5))
+        )
+        router = harness.launch_demo(2, n_records=120, seed=5)
+        try:
+            backend = ClusterBackend(router)
+
+            def answers(target):
+                rows = target.query("by_a", 0, harness.DOMAIN - 1, "check")
+                return (
+                    sorted(vt.identity() for vt in rows),
+                    target.query("total", None, None, "check"),
+                )
+
+            steps = [
+                [{"kind": "insert", "values": {"id": 9999, "a": 5, "v": 1}}],
+                # a: 5 -> 1500 crosses the two-shard range boundary
+                [{"kind": "update", "key": 9999,
+                  "changes": {"a": 1500, "v": 2}}],
+                [{"kind": "delete", "key": 9999}],
+            ]
+            for ops in steps:
+                assert backend.update("r", ops, "c") == len(ops)
+                assert twin.update("r", ops, "c") == len(ops)
+                assert answers(backend) == answers(twin)
+            assert len(answers(backend)[0]) == 120
+        finally:
+            router.close()
+            twin.server.shutdown()
+
     def test_handle_stop_is_idempotent(self):
         _, handle = launch_stub(GatewayConfig())
         handle.stop()

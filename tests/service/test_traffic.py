@@ -1,8 +1,17 @@
 """Drifting-P traffic generation."""
 
+import sys
+import threading
+
 import pytest
 
-from repro.service.traffic import PhaseSpec, demo_server, drifting_traffic, run_traffic
+from repro.service.traffic import (
+    PhaseSpec,
+    Request,
+    demo_server,
+    drifting_traffic,
+    run_traffic,
+)
 
 
 class TestPhaseSpec:
@@ -61,3 +70,91 @@ class TestDriftingTraffic:
         assert summary.queries == 14
         assert summary.operations == 20
         assert len(summary.answers) == 14
+
+
+class ScriptedTarget:
+    """Anything with the query/apply_update surface is a target."""
+
+    def __init__(self, gate=None):
+        self.gate = gate
+        self.seen = []
+
+    def query(self, view, lo=None, hi=None, client="anon"):
+        if view == "boom":
+            raise RuntimeError(f"kapow from {client}")
+        if view == "hang":
+            self.gate.wait(timeout=30)
+        self.seen.append((client, view))
+        return lo
+
+    def apply_update(self, txn, client="anon"):
+        self.seen.append((client, "update"))
+
+
+def queries(client, *views):
+    return [Request(client, "query", view=view, lo=i) for i, view in enumerate(views)]
+
+
+class TestRunTraffic:
+    def test_streams_are_dealt_to_threads_round_robin_and_merged_in_order(self):
+        target = ScriptedTarget()
+        streams = [queries(f"c{i}", "a", "b") for i in range(4)]
+        summary = run_traffic(target, streams, threads=2)
+        assert summary.queries == 8 and summary.updates == 0
+        assert len(summary.query_ms) == 8 and summary.wall_seconds > 0
+        # Thread 0 ran streams 0 and 2 in that order, thread 1 ran 1 and 3;
+        # the summary lists thread 0's answers first.
+        assert summary.answers == [0, 1] * 4
+        per_client = {c: [v for cl, v in target.seen if cl == c] for c in
+                      ("c0", "c1", "c2", "c3")}
+        assert all(views == ["a", "b"] for views in per_client.values())
+        order = [client for client, _ in target.seen]
+        assert order.index("c0") < order.index("c2")
+        assert order.index("c1") < order.index("c3")
+
+    def test_no_request_is_lost_or_counted_twice_under_contention(self):
+        # More threads than cores and a very short switch interval: a
+        # counter shared between workers would drop increments here.
+        streams = [queries(f"c{i}", *(["a"] * 50)) for i in range(24)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            summary = run_traffic(ScriptedTarget(), streams, threads=8,
+                                  join_timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert summary.queries == len(summary.answers) == 24 * 50
+        assert sorted(summary.answers) == sorted(list(range(50)) * 24)
+
+    def test_a_worker_exception_surfaces_after_the_join(self):
+        target = ScriptedTarget()
+        streams = [queries("good", "a", "b", "c"), queries("bad", "a", "boom", "z")]
+        with pytest.raises(RuntimeError, match="kapow from bad"):
+            run_traffic(target, streams, threads=2)
+        # The healthy thread ran to completion before the error was raised.
+        assert [v for c, v in target.seen if c == "good"] == ["a", "b", "c"]
+        assert ("bad", "z") not in target.seen
+
+    def test_a_wedged_thread_fails_the_replay(self):
+        gate = threading.Event()
+        target = ScriptedTarget(gate)
+        try:
+            with pytest.raises(RuntimeError, match="wedged"):
+                run_traffic(
+                    target, [queries("ok", "a"), queries("stuck", "hang")],
+                    threads=2, join_timeout=0.2,
+                )
+        finally:
+            gate.set()
+
+    def test_on_result_owns_failures_and_the_replay_carries_on(self):
+        target = ScriptedTarget()
+        seen = []
+        summary = run_traffic(
+            target, queries("c", "a", "boom", "b"),
+            on_result=lambda request, answer, error: seen.append(
+                (request.view, answer, type(error).__name__)),
+        )
+        assert seen == [("a", 0, "NoneType"), ("boom", None, "RuntimeError"),
+                        ("b", 2, "NoneType")]
+        assert summary.queries == 2  # the failed query is not counted

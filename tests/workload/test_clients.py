@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.gateway import AdmissionConfig, GatewayConfig, GatewayHandle, ViewServerBackend
+from repro.service.spec import demo_spec
 from repro.service.traffic import demo_server
 from repro.workload.clients import (
     LoadReport,
@@ -86,16 +87,19 @@ class TestLoadReport:
         assert doc["wrong_results"] == 0
 
 
+SERVING = demo_spec(serving=True)
+
+
 class TestDemoRequestFactory:
     def test_mix_and_shapes(self):
-        factory = demo_request_factory(query_fraction=0.8)
+        factory = demo_request_factory(SERVING, query_fraction=0.8)
         rng = random.Random(5)
         ops = [factory(rng)[0]["op"] for _ in range(400)]
         assert 0.7 < ops.count("query") / len(ops) < 0.9
         assert set(ops) == {"query", "update"}
 
     def test_tuples_validator_flags_out_of_range(self):
-        factory = demo_request_factory(query_fraction=1.0)
+        factory = demo_request_factory(SERVING, query_fraction=1.0)
         rng = random.Random(0)
         while True:
             doc, validator = factory(rng)
@@ -109,7 +113,7 @@ class TestDemoRequestFactory:
         assert "outside" in validator(bad)
 
     def test_total_validator_requires_numeric_scalar(self):
-        factory = demo_request_factory()
+        factory = demo_request_factory(SERVING)
         rng = random.Random(1)
         while True:
             doc, validator = factory(rng)
@@ -120,13 +124,23 @@ class TestDemoRequestFactory:
         assert validator({"kind": "tuples", "items": []}) is not None
 
     def test_update_validator_requires_full_application(self):
-        factory = demo_request_factory(query_fraction=0.0)
+        factory = demo_request_factory(SERVING, query_fraction=0.0)
         rng = random.Random(2)
         doc, validator = factory(rng)
         assert doc["op"] == "update"
         assert validator({"applied": len(doc["ops"])}) is None
         assert validator({"applied": 0}) is not None
 
+    def test_names_bounds_and_keys_come_from_the_spec(self):
+        factory = demo_request_factory(demo_spec(n_records=30))
+        rng = random.Random(3)
+        docs = [factory(rng)[0] for _ in range(300)]
+        assert {d["view"] for d in docs if d["op"] == "query"} == {"by_a", "total"}
+        ranged = [d for d in docs if d.get("view") == "by_a"]
+        assert max(d["hi"] for d in ranged) > 100  # the whole 1600-wide domain
+        assert all(0 <= d["lo"] <= d["hi"] < 1600 for d in ranged)
+        keys = [op["key"] for d in docs if d["op"] == "update" for op in d["ops"]]
+        assert keys and max(keys) < 30
 
 class TestAgainstLiveGateway:
     @pytest.fixture(scope="class")
@@ -144,7 +158,7 @@ class TestAgainstLiveGateway:
             "127.0.0.1", gateway.port,
             OpenLoopConfig(rate=50.0, duration_s=1.0, deadline_ms=2000.0,
                            n_clients=6, seed=3),
-            demo_request_factory(key_count=400),
+            demo_request_factory(demo_spec(n_records=400, serving=True)),
         )
         assert report.offered == 50
         assert report.duration_s == pytest.approx(1.0)
@@ -156,7 +170,7 @@ class TestAgainstLiveGateway:
     def test_closed_loop_reports_throughput(self, gateway):
         report = run_closed_loop(
             "127.0.0.1", gateway.port,
-            demo_request_factory(key_count=400),
+            demo_request_factory(demo_spec(n_records=400, serving=True)),
             concurrency=2, duration_s=0.5,
         )
         assert report.offered == report.ok + report.rejected + \
