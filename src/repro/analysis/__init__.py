@@ -14,7 +14,8 @@ turns each convention into a machine-checked invariant:
   and a committed-findings baseline;
 * :mod:`repro.analysis.rules` — the project rule catalog
   (``async-blocking``, ``lock-discipline``, ``deadline-threading``,
-  ``seeded-determinism``, ``snapshot-iteration``);
+  ``seeded-determinism``, ``snapshot-iteration``, ``batch-hot-path``,
+  ``page-edit``);
 * :mod:`repro.analysis.lockorder` — a dynamic lock-order recorder that
   instruments :class:`~repro.concurrency.locks.RWLock` acquisitions
   into a global lock-order graph and reports cycles (potential

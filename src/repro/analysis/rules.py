@@ -12,7 +12,9 @@ Each rule mechanizes one convention the stack's correctness depends on
 * ``snapshot-iteration`` — dict attributes shared across threads are
   snapshotted (``list(...)``) before iteration;
 * ``batch-hot-path`` — the engine's hot modules stay batch-native (no
-  per-record kernels over relation/delta iterators).
+  per-record kernels over relation/delta iterators);
+* ``page-edit`` — page content is edited through ``Page``'s methods,
+  which keep each entry's serialized image beside it.
 
 Rules are deliberately syntactic: they run on one file at a time with
 no import resolution, so every check is a conservative pattern over
@@ -37,6 +39,7 @@ __all__ = [
     "SeededDeterminismRule",
     "SnapshotIterationRule",
     "BatchHotPathRule",
+    "PageEditRule",
     "ALL_RULES",
     "default_rules",
 ]
@@ -834,6 +837,78 @@ class BatchHotPathRule(Rule):
         return None
 
 
+# ----------------------------------------------------------------------
+# page-edit
+# ----------------------------------------------------------------------
+class PageEditRule(Rule):
+    """Page content is edited only by ``Page``'s own methods.
+
+    A page keeps the serialized image of every entry beside the entry
+    and checksums a write from those images, so an edit of ``records``
+    that goes around :class:`repro.storage.pager.Page` leaves an image
+    stale and the next write records a checksum the content does not
+    have.  In the storage, hypothetical-relation, view, maintenance and
+    resilience packages — everything that holds a page — the rule fires
+    on any assignment to a ``.records`` attribute or to an index or
+    slice of one, any ``del`` of the same, and any list-mutating method
+    called on one.  ``repro.storage.pager`` itself is excluded.
+    """
+
+    name = "page-edit"
+    description = (
+        "direct edit of a page's .records (assignment, del, or a mutating "
+        "list method) outside repro.storage.pager; use the Page edit "
+        "methods, which keep the entry images current"
+    )
+    scopes = (
+        "repro.storage", "repro.hr", "repro.views", "repro.maintenance",
+        "repro.resilience",
+    )
+    excludes = ("repro.storage.pager",)
+
+    _LIST_MUTATORS = frozenset(
+        {"append", "insert", "extend", "pop", "remove", "reverse", "sort", "clear"}
+    )
+
+    def check(self, ctx: LintContext) -> list[Finding]:
+        findings: list[Finding] = []
+        for node in ast.walk(ctx.tree):
+            if isinstance(node, ast.Assign):
+                edited, verb = node.targets, "assignment to"
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                edited, verb = [node.target], "assignment to"
+            elif isinstance(node, ast.Delete):
+                edited, verb = node.targets, "del of"
+            elif (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in self._LIST_MUTATORS
+            ):
+                edited, verb = [node.func.value], f".{node.func.attr}() on"
+            else:
+                continue
+            for target in edited:
+                for records in self._records_edited(target):
+                    findings.append(self.finding(
+                        ctx, node,
+                        f"{verb} `{_unparse(records)}` edits a page behind "
+                        f"its entry images; use the Page edit methods",
+                    ))
+        return findings
+
+    def _records_edited(self, target: ast.expr) -> Iterator[ast.Attribute]:
+        """The ``X.records`` expressions a target (or receiver) edits."""
+        if isinstance(target, (ast.Tuple, ast.List)):
+            for element in target.elts:
+                yield from self._records_edited(element)
+        elif isinstance(target, ast.Starred):
+            yield from self._records_edited(target.value)
+        elif isinstance(target, ast.Subscript):
+            yield from self._records_edited(target.value)
+        elif isinstance(target, ast.Attribute) and target.attr == "records":
+            yield target
+
+
 ALL_RULES: tuple[type[Rule], ...] = (
     AsyncBlockingRule,
     LockDisciplineRule,
@@ -841,6 +916,7 @@ ALL_RULES: tuple[type[Rule], ...] = (
     SeededDeterminismRule,
     SnapshotIterationRule,
     BatchHotPathRule,
+    PageEditRule,
 )
 
 

@@ -15,7 +15,8 @@ marker so round-trips preserve identity-sensitive types.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections.abc import Mapping
+from typing import Any
 
 from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
 from repro.storage.tuples import Record, Schema

@@ -35,7 +35,6 @@ from repro.storage.pager import (
     Page,
     PageId,
     SimulatedDisk,
-    page_checksum,
 )
 
 __all__ = [
@@ -217,12 +216,12 @@ class FaultyDisk(SimulatedDisk):
             self.meter.record_write()
             torn = page.clone()
             if torn.records:
-                torn.records = torn.records[: len(torn.records) // 2]
+                torn.keep_range(0, len(torn.records) // 2)
             else:
                 torn.next_page = PageId(page_id.file, page_id.number + 1_000_003)
             self._pages[page_id] = torn
             # The page header records the checksum of the *intended*
             # image — exactly how a torn sector is caught later.
-            self._checksums[page_id] = page_checksum(page)
+            self._checksums[page_id] = page.checksum()
             return
         super().write(page)

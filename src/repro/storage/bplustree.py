@@ -35,12 +35,16 @@ __all__ = ["BPlusTree", "TreeStats"]
 _ENTRY_KEY = itemgetter(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class _InternalNode:
     """Payload of an internal page: separators and children.
 
     ``children[i]`` covers keys < ``keys[i]``; the last child covers
     the remainder.  ``len(children) == len(keys) + 1``.
+
+    Never edited once stored: the disk's persisted image, every clone
+    it hands out and the pool frame share one node, so a new separator
+    makes a new node that :meth:`Page.replace` puts in its place.
     """
 
     keys: list[Any] = field(default_factory=list)
@@ -110,7 +114,7 @@ class BPlusTree:
             sep_key, right_id = split
             new_root = self.pool.disk.allocate(self._file("int"), 1)
             node = _InternalNode(keys=[sep_key], children=[self.root_id, right_id])
-            new_root.records.append(node)
+            new_root.add(node)
             self.pool.put(new_root, dirty=True)
             self.root_id = new_root.page_id
             self._height += 1
@@ -124,7 +128,7 @@ class BPlusTree:
         index = bisect.bisect_left(entries, entry, key=_ENTRY_KEY)
         while index < len(entries) and entries[index][0] == entry:
             if entries[index][1] == record:
-                del entries[index]
+                page.remove(index)
                 self.pool.put(page, dirty=True)
                 self._entries -= 1
                 return True
@@ -216,12 +220,12 @@ class BPlusTree:
         ``(sort_key, tiebreak)`` reinserts at the same index and the
         leaf never overflows).
         """
-        page.records[index] = (page.records[index][0], new_record)
+        page.replace(index, (page.records[index][0], new_record))
         self.pool.put(page, dirty=True)
 
     def delete_at(self, page: Page, index: int) -> None:
         """Remove one located entry in place (one leaf write)."""
-        del page.records[index]
+        page.remove(index)
         self.pool.put(page, dirty=True)
         self._entries -= 1
 
@@ -290,7 +294,7 @@ class BPlusTree:
                 page = self.pool.get(self.root_id)
             else:
                 page = self.pool.disk.allocate(self._file("leaf"), self.records_per_leaf)
-            page.records = ordered[start : start + self.records_per_leaf]
+            page.fill(ordered[start : start + self.records_per_leaf])
             if prev_leaf is not None:
                 prev_leaf.next_page = page.page_id
                 self.pool.put(prev_leaf, dirty=True)
@@ -313,7 +317,7 @@ class BPlusTree:
                 child_keys = level_keys[start : start + group]
                 page = self.pool.disk.allocate(self._file("int"), 1)
                 node = _InternalNode(keys=list(child_keys[1:]), children=list(child_ids))
-                page.records.append(node)
+                page.add(node)
                 self.pool.put(page, dirty=True)
                 parent_ids.append(page.page_id)
                 parent_keys.append(child_keys[0])
@@ -361,7 +365,7 @@ class BPlusTree:
         page = self.pool.get(page_id)
         if level == 1:
             index = bisect.bisect_right(page.records, entry, key=_ENTRY_KEY)
-            page.records.insert(index, (entry, record))
+            page.insert(index, (entry, record))
             if len(page.records) <= self.records_per_leaf:
                 self.pool.put(page, dirty=True)
                 return None
@@ -372,9 +376,12 @@ class BPlusTree:
         if split is None:
             return None
         sep_key, right_id = split
-        node.keys.insert(index, sep_key)
-        node.children.insert(index + 1, right_id)
+        node = _InternalNode(
+            keys=[*node.keys[:index], sep_key, *node.keys[index:]],
+            children=[*node.children[: index + 1], right_id, *node.children[index + 1 :]],
+        )
         if len(node.children) <= self.fanout:
+            page.replace(0, node)
             self.pool.put(page, dirty=True)
             return None
         return self._split_internal(page, node)
@@ -382,9 +389,8 @@ class BPlusTree:
     def _split_leaf(self, page: Page) -> tuple[Any, PageId]:
         mid = len(page.records) // 2
         right = self.pool.disk.allocate(self._file("leaf"), self.records_per_leaf)
-        right.records = page.records[mid:]
+        page.move_tail(mid, right)
         right.next_page = page.next_page
-        page.records = page.records[:mid]
         page.next_page = right.page_id
         self.pool.put(page, dirty=True)
         self.pool.put(right, dirty=True)
@@ -392,6 +398,7 @@ class BPlusTree:
         return separator, right.page_id
 
     def _split_internal(self, page: Page, node: _InternalNode) -> tuple[Any, PageId]:
+        """Split the over-full ``node`` between ``page`` and a new right page."""
         mid = len(node.keys) // 2
         promoted = node.keys[mid]
         right_page = self.pool.disk.allocate(self._file("int"), 1)
@@ -399,9 +406,8 @@ class BPlusTree:
             keys=node.keys[mid + 1 :],
             children=node.children[mid + 1 :],
         )
-        right_page.records.append(right_node)
-        node.keys = node.keys[:mid]
-        node.children = node.children[: mid + 1]
+        right_page.add(right_node)
+        page.replace(0, _InternalNode(node.keys[:mid], node.children[: mid + 1]))
         self.pool.put(page, dirty=True)
         self.pool.put(right_page, dirty=True)
         return promoted, right_page.page_id

@@ -140,7 +140,7 @@ class HashFile:
         for page in self._chain_pages(bucket):
             for i, stored in enumerate(page.records):
                 if stored == record:
-                    del page.records[i]
+                    page.remove(i)
                     self.pool.put(page, dirty=True)
                     self._entries -= 1
                     return True
@@ -151,10 +151,9 @@ class HashFile:
         bucket = self._bucket_of(key)
         removed = 0
         for page in self._chain_pages(bucket):
-            kept = [r for r in page.records if self.hash_key(r) != key]
-            if len(kept) != len(page.records):
-                removed += len(page.records) - len(kept)
-                page.records[:] = kept
+            dropped = page.remove_where(lambda r: self.hash_key(r) == key)
+            if dropped:
+                removed += dropped
                 self.pool.put(page, dirty=True)
         self._entries -= removed
         return removed

@@ -105,10 +105,9 @@ class HeapFile:
         removed = 0
         for page_id in list(self._page_ids):
             page = self.pool.get(page_id)
-            kept = [r for r in page.records if not predicate(r)]
-            if len(kept) != len(page.records):
-                removed += len(page.records) - len(kept)
-                page.records[:] = kept
+            dropped = page.remove_where(predicate)
+            if dropped:
+                removed += dropped
                 self.pool.put(page, dirty=True)
         return removed
 

@@ -19,7 +19,7 @@ import zlib
 from collections import Counter, OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.core.parameters import Parameters
 
@@ -56,32 +56,40 @@ class PageChecksumError(RuntimeError):
         self.detail = detail
 
 
+def _entry_image(entry: Any) -> bytes:
+    """The serialized form of one page entry: the bytes a checksum covers.
+
+    A B+-tree leaf entry ``(entry_key, record)`` is its key part, the
+    separator and the record's ``repr``; anything else (a heap or hash
+    record, an internal node, an aggregate state) is its ``repr``.
+    """
+    if type(entry) is tuple and entry and type(entry[-1]) is Record:
+        text = f"{entry[:-1]!r}\x1e{entry[-1]!r}"
+    else:
+        text = repr(entry)
+    return text.encode("utf-8", "replace")
+
+
+def _checksum_of(images: Iterable[bytes], next_page: "PageId | None") -> int:
+    """CRC32 of a page's entry images, in order, then its successor link."""
+    link = str(next_page).encode("utf-8", "replace")
+    return zlib.crc32(b"\x1e".join([*images, link]))
+
+
 def page_checksum(page: "Page") -> int:
-    """CRC32 over a page's logical content.
+    """CRC32 over a page's logical content, recomputed from ``records``.
 
     Covers every entry of ``page.records``, their order, and the
     successor link — not ``capacity`` or the page id.  Any in-place
     mutation of the stored image (simulated bit-rot), truncation (torn
     write) or scrambled link changes it.
 
-    A :class:`Record` contributes its cached :meth:`Record.image`, on
-    its own (heap pages, hash buckets) or as the last element of a
-    tuple (B+-tree leaf entries, ``(entry_key, record)``), so
-    rewriting a page after a one-tuple edit serializes only the new
-    tuple.  Any other payload is serialized with ``repr`` each time.
+    This is the *verifier*: every check for damage serializes the
+    entries themselves, so it also exposes an entry image that went
+    stale.  Writes record :meth:`Page.checksum`, the same value from
+    the images the page kept as it was edited.
     """
-    parts: list[bytes] = []
-    append = parts.append
-    for entry in page.records:
-        if type(entry) is Record:
-            append(entry.image())
-        elif type(entry) is tuple and entry and type(entry[-1]) is Record:
-            append(repr(entry[:-1]).encode("utf-8", "replace"))
-            append(entry[-1].image())
-        else:
-            append(repr(entry).encode("utf-8", "replace"))
-    append(str(page.next_page).encode("utf-8", "replace"))
-    return zlib.crc32(b"\x1e".join(parts))
+    return _checksum_of(map(_entry_image, page.records), page.next_page)
 
 
 class PageId(NamedTuple):
@@ -103,9 +111,17 @@ class Page:
 
     Records are arbitrary Python objects; files impose their own layout
     (sorted for B+-tree leaves, unordered for heaps and hash buckets).
+
+    ``records`` is read freely but edited only through the methods
+    below (the ``page-edit`` lint rule holds the rest of the code to
+    that): each edit keeps the entry's serialized image beside the
+    entry, so :meth:`checksum` at write time joins what is already
+    there instead of serializing the page again.  An entry must not be
+    mutated once stored — clones share it with the persisted image;
+    :meth:`replace` it with a new one.
     """
 
-    __slots__ = ("page_id", "capacity", "records", "next_page")
+    __slots__ = ("page_id", "capacity", "records", "next_page", "_images")
 
     def __init__(self, page_id: PageId, capacity: int) -> None:
         if capacity < 1:
@@ -115,6 +131,8 @@ class Page:
         self.records: list[Any] = []
         #: Optional link to a successor page (leaf chains, bucket chains).
         self.next_page: PageId | None = None
+        #: ``_images[i]`` is ``_entry_image(records[i])``.
+        self._images: list[bytes] = []
 
     @property
     def is_full(self) -> bool:
@@ -125,11 +143,71 @@ class Page:
         if self.is_full:
             raise PageOverflowError(f"page {self.page_id} is full ({self.capacity})")
         self.records.append(record)
+        self._images.append(_entry_image(record))
+
+    def insert(self, index: int, record: Any) -> None:
+        """Insert a record at ``index``, keeping the page's order.
+
+        A full page takes one record more — a B+-tree leaf holds
+        ``capacity + 1`` entries between an insert and the split it
+        causes (:meth:`move_tail`); a second raises
+        :class:`PageOverflowError`.
+        """
+        if len(self.records) > self.capacity:
+            raise PageOverflowError(f"page {self.page_id} is over capacity ({self.capacity})")
+        self.records.insert(index, record)
+        self._images.insert(index, _entry_image(record))
+
+    def replace(self, index: int, record: Any) -> None:
+        """Put ``record`` in place of the entry at ``index``."""
+        self.records[index] = record
+        self._images[index] = _entry_image(record)
+
+    def remove(self, index: int) -> None:
+        """Remove the entry at ``index``."""
+        del self.records[index]
+        del self._images[index]
+
+    def remove_where(self, match: Callable[[Any], bool]) -> int:
+        """Remove every entry ``match`` accepts; returns how many there were."""
+        keep = [not match(record) for record in self.records]
+        removed = keep.count(False)
+        if removed:
+            self.records = list(itertools.compress(self.records, keep))
+            self._images = list(itertools.compress(self._images, keep))
+        return removed
+
+    def keep_range(self, start: int, stop: int | None = None) -> None:
+        """Keep only ``records[start:stop]`` (a truncation, a dropped head)."""
+        self.records = self.records[start:stop]
+        self._images = self._images[start:stop]
+
+    def fill(self, records: Iterable[Any]) -> None:
+        """Assign the page's whole content (a bulk load fills pages this way)."""
+        self.records = list(records)
+        self._images = [_entry_image(record) for record in self.records]
+
+    def move_tail(self, start: int, fresh: "Page") -> None:
+        """Move ``records[start:]`` to the empty page ``fresh`` (a leaf split)."""
+        if fresh.records:
+            raise ValueError(f"page {fresh.page_id} is not empty")
+        fresh.records = self.records[start:]
+        fresh._images = self._images[start:]
+        self.keep_range(0, start)
+
+    def checksum(self) -> int:
+        """CRC32 of the page's content, from the images its edits kept.
+
+        The value :func:`page_checksum` computes from ``records`` for
+        the same content; what :meth:`SimulatedDisk.write` records.
+        """
+        return _checksum_of(self._images, self.next_page)
 
     def clone(self) -> "Page":
         """Shallow copy used by the disk to model a persisted image."""
         copy = Page(self.page_id, self.capacity)
-        copy.records = list(self.records)
+        copy.records = self.records.copy()
+        copy._images = self._images.copy()
         copy.next_page = self.next_page
         return copy
 
@@ -342,7 +420,7 @@ class SimulatedDisk:
         page_id = PageId(file, next(counter))
         page = Page(page_id, capacity)
         self._pages[page_id] = page
-        self._checksums[page_id] = page_checksum(page)
+        self._checksums[page_id] = page.checksum()
         self._page_counts[file] += 1
         return page.clone()
 
@@ -363,13 +441,18 @@ class SimulatedDisk:
         return stored.clone()
 
     def write(self, page: Page) -> None:
-        """Persist a page image, charging one write."""
+        """Persist a page image, charging one write.
+
+        The checksum recorded is the page's maintained one
+        (:meth:`Page.checksum`); everything that looks for damage
+        recomputes it from the stored entries (:func:`page_checksum`).
+        """
         if page.page_id not in self._pages:
             raise KeyError(f"cannot write unallocated page: {page.page_id}")
         self.meter.record_write()
         stored = page.clone()
         self._pages[page.page_id] = stored
-        self._checksums[page.page_id] = page_checksum(stored)
+        self._checksums[page.page_id] = stored.checksum()
 
     def free(self, page_id: PageId) -> None:
         """Deallocate a page (no I/O charged, mirroring the paper)."""
@@ -416,7 +499,7 @@ class SimulatedDisk:
             return None
         if stored.records:
             dropped = min(max(drop_records, 1), len(stored.records))
-            del stored.records[:dropped]
+            stored.keep_range(dropped)
             return f"dropped {dropped} record(s)"
         stored.next_page = PageId(page_id.file, page_id.number + 1_000_003)
         return "scrambled successor link"

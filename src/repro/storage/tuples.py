@@ -92,19 +92,15 @@ class Record:
     The value hash is computed lazily on first use: most records flow
     through scans, screens and batch kernels without ever being hashed,
     and the eager sort-and-hash at construction dominated the per-tuple
-    CPU cost of the old hot path.  The serialized :meth:`image` a page
-    checksum covers is cached the same way: a record cannot change, so
-    the image built at its first page write stays valid for every later
-    write of any page that holds it.
+    CPU cost of the old hot path.
     """
 
-    __slots__ = ("key", "_values", "_hash", "_image")
+    __slots__ = ("key", "_values", "_hash")
 
     def __init__(self, key: Any, values: Mapping[str, Any]) -> None:
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_values", MappingProxyType(dict(values)))
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_image", None)
 
     @classmethod
     def from_sorted_items(
@@ -126,7 +122,6 @@ class Record:
         object.__setattr__(self, "key", key)
         object.__setattr__(self, "_values", MappingProxyType(dict(items)))
         object.__setattr__(self, "_hash", value_hash)
-        object.__setattr__(self, "_image", None)
         return self
 
     def __setattr__(self, name: str, value: Any) -> None:
@@ -158,17 +153,3 @@ class Record:
     def __repr__(self) -> str:
         inner = ", ".join([f"{k}={v!r}" for k, v in self._values.items()])
         return f"Record(key={self.key!r}, {inner})"
-
-    def image(self) -> bytes:
-        """The record's serialized form (its ``repr`` as bytes), built once."""
-        image = self._image
-        if image is None:
-            image = repr(self).encode("utf-8", "replace")
-            _SET_IMAGE(self, image)
-        return image
-
-
-#: The ``_image`` slot's own setter.  ``Record.__setattr__`` refuses every
-#: write, and ``object.__setattr__`` costs as much as serializing a short
-#: record, which every record stored on a page pays once.
-_SET_IMAGE = Record._image.__set__  # type: ignore[attr-defined]

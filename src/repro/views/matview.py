@@ -238,7 +238,7 @@ class AggregateStateStore:
         self.pool = pool
         self.function = function
         page = pool.disk.allocate(f"agg.{name}", 1)
-        page.records.append(function.initial_state())
+        page.add(function.initial_state())
         pool.put(page, dirty=True)
         pool.flush(page.page_id)
         self._page_id = page.page_id
@@ -251,7 +251,7 @@ class AggregateStateStore:
     def write_state(self, state: dict[str, Any]) -> None:
         """Persist a new state (one page write)."""
         page = self.pool.get(self._page_id)
-        page.records[0] = dict(state)
+        page.replace(0, dict(state))
         self.pool.put(page, dirty=True)
 
     def value(self) -> Any:

@@ -24,6 +24,7 @@ CASES = {
     "seeded-determinism": ("seeded_determinism", "repro.experiments.corpus"),
     "snapshot-iteration": ("snapshot_iteration", "repro.storage.corpus"),
     "batch-hot-path": ("batch_hot_path", "repro.views.delta.corpus"),
+    "page-edit": ("page_edit", "repro.storage.corpus"),
 }
 
 
@@ -70,6 +71,13 @@ def test_scoped_rules_skip_out_of_scope_modules(rule_name):
         # holds everywhere except inside repro.maintenance.
         assert findings and all("probe of" in f.message for f in findings)
         assert run_rule(rule_name, f"{stem}_bad.py", "repro.maintenance.corpus") == []
+    elif rule_name == "page-edit":
+        # Every package that holds a page is in scope, views included;
+        # the module that implements the edits and the layers above the
+        # storage engine are not.
+        assert findings
+        assert run_rule(rule_name, f"{stem}_bad.py", "repro.storage.pager") == []
+        assert run_rule(rule_name, f"{stem}_bad.py", "repro.service.server") == []
     else:
         assert findings == []
 

@@ -1,7 +1,11 @@
-"""Cached page images: the checksum of every page write, built from
-cached record images, equals a from-scratch serialization of the same
-page; the fault classes the checksum exists for are still caught; and
-the leaf-edit rewrite did not reorder a single page access."""
+"""Page images: the checksum of every page write, joined from the entry
+images the page kept as it was edited, equals a from-scratch
+serialization of the same page — through any sequence of Page edits,
+through ``clone()`` and on both halves of a split — and equals the value
+the parent commit recorded; the fault classes the checksum exists for
+are still caught, because verification serializes the stored entries
+themselves; an unflushed split leaves the persisted parent page alone;
+and the leaf-edit rewrite did not reorder a single page access."""
 
 import random
 import zlib
@@ -11,14 +15,19 @@ from hypothesis import given, settings, strategies as st
 
 from repro.hr.differential import ClusteredRelation, HypotheticalRelation
 from repro.resilience.faults import FaultProfile, FaultRates, FaultyDisk
-from repro.storage.bplustree import BPlusTree
+from repro.resilience.scrub import scrub_disk
+from repro.storage.bplustree import BPlusTree, _InternalNode
 from repro.storage.hashindex import HashFile
+from repro.storage.heap import HeapFile
 from repro.storage.pager import (
     BufferPool,
     CostMeter,
+    Page,
     PageChecksumError,
     PageId,
+    PageOverflowError,
     SimulatedDisk,
+    page_checksum,
 )
 from repro.storage.tuples import Record, Schema
 
@@ -26,7 +35,7 @@ SCHEMA = Schema("r", ("id", "a", "v"), "id", tuple_bytes=100)
 
 
 def scratch_checksum(page):
-    """The page checksum with nothing cached: every entry through ``repr``."""
+    """The page checksum with nothing kept: every entry through ``repr``."""
     parts = []
     for entry in page.records:
         if isinstance(entry, tuple) and entry and isinstance(entry[-1], Record):
@@ -116,20 +125,166 @@ class TestCachedImageEqualsScratch:
                 assert disk._checksums[page_id] == scratch_checksum(disk._pages[page_id])
                 assert disk.verify(page_id) is None
 
-    def test_an_image_built_by_one_page_serves_another(self):
-        """A record moved by a split is not serialized again, and the
-        page it moved to checksums as if it had been."""
+    def test_heap_workload(self):
         disk = CheckedDisk()
-        pool = BufferPool(disk, capacity=8)
-        tree = BPlusTree("t", pool, lambda r: r["a"], records_per_leaf=2, fanout=3)
-        first = record(1, 5)
-        tree.insert(first)
+        pool = BufferPool(disk, capacity=2)
+        heap = HeapFile("p", pool, records_per_page=3)
+        heap.bulk_load([record(i, i % 4) for i in range(8)])
+        for key in range(8, 14):
+            heap.insert(record(key, key % 4))
+        assert heap.delete_where(lambda r: r["a"] == 1) == 4
         pool.flush_all()
-        image = first.image()
-        for key in range(2, 6):
-            tree.insert(record(key, 5))
-        pool.flush_all()
-        assert first.image() is image
+        assert disk.checked >= 10
+        assert sorted(r.key for r in heap.scan()) == [k for k in range(14) if k % 4 != 1]
+        for page_id in disk.file_pages("p"):
+            assert disk.verify(page_id) is None
+
+
+#: What the four kinds of page hold.
+ENTRIES = {
+    "leaf": lambda key, a: ((a, key), record(key, a)),
+    "record": lambda key, a: record(key, a),
+    "internal": lambda key, a: _InternalNode(
+        keys=[(a, key)], children=[PageId("t.leaf", key), PageId("t.leaf", a)]
+    ),
+    "aggregate": lambda key, a: {"count": key, "sum": a / 2},
+}
+
+#: One Page edit: (method, two integers that pick positions and content).
+edits = st.lists(
+    st.tuples(
+        st.sampled_from(["add", "insert", "replace", "remove", "remove_where",
+                         "keep_range", "fill", "move_tail", "link", "clone"]),
+        st.integers(min_value=0, max_value=30),
+        st.integers(min_value=0, max_value=6),
+    ),
+    max_size=40,
+)
+
+
+def assert_images_current(page, expected):
+    assert page.records == expected
+    assert page.checksum() == page_checksum(page) == scratch_checksum(page)
+
+
+class TestAnyEditSequence:
+    CAPACITY = 4
+
+    @given(kind=st.sampled_from(sorted(ENTRIES)), edits=edits)
+    @settings(max_examples=200, deadline=None)
+    def test_maintained_checksum_equals_recomputed(self, kind, edits):
+        make = ENTRIES[kind]
+        page, model = Page(PageId("f", 0), self.CAPACITY), []
+        cloned = []
+        for op, key, a in edits:
+            size = len(model)
+            if op == "add" and size >= self.CAPACITY:
+                with pytest.raises(PageOverflowError):
+                    page.add(make(key, a))
+            elif op == "add":
+                model.append(make(key, a))
+                page.add(model[-1])
+            elif op == "insert" and size > self.CAPACITY:
+                with pytest.raises(PageOverflowError):
+                    page.insert(0, make(key, a))
+            elif op == "insert":  # a full page takes one more, as a splitting leaf does
+                entry, at = make(key, a), key % (size + 1)
+                model.insert(at, entry)
+                page.insert(at, entry)
+            elif op == "replace" and size:
+                model[key % size] = make(key, a)
+                page.replace(key % size, model[key % size])
+            elif op == "remove" and size:
+                del model[key % size]
+                page.remove(key % size)
+            elif op == "remove_where":
+                doomed = [id(entry) for entry in model[a % 3 :: 3]]
+                assert page.remove_where(lambda entry: id(entry) in doomed) == len(doomed)
+                model = [entry for entry in model if id(entry) not in doomed]
+            elif op == "keep_range":
+                start = key % (size + 1)
+                stop = start + a % (size - start + 1)
+                model = model[start:stop]
+                page.keep_range(start, stop)
+            elif op == "fill":
+                model = [make(key + i, a) for i in range(a % (self.CAPACITY + 1))]
+                page.fill(iter(model))
+            elif op == "move_tail":
+                fresh, at = Page(PageId("f", 1), self.CAPACITY), key % (size + 1)
+                page.move_tail(at, fresh)
+                assert_images_current(fresh, model[at:])
+                model = model[:at]
+                if a % 2:  # carry on with the right half
+                    assert_images_current(page, model)
+                    page, model = fresh, list(fresh.records)
+            elif op == "link":
+                page.next_page = PageId("f", key) if a else None
+            elif op == "clone":
+                cloned.append((page, list(model), page.next_page))
+                page = page.clone()
+            assert_images_current(page, model)
+        for original, expected, link in cloned:  # edits of a clone never reach it
+            assert original.next_page == link
+            assert_images_current(original, expected)
+
+    def test_move_tail_needs_an_empty_page(self):
+        page, other = Page(PageId("f", 0), 4), Page(PageId("f", 1), 4)
+        page.fill(["x", "y"])
+        other.add("z")
+        with pytest.raises(ValueError):
+            page.move_tail(1, other)
+        assert_images_current(page, ["x", "y"])
+        assert_images_current(other, ["z"])
+
+
+def seeded_files(seed=1987):
+    """A B+-tree, a hash file and a heap after a fixed seeded workload."""
+    rng = random.Random(seed)
+    disk = SimulatedDisk(CostMeter())
+    pool = BufferPool(disk, capacity=8)
+    tree = BPlusTree("t", pool, lambda r: r["a"], records_per_leaf=4, fanout=4)
+    tree.bulk_load([record(i, rng.randrange(12), v=i) for i in range(40)])
+    hashed = HashFile("h", pool, lambda r: r["id"], records_per_page=3, buckets=4)
+    hashed.bulk_load([record(i, rng.randrange(12)) for i in range(20)])
+    heap = HeapFile("p", pool, records_per_page=5)
+    heap.bulk_load([record(i, rng.randrange(12)) for i in range(12)])
+    live = list(range(40))
+    for step in range(60):
+        key = 100 + step
+        tree.insert(record(key, rng.randrange(12), v=step))
+        live.append(key)
+        if step % 3 == 0:
+            victim = live.pop(rng.randrange(len(live)))
+            page, index, _ = next(
+                found for a in range(12) if (found := tree.locate(a, victim)) is not None
+            )
+            tree.delete_at(page, index)
+        hashed.insert(record(key, step % 12))
+        if step % 4 == 0:
+            hashed.delete_key(step // 2)
+        heap.insert(record(key, step % 12))
+    heap.delete_where(lambda r: r["a"] == 3)
+    pool.flush_all()
+    return disk
+
+
+class TestChecksumValuesPinned:
+    """Recorded at the commit before pages kept their entry images, when
+    every write serialized the page entry by entry: the same content
+    must still record the same CRC32."""
+
+    @pytest.mark.parametrize("file, pages, first_three, crc_of_all", [
+        ("h.hash", 24, [1201488485, 2018681506, 4018148715], 1347706357),
+        ("p", 15, [2188192260, 1537108415, 1143431228], 4118130192),
+        ("t.int", 14, [3301172240, 174666730, 1835582679], 3030632069),
+        ("t.leaf", 34, [2788396725, 788303421, 2427155437], 3673744162),
+    ])
+    def test_recorded_checksums(self, file, pages, first_three, crc_of_all):
+        disk = seeded_files()
+        sums = [disk._checksums[page_id] for page_id in disk.file_pages(file)]
+        assert len(sums) == pages
+        assert sums[:3] == first_three
+        assert zlib.crc32(repr(sums).encode()) == crc_of_all
 
 
 def leaf_disk(disk):
@@ -173,7 +328,7 @@ class TestFaultsStillCaught:
         disk = FaultyDisk(CostMeter(), FaultProfile(name="torn", rates=FaultRates(torn_write=1.0)))
         first, _ = leaf_disk(disk)
         page = disk.read(first)
-        page.records[0] = (page.records[0][0], record(0, 0, v=9))
+        page.replace(0, (page.records[0][0], record(0, 0, v=9)))
         disk.arm()
         disk.write(page)  # persists half the page, records the intended checksum
         disk.disarm()
@@ -183,6 +338,54 @@ class TestFaultsStillCaught:
         disk.verify_reads = False
         disk.write(page)  # a whole rewrite heals it
         assert disk.verify(first) is None
+
+
+    def test_stale_image_on_a_written_page(self):
+        """An entry edited behind the Page API's back leaves its image
+        stale; the write records the stale checksum and every check,
+        which serializes the entries themselves, reports the page."""
+        disk = SimulatedDisk(CostMeter())
+        first, _ = leaf_disk(disk)
+        page = disk.read(first)
+        page.records[0] = (page.records[0][0], record(0, 0, v=9))
+        assert page.checksum() != page_checksum(page)
+        disk.write(page)
+        self.assert_caught(disk, first)
+
+
+class TestUnflushedSplit:
+    """An internal page's entry is one node object that the persisted
+    image, every clone read from it and the pool frame share: a split
+    below it must put a new node in the pool's page, not edit that one."""
+
+    @pytest.mark.parametrize("fanout", [8, 3])  # 3: internal pages split too
+    def test_persisted_internal_pages_change_only_at_the_flush(self, fanout):
+        disk = SimulatedDisk(CostMeter())
+        pool = BufferPool(disk, capacity=64)
+        tree = BPlusTree("t", pool, lambda r: r["a"], records_per_leaf=4, fanout=fanout)
+        tree.bulk_load([record(i, i) for i in range(16)])
+        pool.flush_all()
+        persisted = {
+            page_id: (repr(disk._pages[page_id].records), disk._checksums[page_id])
+            for page_id in disk.file_pages("t.int")
+        }
+        assert tree.root_id in persisted
+        leaves = disk.page_count("t.leaf")
+        for key in range(100, 104):
+            tree.insert(record(key, 5))  # one sort key: its leaf splits
+        assert disk.page_count("t.leaf") > leaves
+        for page_id, (image, checksum) in persisted.items():
+            assert repr(disk._pages[page_id].records) == image
+            assert disk._checksums[page_id] == checksum
+            assert disk.verify(page_id) is None
+        assert scrub_disk(disk).damage == []
+        pool.flush_all()
+        assert any(
+            repr(disk._pages[page_id].records) != image
+            for page_id, (image, _) in persisted.items()
+        )
+        assert scrub_disk(disk).damage == []
+        assert [r.key for r in tree.search(5)] == [5, 100, 101, 102, 103]
 
 
 def fold_trace(pool_pages, seed=1987):

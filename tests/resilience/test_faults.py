@@ -103,7 +103,7 @@ class TestFaultClasses:
         original = disk.read(ids[0]).records
         disk.arm()
         doomed = disk.read(ids[0])
-        doomed.records = [("changed",)]
+        doomed.fill([("changed",)])
         with pytest.raises(TransientWriteError):
             disk.write(doomed)
         disk.disarm()
@@ -114,7 +114,7 @@ class TestFaultClasses:
         disk, ids = make_disk(profile, records=4)
         disk.arm()
         page = disk.read(ids[0])
-        page.records = [("new", i) for i in range(4)]
+        page.fill([("new", i) for i in range(4)])
         disk.write(page)  # "succeeds" but tears
         assert disk.injected["torn_write"] == 1
         disk.disarm()

@@ -64,6 +64,24 @@ class TestInsertSearch:
         assert tree.height > 2
         assert [r["a"] for r in tree.scan_all()] == list(range(50))
 
+    def test_split_layout_of_a_full_leaf(self):
+        """The insert that overflows a full leaf goes in first (the leaf
+        holds five for a moment), then the upper half moves right."""
+        tree, _, pool = make_tree(leaf_capacity=4, fanout=4)
+        for a in (10, 20, 40, 50):
+            tree.insert(rec(a, a))
+        left_id = tree.root_id
+        assert pool.get(left_id).is_full
+        tree.insert(rec(30, 30))
+        assert tree.height == 2
+        node = pool.get(tree.root_id).records[0]
+        assert node.keys == [(30, 30)]
+        assert node.children[0] == left_id
+        left, right = (pool.get(child) for child in node.children)
+        assert [r["a"] for _, r in left.records] == [10, 20]
+        assert [r["a"] for _, r in right.records] == [30, 40, 50]
+        assert left.next_page == right.page_id and right.next_page is None
+
     def test_scan_all_sorted_after_random_inserts(self):
         tree, _, _ = make_tree()
         rng = random.Random(3)

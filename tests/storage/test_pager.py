@@ -26,6 +26,21 @@ class TestPage:
         with pytest.raises(PageOverflowError):
             page.add(3)
 
+    def test_insert_lets_a_full_page_run_one_over(self):
+        """A leaf holds capacity + 1 entries between an insert and its split."""
+        page = Page(PageId("f", 0), capacity=2)
+        page.add(1)
+        page.add(3)
+        page.insert(1, 2)
+        assert page.records == [1, 2, 3]
+        with pytest.raises(PageOverflowError):
+            page.insert(0, 0)
+        with pytest.raises(PageOverflowError):
+            page.add(4)
+        right = Page(PageId("f", 1), capacity=2)
+        page.move_tail(1, right)
+        assert (page.records, right.records) == ([1], [2, 3])
+
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             Page(PageId("f", 0), capacity=0)
@@ -148,10 +163,11 @@ class TestChecksums:
         page.add("y")
         grown = page_checksum(page)
         assert grown != base
-        page.records = page.records[:1]  # truncation detected
+        page.keep_range(0, 1)  # truncation detected
         assert page_checksum(page) == base
         page.next_page = 7  # chain pointer is covered too
         assert page_checksum(page) != base
+        assert page.checksum() == page_checksum(page)
 
     def test_checksum_covers_records_order_and_link_only(self):
         """Pinned coverage: the entries, their order and the successor
@@ -161,17 +177,18 @@ class TestChecksums:
 
         first, second = Record(1, {"id": 1}), Record(2, {"id": 2})
         page = Page(PageId("f", 0), capacity=4)
-        page.records = [first, ((2, 2), second)]
+        page.fill([first, ((2, 2), second)])
         base = page_checksum(page)
+        assert page.checksum() == base
         other = Page(PageId("g", 7), capacity=9)
-        other.records = list(page.records)
-        assert page_checksum(other) == base
-        other.records.reverse()
+        other.fill(page.records)
+        assert page_checksum(other) == other.checksum() == base
+        other.fill(reversed(page.records))
         assert page_checksum(other) != base
-        page.records[1] = ((2, 3), second)  # a leaf entry's key is covered
+        page.replace(1, ((2, 3), second))  # a leaf entry's key is covered
         assert page_checksum(page) != base
-        page.records[1] = ((2, 2), Record(2, {"id": 2}))  # equal record, new object
-        assert page_checksum(page) == base
+        page.replace(1, ((2, 2), Record(2, {"id": 2})))  # equal record, new object
+        assert page_checksum(page) == page.checksum() == base
 
     def test_verify_reads_off_by_default_serves_rot_silently(self, disk):
         page = self.write_one(disk)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.storage.tuples import Record, Schema, SchemaError
+from repro.storage.tuples import Schema, SchemaError
 
 
 @pytest.fixture
@@ -91,29 +91,13 @@ class TestRecord:
         record = schema.new_record(id=1, dept="x", salary=5)
         with pytest.raises(AttributeError):
             record.key = 2
-
-    def test_cached_image_cannot_go_stale(self, schema):
-        """The image a page checksum reuses is built once, on demand, and
-        nothing that could change what it describes is writable."""
-        record = schema.new_record(id=1, dept="x", salary=5)
-        assert record._image is None  # not built at construction
-        image = record.image()
-        assert image == repr(record).encode()
-        assert record.image() is image
-        for name in ("key", "_values", "_image", "_hash"):
+        for name in ("key", "_values", "_hash"):
             with pytest.raises(AttributeError):
                 setattr(record, name, None)
         with pytest.raises(TypeError):
             record.values["salary"] = 6
         with pytest.raises(TypeError):
             del record.values["salary"]
-        assert record.image() == repr(record).encode()
-
-    def test_image_of_a_record_from_sorted_items(self, schema):
-        plain = schema.new_record(dept="x", id=1, salary=5)
-        fast = Record.from_sorted_items(1, sorted(plain.values.items()))
-        assert fast._image is None
-        assert fast.image() == repr(fast).encode()
 
     def test_getitem_and_get(self, schema):
         record = schema.new_record(id=1, dept="x", salary=5)
