@@ -720,7 +720,11 @@ class BatchHotPathRule(Rule):
     model from its attributes.  Strategies and models answer those
     questions themselves (``model.read``,
     ``model.free``, ``state_doc``/``restore_state``,
-    ``model.stored_files``).
+    ``model.stored_files``).  Likewise relations, everywhere outside
+    ``repro.hr``: they state ``organisation``, ``organised_on``,
+    ``base``, ``differential`` and ``pending``, so an ``isinstance``
+    against a relation class or a probe for ``base`` re-derives a fact
+    for one subclass and silently misses its siblings.
     """
 
     name = "batch-hot-path"
@@ -729,12 +733,17 @@ class BatchHotPathRule(Rule):
         "kernel work in a hot module (use the batch kernels: "
         "matches_batch / screen_batch / _net_from_entries), or a "
         "getattr/hasattr probe of view-implementation internals outside "
-        "repro.maintenance"
+        "repro.maintenance, or a class probe of a relation (isinstance, or "
+        "getattr/hasattr for `base`) outside repro.hr"
     )
     scopes = ("repro",)
 
     _HOT_MODULES = ("repro.views.delta", "repro.maintenance.screening", "repro.hr")
     _VIEW_INTERNALS = frozenset({"matview", "store", "_markers", "_track_outer"})
+    _RELATION_CLASSES = frozenset({
+        "ClusteredRelation", "HashedRelation", "DifferentialRelation",
+        "HypotheticalRelation", "SeparateFilesHR", "HashedHypotheticalRelation",
+    })
 
     _SCAN_CALLS = frozenset(
         {"scan", "scan_all", "scan_logical", "range_scan", "scan_range"}
@@ -746,9 +755,10 @@ class BatchHotPathRule(Rule):
     def check(self, ctx: LintContext) -> list[Finding]:
         hot = any(_prefix_match(ctx.module, prefix) for prefix in self._HOT_MODULES)
         outside = not _prefix_match(ctx.module, "repro.maintenance")
+        outside_hr = not _prefix_match(ctx.module, "repro.hr")
         findings: list[Finding] = []
         for node in ast.walk(ctx.tree):
-            if outside and (probed := self._probed_internal(node)) is not None:
+            if outside and (probed := self._probed(node, self._VIEW_INTERNALS)):
                 findings.append(
                     self.finding(
                         ctx,
@@ -758,6 +768,12 @@ class BatchHotPathRule(Rule):
                         "attributes",
                     )
                 )
+            if outside_hr and (asked := self._relation_probe(node)):
+                findings.append(self.finding(
+                    ctx, node,
+                    f"probe of a relation's class ({asked}); read the facts "
+                    "every relation states instead",
+                ))
             if not hot:
                 continue
             for iter_expr, body, anchor in self._loops(node):
@@ -777,18 +793,30 @@ class BatchHotPathRule(Rule):
                 )
         return findings
 
-    def _probed_internal(self, node: ast.AST) -> str | None:
-        """The internal a ``getattr``/``hasattr`` call probes for, if any."""
+    @staticmethod
+    def _probed(node: ast.AST, names: frozenset[str] | set[str]) -> str | None:
+        """Which of ``names`` a ``getattr``/``hasattr`` call probes for."""
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in ("getattr", "hasattr")
             and len(node.args) >= 2
             and isinstance(node.args[1], ast.Constant)
-            and node.args[1].value in self._VIEW_INTERNALS
+            and node.args[1].value in names
         ):
             return node.args[1].value
         return None
+
+    def _relation_probe(self, node: ast.AST) -> str | None:
+        """The relation class(es) an ``isinstance`` names, or ``base``."""
+        if (
+            isinstance(node, ast.Call)
+            and _terminal_name(node.func) == "isinstance"
+            and len(node.args) == 2
+        ):
+            named = {_terminal_name(sub) for sub in ast.walk(node.args[1])}
+            return ", ".join(sorted(named & self._RELATION_CLASSES)) or None
+        return self._probed(node, {"base"})
 
     @staticmethod
     def _loops(

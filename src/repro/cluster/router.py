@@ -52,12 +52,13 @@ from .worker import decode_answer, encode_operation
 
 __all__ = ["ClusterRouter", "ClusterError", "ClusterClosedError"]
 
-#: Aggregate merge functions the scatter layer knows how to fold.
+#: Aggregate merge functions the scatter layer knows how to fold.  A
+#: shard whose partition selects nothing answers ``None`` for min/max.
 _SCALAR_MERGES = {
     "sum": sum,
     "count": sum,
-    "min": min,
-    "max": max,
+    "min": lambda legs: min((x for x in legs if x is not None), default=None),
+    "max": lambda legs: max((x for x in legs if x is not None), default=None),
 }
 
 

@@ -21,7 +21,6 @@ import socket
 from typing import Any, Mapping
 
 from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
-from repro.hr.differential import HypotheticalRelation
 from repro.resilience.degradation import DegradedResult
 from repro.service.server import ViewServer
 from repro.service.spec import build_server
@@ -208,11 +207,11 @@ def _handle(
     if op == "stats":
         relations = {}
         for name, relation in sorted(server.database.relations.items()):
-            if isinstance(relation, HypotheticalRelation):
+            if relation.differential:
                 coordinator = server.database.deferred_coordinator(name)
                 relations[name] = {
                     "net_reads": relation.net_reads,
-                    "pending": relation.ad_entry_count(),
+                    "pending": relation.pending,
                     "net_computes": (
                         coordinator.net_computes if coordinator is not None else 0
                     ),

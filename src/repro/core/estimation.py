@@ -80,12 +80,7 @@ def estimate_selectivity(
     Uses the relation's in-memory snapshot (statistics collection —
     no workload I/O is charged).
     """
-    relation = database.relations[relation_name]
-    snapshot = (
-        relation.base.records_snapshot()
-        if hasattr(relation, "base")
-        else relation.records_snapshot()
-    )
+    snapshot = database.relations[relation_name].base.records_snapshot()
     values = [r[field] for r in snapshot]
     if not values:
         return 0.0
@@ -115,8 +110,7 @@ def estimate_parameters(
 
     is_join = isinstance(definition, JoinView)
     relation_name = definition.outer if is_join else definition.relation
-    relation = database.relations[relation_name]
-    base = relation.base if hasattr(relation, "base") else relation
+    base = database.relations[relation_name].base
     n_tuples = max(1, len(base))
 
     # Selectivity: histogram over the predicate's interval when it has

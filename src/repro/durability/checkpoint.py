@@ -39,7 +39,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.engine.database import Database
-from repro.hr.differential import DifferentialRelation
 from repro.storage.pager import CostMeter
 
 from . import codec
@@ -231,25 +230,14 @@ class CheckpointManager:
                 )
             )
         for name, spec in specs["views"].items():
-            catalog.append(
-                _line(
-                    "view",
-                    name=name,
-                    definition=codec.encode_definition(spec["definition"]),
-                    strategy=spec["strategy"].value,
-                    plan=spec["plan"],
-                    index_field=spec["index_field"],
-                    refresh_every=spec["refresh_every"],
-                )
-            )
+            catalog.append(_line("view", name=name, **codec.encode_spec(spec)))
         for relation, field in specs["secondary_indexes"]:
             catalog.append(_line("secondary_index", relation=relation, field=field))
 
         relations: list[dict[str, Any]] = []
         differential: list[dict[str, Any]] = []
         for name, relation in db.relations.items():
-            pending = isinstance(relation, DifferentialRelation)
-            base = relation.base if pending else relation
+            base = relation.base
             relations.append(
                 _line(
                     "base",
@@ -257,7 +245,7 @@ class CheckpointManager:
                     records=[codec.encode_record(r) for r in base.records_snapshot()],
                 )
             )
-            if pending:
+            if relation.differential:
                 differential.append(self._capture_differential(name, relation))
 
         views: list[dict[str, Any]] = []
@@ -282,26 +270,12 @@ class CheckpointManager:
 
     @staticmethod
     def _capture_differential(name: str, relation: Any) -> dict[str, Any]:
-        from repro.hr.differential import _ROLE_FIELD, _SEQ_FIELD
-
-        entries = []
-        for entry in sorted(relation.ad.scan_all(), key=lambda e: e[_SEQ_FIELD]):
-            entries.append(
-                {
-                    "record": codec.encode_record(
-                        # The entry's logical payload: key + field values.
-                        type(entry)(entry["_k"], dict(entry["_values"]))
-                    ),
-                    "role": entry[_ROLE_FIELD],
-                    "seq": entry[_SEQ_FIELD],
-                }
-            )
-        return _line(
-            "ad_state",
-            relation=name,
-            entries=entries,
-            bloom=relation.bloom.to_dict(),
-        )
+        state = relation.state_doc()
+        entries = [
+            {"record": codec.encode_record(record), "role": role, "seq": seq}
+            for record, role, seq in state["entries"]
+        ]
+        return _line("ad_state", relation=name, entries=entries, bloom=state["bloom"])
 
     # ------------------------------------------------------------------
     # internals

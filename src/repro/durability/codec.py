@@ -18,6 +18,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from typing import Any
 
+from repro.core.strategies import Strategy
+from repro.engine.database import ViewSpec
 from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
 from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
@@ -43,6 +45,8 @@ __all__ = [
     "decode_predicate",
     "encode_definition",
     "decode_definition",
+    "encode_spec",
+    "decode_spec",
     "encode_transaction",
     "decode_transaction",
     "encode_event",
@@ -239,6 +243,29 @@ def decode_definition(
 
 
 # ----------------------------------------------------------------------
+# view specs (the catalog's entry: definition, strategy, options)
+# ----------------------------------------------------------------------
+def _encode_options(spec: ViewSpec) -> dict[str, Any]:
+    """Everything of a spec but its definition."""
+    doc = {**vars(spec), "strategy": spec.strategy.value}
+    del doc["definition"]
+    return doc
+
+
+def _decode_options(doc: Mapping[str, Any]) -> dict[str, Any]:
+    options = {name: doc[name] for name in ("plan", "index_field", "refresh_every")}
+    return {"strategy": Strategy(doc["strategy"]), **options}
+
+
+def encode_spec(spec: ViewSpec) -> dict[str, Any]:
+    return {"definition": encode_definition(spec.definition), **_encode_options(spec)}
+
+
+def decode_spec(doc: Mapping[str, Any]) -> ViewSpec:
+    return ViewSpec(decode_definition(doc["definition"]), **_decode_options(doc))
+
+
+# ----------------------------------------------------------------------
 # transactions
 # ----------------------------------------------------------------------
 def _encode_operation(op: Operation) -> dict[str, Any]:
@@ -304,27 +331,13 @@ def encode_event(event: str, payload: Mapping[str, Any]) -> dict[str, Any]:
             "records": None if records is None else [encode_record(r) for r in records],
         }
     if event == "define_view":
-        return {
-            "event": event,
-            "definition": encode_definition(payload["definition"]),
-            "strategy": payload["strategy"],
-            "plan": payload["plan"],
-            "index_field": payload["index_field"],
-            "refresh_every": payload["refresh_every"],
-        }
-    if event == "drop_view":
-        return {"event": event, "view": payload["view"]}
-    if event == "rebuild_view":
+        return {"event": event, **encode_spec(payload["spec"])}
+    if event in ("drop_view", "rebuild_view"):
         return {"event": event, "view": payload["view"]}
     if event == "migrate":
-        return {
-            "event": event,
-            "view": payload["view"],
-            "strategy": payload["strategy"],
-            "plan": payload["plan"],
-            "index_field": payload["index_field"],
-            "refresh_every": payload["refresh_every"],
-        }
+        # The view keeps its definition: only the rest of the spec rides.
+        spec = payload["spec"]
+        return {"event": event, "view": spec.name, **_encode_options(spec)}
     raise CodecError(f"unknown journal event {event!r}")
 
 
@@ -346,23 +359,9 @@ def decode_event(doc: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
             "records": None if records is None else [decode_record(r) for r in records],
         }
     if event == "define_view":
-        return event, {
-            "definition": decode_definition(doc["definition"]),
-            "strategy": doc["strategy"],
-            "plan": doc["plan"],
-            "index_field": doc["index_field"],
-            "refresh_every": doc["refresh_every"],
-        }
-    if event == "drop_view":
-        return event, {"view": doc["view"]}
-    if event == "rebuild_view":
+        return event, {"spec": decode_spec(doc)}
+    if event in ("drop_view", "rebuild_view"):
         return event, {"view": doc["view"]}
     if event == "migrate":
-        return event, {
-            "view": doc["view"],
-            "strategy": doc["strategy"],
-            "plan": doc["plan"],
-            "index_field": doc["index_field"],
-            "refresh_every": doc["refresh_every"],
-        }
+        return event, {"name": doc["view"], **_decode_options(doc)}
     raise CodecError(f"unknown journal event {event!r}")

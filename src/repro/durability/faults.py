@@ -37,6 +37,7 @@ from typing import Any
 from repro.core.strategies import Strategy
 from repro.engine.database import Database
 from repro.engine.transaction import Delete, Insert, Transaction, Update
+from repro.maintenance.catalog import relation_kind_for
 from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
@@ -161,9 +162,9 @@ def build_database(strategy: Strategy, manager: DurabilityManager | None = None)
     db = Database(**ENGINE_CONFIG)
     if manager is not None:
         manager.attach(db)  # journal armed before bootstrap: it replays too
-    kind = "hypothetical" if strategy is Strategy.DEFERRED else "plain"
     db.create_relation(
-        _schema(), "k", kind=kind, records=_initial_records(), ad_buckets=8
+        _schema(), "k", kind=relation_kind_for(strategy),
+        records=_initial_records(), ad_buckets=8,
     )
     db.define_view(
         SelectProjectView(

@@ -21,15 +21,11 @@ counters) is the fault harness's proof of that claim.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Any
 
 from repro.core.parameters import Parameters
-from repro.core.strategies import Strategy
 from repro.engine.database import Database
-from repro.hr.differential import DifferentialRelation
-from repro.storage.bloom import BloomFilter
 from repro.storage.pager import CostMeter
 from repro.storage.tuples import Record
 
@@ -94,19 +90,13 @@ def apply_event(db: Database, event: str, payload: dict[str, Any]) -> None:
             hash_buckets=payload["hash_buckets"],
         )
     elif event == "define_view":
-        options = dict(payload)
-        db.define_view(
-            options.pop("definition"), Strategy(options.pop("strategy")), **options
-        )
+        db.define_view(payload["spec"])
     elif event == "drop_view":
         db.drop_view(payload["view"])
     elif event == "rebuild_view":
         db.rebuild_view(payload["view"])
     elif event == "migrate":
-        options = dict(payload)
-        db.migrate_view(
-            options.pop("view"), Strategy(options.pop("strategy")), **options
-        )
+        db.migrate_view(**payload)
     else:
         raise RecoveryError(f"cannot replay unknown event {event!r}")
 
@@ -199,13 +189,7 @@ def _restore_checkpoint(db: Database, ckpt: CheckpointManager, name: str) -> Non
                 hash_buckets=spec["hash_buckets"],
             )
         elif kind == "view":
-            db.define_view(
-                codec.decode_definition(doc["definition"]),
-                Strategy(doc["strategy"]),
-                plan=doc["plan"],
-                index_field=doc["index_field"],
-                refresh_every=doc["refresh_every"],
-            )
+            db.define_view(codec.decode_spec(doc))
         elif kind == "secondary_index":
             if (doc["relation"], doc["field"]) not in db.secondary_indexes:
                 db.create_secondary_index(doc["relation"], doc["field"])
@@ -225,37 +209,18 @@ def _restore_checkpoint(db: Database, ckpt: CheckpointManager, name: str) -> Non
 def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
     """Rebuild one relation's AD file, Bloom filter and pending delta."""
     relation = db.relations.get(doc["relation"])
-    if not isinstance(relation, DifferentialRelation):
+    if relation is None or not relation.differential:
         raise RecoveryError(
             f"checkpoint AD state for unknown/non-hypothetical relation "
             f"{doc['relation']!r}"
         )
-    max_seq = -1
+    entries = [
+        (codec.decode_record(entry["record"]), entry["role"], entry["seq"])
+        for entry in doc["entries"]
+    ]
     with db.meter.setup_phase():
-        for entry in doc["entries"]:
-            record = codec.decode_record(entry["record"])
-            role, seq = entry["role"], entry["seq"]
-            values = {
-                "_k": record.key,
-                "_values": tuple(sorted(record.values.items())),
-                "_role": role,
-                "_seq": seq,
-            }
-            relation.ad.insert(Record((record.key, seq, role), values))
-            if role == "A":
-                relation._pending.add_insert(record)
-            else:
-                relation._pending.add_delete(record)
-            max_seq = max(max_seq, seq)
+        relation.restore_state({"entries": entries, "bloom": doc["bloom"]})
         db.pool.flush_all()
-    relation._seq = itertools.count(max_seq + 1)
-    bloom_doc = doc["bloom"]
-    bloom = relation.bloom
-    if bloom.bits == bloom_doc["bits"] and bloom.hashes == bloom_doc["hashes"]:
-        relation.bloom = BloomFilter.from_dict(bloom_doc)
-    else:  # sizing drifted across versions: re-derive from the entries
-        for entry in doc["entries"]:
-            bloom.add(codec.decode_value(entry["record"]["key"]))
 
 
 def _read_service_state(

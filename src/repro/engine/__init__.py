@@ -5,6 +5,7 @@ from .database import (
     Database,
     UnsupportedTransactionError,
     ViewMaintenanceError,
+    ViewSpec,
 )
 from .executor import (
     SecondaryIndex,
@@ -28,6 +29,7 @@ __all__ = [
     "UnsupportedTransactionError",
     "Update",
     "ViewMaintenanceError",
+    "ViewSpec",
     "clustered_scan",
     "nested_loop_join",
     "sequential_scan",

@@ -15,17 +15,19 @@ The shared :class:`~repro.storage.pager.CostMeter` prices everything;
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
+from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.core.parameters import Parameters
 from repro.core.strategies import Strategy
 from repro.hr.differential import (
     ClusteredRelation,
-    DifferentialRelation,
+    HashedRelation,
     HypotheticalRelation,
     SeparateFilesHR,
 )
+from repro.hr.hashed import HashedHypotheticalRelation
 from repro.resilience.faults import FaultProfile, FaultyDisk
 from repro.resilience.policy import RESILIENCE_ERRORS, ResilienceConfig, ResilientDisk
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
@@ -33,20 +35,53 @@ from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.delta import DeltaSet
 from .executor import SecondaryIndex
-from .relations import HashedRelation
 from .transaction import Delete, Insert, Transaction, Update
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.maintenance.base import MaintenanceStrategy
 
 __all__ = [
+    "KINDS",
     "Database",
     "CatalogError",
     "UnsupportedTransactionError",
     "ViewMaintenanceError",
+    "ViewSpec",
 ]
 
-BaseRelation = ClusteredRelation | HashedRelation
+#: Relation kind -> (organisation of the plain file, differential
+#: design over it or ``None``): Section 3.1's two organisations, each
+#: plain or under one of Section 2.2's differential designs.
+KINDS: dict[str, tuple[type, type | None]] = {
+    "plain": (ClusteredRelation, None),  # query modification, immediate
+    "hypothetical": (ClusteredRelation, HypotheticalRelation),  # deferred
+    "separate": (ClusteredRelation, SeparateFilesHR),  # A, D apart: ablation
+    "hashed": (HashedRelation, None),  # the join inner R2
+    # ... under deferred join views that take inner-side updates:
+    "hashed_hypothetical": (HashedRelation, HashedHypotheticalRelation),
+}
+
+ViewDefinition = SelectProjectView | JoinView | AggregateView
+
+
+@dataclass(frozen=True)
+class ViewSpec:
+    """A view's catalog entry, everything ``define_view`` was asked: the
+    one value catalog operations, journal, checkpoints and repairs pass
+    around.  ``plan`` and ``index_field`` pick a Model 1 view's
+    query-modification plan, ``refresh_every`` a snapshot's period.
+    """
+
+    definition: ViewDefinition
+    strategy: Strategy
+    plan: str | None = None
+    index_field: str | None = None
+    refresh_every: int = 10
+
+    @property
+    def name(self) -> str:
+        """The view's name."""
+        return self.definition.name
 
 
 class CatalogError(ValueError):
@@ -131,7 +166,7 @@ class Database:
         #: transaction and each view query — matching the cost model's
         #: cold-cache assumption (every formula charges full I/O).
         self.cold_operations = cold_operations
-        self.relations: dict[str, BaseRelation | HypotheticalRelation] = {}
+        self.relations: dict[str, Any] = {}
         self.secondary_indexes: dict[tuple[str, str], SecondaryIndex] = {}
         self.views: dict[str, "MaintenanceStrategy"] = {}
         self._views_by_relation: dict[str, list[str]] = {}
@@ -142,7 +177,7 @@ class Database:
         #: the create_relation / define_view arguments needed to rebuild
         #: this catalog from persistent state.
         self._relation_specs: dict[str, dict[str, Any]] = {}
-        self._view_specs: dict[str, dict[str, Any]] = {}
+        self._view_specs: dict[str, ViewSpec] = {}
         #: Write-ahead journal hook.  When set (and not suppressed), the
         #: engine calls ``journal.log(event, payload)`` *before* applying
         #: each state-changing operation.  ``repro.durability`` owns the
@@ -195,110 +230,65 @@ class Database:
         records: Iterable[Record] | None = None,
         ad_buckets: int = 64,
         hash_buckets: int | None = None,
-    ) -> BaseRelation | HypotheticalRelation:
-        """Create (and optionally load) a base relation.
-
-        ``kind`` selects the storage wrapper:
-
-        * ``"plain"`` — clustered B+-tree (query modification, immediate)
-        * ``"hypothetical"`` — B+-tree + combined AD file (deferred)
-        * ``"separate"`` — B+-tree + separate A/D files (ablation)
-        * ``"hashed"`` — clustered hash file (the join inner ``R2``)
-        * ``"hashed_hypothetical"`` — hash file + AD file (deferred
-          join views with inner-side updates)
-        """
+    ) -> Any:
+        """Create (and optionally load) a base relation; ``kind``
+        names the storage, a row of :data:`KINDS`."""
         if schema.name in self.relations:
             raise CatalogError(f"relation {schema.name!r} already exists")
+        if kind not in KINDS:
+            raise CatalogError(
+                f"unknown relation kind {kind!r}; expected plain, "
+                "hypothetical, separate or hashed"
+            )
+        plain, differential = KINDS[kind]
+        sizing = {"btree": {"fanout": self.fanout}, "hash": {"buckets": hash_buckets}}
         # Structure creation and the initial load are setup, not
         # workload: charge the setup bucket so the first query's
         # metered cost stays clean (the root-page flush of a fresh
         # B+-tree or hash directory is not workload I/O either).
         with self.meter.setup_phase():
-            relation = self._build_relation(
-                schema, clustered_on, kind, ad_buckets, hash_buckets
+            relation = plain(
+                schema, self.pool, clustered_on,
+                block_bytes=self.block_bytes, **sizing[plain.organisation],
             )
+            if differential is not None:
+                relation = differential(relation, ad_buckets=ad_buckets)
             self.relations[schema.name] = relation
             loaded: list[Record] | None = None
             if records is not None:
                 loaded = list(records)
-                loader = relation.base if hasattr(relation, "base") else relation
-                loader.bulk_load(loaded)
+                relation.base.bulk_load(loaded)
             self.pool.flush_all()
-        self._relation_specs[schema.name] = {
+        spec = {
             "clustered_on": clustered_on,
             "kind": kind,
             "ad_buckets": ad_buckets,
             "hash_buckets": hash_buckets,
         }
-        self._journal(
-            "create_relation",
-            schema=schema,
-            clustered_on=clustered_on,
-            kind=kind,
-            ad_buckets=ad_buckets,
-            hash_buckets=hash_buckets,
-            records=loaded,
-        )
-        return relation
-
-    def _build_relation(
-        self,
-        schema: Schema,
-        clustered_on: str,
-        kind: str,
-        ad_buckets: int,
-        hash_buckets: int | None,
-    ) -> BaseRelation | HypotheticalRelation:
-        if kind in ("hashed", "hashed_hypothetical"):
-            hashed = HashedRelation(
-                schema, self.pool, clustered_on,
-                block_bytes=self.block_bytes, buckets=hash_buckets,
-            )
-            if kind == "hashed_hypothetical":
-                from repro.hr.hashed import HashedHypotheticalRelation
-
-                relation: Any = HashedHypotheticalRelation(
-                    hashed, ad_buckets=ad_buckets
-                )
-            else:
-                relation = hashed
-        else:
-            base = ClusteredRelation(
-                schema, self.pool, clustered_on,
-                block_bytes=self.block_bytes, fanout=self.fanout,
-            )
-            if kind == "plain":
-                relation = base
-            elif kind == "hypothetical":
-                relation = HypotheticalRelation(base, ad_buckets=ad_buckets)
-            elif kind == "separate":
-                relation = SeparateFilesHR(base, ad_buckets=ad_buckets)
-            else:
-                raise CatalogError(
-                    f"unknown relation kind {kind!r}; expected plain, "
-                    "hypothetical, separate or hashed"
-                )
+        self._relation_specs[schema.name] = spec
+        self._journal("create_relation", schema=schema, records=loaded, **spec)
         return relation
 
     def create_secondary_index(self, relation_name: str, field: str) -> SecondaryIndex:
         """Build an in-memory secondary index on a plain relation."""
-        base = self._base_of(relation_name)
-        if not isinstance(base, ClusteredRelation):
-            raise CatalogError("secondary indexes require a tree-clustered relation")
-        index = SecondaryIndex(base, field)
+        relation = self._base_of(relation_name)
+        self._catalog().check_indexable(relation)
+        index = SecondaryIndex(relation, field)
         self.secondary_indexes[(relation_name, field)] = index
         return index
 
     def define_view(
         self,
-        definition: SelectProjectView | JoinView | AggregateView,
-        strategy: Strategy,
-        plan: str | None = None,
-        index_field: str | None = None,
-        refresh_every: int = 10,
+        view: ViewSpec | ViewDefinition,
+        strategy: Strategy | None = None,
         setup_bucket: bool = True,
+        **options: Any,
     ) -> "MaintenanceStrategy":
-        """Register a view under one maintenance strategy.
+        """Register a view under one maintenance strategy: a
+        :class:`ViewSpec`, or a definition followed by the strategy and,
+        by keyword, the spec's options.  The catalog is asked first
+        (:func:`repro.maintenance.catalog.check_hosting`): a refused
+        definition changes nothing.
 
         For materialized strategies the stored copy is built now from
         the current base content.  That materialization is charged to
@@ -306,22 +296,49 @@ class Database:
         ``setup_bucket=False`` — migrations pass False because a
         rebuild there *is* workload cost the router must weigh.
         """
-        if definition.name in self.views:
-            raise CatalogError(f"view {definition.name!r} already exists")
+        spec = view if strategy is None else ViewSpec(view, strategy, **options)
+        impl = self._host(self._check(spec, new=True), setup_bucket)
+        self._journal("define_view", spec=spec)
+        return impl
+
+    def _check(self, spec: ViewSpec, new: bool = False) -> ViewSpec:
+        """Ask the catalog's hosting table; every catalog operation
+        does, before it journals, drops or builds anything."""
+        if new and spec.name in self.views:
+            raise CatalogError(f"view {spec.name!r} already exists")
+        self._catalog().check_hosting(spec, self.relations, self._view_specs.values())
+        return spec
+
+    def can_host(self, spec: ViewSpec) -> bool:
+        """Whether the catalog would accept ``spec`` as things stand
+        (in place of the view of that name, if there is one)."""
+        try:
+            self._check(spec)
+        except CatalogError:
+            return False
+        return True
+
+    @staticmethod
+    def _catalog() -> Any:
+        # Imported here: the maintenance package imports the engine.
+        from repro.maintenance import catalog
+
+        return catalog
+
+    def _host(self, spec: ViewSpec, setup_bucket: bool) -> "MaintenanceStrategy":
+        """Build a checked spec's view and enter it in the catalog."""
+        definition, strategy = spec.definition, spec.strategy
         builder = self.meter.setup_phase if setup_bucket else nullcontext
         with builder():
-            impl = self._build_view(
-                definition, strategy,
-                plan=plan, index_field=index_field, refresh_every=refresh_every,
-            )
+            impl = self._build_view(spec)
             if setup_bucket:
                 self.pool.flush_all()
-        self.views[definition.name] = impl
+        self.views[spec.name] = impl
         # A join is listed under its inner relation too: inner updates
         # also affect it (an extension beyond the paper's
         # R2-is-never-updated simplification).
         for source in definition.sources:
-            self._views_by_relation.setdefault(source, []).append(definition.name)
+            self._views_by_relation.setdefault(source, []).append(spec.name)
         if strategy is Strategy.DEFERRED:
             # All deferred views on one relation share a refresh
             # coordinator: one view's refresh folds the AD file down, so
@@ -334,50 +351,34 @@ class Database:
             if shared is not impl.coordinator:
                 impl.join_coordinator(shared)
             self._hook_coordinator(shared)
-        spec = {
-            "definition": definition,
-            "strategy": strategy,
-            "plan": plan,
-            "index_field": index_field,
-            "refresh_every": refresh_every,
-        }
-        self._view_specs[definition.name] = spec
-        self._journal("define_view", **{**spec, "strategy": strategy.value})
+        self._view_specs[spec.name] = spec
         return impl
 
-    def _build_view(
-        self,
-        definition: SelectProjectView | JoinView | AggregateView,
-        strategy: Strategy,
-        **options: Any,
-    ) -> "MaintenanceStrategy":
-        """Pair the definition's model with the strategy's class.
-
-        Which pairs exist is :data:`repro.maintenance.catalog.SUPPORTED`;
-        the strategy class names the ``define_view`` options it takes.
+    def _build_view(self, spec: ViewSpec) -> "MaintenanceStrategy":
+        """Pair the definition's model with the strategy's class (the
+        catalog has checked the pair exists, and can live on these
+        relations); the strategy class names the spec options it takes.
         """
-        # Imported here: the maintenance package imports the engine.
-        from repro.maintenance.catalog import model_class, strategy_class
-
-        model_cls = model_class(definition)
-        strategy_cls = strategy_class(strategy, model_cls)
+        catalog = self._catalog()
+        definition, strategy = spec.definition, spec.strategy
+        strategy_cls = catalog.SUPPORTED[strategy][0]
         source, *others = definition.sources
         # Deferred maintenance reads its relation through the pending
         # changes; every other strategy reads the base file.
-        screened = (
-            self._base_of(source)
-            if strategy is Strategy.DEFERRED
-            else self._plain_base(source)
-        )
-        model = model_cls(
+        screened = self._base_of(source)
+        if strategy is not Strategy.DEFERRED:
+            screened = screened.base
+        model = catalog.model_class(definition)(
             definition, screened, *(self._base_of(name) for name in others),
             pool=self.pool, block_bytes=self.block_bytes, fanout=self.fanout,
         )
-        options["index_for"] = lambda field: self.secondary_indexes.get(
-            (source, field)
-        ) or self.create_secondary_index(source, field)
+        offered = {
+            **vars(spec),
+            "index_for": lambda field: self.secondary_indexes.get((source, field))
+            or self.create_secondary_index(source, field),
+        }
         impl = strategy_cls(
-            model, strategy, **{name: options[name] for name in strategy_cls.options}
+            model, strategy, **{name: offered[name] for name in strategy_cls.options}
         )
         if strategy.is_materialized():
             model.bootstrap()
@@ -464,10 +465,7 @@ class Database:
         changes still pending in its differential file.  Charges no
         I/O (baselines, snapshots and the degraded-read fallback; a
         costed client pays ``scan_logical``)."""
-        relation = self._base_of(relation_name)
-        if isinstance(relation, DifferentialRelation):
-            return relation.logical_snapshot()
-        return relation.records_snapshot()
+        return self._base_of(relation_name).logical_snapshot()
 
     def reset_meter(self) -> None:
         """Zero the cost counters (typically after setup/bulk load)."""
@@ -481,6 +479,10 @@ class Database:
         """Names of the views sourced from one relation."""
         return tuple(self._views_by_relation.get(relation_name, ()))
 
+    def view_spec(self, name: str) -> ViewSpec | None:
+        """A view's catalog entry, or ``None`` for a view not in it."""
+        return self._view_specs.get(name)
+
     def view_definition(self, name: str) -> Any:
         """The declarative definition a view was registered with."""
         impl = self.views.get(name)
@@ -489,10 +491,13 @@ class Database:
         return impl.definition
 
     def deferred_coordinator(self, relation_name: str) -> Any:
-        """The shared refresh coordinator of one relation's deferred
-        views, or ``None`` when the relation has none.  The planner's
-        public handle (:mod:`repro.maintenance.planner`)."""
-        return self._deferred_coordinators.get(relation_name)
+        """The refresh coordinator that folds one relation: that of
+        the deferred views reading it, as outer or as differential
+        inner, or ``None``.  The planner's public handle."""
+        coordinators = self._deferred_coordinators
+        return coordinators.get(relation_name) or next(
+            (c for c in coordinators.values() if relation_name in c.inners()), None
+        )
 
     def deferred_relations(self) -> tuple[str, ...]:
         """Relations that currently have at least one deferred view."""
@@ -503,16 +508,15 @@ class Database:
         )
 
     def settle_relation(self, relation_name: str) -> None:
-        """Fold a hypothetical relation's pending AD changes into its base.
+        """Fold a differential relation's pending AD changes into its base.
 
         Query-modification plans read the *base* file, which lags the
         true relation while updates sit in the AD file — so a strategy
         migration (or any base-level read) must settle first.  Nothing
-        pending (or not a hypothetical relation) costs nothing;
-        otherwise this is one :meth:`fold_relation`.
+        pending (always, for a plain relation) costs nothing; otherwise
+        this is one :meth:`fold_relation`.
         """
-        relation = self._base_of(relation_name)
-        if isinstance(relation, HypotheticalRelation) and relation.ad_entry_count():
+        if self._base_of(relation_name).pending:
             self.fold_relation(relation_name)
 
     def settle_unless_batched(self, relation_name: str) -> None:
@@ -542,16 +546,17 @@ class Database:
         self.settle_relation(relation_name)
 
     def fold_relation(self, relation_name: str) -> None:
-        """One refresh epoch of a hypothetical relation, unconditionally.
+        """One refresh epoch of a differential relation, unconditionally.
 
         The paper's on-demand refresh: the AD file is read even when it
-        turns out to hold nothing.  When deferred views exist the fold
-        goes through their shared coordinator so every sibling is
-        refreshed from the same AD read (dropping the batch would
-        corrupt them); otherwise the relation folds directly.  Charges
-        the normal refresh I/O.
+        turns out to hold nothing.  When deferred views read the
+        relation (as outer or inner) the fold goes through their shared
+        coordinator so every one of them is refreshed from the same AD
+        read (dropping the batch would corrupt them); otherwise the
+        relation folds directly.  Nothing else folds a differential
+        file.  Charges the normal refresh I/O.
         """
-        coordinator = self._deferred_coordinators.get(relation_name)
+        coordinator = self.deferred_coordinator(relation_name)
         if coordinator is not None and coordinator.views:
             coordinator.refresh_all()
         else:
@@ -584,42 +589,37 @@ class Database:
         impl.model.free()
 
     def migrate_view(
-        self,
-        name: str,
-        strategy: Strategy,
-        plan: str | None = None,
-        index_field: str | None = None,
-        refresh_every: int = 10,
+        self, name: str, strategy: Strategy, **options: Any
     ) -> "MaintenanceStrategy":
-        """Re-register a view under a different maintenance strategy.
+        """Re-register a view under a different maintenance strategy
+        (``options`` as for :meth:`define_view`).
 
-        The old implementation is dropped, the source relation settled
+        The old implementation is dropped, the source relations settled
         (so a rebuild reads current data), and the view defined afresh.
         All I/O this incurs — the settle plus, for materialized
         targets, the bulk load of the new stored copy — stays on the
         meter: it *is* the migration's cost, which the adaptive router
-        weighs against the steady-state win.
+        weighs against the steady-state win.  A migration the catalog
+        refuses changes nothing: the view stays as it is.
         """
         impl = self.views.get(name)
         if impl is None:
             raise CatalogError(f"unknown view {name!r}")
         if impl.strategy is strategy:
             return impl
+        spec = self._check(ViewSpec(impl.definition, strategy, **options))
         # One composite journal record; the drop/settle/define inside
         # are replayed as a unit by re-running migrate_view.
-        options = {
-            "plan": plan, "index_field": index_field, "refresh_every": refresh_every
-        }
-        self._journal("migrate", view=name, strategy=strategy.value, **options)
-        return self._redefine(impl.definition, strategy, **options)
+        self._journal("migrate", spec=spec)
+        return self._redefine(spec)
 
     def rebuild_view(self, name: str) -> "MaintenanceStrategy":
         """Rebuild one view's stored state from its base relation(s).
 
         The repair primitive for a damaged materialized copy: drop the
         view (page deallocation never *reads* the damaged pages), settle
-        the source relation so the base reflects every pending change,
-        and re-define the view under its original strategy and options.
+        the source relations so the base files reflect every pending
+        change, and re-define the view under its own spec.
         All I/O stays on the meter — repair cost is workload cost.
 
         Journaled as one composite ``rebuild_view`` event (like
@@ -628,16 +628,18 @@ class Database:
         """
         if name not in self.views:
             raise CatalogError(f"unknown view {name!r}")
-        spec = dict(self._view_specs[name])
+        spec = self._check(self._view_specs[name])
         self._journal("rebuild_view", view=name)
-        return self._redefine(spec.pop("definition"), spec.pop("strategy"), **spec)
+        return self._redefine(spec)
 
     def restore_view(
         self,
-        definition: SelectProjectView | JoinView | AggregateView,
-        strategy: Strategy,
+        view: ViewSpec | ViewDefinition,
+        strategy: Strategy | None = None,
+        **options: Any,
     ) -> "MaintenanceStrategy":
-        """Re-create a view lost mid-composite-operation (repair path).
+        """Re-create a view lost mid-composite-operation (repair path;
+        arguments as for :meth:`define_view`).
 
         A fault between a composite operation's drop and its re-define
         (e.g. mid-``migrate``) can leave the view absent from the
@@ -646,34 +648,27 @@ class Database:
         *not* journaled — journaling it again would double-apply on
         replay.
         """
-        if definition.name in self.views:
-            raise CatalogError(f"view {definition.name!r} already exists")
-        return self._redefine(definition, strategy)
+        spec = view if strategy is None else ViewSpec(view, strategy, **options)
+        return self._redefine(self._check(spec, new=True))
 
-    def _redefine(
-        self,
-        definition: SelectProjectView | JoinView | AggregateView,
-        strategy: Strategy,
-        **options: Any,
-    ) -> "MaintenanceStrategy":
-        """Drop (if present) -> settle the source -> define -> flush.
+    def _redefine(self, spec: ViewSpec) -> "MaintenanceStrategy":
+        """Drop (if present) -> settle the sources -> define -> flush.
 
         The body of every composite catalog operation; the caller has
-        already journaled (or deliberately not journaled) the composite
-        record, so nothing inside is journaled again.  The settle comes
-        before the define because a freshly defined deferred view has
-        no screening markers: AD entries still pending at that point
-        would never reach it, so the bulk load must read a base that
-        already contains them.  The rebuild charges workload counters,
-        not the setup bucket.
+        asked the catalog and journaled (or deliberately not journaled)
+        the composite record, so nothing inside is journaled again.
+        The settle comes before the define because a freshly defined
+        deferred view has no screening markers: AD entries still pending
+        at that point — in any source — would never reach it, so the
+        bulk load must read base files that already contain them.  The
+        rebuild charges workload counters, not the setup bucket.
         """
         with self._journal_paused():
-            if definition.name in self.views:
-                self.drop_view(definition.name)
-            self.settle_relation(definition.sources[0])
-            impl = self.define_view(
-                definition, strategy, setup_bucket=False, **options
-            )
+            if spec.name in self.views:
+                self.drop_view(spec.name)
+            for source in spec.definition.sources:
+                self.settle_relation(source)
+            impl = self._host(spec, setup_bucket=False)
         self.pool.flush_all()
         return impl
 
@@ -696,7 +691,7 @@ class Database:
             "relations": {
                 name: dict(spec) for name, spec in self._relation_specs.items()
             },
-            "views": {name: dict(spec) for name, spec in self._view_specs.items()},
+            "views": dict(self._view_specs),
             "secondary_indexes": sorted(self.secondary_indexes),
         }
 
@@ -726,16 +721,6 @@ class Database:
         if relation is None:
             raise CatalogError(f"unknown relation {relation_name!r}")
         return relation
-
-    def _plain_base(self, relation_name: str) -> ClusteredRelation:
-        relation = self._base_of(relation_name)
-        if isinstance(relation, HypotheticalRelation):
-            return relation.base
-        if isinstance(relation, ClusteredRelation):
-            return relation
-        raise CatalogError(
-            f"relation {relation_name!r} is not tree-clustered"
-        )
 
     def _index_event(
         self,

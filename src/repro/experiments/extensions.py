@@ -196,6 +196,7 @@ def five_mechanisms_table(
 
     from repro.engine.database import Database
     from repro.engine.transaction import Transaction, Update
+    from repro.maintenance.catalog import relation_kind_for
     from repro.storage.tuples import Schema
     from repro.views.definition import SelectProjectView
     from repro.views.predicate import IntervalPredicate
@@ -221,11 +222,7 @@ def five_mechanisms_table(
         rng = random.Random(seed)
         db = Database.from_parameters(params, buffer_pages=512,
                                       cold_operations=True)
-        kind = (
-            "hypothetical"
-            if (with_view and strategy is Strategy.DEFERRED)
-            else "plain"
-        )
+        kind = relation_kind_for(strategy) if with_view else "plain"
         records = [
             schema.new_record(id=i, a=rng.randrange(domain), v=i)
             for i in range(params.N)
@@ -244,14 +241,8 @@ def five_mechanisms_table(
             if not with_view:
                 continue
             answer = db.query_view("v", lo, lo + width - 1)
-            relation = db.relations["r"]
-            snapshot = (
-                relation.logical_snapshot()
-                if kind == "hypothetical"
-                else relation.records_snapshot()
-            )
             expected = [
-                vt for vt in view.evaluate(snapshot)
+                vt for vt in view.evaluate(db.logical_records("r"))
                 if lo <= vt["a"] <= lo + width - 1
             ]
             if Counter(answer) != Counter(expected):

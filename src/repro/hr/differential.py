@@ -38,6 +38,7 @@ from repro.views.delta import DeltaSet
 __all__ = [
     "ClusteredRelation",
     "DifferentialRelation",
+    "HashedRelation",
     "HypotheticalRelation",
     "SeparateFilesHR",
 ]
@@ -91,38 +92,34 @@ def _net_from_entries(relation: str, entries: Iterable[Record]) -> DeltaSet:
     )
 
 
-class ClusteredRelation:
-    """A plain stored relation: clustered B+-tree plus a key directory.
+class _KeyedFile:
+    """One clustered file plus a key directory: a plain stored relation.
 
     The directory maps tuple keys to records so key lookups cost the
     paper's single I/O (a secondary access path the cost model assumes
-    but does not itemize); scans and maintenance go through the tree
+    but does not itemize); scans and maintenance go through the file
     and are charged page-accurately.
+
+    Every relation states the same facts, and the catalog reads
+    nothing else: ``organisation`` (``"btree"`` or ``"hash"``),
+    ``organised_on`` (that field), ``base`` (the plain file),
+    ``differential`` and ``pending`` (changes not yet folded: 0 here).
     """
 
+    differential = False
+    pending = 0
+
     def __init__(
-        self,
-        schema: Schema,
-        pool: BufferPool,
-        clustered_on: str,
-        block_bytes: int = 4000,
-        fanout: int = 200,
+        self, schema: Schema, pool: BufferPool, organised_on: str, block_bytes: int
     ) -> None:
-        if clustered_on not in schema.fields:
+        if organised_on not in schema.fields:
             raise ValueError(
-                f"cannot cluster {schema.name!r} on unknown field {clustered_on!r}"
+                f"cannot {self._verb} {schema.name!r} on unknown field {organised_on!r}"
             )
         self.schema = schema
         self.pool = pool
-        self.clustered_on = clustered_on
+        self.organised_on = organised_on
         self.records_per_page = schema.records_per_page(block_bytes)
-        self.tree = BPlusTree(
-            schema.name,
-            pool,
-            sort_key=lambda record: record[clustered_on],
-            records_per_leaf=self.records_per_page,
-            fanout=fanout,
-        )
         self._by_key: dict[Any, Record] = {}
 
     def __len__(self) -> int:
@@ -132,17 +129,21 @@ class ClusteredRelation:
     def meter(self):
         return self.pool.disk.meter
 
+    @property
+    def base(self) -> "_KeyedFile":
+        return self
+
     def bulk_load(self, records: list[Record]) -> None:
         """Initial load (one write per page; meter usually reset after)."""
-        self.tree.bulk_load(records)
+        self._file.bulk_load(records)
         for record in records:
             self._by_key[record.key] = record
 
     def insert(self, record: Record) -> None:
-        """Insert a new tuple (tree descent + leaf write)."""
+        """Insert a new tuple (file read + write)."""
         if record.key in self._by_key:
             raise KeyError(f"duplicate key {record.key!r} in {self.schema.name!r}")
-        self.tree.insert(record)
+        self._file.insert(record)
         self._by_key[record.key] = record
 
     def delete_by_key(self, key: Any) -> Record:
@@ -150,7 +151,7 @@ class ClusteredRelation:
         record = self._by_key.pop(key, None)
         if record is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
-        self.tree.delete(record)
+        self._file.delete(record)
         return record
 
     def update_by_key(self, key: Any, **changes: Any) -> tuple[Record, Record]:
@@ -159,15 +160,10 @@ class ClusteredRelation:
         if old is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
         new = self.schema.updated(old, **changes)
-        self.tree.update(old, new)
+        self._rewrite(old, new)
         del self._by_key[key]
         self._by_key[new.key] = new
         return old, new
-
-    def read_by_key(self, key: Any) -> Record | None:
-        """Fetch one tuple by key, charging the paper's one I/O."""
-        self.meter.record_read()
-        return self._by_key.get(key)
 
     def peek_by_key(self, key: Any) -> Record | None:
         """Key lookup without I/O (bookkeeping paths only)."""
@@ -178,17 +174,99 @@ class ClusteredRelation:
         return key in self._by_key
 
     def scan_all(self) -> Iterator[Record]:
-        """Clustered full scan (one read per leaf page)."""
-        return self.tree.scan_all()
-
-    def range_scan(self, lo: Any, hi: Any) -> Iterator[Record]:
-        """Clustered range scan on the clustering field."""
-        return self.tree.range_scan(lo, hi)
+        """Full scan (one read per page of the file)."""
+        return self._file.scan_all()
 
     def records_snapshot(self) -> list[Record]:
         """All records without charging I/O (used to seed recomputation
         baselines in tests; never on a costed path)."""
         return list(self._by_key.values())
+
+    logical_snapshot = records_snapshot  # nothing is ever pending
+
+
+class ClusteredRelation(_KeyedFile):
+    """A relation stored as a clustered B+-tree on one field."""
+
+    organisation = "btree"
+    _verb = "cluster"
+
+    def __init__(
+        self,
+        schema: Schema,
+        pool: BufferPool,
+        clustered_on: str,
+        block_bytes: int = 4000,
+        fanout: int = 200,
+    ) -> None:
+        super().__init__(schema, pool, clustered_on, block_bytes)
+        self.clustered_on = clustered_on
+        self.tree = self._file = BPlusTree(
+            schema.name,
+            pool,
+            sort_key=lambda record: record[clustered_on],
+            records_per_leaf=self.records_per_page,
+            fanout=fanout,
+        )
+
+    def _rewrite(self, old: Record, new: Record) -> None:
+        self.tree.update(old, new)
+
+    def read_by_key(self, key: Any) -> Record | None:
+        """Fetch one tuple by key, charging the paper's one I/O."""
+        self.meter.record_read()
+        return self._by_key.get(key)
+
+    def range_scan(self, lo: Any, hi: Any) -> Iterator[Record]:
+        """Clustered range scan on the clustering field."""
+        return self.tree.range_scan(lo, hi)
+
+
+class HashedRelation(_KeyedFile):
+    """A relation stored as a clustered hash file on one field.
+
+    Section 3.1 stores the join view's inner relation ``R2`` with
+    clustered hashing on the join field; it is probed during joins and
+    view refreshes and — in the paper's Model 2 — never updated.
+    """
+
+    organisation = "hash"
+    _verb = "hash"
+
+    def __init__(
+        self,
+        schema: Schema,
+        pool: BufferPool,
+        hashed_on: str,
+        block_bytes: int = 4000,
+        buckets: int | None = None,
+    ) -> None:
+        super().__init__(schema, pool, hashed_on, block_bytes)
+        self.hashed_on = hashed_on
+        self.file = self._file = HashFile(
+            schema.name,
+            pool,
+            hash_key=lambda record: record[hashed_on],
+            records_per_page=self.records_per_page,
+            buckets=buckets if buckets is not None else 64,
+        )
+
+    def _rewrite(self, old: Record, new: Record) -> None:
+        self.file.delete(old)
+        self.file.insert(new)
+
+    def probe(self, value: Any) -> list[Record]:
+        """Hash lookup by the clustering field (reads one chain)."""
+        return self.file.lookup(value)
+
+    def read_by_key(self, key: Any) -> Record | None:
+        """Fetch one tuple of a relation hashed on its key (one probe)."""
+        matches = self.file.lookup(key)
+        return matches[0] if matches else None
+
+    def probe_pinned(self, value: Any) -> list[Record]:
+        """Hash lookup that leaves touched pages pinned (join inner)."""
+        return self.file.lookup_pinned(value)
 
 
 class DifferentialRelation:
@@ -200,14 +278,22 @@ class DifferentialRelation:
     ("the true value of the relation") is ``(R ∪ A) - D``; all
     modifications land in ``AD`` until :meth:`reset` folds them down.
     The base file answers ``read_by_key`` (one charged read),
-    ``peek_by_key`` (no I/O), ``insert`` and ``delete_by_key``.
+    ``peek_by_key`` (no I/O), ``insert`` and ``delete_by_key``, and
+    its organisation is the relation's.
     """
+
+    differential = True
 
     def __init__(self, base: Any, bloom_bits: int = 4096, ad_buckets: int = 64) -> None:
         self.base = base
         self.schema = base.schema
         self.pool = base.pool
+        self.organisation = base.organisation
+        self.organised_on = base.organised_on
         self.ad = self._differential_file("ad", ad_buckets)
+        #: The differential file(s): appended entries land in the
+        #: first, deleted ones in the last (here, one combined file).
+        self._files: tuple[HashFile, ...] = (self.ad,)
         self.bloom = BloomFilter(bloom_bits)
         self._seq = itertools.count()
         self._pending = DeltaSet(self.schema.name)
@@ -239,7 +325,7 @@ class DifferentialRelation:
             raise KeyError(
                 f"duplicate key {record.key!r} in hypothetical {self.schema.name!r}"
             )
-        self.ad.insert(self._ad_entry(record, ROLE_APPENDED))
+        self._files[0].insert(self._ad_entry(record, ROLE_APPENDED))
         self.bloom.add(record.key)
         self._pending.add_insert(record)
 
@@ -248,7 +334,7 @@ class DifferentialRelation:
         current = self.read_by_key(key)
         if current is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
-        self.ad.insert(self._ad_entry(current, ROLE_DELETED))
+        self._files[-1].insert(self._ad_entry(current, ROLE_DELETED))
         self.bloom.add(key)
         self._pending.add_delete(current)
         return current
@@ -257,17 +343,21 @@ class DifferentialRelation:
         """The 3-I/O update: read tuple, read AD page, write AD page.
 
         The old value (role ``D``) and new value (role ``A``) land on
-        the same AD page because they hash on the same key.
+        the same AD page because they hash on the same key.  (Five
+        I/Os with separate files: R read, D and A each read and written.)
         """
         old = self.read_by_key(key)  # I/O #1
         if old is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
         new = self.schema.updated(old, **changes)
-        # I/O #2 and #3: one chain read + one write for both entries.
-        self.ad.insert_pair(
-            self._ad_entry(old, ROLE_DELETED),
-            self._ad_entry(new, ROLE_APPENDED),
-        )
+        deleted = self._ad_entry(old, ROLE_DELETED)
+        appended = self._ad_entry(new, ROLE_APPENDED)
+        if len(self._files) == 1:
+            # I/O #2 and #3: one chain read + one write for both entries.
+            self.ad.insert_pair(deleted, appended)
+        else:
+            self._files[-1].insert(deleted)  # I/O #2-3
+            self._files[0].insert(appended)  # I/O #4-5
         self.bloom.add(old.key)
         self.bloom.add(new.key)
         self._pending.add_update(old, new)
@@ -301,7 +391,13 @@ class DifferentialRelation:
 
     def ad_entry_count(self) -> int:
         """Entries currently in AD (no I/O; catalog statistic)."""
-        return len(self.ad)
+        return sum(map(len, self._files))
+
+    pending = property(ad_entry_count, doc="Changes awaiting the next fold.")
+
+    def ad_page_count(self) -> int:
+        """Pages currently allocated to AD (no I/O)."""
+        return sum(map(HashFile.page_count, self._files))
 
     def reset(self, net: DeltaSet | None = None) -> None:
         """Fold AD into the base file: ``R := (R ∪ A) - D``; clear AD.
@@ -326,20 +422,56 @@ class DifferentialRelation:
             if base.peek_by_key(record.key) is not None:
                 base.delete_by_key(record.key)
             base.insert(record)
-        self.ad.truncate()
+        for file in self._files:
+            file.truncate()
         self.bloom.clear()
         self._pending.clear()
 
     # ------------------------------------------------------------------
+    # durability: the AD file's durable form (repro.durability)
+    # ------------------------------------------------------------------
+    def state_doc(self) -> dict[str, Any]:
+        """What a checkpoint carries beyond the base file: the AD
+        entries as ``(tuple, role, sequence number)`` in arrival order
+        (one read of the whole AD file) and the Bloom filter."""
+        entries = sorted(self._ad_entries(), key=itemgetter(_SEQ_FIELD))
+        return {
+            "entries": [
+                (self._unwrap(entry), entry[_ROLE_FIELD], entry[_SEQ_FIELD])
+                for entry in entries
+            ],
+            "bloom": self.bloom.to_dict(),
+        }
+
+    def restore_state(self, doc: dict[str, Any]) -> None:
+        """Adopt a :meth:`state_doc` into an empty AD file."""
+        entries = doc["entries"]
+        for record, role, seq in entries:
+            if role == ROLE_APPENDED:
+                self._files[0].insert(self._ad_entry(record, role, seq))
+                self._pending.add_insert(record)
+            else:
+                self._files[-1].insert(self._ad_entry(record, role, seq))
+                self._pending.add_delete(record)
+        last = max((seq for _record, _role, seq in entries), default=-1)
+        self._seq = itertools.count(last + 1)
+        bloom = doc["bloom"]
+        if (self.bloom.bits, self.bloom.hashes) == (bloom["bits"], bloom["hashes"]):
+            self.bloom = BloomFilter.from_dict(bloom)
+        else:  # sizing drifted across versions: re-derive from the entries
+            for record, _role, _seq in entries:
+                self.bloom.add(record.key)
+
+    # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ad_entry(self, record: Record, role: str) -> Record:
+    def _ad_entry(self, record: Record, role: str, seq: int | None = None) -> Record:
         values = {
             "_k": record.key,
             # Stored as a sorted item tuple so AD entries stay hashable.
             "_values": tuple(sorted(record.values.items())),
             _ROLE_FIELD: role,
-            _SEQ_FIELD: next(self._seq),
+            _SEQ_FIELD: next(self._seq) if seq is None else seq,
         }
         return Record((record.key, values[_SEQ_FIELD], role), values)
 
@@ -349,11 +481,11 @@ class DifferentialRelation:
 
     def _ad_entries(self) -> Iterable[Record]:
         """Every differential entry (reads the whole AD file)."""
-        return self.ad.scan_all()
+        return itertools.chain.from_iterable(map(HashFile.scan_all, self._files))
 
     def _lookup_current(self, key: Any, charge_base_read: bool) -> Record | None:
         if self.bloom.maybe_contains(key):
-            entries = self.ad.lookup(key)
+            entries = [e for file in self._files for e in file.lookup(key)]
             if entries:
                 latest = max(entries, key=lambda e: e[_SEQ_FIELD])
                 if latest[_ROLE_FIELD] == ROLE_APPENDED:
@@ -387,10 +519,6 @@ class HypotheticalRelation(DifferentialRelation):
             if record is not None:
                 yield record
 
-    def ad_page_count(self) -> int:
-        """Pages currently allocated to AD (no I/O)."""
-        return self.ad.page_count()
-
     def _overlay_by_key(self) -> dict[Any, Record | None]:
         """Latest AD action per key (None = deleted); reads all of AD."""
         latest: dict[Any, Record] = {}
@@ -422,69 +550,4 @@ class SeparateFilesHR(HypotheticalRelation):
         super().__init__(base, bloom_bits=bloom_bits, ad_buckets=ad_buckets)
         self.a_file = self._differential_file("a", ad_buckets)
         self.d_file = self._differential_file("d", ad_buckets)
-
-    def insert(self, record: Record) -> None:
-        """Append: one entry in the ``A`` file."""
-        if self._lookup_current(record.key, charge_base_read=False) is not None:
-            raise KeyError(
-                f"duplicate key {record.key!r} in hypothetical {self.schema.name!r}"
-            )
-        self.a_file.insert(self._ad_entry(record, ROLE_APPENDED))
-        self.bloom.add(record.key)
-        self._pending.add_insert(record)
-
-    def delete_by_key(self, key: Any) -> Record:
-        """Delete: read the tuple, add one entry in the ``D`` file."""
-        current = self.read_by_key(key)
-        if current is None:
-            raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
-        self.d_file.insert(self._ad_entry(current, ROLE_DELETED))
-        self.bloom.add(key)
-        self._pending.add_delete(current)
-        return current
-
-    def update_by_key(self, key: Any, **changes: Any) -> tuple[Record, Record]:
-        """The 5-I/O update: read R, read+write D, read+write A."""
-        old = self.read_by_key(key)  # I/O #1
-        if old is None:
-            raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
-        new = self.schema.updated(old, **changes)
-        self.d_file.insert(self._ad_entry(old, ROLE_DELETED))  # I/O #2-3
-        self.a_file.insert(self._ad_entry(new, ROLE_APPENDED))  # I/O #4-5
-        self.bloom.add(old.key)
-        self.bloom.add(new.key)
-        self._pending.add_update(old, new)
-        return old, new
-
-    def reset(self, net: DeltaSet | None = None) -> None:
-        """Fold both files into the base and clear them."""
-        delta = net if net is not None else self.net_changes()
-        for record in delta.deleted:
-            self.base.delete_by_key(record.key)
-        for record in delta.inserted:
-            self.base.insert(record)
-        self.a_file.truncate()
-        self.d_file.truncate()
-        self.bloom.clear()
-        self._pending.clear()
-
-    def ad_entry_count(self) -> int:
-        return len(self.a_file) + len(self.d_file)
-
-    def ad_page_count(self) -> int:
-        return self.a_file.page_count() + self.d_file.page_count()
-
-    def _lookup_current(self, key: Any, charge_base_read: bool) -> Record | None:
-        if self.bloom.maybe_contains(key):
-            entries = self.a_file.lookup(key) + self.d_file.lookup(key)
-            if entries:
-                latest = max(entries, key=lambda e: e[_SEQ_FIELD])
-                if latest[_ROLE_FIELD] == ROLE_APPENDED:
-                    return self._unwrap(latest)
-                return None
-        if charge_base_read:
-            return self.base.read_by_key(key)
-        return self.base.peek_by_key(key)
-
-    def _ad_entries(self) -> Iterable[Record]:
-        return itertools.chain(self.a_file.scan_all(), self.d_file.scan_all())
+        self._files = (self.a_file, self.d_file)

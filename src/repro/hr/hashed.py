@@ -18,9 +18,8 @@ from __future__ import annotations
 
 from typing import Any
 
-from repro.engine.relations import HashedRelation
 from repro.storage.tuples import Record
-from .differential import DifferentialRelation
+from .differential import DifferentialRelation, HashedRelation
 
 __all__ = ["HashedHypotheticalRelation"]
 
@@ -56,7 +55,3 @@ class HashedHypotheticalRelation(DifferentialRelation):
         differential update.
         """
         return self.base.probe(value)
-
-    def records_snapshot(self) -> list[Record]:
-        """Alias of :meth:`logical_snapshot` (catalog interface parity)."""
-        return self.logical_snapshot()

@@ -13,15 +13,38 @@ from __future__ import annotations
 from typing import Any
 
 from repro.core.strategies import Strategy
-from repro.engine.database import CatalogError
 from repro.engine.transaction import Transaction
-from repro.hr.differential import HypotheticalRelation
 from repro.views.delta import DeltaSet
 from .base import MaintenanceStrategy
 from .models import Model
 from .screening import TwoStageScreen
 
 __all__ = ["DeferredCoordinator", "Deferred"]
+
+
+class InnerBatch:
+    """One refresh epoch's read of a differential inner relation ``R2``,
+    shared by the ``readers`` joins over it (Section 4, for the inner
+    side).  Each join in turn probes the pre-batch base file, then takes
+    the net change: the first :meth:`read` reads the AD file, the last
+    :meth:`done` folds it — the page accesses of a join applying alone.
+    """
+
+    def __init__(self, relation: Any, readers: int) -> None:
+        self.relation, self.readers = relation, readers
+        self._net: DeltaSet | None = None
+
+    def read(self) -> DeltaSet:
+        """The relation's net change set (one AD read per epoch)."""
+        if self._net is None:
+            self._net = self.relation.net_changes()
+        return self._net
+
+    def done(self) -> None:
+        """One join has applied the net change; the last one folds."""
+        self.readers -= 1
+        if not self.readers:
+            self.relation.reset(self._net)
 
 
 class DeferredCoordinator:
@@ -69,6 +92,14 @@ class DeferredCoordinator:
         if view in self._views:
             self._views.remove(view)
 
+    def inners(self) -> dict[str, Any]:
+        """The differential inner relations of the registered joins, by name."""
+        return {
+            view.model.inner.schema.name: view.model.inner
+            for view in self._views
+            if view.model.inner is not None and view.model.inner.differential
+        }
+
     def compute_net(self) -> DeltaSet:
         """One AD read producing the relation's net change set.
 
@@ -86,10 +117,18 @@ class DeferredCoordinator:
         write-ahead discipline): replaying the journaled
         ``net_install`` reproduces the whole fold.
         """
-        if self.on_refresh is not None and self.relation.ad_entry_count() > 0:
+        if self.on_refresh is not None and self.relation.pending > 0:
             self.on_refresh()
+        batches: dict[str, InnerBatch] = {}
         for view in self._views:
-            view.apply_net(net)
+            inner = view.model.inner
+            if inner is None or not inner.differential:
+                view.apply_net(net)
+                continue
+            if inner.schema.name not in batches:
+                readers = sum(v.model.inner is inner for v in self._views)
+                batches[inner.schema.name] = InnerBatch(inner, readers)
+            view.apply_net(net, batches[inner.schema.name])
         self.relation.reset(net)
 
     def refresh_all(self) -> None:
@@ -102,11 +141,6 @@ class Deferred(MaintenanceStrategy):
 
     def __init__(self, model: Model, strategy: Strategy = Strategy.DEFERRED) -> None:
         super().__init__(model, strategy)
-        if not isinstance(self.relation, HypotheticalRelation):
-            raise CatalogError(
-                "deferred views need a hypothetical relation; create "
-                f"{self.definition.sources[0]!r} with kind='hypothetical'"
-            )
         self.screen = TwoStageScreen(
             self.definition.predicate,
             self.relation.meter,
@@ -156,8 +190,9 @@ class Deferred(MaintenanceStrategy):
         self.refresh()
         return self.read_stored(lo, hi)
 
-    def apply_net(self, net: DeltaSet) -> None:
-        """Apply one already-read net delta to this view's stored copy.
+    def apply_net(self, net: DeltaSet, *inner: InnerBatch) -> None:
+        """Apply one already-read net delta (and a join's differential
+        ``inner`` one) to this view's stored copy.
 
         Screening happened at update time, so the marked tuples are
         picked out of the net sets without paying ``c1`` again.
@@ -165,6 +200,7 @@ class Deferred(MaintenanceStrategy):
         self.model.apply(
             [r for r in net.inserted if r in self._markers],
             [r for r in net.deleted if r in self._markers],
+            *inner,
         )
         self._markers.clear()
         self.refresh_count += 1

@@ -58,17 +58,11 @@ class Hybrid(Immediate):
     """
 
     def __init__(self, model: Model, strategy: Strategy = Strategy.HYBRID) -> None:
-        definition = model.definition
-        if model.relation.clustered_on == definition.view_key:
-            raise ValueError(
-                "hybrid routing is pointless when base and view share a "
-                f"clustering attribute ({definition.view_key!r})"
-            )
         super().__init__(model, strategy)
         self.params = Parameters.from_mapping(
             {"N": max(1, len(model.base.records_snapshot())),
              "B": model.block_bytes,
-             "f": definition.predicate.selectivity_hint() or 0.1}
+             "f": self.definition.predicate.selectivity_hint() or 0.1}
         )
         self.decisions: list[RouteDecision] = []
 

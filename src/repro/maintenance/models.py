@@ -28,25 +28,23 @@ from typing import Any, Callable, Iterable, Sequence
 
 from repro.core.strategies import Strategy, ViewModel
 from repro.engine import executor
-from repro.engine.database import CatalogError, UnsupportedTransactionError
-from repro.engine.relations import HashedRelation
+from repro.engine.database import UnsupportedTransactionError
 from repro.engine.transaction import Transaction
-from repro.hr.differential import HypotheticalRelation
-from repro.hr.hashed import HashedHypotheticalRelation
 from repro.storage.pager import BufferPool
 from repro.storage.tuples import Record
 from repro.views.definition import ViewTuple
 from repro.views.delta import ChangeSet, DeltaSet
 from repro.views.matview import AggregateStateStore, MaterializedView
 
-__all__ = ["Model", "SelectProjectModel", "JoinModel", "AggregateModel"]
+__all__ = ["PLANS", "Model", "SelectProjectModel", "JoinModel", "AggregateModel"]
 
-_PLAN_STRATEGIES = {
+#: Model 1's recompute plans, and the curve each is plotted under.
+PLANS = {
     "clustered": Strategy.QM_CLUSTERED,
     "unclustered": Strategy.QM_UNCLUSTERED,
     "sequential": Strategy.QM_SEQUENTIAL,
 }
-_STRATEGY_PLANS = {strategy: plan for plan, strategy in _PLAN_STRATEGIES.items()}
+_STRATEGY_PLANS = {strategy: plan for plan, strategy in PLANS.items()}
 
 
 #: Already-screened base tuples, as a strategy hands them to ``apply``.
@@ -98,16 +96,18 @@ class Model:
         #: and 2); ``None`` until :meth:`bootstrap`, and for aggregates.
         self.matview: MaterializedView | None = None
 
+    #: A join's inner relation; ``None`` for single-relation models.
+    inner: Any = None
+
     @property
     def base(self) -> Any:
         """The base file of :attr:`relation` (pending changes excluded)."""
-        relation = self.relation
-        return relation.base if isinstance(relation, HypotheticalRelation) else relation
+        return self.relation.base
 
     # -- recomputation -------------------------------------------------
     def plan_recompute(self, strategy: Strategy, **options: Any) -> Strategy:
-        """Validate this model's query-modification plan and name the
-        paper's curve it is plotted under."""
+        """Adopt this model's query-modification plan (the catalog has
+        validated it) and name the paper's curve it is plotted under."""
         raise NotImplementedError
 
     def recompute(self, lo: Any = None, hi: Any = None) -> Any:
@@ -180,30 +180,22 @@ class SelectProjectModel(Model):
     plan: str | None = None
     secondary_index: executor.SecondaryIndex | None = None
 
+    @staticmethod
+    def plan_for(strategy: Strategy, plan: str | None) -> str:
+        """The plan a view asked for, or its strategy's default one."""
+        return plan or _STRATEGY_PLANS.get(strategy, "clustered")
+
     def plan_recompute(
         self,
         strategy: Strategy,
-        plan: str | None = None,
-        index_field: str | None = None,
-        index_for: Callable[[str], executor.SecondaryIndex] | None = None,
+        plan: str | None,
+        index_field: str | None,
+        index_for: Callable[[str], executor.SecondaryIndex],
     ) -> Strategy:
-        plan = plan or _STRATEGY_PLANS.get(strategy, "clustered")
-        view_key = self.definition.view_key
-        if plan not in _PLAN_STRATEGIES:
-            raise ValueError(
-                f"unknown plan {plan!r}; expected one of {sorted(_PLAN_STRATEGIES)}"
-            )
-        if plan == "clustered" and self.relation.clustered_on != view_key:
-            raise ValueError(
-                "clustered plan requires the relation clustered on the view key "
-                f"({view_key!r}), got {self.relation.clustered_on!r}"
-            )
-        if plan == "unclustered":
-            if index_for is None:
-                raise ValueError("unclustered plan requires a secondary index")
-            self.secondary_index = index_for(index_field or view_key)
-        self.plan = plan
-        return _PLAN_STRATEGIES[plan]
+        self.plan = self.plan_for(strategy, plan)
+        if self.plan == "unclustered":
+            self.secondary_index = index_for(index_field or self.definition.view_key)
+        return PLANS[self.plan]
 
     def recompute(
         self, lo: Any = None, hi: Any = None, field: str | None = None
@@ -276,7 +268,8 @@ class JoinModel(Model):
     outer state through an in-memory join index.  Under immediate
     maintenance each transaction touches one side, so one term is
     empty; a deferred batch over a ``hashed_hypothetical`` inner
-    relation evaluates both and folds the inner AD file down.
+    relation evaluates both, from the refresh epoch's one read of the
+    inner AD file.
     """
 
     number = ViewModel.JOIN
@@ -286,37 +279,15 @@ class JoinModel(Model):
         self, definition: Any, relation: Any, inner: Any, **storage: Any
     ) -> None:
         super().__init__(definition, relation, **storage)
-        if not isinstance(inner, (HashedRelation, HashedHypotheticalRelation)):
-            raise CatalogError(
-                f"join inner relation {definition.inner!r} must be hashed "
-                "(create it with kind='hashed' or 'hashed_hypothetical')"
-            )
+        #: The hashed inner relation; when it is differential, inner
+        #: updates wait in an AD file of their own.
         self.inner = inner
-        #: Whether inner updates wait in an AD file of their own.
-        self.inner_is_deferred = isinstance(inner, HashedHypotheticalRelation)
-        if self.inner_is_deferred and not isinstance(relation, HypotheticalRelation):
-            raise CatalogError(
-                "a hashed_hypothetical inner relation is only usable by "
-                "deferred join views; use kind='hashed' for "
-                f"{definition.inner!r} under any other strategy"
-            )
         #: join value -> outer keys, kept current with every outer
         #: transaction (in-memory, like a resident secondary index; no
         #: I/O charged).
         self._outer_by_join: dict[Any, set] = {}
 
     def plan_recompute(self, strategy: Strategy, **options: Any) -> Strategy:
-        definition = self.definition
-        if self.relation.clustered_on != definition.view_key:
-            raise ValueError(
-                "loopjoin expects the outer relation clustered on the view key "
-                f"({definition.view_key!r}), got {self.relation.clustered_on!r}"
-            )
-        if self.inner.hashed_on != definition.join_field:
-            raise ValueError(
-                "loopjoin expects the inner relation hashed on the join field "
-                f"({definition.join_field!r}), got {self.inner.hashed_on!r}"
-            )
         return Strategy.QM_LOOPJOIN
 
     def recompute(self, lo: Any = None, hi: Any = None) -> list[ViewTuple]:
@@ -335,7 +306,7 @@ class JoinModel(Model):
         )
         outer_records = base.records_snapshot()
         self.matview.bulk_load(
-            self.definition.evaluate(outer_records, inner.records_snapshot())
+            self.definition.evaluate(outer_records, inner.base.records_snapshot())
         )
         self._outer_by_join.clear()
         self._index_outer(outer_records)
@@ -343,8 +314,8 @@ class JoinModel(Model):
     def check_transaction(self, txn: Transaction) -> None:
         if (
             txn.relation == self.definition.inner
-            and isinstance(self.relation, HypotheticalRelation)
-            and not self.inner_is_deferred
+            and self.relation.differential
+            and not self.inner.differential
         ):
             raise UnsupportedTransactionError(
                 f"deferred join view {self.definition.name!r}: its inner relation "
@@ -378,13 +349,16 @@ class JoinModel(Model):
         self._outer_by_join.clear()
         self._index_outer(self.relation.logical_snapshot())
 
-    def apply(self, marked_inserted: Marked, marked_deleted: Marked) -> None:
+    def apply(
+        self, marked_inserted: Marked, marked_deleted: Marked, inner: Any = None
+    ) -> None:
+        """``inner``: the refresh epoch's read of a differential inner
+        relation, which the epoch folds (``InnerBatch``), not the model."""
         changes = ChangeSet()
         self._outer_term(changes, marked_inserted, marked_deleted)
-        if self.inner_is_deferred:
-            inner_net = self.inner.net_changes()  # reads the inner AD
-            self._inner_term(changes, inner_net)
-            self.inner.reset(inner_net)
+        if inner is not None:
+            self._inner_term(changes, inner.read())
+            inner.done()
         if changes:
             self.matview.apply_changes(changes)
 
@@ -408,15 +382,15 @@ class JoinModel(Model):
         """
         definition, meter = self.definition, self.relation.meter
         inner = self.inner
-        probe = inner.probe_base if self.inner_is_deferred else inner.probe_pinned
+        probe = inner.probe_base if inner.differential else inner.probe_pinned
         try:
             for record, sign in _signed(inserted, deleted):
                 for inner_record in probe(record[definition.join_field]):
                     meter.record_screen()
                     _change(changes, definition.combine(record, inner_record), sign)
         finally:
-            if not self.inner_is_deferred:
-                self.inner.pool.unpin_all()
+            if not inner.differential:
+                inner.pool.unpin_all()
 
     def _inner_term(self, changes: ChangeSet, delta: DeltaSet) -> bool:
         """``R1_new × Δ2``: each changed inner tuple fetches its joining

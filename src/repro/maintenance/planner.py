@@ -29,9 +29,7 @@ maintenance layer knowing any of those exist.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Iterable
-
-from repro.hr.differential import HypotheticalRelation
+from typing import Any, Callable
 
 __all__ = ["SharedDeltaPlanner"]
 
@@ -71,9 +69,7 @@ class SharedDeltaPlanner:
     def pending(self, relation_name: str) -> int:
         """AD entries awaiting the next refresh epoch (no I/O)."""
         relation = self.database.relations.get(relation_name)
-        if isinstance(relation, HypotheticalRelation):
-            return relation.ad_entry_count()
-        return 0
+        return 0 if relation is None else relation.pending
 
     # ------------------------------------------------------------------
     # refresh epochs

@@ -49,13 +49,6 @@ class Snapshot(MaintenanceStrategy):
         #: Rebuild when the view may have changed (Buneman-Clemons)
         #: rather than on the periodic schedule.
         self.on_change = strategy is Strategy.BC_RECOMPUTE
-        if not self.on_change and refresh_every < 1:
-            raise ValueError(f"refresh_every must be >= 1, got {refresh_every}")
-        if self.relation.clustered_on != self.definition.view_key:
-            raise ValueError(
-                "snapshot rebuilds use a clustered scan; relation must be "
-                f"clustered on the view key {self.definition.view_key!r}"
-            )
         self.refresh_every = refresh_every
         self.queries_since_rebuild = 0
         self.rebuild_count = 0

@@ -24,12 +24,11 @@ metrics registry, a hosted-view lookup and the recover callback.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable
 
 from repro.core.parameters import Parameters
 from repro.core.strategies import Strategy
-from repro.engine.database import ViewMaintenanceError
-from repro.hr.differential import HypotheticalRelation
+from repro.engine.database import ViewMaintenanceError, ViewSpec
 from repro.resilience.degradation import DegradedResult, describe_failure
 from repro.resilience.policy import RESILIENCE_ERRORS, ResilienceConfig
 from repro.resilience.scrub import (
@@ -46,16 +45,6 @@ __all__ = ["DEGRADABLE_ERRORS", "ViewHealth"]
 DEGRADABLE_ERRORS = RESILIENCE_ERRORS + (ViewMaintenanceError,)
 
 _BREAKER_STATE_LEVELS = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
-
-
-class _Repair(NamedTuple):
-    """What a queued repair restores from, snapshotted when the view
-    degrades: if the repair itself faults between its drop and
-    re-define, the catalog entry is gone and this is all that is left.
-    ``strategy`` is ``None`` when the view had already vanished."""
-
-    definition: Any
-    strategy: Strategy | None
 
 
 class ViewHealth:
@@ -88,7 +77,10 @@ class ViewHealth:
         #: Committed updates each degraded view has missed since
         #: degrading (feeds the stale-read staleness bound).
         self._missed_updates: dict[str, int] = {}
-        self._repairs: dict[str, _Repair] = {}
+        #: What each queued repair restores: the view's spec when it
+        #: degraded (``None``: already vanished).  Should the repair fault
+        #: between its drop and re-define, this is all that is left.
+        self._repairs: dict[str, ViewSpec | None] = {}
         #: Base-relation or AD damage: escalate to checkpoint+WAL recovery.
         self.needs_recovery = False
 
@@ -200,13 +192,11 @@ class ViewHealth:
         self._degraded[name] = reason
         self._missed_updates.setdefault(name, 0)
         self.metrics.gauge("view_degraded", view=name).set(1.0)
-        impl = self.database.views.get(name)
-        if impl is None and target is not None:
-            self._repairs[name] = _Repair(definition, target)
+        spec = self.database.view_spec(name)
+        if spec is None and target is not None:
+            self._repairs[name] = ViewSpec(definition, target)
         elif name not in self._repairs:
-            self._repairs[name] = _Repair(
-                definition, impl.strategy if impl is not None else None
-            )
+            self._repairs[name] = spec
         if file is not None and self._recoverable():
             kind, _owner = classify_file(self.database, file)
             if kind in ("relation", "differential"):
@@ -289,16 +279,14 @@ class ViewHealth:
         Pending AD entries (the copy's refresh backlog) plus every
         committed update the view has missed since degrading.
         """
-        relation_name = self._hosted(name).sources[0]
-        relation = self.database.relations.get(relation_name)
         pending = 0
-        if isinstance(relation, HypotheticalRelation):
+        for relation_name in self._hosted(name).sources:
             try:
-                pending = relation.ad_entry_count()
+                pending += self.database.relations[relation_name].pending
             except DEGRADABLE_ERRORS:
                 # The AD file itself is unreadable; fall back to the
                 # last exported health gauge.
-                pending = int(
+                pending += int(
                     self.metrics.gauge("ad_entries", relation=relation_name).value
                 )
         with self._mutex:
@@ -336,15 +324,13 @@ class ViewHealth:
         before = db.meter.snapshot()
         if name in db.views:
             repaired = rebuild_verified(db, name)
-        elif queued.strategy is not None:
+        elif queued is not None:
             # Vanished mid-composite-operation (a fault between a
             # migrate's or an earlier repair's drop and re-define).  The
             # composite WAL record already covers the re-define on
             # replay, so the restore is unjournaled.
             repaired = rebuild_verified(
-                db, name,
-                lambda: db.restore_view(queued.definition, queued.strategy),
-                definition=queued.definition,
+                db, name, lambda: db.restore_view(queued), queued.definition
             )
         else:
             # Nothing left to restore from locally; the WAL replay
@@ -402,9 +388,9 @@ class ViewHealth:
             )
 
     def export_relation_gauges(self, relation_name: str) -> None:
-        """Export a hypothetical relation's AD backlog and Bloom gauges."""
+        """Export a differential relation's AD backlog and Bloom gauges."""
         relation = self.database.relations.get(relation_name)
-        if not isinstance(relation, HypotheticalRelation):
+        if relation is None or not relation.differential:
             return
         try:
             entries = relation.ad_entry_count()

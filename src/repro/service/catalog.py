@@ -12,13 +12,10 @@ import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Mapping
 
-from repro.engine.database import CatalogError
-from repro.views.definition import AggregateView, JoinView, SelectProjectView
+from repro.engine.database import CatalogError, ViewDefinition
 from .scheduler import RefreshPolicy
 
 __all__ = ["ServedView", "ViewCatalog", "ViewDefinition"]
-
-ViewDefinition = SelectProjectView | JoinView | AggregateView
 
 
 @dataclass

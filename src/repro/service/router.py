@@ -12,9 +12,7 @@ thrash — migrates the view to the recommended strategy through
 :meth:`ViewServer.migrate`.
 
 Candidates are restricted to strategies the live catalog can actually
-host: deferred needs a hypothetical relation, clustered query
-modification needs the base clustered on the view key, joins use the
-nested-loop plan instead of the Model 1 variants.
+host (:func:`repro.maintenance.catalog.check_hosting` decides).
 """
 
 from __future__ import annotations
@@ -27,9 +25,9 @@ from repro.core.advisor import evaluate
 from repro.core.estimation import estimate_selectivity
 from repro.core.parameters import PAPER_DEFAULTS, Parameters
 from repro.core.strategies import Strategy, ViewModel
-from repro.hr.differential import HypotheticalRelation
+from repro.engine.database import ViewSpec
 from repro.maintenance.catalog import model_class
-from repro.views.definition import AggregateView, JoinView
+from repro.views.definition import JoinView
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .server import ViewServer
@@ -194,8 +192,7 @@ class AdaptiveRouter:
         definition = server.definition_of(view)
         db = server.database
         relation_name = definition.sources[0]
-        relation = db.relations[relation_name]
-        base = relation.base if hasattr(relation, "base") else relation
+        base = db.relations[relation_name].base
         n_tuples = max(1, len(base))
 
         selectivity = definition.predicate.selectivity_hint() or PAPER_DEFAULTS.f
@@ -238,38 +235,20 @@ class AdaptiveRouter:
         )
 
     def candidates(self, server: "ViewServer", view: str) -> tuple[Strategy, ...]:
-        """Strategies the live catalog can host for this view.
-
-        Deferred needs a hypothetical relation.  Conversely, while the
-        relation *is* hypothetical, the immediate cost model doesn't
-        apply: it assumes updates write the base in place, whereas an
-        HR-backed immediate view pays the AD append *and* the fold —
-        so immediate is only offered once the relation is plain.
-        Clustered query modification needs the base clustered on the
-        attribute the view selects on.
+        """Strategies the live catalog can host for this view, minus
+        one the cost model cannot price: the immediate formulas assume
+        updates write the base in place, whereas over a differential
+        relation an immediate view pays the AD append *and* the fold.
         """
         definition = server.definition_of(view)
-        model = model_class(definition).number
-        relation_name = definition.sources[0]
-        relation = server.database.relations[relation_name]
-        hypothetical = isinstance(relation, HypotheticalRelation)
-        allowed = []
-        for strategy in _CANDIDATES[model]:
-            if strategy is Strategy.DEFERRED and not hypothetical:
-                continue
-            if strategy is Strategy.IMMEDIATE and hypothetical:
-                continue
-            if strategy is Strategy.QM_CLUSTERED:
-                base = relation.base if hasattr(relation, "base") else relation
-                view_key = getattr(definition, "view_key", None)
-                clustered_key = view_key is None or base.clustered_on == view_key
-                if isinstance(definition, AggregateView):
-                    intervals = definition.predicate.intervals()
-                    clustered_key = bool(intervals) and base.clustered_on == intervals[0].field
-                if not clustered_key:
-                    continue
-            allowed.append(strategy)
-        return tuple(allowed)
+        db = server.database
+        differential = db.relations[definition.sources[0]].differential
+        return tuple(
+            strategy
+            for strategy in _CANDIDATES[model_class(definition).number]
+            if not (strategy is Strategy.IMMEDIATE and differential)
+            and db.can_host(ViewSpec(definition, strategy))
+        )
 
     # ------------------------------------------------------------------
     # the decision loop

@@ -216,11 +216,10 @@ class ViewServer:
         strategy: Strategy,
         adaptive: bool = True,
         policy: RefreshPolicy | None = None,
-        plan: str | None = None,
-        index_field: str | None = None,
-        refresh_every: int = 10,
+        **options: Any,
     ) -> None:
-        """Host a view under a strategy and (optionally) a refresh policy.
+        """Host a view under a strategy and (optionally) a refresh policy
+        (``options``: :class:`~repro.engine.database.ViewSpec`'s).
 
         Setup I/O (materializing the initial copy) is reported in the
         ``view_setup_ms`` metric; ``define_view`` charges it to the
@@ -231,10 +230,7 @@ class ViewServer:
         with self._world.write():
             meter = self.database.meter
             before = meter.snapshot()
-            self.database.define_view(
-                definition, strategy,
-                plan=plan, index_field=index_field, refresh_every=refresh_every,
-            )
+            self.database.define_view(definition, strategy, **options)
             self._catalog.host(definition, adaptive)
             self.scheduler.set_policy(definition.name, policy or RefreshPolicy.on_demand())
             self.metrics.gauge("view_setup_ms", view=definition.name).set(
@@ -243,7 +239,8 @@ class ViewServer:
             self._set_strategy_gauge(definition.name, strategy)
 
     def migrate(self, name: str, strategy: Strategy) -> None:
-        """Move a view to another strategy, pricing the migration."""
+        """Move a view to another strategy, pricing the migration.  One
+        the catalog refuses raises and leaves the view as it was."""
         with self._world.write():
             old = self.strategy_of(name)
             if old is strategy:

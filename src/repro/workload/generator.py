@@ -13,6 +13,7 @@ from typing import Any
 from repro.core.strategies import Strategy, ViewModel
 from repro.engine.database import Database
 from repro.engine.transaction import Transaction, Update
+from repro.maintenance.catalog import relation_kind_for
 from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
@@ -172,10 +173,6 @@ def build_scenario(config: ScenarioConfig) -> Scenario:
     return builders[config.model](config)
 
 
-def _relation_kind(strategy: Strategy) -> str:
-    return "hypothetical" if strategy is Strategy.DEFERRED else "plain"
-
-
 def _build_model1(config: ScenarioConfig) -> Scenario:
     rng = random.Random(config.seed)
     db = Database.from_parameters(
@@ -190,7 +187,7 @@ def _build_model1(config: ScenarioConfig) -> Scenario:
     # the predicate attribute through a secondary index; every other
     # strategy clusters on the predicate attribute (Section 3.1).
     clustered_on = "id" if config.strategy is Strategy.QM_UNCLUSTERED else "a"
-    kind = _relation_kind(config.strategy) if config.include_view else "plain"
+    kind = relation_kind_for(config.strategy) if config.include_view else "plain"
     db.create_relation(schema, clustered_on, kind=kind, records=records, ad_buckets=1)
     definition = SelectProjectView(
         name="v",
@@ -233,7 +230,7 @@ def _build_model2(config: ScenarioConfig) -> Scenario:
         inner_schema.new_record(j=j, c=rng.randrange(10_000), pay2=rng.randrange(10_000))
         for j in range(inner_count)
     ]
-    outer_kind = _relation_kind(config.strategy) if config.include_view else "plain"
+    outer_kind = relation_kind_for(config.strategy) if config.include_view else "plain"
     db.create_relation(outer_schema, "a", kind=outer_kind, records=outer_records, ad_buckets=1)
     buckets = max(8, inner_count // max(1, inner_schema.records_per_page(p.B)))
     db.create_relation(
@@ -268,7 +265,7 @@ def _build_model3(config: ScenarioConfig) -> Scenario:
     )
     schema = _model1_schema(config.params.S)
     records = _base_records(config, schema, rng)
-    kind = _relation_kind(config.strategy) if config.include_view else "plain"
+    kind = relation_kind_for(config.strategy) if config.include_view else "plain"
     db.create_relation(schema, "a", kind=kind, records=records, ad_buckets=1)
     definition = AggregateView(
         name="v",

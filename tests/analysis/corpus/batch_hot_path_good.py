@@ -39,7 +39,7 @@ def drop_stored_copy(impl):
 
 
 def capture_deferred_state(impl, relation):
-    # Probing for public collaborators or relation kinds is not a guess
-    # at the view's model.
+    # Probing for public collaborators is not a guess at the view's
+    # model; a relation states whether it is differential.
     coordinator = getattr(impl, "coordinator", None)
-    return impl.state_doc(), coordinator, hasattr(relation, "base")
+    return impl.state_doc(), coordinator, relation.differential

@@ -103,6 +103,17 @@ def test_protocol_callbacks_are_checked_like_async_bodies():
     assert run_rule("async-blocking", bad, "repro.cluster.corpus") == []
 
 
+def test_relations_are_asked_for_facts_not_for_their_class():
+    # batch-hot-path's "ask, don't sniff" pattern, for relations: it
+    # holds everywhere except the package the classes live in.
+    bad, good = "relation_probe_bad.py", "relation_probe_good.py"
+    for module in ("repro.service.corpus", "repro.maintenance.models"):
+        findings = run_rule("batch-hot-path", bad, module)
+        assert {f.line for f in findings} == marked_lines(bad)
+        assert run_rule("batch-hot-path", good, module) == []
+    assert run_rule("batch-hot-path", bad, "repro.hr.hashed") == []
+
+
 def test_rule_excludes_win_over_scopes():
     findings = run_rule(
         "snapshot-iteration", "snapshot_iteration_bad.py", "repro.analysis.self"

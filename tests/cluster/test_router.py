@@ -12,7 +12,12 @@ from repro.cluster.harness import (
     launch_demo,
     partitioned_cluster_streams,
 )
-from repro.cluster.router import ClusterClosedError, ClusterError, ClusterRouter
+from repro.cluster.router import (
+    _SCALAR_MERGES,
+    ClusterClosedError,
+    ClusterError,
+    ClusterRouter,
+)
 from repro.cluster.rpc import ShardUnavailable
 from repro.engine.transaction import Insert, Transaction, Update
 from repro.resilience.degradation import DegradedResult
@@ -64,6 +69,15 @@ class TestQueryRouting:
     def test_aggregate_sums_across_shards(self, router):
         total = router.query("total")
         assert total == sum(v["v"] for v in expected_records().values())
+
+    def test_min_and_max_skip_the_shards_that_selected_nothing(self):
+        """A shard answers None for an empty set (the live scatter is in
+        tests/test_placement_equivalence.py's ``lowest`` view)."""
+        assert _SCALAR_MERGES["min"](iter([None, 4, 2])) == 2
+        assert _SCALAR_MERGES["max"](iter([3, None])) == 3
+        assert _SCALAR_MERGES["min"](iter([None, None])) is None
+        total = _SCALAR_MERGES["sum"](iter([0.0, 0]))
+        assert total == 0.0 and isinstance(total, float)
 
     def test_unknown_view_is_a_cluster_error(self, router):
         with pytest.raises(ClusterError, match="not served"):

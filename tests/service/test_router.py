@@ -1,10 +1,19 @@
 """Adaptive router: statistics, candidate filtering, live migration."""
 
+import random
+from collections import Counter
+
 import pytest
 
 from repro.core.strategies import Strategy
+from repro.engine.database import Database
+from repro.engine.transaction import Transaction, Update
 from repro.service.router import AdaptiveRouter, RouterConfig, WorkloadStats
+from repro.service.server import ViewServer
 from repro.service.traffic import PhaseSpec, demo_server, drifting_traffic, run_traffic
+from repro.storage.tuples import Schema
+from repro.views.definition import JoinView
+from repro.views.predicate import IntervalPredicate
 
 
 class TestWorkloadStats:
@@ -111,3 +120,64 @@ class TestLiveMigration:
         phases = (PhaseSpec(operations=60, update_probability=0.5, batch_size=5),)
         run_traffic(demo.server, drifting_traffic(demo, phases, seed=8))
         assert demo.server.router.switches == []
+
+
+class TestOnlyHostableCandidates:
+    """The router proposes what the catalog's hosting table accepts:
+    a migration it runs unprompted can never be a refused one."""
+
+    R1 = Schema("r1", ("id", "a", "j"), "id", tuple_bytes=100)
+    R2 = Schema("r2", ("j", "c"), "j", tuple_bytes=100)
+    JOIN = JoinView("v", "r1", "r2", "j", IntervalPredicate("a", 0, 9),
+                    ("id", "a"), ("j", "c"), "a")
+
+    def build(self, inner_kind):
+        database = Database(buffer_pages=256)
+        rng = random.Random(1)
+        database.create_relation(
+            self.R1, "a", kind="hypothetical", ad_buckets=4,
+            records=[self.R1.new_record(id=i, a=rng.randrange(40), j=rng.randrange(8))
+                     for i in range(200)],
+        )
+        database.create_relation(
+            self.R2, "j", kind=inner_kind, ad_buckets=4,
+            records=[self.R2.new_record(j=j, c=j) for j in range(8)],
+        )
+        server = ViewServer(database, router=AdaptiveRouter())
+        server.register_view(self.JOIN, Strategy.DEFERRED)
+        return server
+
+    def test_candidates_follow_the_inner_relation(self):
+        plain = self.build("hashed")
+        assert plain.router.candidates(plain, "v") == (
+            Strategy.DEFERRED, Strategy.QM_LOOPJOIN,
+        )
+        differential = self.build("hashed_hypothetical")
+        assert differential.router.candidates(differential, "v") == (
+            Strategy.DEFERRED,
+        )
+
+    def test_update_heavy_stream_over_a_differential_inner(self):
+        """At the parent the router's 27th-operation decision migrated
+        to the nested-loop plan, which the engine refuses over a
+        ``hashed_hypothetical`` inner only after dropping the view."""
+        server = self.build("hashed_hypothetical")
+        db = server.database
+        rng = random.Random(2)
+        for op in range(400):
+            if op % 9 == 8:
+                answer = Counter(server.query("v", 0, 9))
+                assert answer == Counter(self.JOIN.evaluate(
+                    db.logical_records("r1"), db.logical_records("r2")
+                )), op
+            elif op % 9 == 4:
+                server.apply_update(Transaction.of("r2", [
+                    Update(rng.randrange(8), {"c": rng.randrange(1000)}),
+                ]))
+            else:
+                server.apply_update(Transaction.of("r1", [
+                    Update(rng.randrange(200), {"a": rng.randrange(40)})
+                    for _ in range(6)
+                ]))
+        assert server.strategy_of("v") is Strategy.DEFERRED
+        assert server.router.switches == []

@@ -7,9 +7,12 @@ import pytest
 from repro.core.strategies import Strategy
 from repro.engine.database import CatalogError, Database
 from repro.engine.transaction import Transaction, Update
+from repro.resilience.faults import FaultProfile, FaultRates
+from repro.resilience.policy import ResilienceConfig, RetryPolicy
 from repro.service.metrics import validate_metrics
 from repro.service.scheduler import RefreshPolicy
 from repro.service.server import ViewServer
+from repro.storage.pager import PageChecksumError, PageId
 from repro.storage.tuples import Schema
 from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
@@ -341,3 +344,51 @@ class TestStaleness:
         assert server.staleness("v_total").pending_ad_entries > 0
         server.query("v_total")  # query 3: refresh cycle comes around
         assert server.staleness("v_total").pending_ad_entries == 0
+
+
+class TestRefusedMigration:
+    def test_refused_migrate_leaves_the_view_hosted_and_answering(self):
+        """The catalog is asked before anything is dropped: a refused
+        migration raises and the server keeps serving the view."""
+        server = make_server(Strategy.DEFERRED)
+        server.apply_update(Transaction.of("r", [Update(0, {"a": 5, "v": 9})]))
+        before = server.query("v_total")
+        files = server.database.disk.files()
+        with pytest.raises(CatalogError, match="unsupported strategy"):
+            server.migrate("v_total", Strategy.SNAPSHOT)
+        assert server.strategy_of("v_total") is Strategy.DEFERRED
+        assert server.database.disk.files() == files
+        assert server.query("v_total") == before == AGG.evaluate(snapshot(server))
+        assert not server.metrics.series("strategy_switches_total")
+        assert server.degraded_views() == {}
+
+
+class TestRepairRestoresTheWholeSpec:
+    def test_faulted_then_retried_repair_keeps_the_view_options(self):
+        """A repair that faults between its drop and its re-define
+        brings the view back as it was registered, not with default
+        options: the journaled ``rebuild_view`` replays with them too."""
+        database = Database(
+            buffer_pages=256,
+            fault_profile=FaultProfile(
+                name="view-writes", rates=FaultRates(write_error=1.0),
+                files=("view.",),
+            ),
+            resilience=ResilienceConfig(retry=RetryPolicy(max_attempts=1)),
+        )
+        rng = random.Random(0)
+        database.create_relation(R, "a", records=[
+            R.new_record(id=i, a=rng.randrange(50), v=i) for i in range(300)
+        ])
+        server = ViewServer(database)
+        server.register_view(SP, Strategy.SNAPSHOT, adaptive=False, refresh_every=3)
+        server.health.fail(
+            "v_tuples", "query", PageChecksumError(PageId("view.v_tuples.leaf", 0))
+        )
+        database.faults.arm()
+        assert server.repair()["restored"] == []
+        assert "v_tuples" not in database.views  # dropped, re-define faulted
+        database.faults.disarm()
+        assert server.repair()["restored"] == ["v_tuples"]
+        assert database.views["v_tuples"].refresh_every == 3
+        assert database.view_spec("v_tuples").refresh_every == 3

@@ -67,7 +67,11 @@ def make_stream(length: int = 90, seed: int = 41) -> list[Request]:
             stream.append(Request("c", "query", view="by_a",
                                   lo=lo, hi=lo + rng.randrange(1, 400)))
         else:
-            stream.append(Request("c", "query", view="total"))
+            # "lowest" selects from one shard's partition only: the
+            # other shard's leg of the scatter answers None.
+            view = "lowest" if step % 12 == 11 else "total"
+            stream.append(Request("c", "query", view=view))
+    stream.append(Request("c", "query", view="lowest"))
     # The final logical content, as the last two answers.
     stream.append(Request("c", "query", view="by_a", lo=0, hi=DOMAIN - 1))
     stream.append(Request("c", "query", view="total"))
@@ -118,7 +122,13 @@ def replay_over_the_wire(backend, stream) -> list:
 
 @pytest.fixture(scope="module")
 def spec():
-    return demo_spec(n_records=N_RECORDS, seed=5)
+    spec = demo_spec(n_records=N_RECORDS, seed=5)
+    spec["views"].append({
+        "type": "aggregate", "name": "lowest", "aggregate": "min", "field": "v",
+        "relation": "r", "strategy": "deferred", "policy": None,
+        "predicate": {"field": "a", "lo": 0, "hi": 99, "selectivity": 100 / DOMAIN},
+    })
+    return spec
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +165,10 @@ def test_the_stream_exercises_what_it_claims(spec, stream, reference):
     assert moves >= 3
     assert any(isinstance(a, list) and a for a in reference)
     assert len(reference[-2]) > N_RECORDS  # net growth survived the deletes
+    queries = [request for request in stream if request.kind == "query"]
+    lowest = [a for request, a in zip(queries, reference) if request.view == "lowest"]
+    assert len(lowest) >= 3 and None not in lowest
+    assert shard_map.shard_of(99) == 0  # one shard selects, the other answers None
 
 
 def test_two_shards_answer_as_one_server(spec, stream, reference):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.strategies import Strategy
-from repro.engine.database import Database
+from repro.engine.database import CatalogError, Database, ViewSpec
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.storage.tuples import Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
@@ -212,6 +212,69 @@ class TestJoinEquivalence:
         assert (
             meter.page_reads, meter.page_writes, meter.screens, meter.ad_ops
         ) == self.PINNED_COSTS[label]
+
+
+class TestMigrationMidStream:
+    """Migrating to *any* strategy mid-stream keeps the invariant: the
+    catalog either hosts the target or refuses it and nothing changes."""
+
+    @staticmethod
+    def _migrate(db, target):
+        """Try the migration; returns whether the catalog hosted it."""
+        before = db.views["v"]
+        # refresh_every=1: a snapshot that is always fresh.
+        hosted = db.can_host(ViewSpec(before.definition, target, refresh_every=1))
+        try:
+            db.migrate_view("v", target, refresh_every=1)
+        except CatalogError:
+            assert not hosted and db.views["v"] is before
+        else:
+            assert hosted and db.view_spec("v").strategy is target
+        return hosted
+
+    @staticmethod
+    def _query(db, sources, lo=0, hi=4):
+        # What the serving layer does around the engine: write-through
+        # folds when nothing defers, and a settle before a base read.
+        if db.views["v"].strategy.is_query_modification():
+            for source in sources:
+                db.settle_relation(source)
+        return db.query_view("v", lo, hi)
+
+    @given(ops=st.lists(op_strategy, max_size=25),
+           target=st.sampled_from(sorted(Strategy, key=str)),
+           view_def=st.sampled_from([SP_VIEW, AGG_VIEW]))
+    @settings(max_examples=60, deadline=None)
+    def test_single_relation_views(self, ops, target, view_def):
+        db = _build(view_def, Strategy.DEFERRED)
+        live = _apply_ops(db, ops[:12])
+        self._migrate(db, target)
+        _apply_ops(db, ops[12:], live)
+        db.settle_unless_batched("r")
+        answer = self._query(db, ("r",))
+        expected = view_def.evaluate(_snapshot(db))
+        if view_def is SP_VIEW:
+            answer, expected = Counter(answer), Counter(expected)
+        assert answer == expected, db.views["v"].strategy
+
+    @given(ops=st.lists(join_op_strategy, max_size=25),
+           target=st.sampled_from(sorted(Strategy, key=str)),
+           label=st.sampled_from(["deferred-outer-only", "deferred-two-sided"]))
+    @settings(max_examples=60, deadline=None)
+    def test_join_views(self, ops, target, label):
+        inner_updates = JOIN_CONFIGS[label][3]
+        db = _build_join(label)
+        live = set(range(N))
+        _apply_join_ops(db, ops[:12], inner_updates, live)
+        hosted = self._migrate(db, target)
+        assert hosted is (
+            target is Strategy.DEFERRED
+            or (not inner_updates
+                and (target is Strategy.IMMEDIATE or target.is_query_modification()))
+        )
+        _apply_join_ops(db, ops[12:], inner_updates, live)
+        db.settle_unless_batched("r1")
+        assert Counter(self._query(db, ("r1", "r2"))) == _join_recomputed(db)
 
 
 class TestEquivalenceUnderTransientFaults:
