@@ -353,12 +353,15 @@ def _nested_bodies(stmt: ast.stmt) -> Iterator[Sequence[ast.stmt]]:
 class DeadlineThreadingRule(Rule):
     """Shard RPCs carry an explicit deadline.
 
-    In ``repro.cluster`` and ``repro.gateway``, any ``X.call("op", ...)``
-    or ``X.call_primary("op", ...)`` — recognized by the string-literal
-    op name — must pass ``timeout=<expr>`` where the expression is not
-    the literal ``None``.  Omitting it silently falls back to the
-    client's construction-time default, which is how a gateway deadline
-    stops propagating at the first hop that forgot to thread it.
+    In ``repro.cluster`` and ``repro.gateway``, any ``X.call("op", ...)``,
+    ``X.call_primary("op", ...)`` or their leg forms ``X.exchange("op",
+    ...)`` / ``X.primary_leg("op", ...)`` — recognized by the
+    string-literal op name — and any replica-set leg started with
+    ``X.query_leg(...)``, ``X.update_leg(...)`` or ``X.refresh_leg(...)``
+    must pass ``timeout=<expr>`` where the expression is not the
+    literal ``None``.  Omitting it silently falls back to the client's
+    construction-time default, which is how a gateway deadline stops
+    propagating at the first hop that forgot to thread it.
     """
 
     name = "deadline-threading"
@@ -368,7 +371,8 @@ class DeadlineThreadingRule(Rule):
     scopes = ("repro.cluster", "repro.gateway")
     excludes = ("repro.cluster.rpc",)
 
-    _METHODS = ("call", "call_primary")
+    _METHODS = ("call", "call_primary", "exchange", "primary_leg")
+    _LEGS = ("query_leg", "update_leg", "refresh_leg")
 
     def check(self, ctx: LintContext) -> list[Finding]:
         findings: list[Finding] = []
@@ -376,24 +380,27 @@ class DeadlineThreadingRule(Rule):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._METHODS
             ):
                 continue
-            if not (
-                node.args
+            if node.func.attr in self._LEGS:
+                what = f"{_unparse(node.func)}(...)"
+            elif (
+                node.func.attr in self._METHODS
+                and node.args
                 and isinstance(node.args[0], ast.Constant)
                 and isinstance(node.args[0].value, str)
             ):
+                what = f"{_unparse(node.func)}({node.args[0].value!r}, ...)"
+            else:
                 continue  # not the shard RPC signature
-            op = node.args[0].value
             timeout = next(
                 (kw for kw in node.keywords if kw.arg == "timeout"), None
             )
             if timeout is None:
                 findings.append(self.finding(
                     ctx, node,
-                    f"RPC `{_unparse(node.func)}({op!r}, ...)` omits "
-                    f"timeout=; thread the caller's deadline through",
+                    f"RPC `{what}` omits timeout=; thread the caller's "
+                    f"deadline through",
                 ))
             elif (
                 isinstance(timeout.value, ast.Constant)
@@ -401,8 +408,8 @@ class DeadlineThreadingRule(Rule):
             ):
                 findings.append(self.finding(
                     ctx, node,
-                    f"RPC `{_unparse(node.func)}({op!r}, ...)` hardcodes "
-                    f"timeout=None; pass a deadline expression",
+                    f"RPC `{what}` hardcodes timeout=None; pass a "
+                    f"deadline expression",
                 ))
         return findings
 

@@ -35,13 +35,15 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from .rpc import (
+    Leg,
     RemoteOpError,
     RpcError,
     ShardClient,
     ShardTimeout,
     ShardUnavailable,
+    blocking,
 )
-from .worker import worker_main
+from .worker import decode_values, worker_main
 
 __all__ = [
     "ReplicationConfig",
@@ -315,13 +317,13 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # writes: primary fan-in, delta fan-out
     # ------------------------------------------------------------------
-    def apply_update(
+    def update_leg(
         self,
         relation: str,
         ops: list[dict[str, Any]],
         client: str = "router",
         timeout: float | None = None,
-    ) -> Any:
+    ) -> Leg:
         """Commit one batch on the primary, then ship it to replicas.
 
         The batch is acknowledged to the caller only after the primary
@@ -336,12 +338,17 @@ class ReplicaSet:
         and retrying elsewhere could double-apply.  The epoch tag makes
         a retry on the *same* primary idempotent, so only the
         connection-level ``ShardUnavailable`` path retries.
+
+        A leg, split at the primary's frame; the write lock is held
+        from its first step to its end.
         """
         with self._lock:
             self._resolve_in_doubt()
             epoch = self.write_epoch + 1
             try:
-                result = self._write_primary(relation, ops, client, epoch, timeout)
+                result = yield from self._write_primary(
+                    relation, ops, client, epoch, timeout
+                )
             except ShardTimeout:
                 self._in_doubt = (epoch, relation, list(ops), len(ops))
                 raise
@@ -351,6 +358,8 @@ class ReplicaSet:
                 self.shipped_ops_total += len(ops)
                 self._ship(relation, ops, epoch)
             return result
+
+    apply_update = blocking(update_leg)
 
     def _resolve_in_doubt(self) -> None:
         """Settle whether a timed-out batch committed before reusing its epoch.
@@ -383,15 +392,15 @@ class ReplicaSet:
         client: str,
         epoch: int,
         timeout: float | None,
-    ) -> Any:
+    ) -> Leg:
         last: Exception | None = None
         for _ in range(len(self.members) + 2):
             primary = self._usable_primary()
             try:
-                return primary.client.call(
+                return (yield from primary.client.exchange(
                     "update", relation=relation, ops=ops,
                     client=client, epoch=epoch, timeout=timeout,
-                )
+                ))
             except (RemoteOpError, ShardTimeout):
                 raise
             except ShardUnavailable as exc:
@@ -529,7 +538,10 @@ class ReplicaSet:
             snap = source.client.call("snapshot", timeout=self.rpc_timeout)
             member = self._spawn(
                 "replica",
-                records=snap.get("relations", {}),
+                records={
+                    name: list(map(decode_values, docs))
+                    for name, docs in snap.get("relations", {}).items()
+                },
                 replica_epoch=int(snap.get("epoch", 0)),
             )
             try:
@@ -560,9 +572,7 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # reads
     # ------------------------------------------------------------------
-    def query(
-        self, timeout: float | None = None, **params: Any
-    ) -> tuple[dict[str, Any], dict[str, Any]]:
+    def query_leg(self, timeout: float | None = None, **params: Any) -> Leg:
         """Primary-first read with replica retry inside the deadline.
 
         Returns ``(answer_doc, leg_info)`` where ``leg_info`` records
@@ -570,7 +580,8 @@ class ReplicaSet:
         retry happened, and the serving replica's lag in operations.
         A worker that *executed* the query and raised re-raises here —
         that is an application error, not a transport failure, and a
-        replica would fail identically.
+        replica would fail identically.  A leg, split at the primary's
+        frame.
         """
         budget = self.rpc_timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
@@ -581,7 +592,9 @@ class ReplicaSet:
         # the first pass empty-handed; the second pass sees the new
         # membership.
         for _ in range(2):
-            served = self._query_once(deadline, budget, timeout, params, errors)
+            served = yield from self._query_once(
+                deadline, budget, timeout, params, errors
+            )
             if served is not None:
                 return served
             if time.monotonic() >= deadline:
@@ -590,6 +603,8 @@ class ReplicaSet:
             raise errors[-1]
         raise ShardUnavailable(self.shard_id, "no live member to serve the query")
 
+    query = blocking(query_leg)
+
     def _query_once(
         self,
         deadline: float,
@@ -597,7 +612,7 @@ class ReplicaSet:
         timeout: float | None,
         params: dict[str, Any],
         errors: list[Exception],
-    ) -> tuple[dict[str, Any], dict[str, Any]] | None:
+    ) -> Leg:
         primary = self.primary
         if primary is not None and primary.health != "dead" and primary.process.is_alive():
             if primary.client.broken is not None:
@@ -609,7 +624,9 @@ class ReplicaSet:
                     errors.append(exc)
             if primary.client.broken is None:
                 try:
-                    doc = primary.client.call("query", timeout=timeout, **params)
+                    doc = yield from primary.client.exchange(
+                        "query", timeout=timeout, **params
+                    )
                     primary.note_ok()
                     return doc, {
                         "served_by": "primary",
@@ -659,21 +676,26 @@ class ReplicaSet:
     # ------------------------------------------------------------------
     # other primary ops and refresh
     # ------------------------------------------------------------------
-    def call_primary(self, op: str, timeout: float | None = None, **params: Any) -> Any:
+    def primary_leg(
+        self, op: str, timeout: float | None = None, **params: Any
+    ) -> Leg:
         """One non-replicated op (fetch/stats/metrics/…) on the primary."""
         primary = self._usable_primary()
-        return primary.client.call(op, timeout=timeout, **params)
+        return (yield from primary.client.exchange(op, timeout=timeout, **params))
 
-    def refresh(self, timeout: float | None = None) -> Any:
+    call_primary = blocking(primary_leg)
+
+    def refresh_leg(self, timeout: float | None = None) -> Leg:
         """Refresh every live member's views; failover on a dead primary.
 
         Replica refresh failures only mark the member lagging: the
         primary's answer is the epoch's result, and a replica that
-        missed a refresh recomputes on its next query anyway.
+        missed a refresh recomputes on its next query anyway.  A leg,
+        split at the primary's frame.
         """
         primary = self._usable_primary()
         try:
-            result = primary.client.call("refresh", timeout=timeout)
+            result = yield from primary.client.exchange("refresh", timeout=timeout)
         except (RemoteOpError, ShardTimeout):
             raise
         except ShardUnavailable:
@@ -688,6 +710,8 @@ class ReplicaSet:
             except RpcError:
                 self.note_failure(member)
         return result
+
+    refresh = blocking(refresh_leg)
 
     # ------------------------------------------------------------------
     # shutdown

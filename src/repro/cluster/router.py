@@ -41,14 +41,15 @@ import threading
 from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
+from repro.durability.codec import decode_value
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
 from repro.service.metrics import MetricsRegistry
 from .metrics import aggregate_metrics
 from .replication import ReplicaSet, ReplicationConfig, ReplicationError
-from .rpc import RpcError, ShardTimeout
+from .rpc import Leg, RpcError, ShardTimeout, gather
 from .shardmap import ShardMap
-from .worker import decode_answer, encode_operation
+from .worker import answer_rows, decode_answer, encode_operation
 
 __all__ = ["ClusterRouter", "ClusterError", "ClusterClosedError"]
 
@@ -295,44 +296,30 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     @staticmethod
     def _fan_out(
-        shards: Iterable[int], leg: Callable[[int], Any]
+        shards: Iterable[int], leg: Callable[[int], Leg]
     ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        """Run ``leg(shard)`` for many shards concurrently.
+        """Run ``leg(shard)`` for many shards at once, on this thread.
 
-        One shard runs inline; otherwise each leg runs on its own
-        daemon thread (against its own connection, under its own
-        deadline).  Returns ``(results, failures)`` keyed by shard id:
-        a leg's return value, or the RPC/replication error it raised.
+        Every leg's frame is written in ascending shard order, then the
+        replies are gathered as they arrive, each leg under its own
+        deadline and with its own retries (:func:`~repro.cluster.rpc
+        .gather`).  Returns ``(results, failures)`` keyed by shard id:
+        a leg's result, or the RPC/replication error it raised.
         """
-        shard_list = list(shards)
-        results: dict[int, Any] = {}
-        failures: dict[int, Exception] = {}
-
-        def run(shard: int) -> None:
-            try:
-                results[shard] = leg(shard)
-            except (RpcError, ReplicationError) as exc:
-                failures[shard] = exc
-
-        if len(shard_list) == 1:
-            run(shard_list[0])
-            return results, failures
-        threads = [
-            threading.Thread(target=run, args=(shard,), daemon=True)
-            for shard in shard_list
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        return results, failures
+        return gather(
+            {shard: leg(shard) for shard in shards}, (RpcError, ReplicationError)
+        )
 
     def _scatter(
         self, shards: Iterable[int], op: str, **params: Any
     ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        """Issue one admin op to many shards' clients concurrently."""
+        """Issue one admin op to many shards' clients at once."""
+        clients = self.clients
         return self._fan_out(
-            shards, lambda shard: self.clients[shard].call(op, **params)
+            shards,
+            lambda shard: clients[shard].exchange(
+                op, timeout=self.rpc_timeout, **params
+            ),
         )
 
     # ------------------------------------------------------------------
@@ -413,8 +400,8 @@ class ClusterRouter:
         """
         retried_legs: set[int] = set()
 
-        def leg(shard: int) -> Any:
-            doc, info = self.shards[shard].query(
+        def leg(shard: int) -> Leg:
+            doc, info = yield from self.shards[shard].query_leg(
                 timeout=timeout, view=name, lo=lo, hi=hi, client=client,
             )
             if info.get("retried"):
@@ -462,19 +449,27 @@ class ClusterRouter:
             if not allow_partial or not results:
                 shard, exc = next(iter(failures.items()))
                 raise exc
-        payloads: dict[int, Any] = {}
-        degraded_legs: dict[int, dict[str, Any]] = {}
-        for shard, doc in results.items():
-            payload, degraded = decode_answer(doc)
-            payloads[shard] = payload
-            if degraded is not None:
-                degraded_legs[shard] = degraded
+        degraded_legs = {
+            shard: doc["degraded"] for shard, doc in results.items()
+            if doc.get("degraded") is not None
+        }
         if meta.kind == "scalar":
-            merged: Any = meta.merge(payloads[s] for s in sorted(payloads))
+            merged: Any = meta.merge(
+                decode_answer(results[shard])[0] for shard in sorted(results)
+            )
         else:
-            tuples = [vt for s in sorted(payloads) for vt in payloads[s]]
-            tuples.sort(key=lambda vt: (vt[meta.view_key], vt.identity()))
-            merged = tuples
+            # A worker sends the view key first and the other fields by
+            # name, so list order on rows is (view key, identity) order
+            # on tuples.  Always sorted: legs arrive sorted and range
+            # shards are disjoint, which Timsort takes in one pass, and
+            # a degraded leg in base-scan order comes out canonical too.
+            docs = [results[shard] for shard in sorted(results)]
+            rows = [row for doc in docs for row in answer_rows(doc)]
+            rows.sort()
+            fields = next((doc["fields"] for doc in docs if doc["rows"]), [])
+            merged, _ = decode_answer(
+                {"kind": "rows", "fields": fields, "rows": rows}
+            )
         if not failures and not degraded_legs:
             return merged
         return self._compose_degraded(meta, merged, degraded_legs, failures)
@@ -577,6 +572,9 @@ class ClusterRouter:
             # leave phantom entries that misroute later updates.
             staged: dict[int, list[tuple[Any, int | None]]] = {}
             overlay: dict[tuple[str, Any], int | None] = {}
+            # Documents are forwarded as they came; the directory and
+            # the shard map see keys and partition values decoded (a
+            # tuple-valued key travels tagged, see worker.encode_operation).
             for doc in ops:
                 kind = doc.get("kind")
                 if kind == "insert":
@@ -585,23 +583,29 @@ class ClusterRouter:
                         raise ClusterError(
                             f"relation {relation!r} is not served by this cluster"
                         )
-                    shard = self.shard_map.shard_of(doc["values"][field])
-                    key = doc["values"][key_field]
+                    shard = self.shard_map.shard_of(
+                        decode_value(doc["values"][field])
+                    )
+                    key = decode_value(doc["values"][key_field])
                     overlay[(relation, key)] = shard
                     staged.setdefault(shard, []).append((key, shard))
                     pending.setdefault(shard, []).append(doc)
                 elif kind == "delete":
-                    shard = self._owner(relation, doc["key"], overlay)
-                    overlay[(relation, doc["key"])] = None
-                    staged.setdefault(shard, []).append((doc["key"], None))
+                    key = decode_value(doc["key"])
+                    shard = self._owner(relation, key, overlay)
+                    overlay[(relation, key)] = None
+                    staged.setdefault(shard, []).append((key, None))
                     pending.setdefault(shard, []).append(doc)
                 elif kind != "update":
                     raise ClusterError(f"unknown operation kind {kind!r}")
                 else:
-                    shard = self._owner(relation, doc["key"], overlay)
+                    key = decode_value(doc["key"])
+                    shard = self._owner(relation, key, overlay)
                     changes = doc["changes"]
                     if field in changes:
-                        target = self.shard_map.shard_of(changes[field])
+                        target = self.shard_map.shard_of(
+                            decode_value(changes[field])
+                        )
                         if target != shard:
                             self._flush(relation, pending, staged, client,
                                         only={shard, target},
@@ -609,7 +613,7 @@ class ClusterRouter:
                             self._move(relation, doc["key"], changes,
                                        shard, target, client,
                                        timeout=timeout)
-                            overlay[(relation, doc["key"])] = target
+                            overlay[(relation, key)] = target
                             continue
                     pending.setdefault(shard, []).append(doc)
             self._flush(relation, pending, staged, client, timeout=timeout)
@@ -656,8 +660,14 @@ class ClusterRouter:
         ]
         if not shards:
             return
-        results, failures = self._scatter_updates(
-            shards, relation, pending, client, timeout
+        # Through the replica sets: each batch gets its epoch, lands on
+        # the (possibly just-promoted) primary, and is shipped to
+        # replicas before the ack comes back.
+        results, failures = self._fan_out(
+            shards,
+            lambda shard: self.shards[shard].update_leg(
+                relation, pending[shard], client=client, timeout=timeout,
+            ),
         )
         for shard in shards:
             if shard in results:
@@ -683,24 +693,6 @@ class ClusterRouter:
             shard, exc = next(iter(failures.items()))
             raise exc
 
-    def _scatter_updates(
-        self,
-        shards: list[int],
-        relation: str,
-        pending: Mapping[int, list[dict[str, Any]]],
-        client: str,
-        timeout: float | None = None,
-    ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        # Through the replica set: the batch gets its epoch, lands on
-        # the (possibly just-promoted) primary, and is shipped to
-        # replicas before the ack comes back.
-        return self._fan_out(
-            shards,
-            lambda shard: self.shards[shard].apply_update(
-                relation, pending[shard], client=client, timeout=timeout,
-            ),
-        )
-
     def _move(
         self,
         relation: str,
@@ -713,8 +705,9 @@ class ClusterRouter:
     ) -> None:
         """Move one tuple across a partition boundary.
 
-        Fetch the current values from the owner, insert the changed
-        tuple on the new owner, then delete the original — each half a
+        ``key`` and ``changes`` are in wire form and stay so: fetch the
+        current values from the owner, insert the changed tuple on the
+        new owner, then delete the original — each half a
         normal maintained transaction on its shard, so both shards'
         views see the move as the insert/delete pair it logically is.
         Insert-first ordering is deliberate: if the target insert fails
@@ -741,7 +734,7 @@ class ClusterRouter:
             timeout=timeout,
         )
         with self._directory_lock:
-            self._directory[(relation, key)] = target
+            self._directory[(relation, decode_value(key))] = target
         self.shards[source].apply_update(
             relation, [{"kind": "delete", "key": key}], client=client,
             timeout=timeout,
@@ -785,7 +778,12 @@ class ClusterRouter:
                         leading = False
                 if leading:
                     try:
-                        results, failures = self._scatter_refresh(timeout)
+                        results, failures = self._fan_out(
+                            self.shard_map.all_shards(),
+                            lambda shard: self.shards[shard].refresh_leg(
+                                timeout=timeout
+                            ),
+                        )
                         if not results:
                             shard, exc = next(iter(failures.items()))
                             raise exc
@@ -811,14 +809,6 @@ class ClusterRouter:
                     return False
                 # The leader failed without completing the epoch; take
                 # over rather than pretending a refresh happened.
-
-    def _scatter_refresh(
-        self, timeout: float | None
-    ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        return self._fan_out(
-            self.shard_map.all_shards(),
-            lambda shard: self.shards[shard].refresh(timeout=timeout),
-        )
 
     # ------------------------------------------------------------------
     # observability

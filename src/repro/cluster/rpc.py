@@ -30,11 +30,12 @@ Failure classes the router distinguishes:
 from __future__ import annotations
 
 import json
+import select
 import socket
 import struct
 import threading
 import time
-from typing import Any, Mapping
+from typing import Any, Callable, Generator, Mapping
 
 __all__ = [
     "RpcError",
@@ -43,6 +44,10 @@ __all__ = [
     "RemoteOpError",
     "FrameError",
     "ShardClient",
+    "Leg",
+    "finish",
+    "blocking",
+    "gather",
     "FrameParser",
     "pack_frame",
     "send_frame",
@@ -111,11 +116,12 @@ class FrameParser:
     """Incremental decoder of the framed protocol: bytes in, documents out.
 
     The one frame decoder of the stack: the gateway's two protocol ends
-    push chunks through :meth:`feed`, the shard RPC's blocking ends
-    pull through :meth:`recv`.  An incomplete frame stays buffered, so
-    any chunking of a stream yields the same documents.  A malformed
-    frame poisons the parser: the documents completed before it are
-    still delivered, then every call raises its :class:`FrameError`.
+    and the shard client push chunks through :meth:`feed`, the shard
+    worker's blocking end pulls through :meth:`recv`.  An incomplete
+    frame stays buffered, so any chunking of a stream yields the same
+    documents.  A malformed frame poisons the parser: the documents
+    completed before it are still delivered, then every call raises
+    its :class:`FrameError`.
     """
 
     __slots__ = ("_buf", "_ready", "_error")
@@ -183,6 +189,86 @@ class FrameParser:
         return self._ready.pop(0)
 
 
+#: A blocking operation written as a generator that yields ``(sock,
+#: deadline)`` wherever it would wait for bytes: resume it once ``sock``
+#: is readable, or throw ``socket.timeout`` into it when ``deadline``
+#: seconds pass first, as a blocking read under that timeout would.
+#: Resuming it early is always correct: it then blocks in the read.
+Leg = Generator[tuple[socket.socket, float], None, Any]
+
+
+def finish(leg: Leg) -> Any:
+    """Run a leg to its end, blocking at each wait: its result."""
+    try:
+        while True:
+            next(leg)
+    except StopIteration as done:
+        return done.value
+
+
+def blocking(leg_method: Callable[..., Leg]) -> Callable[..., Any]:
+    """The blocking form of a method written as a leg: same arguments,
+    same code, run to its end on the spot."""
+    def run(*args: Any, **kwargs: Any) -> Any:
+        return finish(leg_method(*args, **kwargs))
+    run.__doc__ = leg_method.__doc__
+    return run
+
+
+def gather(
+    legs: Mapping[Any, Leg], failures_of: tuple[type[Exception], ...]
+) -> tuple[dict[Any, Any], dict[Any, Exception]]:
+    """Run many legs at once on the calling thread.
+
+    Legs are started in ascending key order — that is when a leg claims
+    its locks and its connection and writes its frame, so two callers
+    naming the same shards in opposite orders cannot deadlock — then
+    resumed as their replies arrive, each wait under its own deadline.
+    Returns ``(results, failures)`` by key: a leg's result, or the
+    ``failures_of`` exception that ended it.  A finished leg has let go
+    of its connection while the others are still waited for.
+    """
+    results: dict[Any, Any] = {}
+    failures: dict[Any, Exception] = {}
+    waiting: dict[int, tuple[Any, Leg, float]] = {}  # by file descriptor
+    poller = select.poll()
+
+    def step(key: Any, leg: Leg, resume: Callable[[Leg], Any]) -> None:
+        try:
+            sock, deadline = resume(leg)
+        except StopIteration as done:
+            results[key] = done.value
+        except failures_of as exc:
+            failures[key] = exc
+        else:
+            poller.register(sock, select.POLLIN)
+            waiting[sock.fileno()] = key, leg, time.monotonic() + deadline
+
+    try:
+        for key in sorted(legs):
+            step(key, legs[key], next)
+        while waiting:
+            now = time.monotonic()
+            patience = min(expires for _, _, expires in waiting.values()) - now
+            readable = {fd for fd, _ in poller.poll(max(0.0, patience) * 1e3)}
+            # Timed out is: found empty by a poll made after the deadline.
+            # A reply that sat in its socket while another leg's retry
+            # held this loop up is read, however late.
+            for fd, (key, leg, expires) in list(waiting.items()):
+                if fd in readable or expires <= now:
+                    del waiting[fd]
+                    poller.unregister(fd)
+                    step(key, leg, next if fd in readable else _time_out)
+    finally:
+        for _, leg, _ in waiting.values():
+            leg.close()
+    return results, failures
+
+
+def _time_out(leg: Leg) -> Any:
+    return leg.throw(socket.timeout())
+
+
 class ShardClient:
     """The router's handle on one shard worker connection.
 
@@ -223,6 +309,8 @@ class ShardClient:
         #: Keeps a partial frame across a recv timeout, which is what
         #: makes the timeout recoverable (see the class docstring).
         self._parser = FrameParser()
+        #: Replies parsed off the socket and not yet matched to a call.
+        self._replies: list[dict[str, Any]] = []
 
     @property
     def broken(self) -> str | None:
@@ -283,6 +371,7 @@ class ShardClient:
                 sock.settimeout(self.timeout)
                 self.sock = sock
                 self._parser = FrameParser()
+                self._replies = []
                 self._next_id = 0
                 self._broken = None
                 self.reconnects_total += 1
@@ -293,8 +382,15 @@ class ShardClient:
                 f"attempts: {last_error}",
             )
 
-    def call(self, op: str, timeout: float | None = None, **params: Any) -> Any:
-        """One request/response round trip; returns the result payload."""
+    def exchange(
+        self, op: str, timeout: float | None = None, **params: Any
+    ) -> Leg:
+        """One request/response round trip; returns the result payload.
+
+        A leg: the request frame is written at the first step and each
+        later step makes one ``recv``.  The connection is this call's
+        from the frame to the reply, and is let go however the leg ends.
+        """
         deadline = self.timeout if timeout is None else timeout
         with self._mutex:
             if self._closed:
@@ -316,12 +412,19 @@ class ShardClient:
             except OSError as exc:
                 self._broken = f"transport error: {exc}"
                 raise ShardUnavailable(self.shard_id, self._broken) from exc
+            replies = self._replies
             try:
                 while True:
-                    response = self._parser.recv(self.sock)
-                    if response is None:
-                        self._broken = "worker closed the connection"
-                        raise ShardUnavailable(self.shard_id, self._broken)
+                    if not replies:
+                        yield self.sock, deadline
+                        chunk = self.sock.recv(65536)
+                        if not chunk:
+                            self._parser.eof()
+                            self._broken = "worker closed the connection"
+                            raise ShardUnavailable(self.shard_id, self._broken)
+                        replies += self._parser.feed(chunk)
+                        continue
+                    response = replies.pop(0)
                     rid = response.get("id")
                     if rid == request_id:
                         break
@@ -350,6 +453,8 @@ class ShardClient:
             str(response.get("kind", "Exception")),
             str(response.get("error", "unknown remote failure")),
         )
+
+    call = blocking(exchange)
 
     def close(self) -> None:
         with self._mutex:

@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import signal
 import socket
+from operator import itemgetter
 from typing import Any, Mapping
 
+from repro.durability.codec import decode_value, encode_value
 from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
 from repro.resilience.degradation import DegradedResult
 from repro.service.server import ViewServer
@@ -38,6 +40,7 @@ __all__ = [
     "apply_documents",
     "encode_answer",
     "decode_answer",
+    "answer_rows",
 ]
 
 
@@ -68,22 +71,34 @@ class WorkerState:
 # ----------------------------------------------------------------------
 # wire encoding of transactions and answers
 # ----------------------------------------------------------------------
+# Keys, values and answer cells cross the wire through the journal's
+# value codec: an atom is itself, a tuple or list travels tagged and
+# comes back what it was, on a shard as in-process.
+def encode_values(values: Mapping[str, Any]) -> dict[str, Any]:
+    return {field: encode_value(value) for field, value in values.items()}
+
+
+def decode_values(doc: Mapping[str, Any]) -> dict[str, Any]:
+    return {field: decode_value(value) for field, value in doc.items()}
+
+
 def encode_operation(op: Operation) -> dict[str, Any]:
     if isinstance(op, Insert):
-        return {"kind": "insert", "values": dict(op.record.values)}
+        return {"kind": "insert", "values": encode_values(op.record.values)}
     if isinstance(op, Delete):
-        return {"kind": "delete", "key": op.key}
-    return {"kind": "update", "key": op.key, "changes": dict(op.changes)}
+        return {"kind": "delete", "key": encode_value(op.key)}
+    return {"kind": "update", "key": encode_value(op.key),
+            "changes": encode_values(op.changes)}
 
 
 def decode_operation(schema: Schema, doc: Mapping[str, Any]) -> Operation:
     kind = doc.get("kind")
     if kind == "insert":
-        return Insert(schema.new_record(**doc["values"]))
+        return Insert(schema.new_record(**decode_values(doc["values"])))
     if kind == "delete":
-        return Delete(doc["key"])
+        return Delete(decode_value(doc["key"]))
     if kind == "update":
-        return Update(doc["key"], dict(doc["changes"]))
+        return Update(decode_value(doc["key"]), decode_values(doc["changes"]))
     raise WorkerSpecError(f"unknown operation kind {kind!r}")
 
 
@@ -104,8 +119,18 @@ def apply_documents(
     return len(txn)
 
 
-def encode_answer(answer: Any) -> dict[str, Any]:
-    """Flatten a ViewServer answer (tuples, scalar, or degraded) to JSON."""
+_ATOMS = frozenset({type(None), bool, int, float, str})
+
+
+def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
+    """Flatten a ViewServer answer (tuples, scalar, or degraded) to JSON.
+
+    Tuples travel as positional rows under one list of field names —
+    ``view_key`` first when given, the rest by name, so that sorting
+    rows sorts tuples by ``(view key, identity)``.  ``tagged`` lists the
+    columns that hold a non-atom and went through the value codec; an
+    all-atom answer has no such key and pays no per-cell call.
+    """
     degraded = None
     payload = answer
     if isinstance(answer, DegradedResult):
@@ -118,17 +143,43 @@ def encode_answer(answer: Any) -> dict[str, Any]:
         }
         payload = answer.unwrap()
     if isinstance(payload, list):
-        body = {"kind": "tuples", "items": [dict(vt.values) for vt in payload]}
+        fields = sorted(payload[0].values) if payload else []
+        if view_key in fields:
+            fields.remove(view_key)
+            fields.insert(0, view_key)
+        # itemgetter of one field returns its value bare, not a 1-tuple.
+        pick = itemgetter(*fields) if len(fields) > 1 else (
+            lambda values: (values[fields[0]],))
+        rows: list[Any] = [pick(vt.values) for vt in payload]
+        body = {"kind": "rows", "fields": fields, "rows": rows}
+        tagged = [at for at, column in enumerate(zip(*rows))
+                  if not _ATOMS.issuperset(map(type, column))]
+        if tagged:
+            body["tagged"] = tagged
+            body["rows"] = rows = [list(row) for row in rows]
+            for row in rows:
+                for at in tagged:
+                    row[at] = encode_value(row[at])
     else:
         body = {"kind": "scalar", "value": payload}
     body["degraded"] = degraded
     return body
 
 
+def answer_rows(doc: Mapping[str, Any]) -> list[Any]:
+    """The rows of a ``rows`` answer, tagged cells decoded (in place)."""
+    rows = doc["rows"]
+    for at in doc.get("tagged", ()):
+        for row in rows:
+            row[at] = decode_value(row[at])
+    return rows
+
+
 def decode_answer(doc: Mapping[str, Any]) -> tuple[Any, dict[str, Any] | None]:
     """``(payload, degraded_info)`` — the router re-wraps degraded merges."""
-    if doc.get("kind") == "tuples":
-        payload: Any = [ViewTuple(values) for values in doc["items"]]
+    if doc.get("kind") == "rows":
+        fields, adopt = doc["fields"], ViewTuple.adopt
+        payload: Any = [adopt(dict(zip(fields, row))) for row in answer_rows(doc)]
     else:
         payload = doc.get("value")
     return payload, doc.get("degraded")
@@ -185,23 +236,26 @@ def _handle(
         # the records and the epoch cut the same consistent state.
         relations = {
             name: [
-                dict(record.values)
+                encode_values(record.values)
                 for record in server.database.logical_records(name)
             ]
             for name in sorted(server.database.relations)
         }
         return {"epoch": state.applied_epoch, "relations": relations}
     if op == "fetch":
-        for record in server.database.logical_records(request["relation"]):
-            if record.key == request["key"]:
-                return {"values": dict(record.values)}
-        return {"values": None}
+        record = server.database.logical_record(
+            request["relation"], decode_value(request["key"])
+        )
+        return {
+            "values": None if record is None else encode_values(record.values)
+        }
     if op == "query":
         answer = server.query(
             request["view"], request.get("lo"), request.get("hi"),
             client=request.get("client", "router"),
         )
-        return encode_answer(answer)
+        definition = server.definition_of(request["view"])
+        return encode_answer(answer, getattr(definition, "view_key", None))
     if op == "refresh":
         return {"refreshed": list(server.refresh_all_stale())}
     if op == "stats":

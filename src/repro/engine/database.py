@@ -467,6 +467,11 @@ class Database:
         costed client pays ``scan_logical``)."""
         return self._base_of(relation_name).logical_snapshot()
 
+    def logical_record(self, relation_name: str, key: Any) -> Record | None:
+        """The tuple ``key`` names in that content, or ``None``: the
+        keyed form of :meth:`logical_records`, as free of I/O."""
+        return self._base_of(relation_name).logical_by_key(key)
+
     def reset_meter(self) -> None:
         """Zero the cost counters (typically after setup/bulk load)."""
         self.pool.flush_all()

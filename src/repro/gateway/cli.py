@@ -92,12 +92,17 @@ def serve_until_interrupted(
 
 
 def wait_for_gateway(host: str, port: int, timeout: float = 10.0) -> bool:
-    """Poll ``ping`` until the gateway answers (spawn-order helper)."""
+    """Poll ``ping`` until a gateway of this protocol answers.
+
+    The spawn-order helper, and the tag check: a peer of another
+    protocol version never counts as up, so no answer of its form is
+    ever parsed.
+    """
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
         try:
             reply = asyncio.run(call_once(host, port, {"op": "ping"}))
-            if reply.ok:
+            if reply.ok and reply.result.get("protocol") == GATEWAY_PROTOCOL:
                 return True
         except (GatewayCallError, ConnectionError, OSError):
             pass
@@ -172,8 +177,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
         print(f"invalid --connect: {exc}", file=sys.stderr)
         return 2
     if not wait_for_gateway(host, port, timeout=args.connect_timeout):
-        print(f"no gateway answered at {host}:{port} within "
-              f"{args.connect_timeout:.0f}s", file=sys.stderr)
+        print(f"no {GATEWAY_PROTOCOL} gateway answered at {host}:{port} "
+              f"within {args.connect_timeout:.0f}s", file=sys.stderr)
         return 2
     # Updating a key no shard owns is a routing error, so the generated
     # key range must match the serve side's record count: the same demo

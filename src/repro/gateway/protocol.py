@@ -18,7 +18,9 @@ Request documents::
     {"id": N, "op": "ping" | "stats" | "metrics"}
 
 ``op-doc`` is the cluster wire encoding
-(:func:`repro.cluster.worker.encode_operation`).  Responses::
+(:func:`repro.cluster.worker.encode_operation`): keys and values are
+themselves when they are JSON atoms, and a tuple or list travels
+tagged, ``{"t": "tuple", "items": [...]}``.  Responses::
 
     {"id": N, "ok": true,  "result": ...}
     {"id": N, "ok": false, "rejected": label, ...}      # shed load
@@ -26,9 +28,19 @@ Request documents::
 
 A ``rejected`` response names one of the admission labels
 (:data:`~repro.gateway.admission.REJECTION_LABELS`); an admitted query
-result uses :func:`repro.cluster.worker.encode_answer`, whose
-``degraded`` field carries the resilience layer's DegradedResult
-labels — the wire composes both vocabularies.
+result uses :func:`repro.cluster.worker.encode_answer`::
+
+    {"kind": "rows", "fields": [name, ...], "rows": [[cell, ...], ...],
+     "degraded": null | {...}}                 # "tagged": [column, ...]
+    {"kind": "scalar", "value": V, "degraded": null | {...}}
+
+A tuple answer is positional: ``fields`` names the columns once, each
+row holds one tuple's cells in that order, and ``tagged`` (present only
+when needed) lists the columns whose cells are tagged like op-doc
+values.  The ``degraded`` field carries the resilience layer's
+DegradedResult labels — the wire composes both vocabularies.  The row
+form is what ``v2`` of the tag below names: ``v1`` sent one JSON
+object per tuple, which a ``v2`` reader does not parse.
 """
 
 from __future__ import annotations
@@ -38,4 +50,4 @@ from repro.cluster.rpc import FrameError, FrameParser, pack_frame
 __all__ = ["GATEWAY_PROTOCOL", "pack_frame", "FrameParser", "FrameError"]
 
 #: Protocol tag echoed by ``ping`` so clients can sanity-check peers.
-GATEWAY_PROTOCOL = "repro.gateway/v1"
+GATEWAY_PROTOCOL = "repro.gateway/v2"

@@ -182,7 +182,9 @@ class _KeyedFile:
         baselines in tests; never on a costed path)."""
         return list(self._by_key.values())
 
-    logical_snapshot = records_snapshot  # nothing is ever pending
+    # Nothing is ever pending, so logical content is the file's.
+    logical_snapshot = records_snapshot
+    logical_by_key = peek_by_key
 
 
 class ClusteredRelation(_KeyedFile):
@@ -380,6 +382,14 @@ class DifferentialRelation:
         merged = [r for r in self.base.records_snapshot() if r not in deleted]
         merged.extend(self._pending.inserted)
         return merged
+
+    def logical_by_key(self, key: Any) -> Record | None:
+        """One tuple of :meth:`logical_snapshot` by key, or ``None``."""
+        for record in self._pending.inserted:
+            if record.key == key:
+                return record
+        record = self.base.peek_by_key(key)
+        return None if record in self._pending.deleted else record
 
     # ------------------------------------------------------------------
     # deferred-refresh support

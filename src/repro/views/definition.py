@@ -35,18 +35,31 @@ class ViewTuple:
     """A projected result tuple — hashable by value for duplicate counts.
 
     Identity (the sorted item tuple) and the hash derived from it are
-    computed lazily and cached: query results build many view tuples
-    that are returned to the caller without ever being hashed or
-    stored, and the batch apply path calls :meth:`identity` repeatedly
-    on the same tuple.
+    computed lazily and cached in slots that stay unset until then:
+    query results build many view tuples that are returned to the
+    caller without ever being hashed or stored, and the batch apply
+    path calls :meth:`identity` repeatedly on the same tuple.
     """
 
     __slots__ = ("values", "_hash", "_identity")
 
     def __init__(self, values: Mapping[str, Any]) -> None:
-        object.__setattr__(self, "values", dict(values))
-        object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_identity", None)
+        _set_values(self, dict(values))
+
+    @staticmethod
+    def adopt(values: dict[str, Any], identity: tuple | None = None) -> "ViewTuple":
+        """Trusted constructor: ``values`` is taken, not copied.
+
+        For the bulk read paths (the stored copy, the answer codec),
+        which build a fresh dict per tuple and hand it over.  A caller
+        that already holds ``tuple(sorted(values.items()))`` — the
+        stored copy's record key — passes it as ``identity``.
+        """
+        self = _new(ViewTuple)
+        _set_values(self, values)
+        if identity is not None:
+            _set_identity(self, identity)
+        return self
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("ViewTuple is immutable")
@@ -60,10 +73,10 @@ class ViewTuple:
 
     def identity(self) -> tuple:
         """Canonical sortable identity used as a storage key."""
-        identity = self._identity
+        identity = getattr(self, "_identity", None)
         if identity is None:
             identity = tuple(sorted(self.values.items()))
-            object.__setattr__(self, "_identity", identity)
+            _set_identity(self, identity)
         return identity
 
     def __eq__(self, other: object) -> bool:
@@ -72,15 +85,24 @@ class ViewTuple:
         return self.values == other.values
 
     def __hash__(self) -> int:
-        value = self._hash
+        value = getattr(self, "_hash", None)
         if value is None:
             value = hash(self.identity())
-            object.__setattr__(self, "_hash", value)
+            _set_hash(self, value)
         return value
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.values.items()))
         return f"ViewTuple({inner})"
+
+
+# ``__setattr__`` refuses every assignment, so the class's own code sets
+# its slots through their descriptors (half the cost of
+# ``object.__setattr__``, on a path that runs once per tuple read).
+_new = ViewTuple.__new__
+_set_values = ViewTuple.values.__set__
+_set_hash = ViewTuple._hash.__set__
+_set_identity = ViewTuple._identity.__set__
 
 
 @dataclass(frozen=True)

@@ -214,9 +214,13 @@ class MaterializedView:
     def _record(vt: ViewTuple, dup: int) -> Record:
         return Record(vt.identity(), {**vt.values, _DUP_FIELD: dup})
 
-    def _view_tuple(self, record: Record) -> ViewTuple:
-        values = {k: v for k, v in record.values.items() if k != _DUP_FIELD}
-        return ViewTuple(values)
+    @staticmethod
+    def _view_tuple(record: Record) -> ViewTuple:
+        # The proxy's copy() is the wrapped dict's; the record's key is
+        # the identity _record filed the tuple under.
+        values = record.values.copy()
+        del values[_DUP_FIELD]
+        return ViewTuple.adopt(values, record.key)
 
     def _find(self, vt: ViewTuple) -> Record | None:
         sort_value = vt[self.view_key]

@@ -29,6 +29,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
+from repro.cluster.worker import decode_answer
 from repro.gateway.admission import REJECTION_LABELS
 from repro.gateway.client import AsyncGatewayClient, GatewayCallError
 
@@ -218,10 +219,11 @@ def demo_request_factory(
 
     def tuples_validator(lo: int, hi: int) -> Callable[[Any], str | None]:
         def check(result: Any) -> str | None:
-            if not isinstance(result, Mapping) or result.get("kind") != "tuples":
+            tuples = decode_answer(result)[0] if isinstance(result, Mapping) else None
+            if not isinstance(tuples, list):
                 return f"{tuples_view}: expected a tuples answer, got {result!r}"
-            for item in result.get("items", ()):
-                a = item.get("a")
+            for vt in tuples:
+                a = vt.get("a")
                 if a is None or not lo <= a <= hi:
                     return f"{tuples_view}: tuple a={a!r} outside [{lo}, {hi}]"
             return None

@@ -11,7 +11,8 @@ received.
 
 import pytest
 
-from repro.cluster.router import ClusterRouter
+from repro.cluster.router import ClusterRouter, _view_meta
+from repro.cluster.rpc import finish
 from repro.cluster.shardmap import ShardMap
 from repro.engine.transaction import Transaction, Update
 from repro.gateway.server import ClusterBackend
@@ -25,18 +26,36 @@ class FakeReplicaSet:
         self.apply_calls = []
         self.rpc_calls = []
 
-    def apply_update(self, relation, ops, client="anon", timeout=None):
+    def update_leg(self, relation, ops, client="anon", timeout=None):
         self.apply_calls.append(
             {"relation": relation, "ops": list(ops), "client": client,
              "timeout": timeout}
         )
         return {"applied": len(ops)}
+        yield  # a leg that never has to wait
+
+    def primary_leg(self, op, timeout=None, **kwargs):
+        self.rpc_calls.append({"op": op, "timeout": timeout, **kwargs})
+        return {"values": dict(self.values)} if op == "fetch" else {}
+        yield
+
+    def refresh_leg(self, timeout=None):
+        self.rpc_calls.append({"op": "refresh", "timeout": timeout})
+        return {"refreshed": []}
+        yield
+
+    def query_leg(self, timeout=None, **params):
+        self.rpc_calls.append({"op": "query", "timeout": timeout, **params})
+        answer = {"kind": "scalar", "value": 1, "degraded": None}
+        return answer, {"retried": False}
+        yield
+
+    # The blocking forms, defined as the real ones are.
+    def apply_update(self, relation, ops, client="anon", timeout=None):
+        return finish(self.update_leg(relation, ops, client=client, timeout=timeout))
 
     def call_primary(self, op, timeout=None, **kwargs):
-        self.rpc_calls.append({"op": op, "timeout": timeout, **kwargs})
-        if op == "fetch":
-            return {"values": dict(self.values)}
-        return {}
+        return finish(self.primary_leg(op, timeout=timeout, **kwargs))
 
 
 @pytest.fixture()
@@ -47,7 +66,11 @@ def router():
         FakeReplicaSet(),
     ]
     directory = {("r", 0): 0, ("r", 1): 1}
-    return ClusterRouter(shard_map, shards, {}, directory), shards
+    total = _view_meta(
+        {"type": "aggregate", "name": "total", "aggregate": "sum",
+         "relation": "r"}, shard_map,
+    )
+    return ClusterRouter(shard_map, shards, {"total": total}, directory), shards
 
 
 def test_update_timeout_reaches_the_shard(router):
@@ -81,6 +104,15 @@ def test_cross_shard_move_bounds_all_three_legs(router):
     assert [c["timeout"] for c in shards[0].apply_calls] == [2.0]  # delete
     assert shards[1].apply_calls[0]["ops"][0]["kind"] == "insert"
     assert shards[0].apply_calls[0]["ops"][0]["kind"] == "delete"
+
+
+def test_scattered_query_and_refresh_legs_carry_the_timeout(router):
+    cluster, shards = router
+    assert cluster.query("total", timeout=0.4) == 2
+    assert cluster.refresh_epoch(timeout=0.6) is True
+    for shard in shards:
+        assert [(c["op"], c["timeout"]) for c in shard.rpc_calls] == [
+            ("query", 0.4), ("refresh", 0.6)]
 
 
 def test_omitted_timeout_still_defaults_to_client_rpc_timeout(router):

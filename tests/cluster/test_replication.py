@@ -1,6 +1,7 @@
 """Replica sets: shipping, failover, supervision, chaos, orphan reap."""
 
 import os
+import socket
 import time
 
 import pytest
@@ -13,8 +14,8 @@ from repro.cluster.harness import (
     launch_demo,
     live_worker_pids,
 )
-from repro.cluster.replication import ReplicationConfig
-from repro.cluster.rpc import ShardTimeout
+from repro.cluster.replication import ReplicaSet, ReplicationConfig, ReplicationError
+from repro.cluster.rpc import RpcError, ShardTimeout, gather
 from repro.engine.transaction import Transaction, Update
 from repro.resilience.degradation import DegradedResult
 
@@ -129,7 +130,40 @@ class TestDeltaShipping:
         assert tolerant.query("total") == expected
 
 
+def gathered_update(rs, relation, ops, **params):
+    """``rs.apply_update`` as the one leg of a gather."""
+    results, failures = gather(
+        {rs.shard_id: rs.update_leg(relation, ops, **params)},
+        (RpcError, ReplicationError),
+    )
+    if failures:
+        raise failures[rs.shard_id]
+    return results[rs.shard_id]
+
+
 class TestInDoubtWrites:
+    #: How a write reaches the set.  Retry, in-doubt resolution and
+    #: shipping are one implementation under the blocking form and a
+    #: leg driven by ``gather``; the subclass re-runs the cases below
+    #: through the latter.
+    apply = staticmethod(ReplicaSet.apply_update)
+
+    def test_a_broken_transport_to_a_live_primary_retries_the_same_epoch(self):
+        router = launch_demo(1, n_records=60)
+        try:
+            rs = router.shards[0]
+            key = demo_records(60)[0]["id"]
+            ops = [{"kind": "update", "key": key, "changes": {"v": 555}}]
+            # The connection dies under the call; the worker lives.
+            rs.primary.client.sock.shutdown(socket.SHUT_RDWR)
+            assert self.apply(rs, "r", ops, timeout=5.0) == {"applied": 1}
+            assert (rs.write_epoch, rs.repairs_total) == (1, 1)
+            assert replica_epoch(rs, rs.primary) == 1  # applied once, as epoch 1
+            expected = base_total(60) - demo_records(60)[0]["v"] + 555
+            assert router.query("total") == expected
+        finally:
+            router.close()
+
     def test_ambiguous_timeout_resolves_without_loss_or_double_apply(self):
         router = launch_demo(1, n_records=60)
         try:
@@ -140,8 +174,8 @@ class TestInDoubtWrites:
             injector.pause(rs.primary)
             try:
                 with pytest.raises(ShardTimeout):
-                    rs.apply_update(
-                        "r",
+                    self.apply(
+                        rs, "r",
                         [{"kind": "update", "key": key_a,
                           "changes": {"v": 777}}],
                         timeout=0.3,
@@ -152,8 +186,8 @@ class TestInDoubtWrites:
             # lost; its epoch must not be reused for the next write.
             assert rs.write_epoch == 0
             time.sleep(0.3)
-            rs.apply_update(
-                "r", [{"kind": "update", "key": key_b, "changes": {"v": 888}}]
+            self.apply(
+                rs, "r", [{"kind": "update", "key": key_b, "changes": {"v": 888}}]
             )
             assert rs.write_epoch == 2
             expected = (
@@ -163,6 +197,10 @@ class TestInDoubtWrites:
             assert router.query("total") == expected
         finally:
             router.close()
+
+
+class TestInDoubtWritesGathered(TestInDoubtWrites):
+    apply = staticmethod(gathered_update)
 
 
 class TestFailover:

@@ -98,6 +98,40 @@ class TestQueryRouting:
             ClusterRouter.launch(spec, demo_shard_map(2))
 
 
+class TestScatterWithoutThreads:
+    def test_no_thread_is_created_by_any_scattered_request(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+        monkeypatch.setattr(
+            threading.Thread, "start",
+            lambda thread: (started.append(thread.name), start(thread))[1],
+        )
+        records = expected_records()
+        by_shard: dict[int, list[int]] = {0: [], 1: [], 2: []}
+        with launch_demo(3, n_records=N_RECORDS) as router:
+            for key, values in sorted(records.items()):
+                by_shard[router.shard_map.shard_of(values["a"])].append(key)
+            assert all(len(keys) > 10 for keys in by_shard.values())
+            router.stats()  # every worker up before the threads are counted
+            count = threading.active_count()
+            idents = {thread.ident for thread in threading.enumerate()}
+            for step in range(50):
+                assert len(router.query("by_a", 0, DOMAIN - 1)) == N_RECORDS
+                assert isinstance(router.query("total"), int)
+                # One op per shard: a three-leg update flush.
+                router.apply_update(Transaction.of("r", [
+                    Update(keys[step % 10], {"v": step})
+                    for keys in by_shard.values()
+                ]))
+                assert router.refresh_epoch() is True
+                if step % 10 == 0:
+                    router.cluster_metrics()  # an admin scatter
+            assert counter_value(router, "scatter_queries_total", view="by_a") == 50
+            assert threading.active_count() == count
+            assert {thread.ident for thread in threading.enumerate()} == idents
+        assert started == []
+
+
 class TestUpdates:
     def test_update_routes_to_owner_and_views_follow(self, router):
         records = expected_records()

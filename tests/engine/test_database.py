@@ -1,10 +1,12 @@
 """Database catalog, transaction routing, cold-operation mode."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.parameters import PAPER_DEFAULTS
 from repro.core.strategies import Strategy
-from repro.engine.database import CatalogError, Database
+from repro.engine.database import KINDS, CatalogError, Database
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.hr.differential import ClusteredRelation, HypotheticalRelation, SeparateFilesHR
 from repro.engine.relations import HashedRelation
@@ -233,3 +235,50 @@ class TestSetupBucket:
         db.reset_meter()
         assert db.meter.page_ios == 0
         assert db.meter.setup_page_ios == 0
+
+
+class TestKeyedLogicalRead:
+    """``logical_record`` is ``logical_records`` asked for one key."""
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @given(ops=st.lists(st.tuples(
+        st.sampled_from(["insert", "delete", "update", "reinsert", "fold"]),
+        st.integers(min_value=0, max_value=15),
+        st.integers(min_value=0, max_value=19),
+    ), max_size=30))
+    @settings(max_examples=25, deadline=None)
+    def test_agrees_with_the_scan_and_charges_nothing(self, kind, ops):
+        db = Database(buffer_pages=64)
+        db.create_relation(R, "id" if kind.startswith("hashed") else "a",
+                           kind=kind, records=records(10), ad_buckets=2)
+        live = set(range(10))
+        for action, key, a in ops:
+            if action == "fold":
+                db.settle_relation("r")
+                continue
+            batch = []
+            if action == "insert" and key not in live:
+                batch = [Insert(R.new_record(id=key, a=a, v=key))]
+                live.add(key)
+            elif action == "delete" and key in live:
+                batch = [Delete(key)]
+                live.discard(key)
+            elif action == "update" and key in live:
+                batch = [Update(key, {"a": a})]
+            elif action == "reinsert" and key in live:
+                # Same key, new value, inside one transaction.
+                batch = [Delete(key), Insert(R.new_record(id=key, a=a, v=-key))]
+            if batch:
+                db.apply_transaction(Transaction.of("r", batch))
+        before = db.meter.snapshot()
+        by_key = {}
+        for record in db.logical_records("r"):
+            assert by_key.setdefault(record.key, record) is record  # one per key
+        assert set(by_key) == live
+        for key in range(-1, 17):
+            assert db.logical_record("r", key) == by_key.get(key)
+        assert db.meter.snapshot() == before
+
+    def test_unknown_relation_is_a_catalog_error(self):
+        with pytest.raises(CatalogError):
+            Database().logical_record("nope", 1)

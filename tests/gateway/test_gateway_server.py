@@ -338,7 +338,9 @@ class TestWireCompatibility:
             sock.sendall(PARENT_PING[3:])
             pong = json.loads(raw_frame(sock)[4:])
         assert pong["id"] == 8 and pong["ok"] is True
-        assert pong["result"]["protocol"] == "repro.gateway/v1"
+        # The frames are the parent's; the tag is not: v2 answers tuple
+        # queries as positional rows (gateway/protocol.py).
+        assert pong["result"]["protocol"] == "repro.gateway/v2"
 
     def test_garbage_drops_the_connection(self):
         _, handle = launch_stub(GatewayConfig())

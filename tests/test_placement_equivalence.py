@@ -29,6 +29,13 @@ from repro.storage.tuples import Schema
 
 N_RECORDS = 120
 SCHEMA = Schema("r", ("id", "a", "v"), "id")
+#: A second relation whose keys (and ``v`` cells) are tuples: what JSON
+#: alone would hand a shard as lists.
+T_SCHEMA = Schema("t", ("id", "a", "v"), "id")
+T_RECORDS = [
+    {"id": (i // 5, i % 5), "a": (i * 211) % DOMAIN, "v": ("v", i)}
+    for i in range(20)
+]
 
 
 def make_stream(length: int = 90, seed: int = 41) -> list[Request]:
@@ -71,6 +78,23 @@ def make_stream(length: int = 90, seed: int = 41) -> list[Request]:
             # other shard's leg of the scatter answers None.
             view = "lowest" if step % 12 == 11 else "total"
             stream.append(Request("c", "query", view=view))
+    # The same kinds of write against the tuple-keyed relation: insert,
+    # in-place change, moves across the shard boundary (both ways), an
+    # insert-then-update of one fresh key, delete; its view projects the
+    # tuple-valued fields.
+    def update_t(ops) -> None:
+        stream.append(Request("c", "update", txn=Transaction.of("t", ops)))
+
+    whole = Request("c", "query", view="t_by_a", lo=0, hi=DOMAIN - 1)
+    update_t([Insert(T_SCHEMA.new_record(id=(9, 0), a=3, v=("new", 0)))])
+    update_t([Update((0, 1), {"v": ("changed", (1, 2))})])
+    stream.append(whole)
+    update_t([Update((9, 0), {"a": DOMAIN - 2}), Update((3, 4), {"a": 1})])
+    update_t([Insert(T_SCHEMA.new_record(id=(9, 1), a=DOMAIN - 1, v=("new", 1))),
+              Update((9, 1), {"v": ("new", (1, 1))})])
+    stream.append(Request("c", "query", view="t_by_a", lo=0, hi=DOMAIN // 2 - 1))
+    update_t([Delete((0, 0)), Delete((9, 0))])
+    stream.append(whole)
     stream.append(Request("c", "query", view="lowest"))
     # The final logical content, as the last two answers.
     stream.append(Request("c", "query", view="by_a", lo=0, hi=DOMAIN - 1))
@@ -79,8 +103,10 @@ def make_stream(length: int = 90, seed: int = 41) -> list[Request]:
 
 
 def plain(answer):
+    """Comparable across placements, order included: a tuple answer
+    comes back in ``(view key, identity)`` order everywhere."""
     if isinstance(answer, list):
-        return sorted((dict(vt.values) for vt in answer), key=lambda d: d["id"])
+        return [dict(vt.values) for vt in answer]
     return answer
 
 
@@ -123,6 +149,12 @@ def replay_over_the_wire(backend, stream) -> list:
 @pytest.fixture(scope="module")
 def spec():
     spec = demo_spec(n_records=N_RECORDS, seed=5)
+    spec["relations"].append({
+        **spec["relations"][0], "name": "t", "records": T_RECORDS,
+    })
+    spec["views"].append({
+        **spec["views"][0], "name": "t_by_a", "relation": "t",
+    })
     spec["views"].append({
         "type": "aggregate", "name": "lowest", "aggregate": "min", "field": "v",
         "relation": "r", "strategy": "deferred", "policy": None,
@@ -148,7 +180,7 @@ def reference(spec, stream):
 def test_the_stream_exercises_what_it_claims(spec, stream, reference):
     shard_map = demo_shard_map(2)
     owner = {r["id"]: shard_map.shard_of(r["a"])
-             for r in spec["relations"][0]["records"]}
+             for relation in spec["relations"] for r in relation["records"]}
     kinds, moves = set(), 0
     for request in stream:
         if request.kind != "update":
@@ -162,7 +194,14 @@ def test_the_stream_exercises_what_it_claims(spec, stream, reference):
                 moves += target != owner[op.key]
                 owner[op.key] = target
     assert kinds == {"Insert", "Update", "Delete"}
-    assert moves >= 3
+    assert moves >= 5  # two of them of tuple-keyed records, one each way
+    tuple_keyed = [a for request, a in zip(
+        (r for r in stream if r.kind == "query"), reference
+    ) if request.view == "t_by_a"]
+    assert len(tuple_keyed) == 3 and len(tuple_keyed[-1]) == len(T_RECORDS)
+    for row in tuple_keyed[-1]:
+        assert type(row["id"]) is tuple and type(row["v"]) is tuple
+    assert {"id": (9, 1), "a": DOMAIN - 1, "v": ("new", (1, 1))} in tuple_keyed[-1]
     assert any(isinstance(a, list) and a for a in reference)
     assert len(reference[-2]) > N_RECORDS  # net growth survived the deletes
     queries = [request for request in stream if request.kind == "query"]

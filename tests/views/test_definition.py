@@ -55,6 +55,34 @@ class TestViewTuple:
         assert vt["x"] == 1
         assert vt.get("missing", 9) == 9
 
+    def test_the_public_constructor_copies_what_it_is_given(self):
+        source = {"x": 1}
+        vt = ViewTuple(source)
+        source["x"] = 2
+        assert vt["x"] == 1
+
+    @pytest.mark.parametrize("identity", [None, (("a", 1), ("b", (2, 3)))])
+    def test_adopted_tuple_is_indistinguishable(self, identity):
+        values = {"b": (2, 3), "a": 1}
+        adopted = ViewTuple.adopt(values, identity)
+        public = ViewTuple({"a": 1, "b": (2, 3)})
+        assert adopted.values is values  # taken, not copied
+        assert adopted == public and public == adopted
+        assert hash(adopted) == hash(public)
+        assert repr(adopted) == repr(public)
+        assert adopted.identity() == public.identity() == (("a", 1), ("b", (2, 3)))
+        assert len({adopted, public}) == 1
+        with pytest.raises(AttributeError):
+            adopted.values = {}
+        with pytest.raises(AttributeError):
+            adopted._identity = ()
+
+    def test_a_handed_over_identity_is_kept_not_recomputed(self):
+        identity = (("a", 1),)
+        vt = ViewTuple.adopt({"a": 1}, identity)
+        assert vt.identity() is identity
+        assert hash(vt) == hash(identity) == hash(ViewTuple({"a": 1}))
+
 
 class TestSelectProjectView:
     def test_rejects_empty_projection(self):

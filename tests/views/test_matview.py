@@ -87,6 +87,29 @@ class TestBulkLoadScan:
         mv.bulk_load([vt(a) for a in range(10)])
         assert sorted(t["a"] for t in mv.scan_range(3, 5)) == [3, 4, 5]
 
+    def test_every_read_path_hands_out_true_identities_and_own_dicts(self, mv):
+        mv.bulk_load([vt(1), vt(1), vt(2, extra=(3, 4))])
+        mv.insert_tuple(vt(5))
+        reads = {
+            "read_range": mv.read_range(0, 9),
+            "scan_range": list(mv.scan_range(0, 9)),
+            "scan_all": list(mv.scan_all()),
+        }
+        for name, tuples in reads.items():
+            assert len(tuples) == 4, name
+            for t in tuples:
+                # The stored record's key, handed over as the identity.
+                assert t.identity() == tuple(sorted(t.values.items())), name
+                assert t == ViewTuple(t.values) and hash(t) == hash(ViewTuple(t.values))
+                assert "_dup" not in t.values
+        # A tuple's dict is its own: editing it reaches neither the
+        # stored record nor a second read.
+        reads["read_range"][0].values["a"] = 99
+        assert [t["a"] for t in mv.read_range(0, 9)] == [1, 1, 2, 5]
+        record = next(iter(mv.tree.scan_all()))
+        with pytest.raises(TypeError):
+            record.values["a"] = 99
+
 
 class TestApplyChanges:
     def test_mixed_change_set(self, mv):

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from repro.cluster.worker import encode_answer
 from repro.gateway import AdmissionConfig, GatewayConfig, GatewayHandle, ViewServerBackend
 from repro.service.spec import demo_spec
 from repro.service.traffic import demo_server
+from repro.views.definition import ViewTuple
 from repro.workload.clients import (
     LoadReport,
     OpenLoopConfig,
@@ -105,12 +107,11 @@ class TestDemoRequestFactory:
             doc, validator = factory(rng)
             if doc["view"] == "v_tuples":
                 break
-        good = {"kind": "tuples",
-                "items": [{"id": 1, "a": doc["lo"]}], "degraded": None}
+        good = encode_answer([ViewTuple({"id": 1, "a": doc["lo"]})])
         assert validator(good) is None
-        bad = {"kind": "tuples",
-               "items": [{"id": 1, "a": doc["hi"] + 1}], "degraded": None}
+        bad = encode_answer([ViewTuple({"id": 1, "a": doc["hi"] + 1})])
         assert "outside" in validator(bad)
+        assert validator(encode_answer([])) is None
 
     def test_total_validator_requires_numeric_scalar(self):
         factory = demo_request_factory(SERVING)
@@ -119,9 +120,9 @@ class TestDemoRequestFactory:
             doc, validator = factory(rng)
             if doc.get("view") == "v_total":
                 break
-        assert validator({"kind": "scalar", "value": 12}) is None
-        assert validator({"kind": "scalar", "value": "twelve"}) is not None
-        assert validator({"kind": "tuples", "items": []}) is not None
+        assert validator(encode_answer(12)) is None
+        assert validator(encode_answer("twelve")) is not None
+        assert validator(encode_answer([])) is not None
 
     def test_update_validator_requires_full_application(self):
         factory = demo_request_factory(SERVING, query_fraction=0.0)
