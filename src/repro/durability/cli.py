@@ -35,7 +35,9 @@ def _inspect(state_dir: Path) -> dict:
         doc = {
             "state_dir": str(state_dir),
             "current_checkpoint": checkpoints.latest(),
-            "checkpoints": checkpoints.checkpoint_names(),
+            "checkpoints": [
+                checkpoints.describe(name) for name in checkpoints.checkpoint_names()
+            ],
             "wal_segments": {
                 f"wal-{number:08d}": count for number, count in segments.items()
             },

@@ -19,7 +19,7 @@ times over one state directory:
    differential-refresh algorithm, not a recompute.
 
 ``python -m repro.durability.faults`` runs the full scenario matrix
-(qm / immediate / deferred × three kill points) and exits non-zero on
+(qm / immediate / deferred × :data:`KILL_POINTS`) and exits non-zero on
 any failure — the CI crash-recovery smoke job.
 """
 
@@ -99,9 +99,11 @@ class FaultScenario:
     kill: KillPoint
     transactions: int = 60
     seed: int = 7
-    #: Transaction index at which the mid-workload checkpoint is taken
-    #: (the bootstrap checkpoint always happens before transaction 0).
-    checkpoint_at: int = 20
+    #: Transaction indices at which a mid-workload checkpoint is taken
+    #: (the bootstrap checkpoint, a full image, always happens before
+    #: transaction 0): with the default seed two differentials over that
+    #: image, then — enough of the base touched — a new full image.
+    checkpoint_at: tuple[int, ...] = (2, 4, 24)
     query_every: int = 7
 
 
@@ -283,7 +285,7 @@ def run_scenario(scenario: FaultScenario, state_dir: str | Path) -> FaultOutcome
     crashed = False
     try:
         for i, txn in enumerate(txns):
-            if i == scenario.checkpoint_at:
+            if i in scenario.checkpoint_at:
                 manager.checkpoint(db)
             db.apply_transaction(txn)
             if scenario.query_every and i % scenario.query_every == 0:
@@ -346,11 +348,18 @@ def _compare(recovered: Database, twin: Database, views: list[str]) -> list[str]
 # ----------------------------------------------------------------------
 # the CI matrix
 # ----------------------------------------------------------------------
-#: The three seeded kill points exercised by the CI smoke job.
+#: The seeded kill points of the CI smoke job.  The torn write recovers
+#: from image + second differential + WAL tail; the checkpoint kills hit
+#: both differentials and the full image that replaces them, before the
+#: publish and after it (``CURRENT`` rewritten, garbage still in place).
 KILL_POINTS = (
     KillPoint("wal", "before_append", index=12),
     KillPoint("wal", "torn", index=25),
     KillPoint("checkpoint", "pre_publish", index=0),
+    KillPoint("checkpoint", "pre_publish", index=1),
+    KillPoint("checkpoint", "pre_publish", index=2),
+    KillPoint("checkpoint", "post_publish", index=1),
+    KillPoint("checkpoint", "post_publish", index=2),
 )
 
 _STRATEGIES = (Strategy.QM_CLUSTERED, Strategy.IMMEDIATE, Strategy.DEFERRED)

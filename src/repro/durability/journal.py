@@ -140,7 +140,7 @@ class ServiceJournal:
         start = time.perf_counter()
         info = self.manager.checkpoint(database, state)
         duration_ms = (time.perf_counter() - start) * 1000.0
-        self.metrics.counter("checkpoints_total").inc()
+        self.metrics.counter("checkpoints_total", kind=info.kind).inc()
         self.metrics.histogram("checkpoint_duration_ms").observe(duration_ms)
         self.metrics.gauge("checkpoint_bytes").set(info.bytes_written)
         with self._mutex:

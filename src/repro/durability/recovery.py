@@ -125,7 +125,10 @@ def recover(
     name = checkpoints.latest()
     service_state: dict[str, Any] | None = None
     if name is not None:
+        _require(checkpoints, name)
         manifest = checkpoints.load_manifest(name)
+        image = manifest.get("image", name)
+        _require(checkpoints, image)
         config = manifest["config"]
         db = database_factory(
             {
@@ -136,7 +139,7 @@ def recover(
             }
         )
         restore_start = db.meter.snapshot()
-        _restore_checkpoint(db, checkpoints, name)
+        _restore_checkpoint(db, checkpoints, name, image)
         db.transactions_applied = manifest["transactions_applied"]
         db.queries_answered = manifest["queries_answered"]
         wal_epoch = manifest["wal_epoch"]
@@ -169,12 +172,35 @@ def recover(
 # ----------------------------------------------------------------------
 # checkpoint-image restoration
 # ----------------------------------------------------------------------
-def _restore_checkpoint(db: Database, ckpt: CheckpointManager, name: str) -> None:
+def _require(ckpt: CheckpointManager, needed: str) -> None:
+    """``CURRENT`` promises a checkpoint, and the log before it is gone:
+    starting empty would let the next tick delete what is left."""
+    if not (ckpt.checkpoint_dir / needed).is_dir():
+        raise RecoveryError(
+            f"{ckpt.state_dir}: CURRENT relies on {ckpt.checkpoint_dir / needed}, "
+            "which is missing; not recovering as empty"
+        )
+
+
+def _restore_checkpoint(
+    db: Database, ckpt: CheckpointManager, name: str, image: str
+) -> None:
+    """Rebuild the engine ``name`` captured: base records from the full
+    ``image`` (``name`` itself unless differential), net change folded in."""
+    changes = {}
+    if image != name:
+        changes = {doc["relation"]: doc for doc in ckpt.read_lines(name, "relations.jsonl")}
     base_records: dict[str, list[Record]] = {}
-    for doc in ckpt.read_lines(name, "relations.jsonl"):
-        base_records[doc["relation"]] = [
-            codec.decode_record(r) for r in doc["records"]
-        ]
+    for doc in ckpt.read_lines(image, "relations.jsonl"):
+        kept, change = doc["records"], changes.get(doc["relation"])
+        if change is not None:
+            # Image order less the edited keys, then the upserts in edit order:
+            # the live directory's order.  Superseded records are never decoded.
+            edited = {codec.decode_value(key) for key in change["deleted"]}
+            edited.update(codec.decode_value(r["key"]) for r in change["upserts"])
+            kept = [r for r in kept if codec.decode_value(r["key"]) not in edited]
+            kept += change["upserts"]
+        base_records[doc["relation"]] = [codec.decode_record(r) for r in kept]
 
     for doc in ckpt.read_lines(name, "catalog.jsonl"):
         kind = doc["kind"]

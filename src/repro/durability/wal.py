@@ -36,7 +36,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .codec import encode_event
 
-__all__ = ["WalError", "WriteAheadLog", "FRAME_HEADER"]
+__all__ = ["WalError", "WriteAheadLog", "FRAME_HEADER", "fsync_dir"]
 
 #: Frame header: payload length + CRC32 of the payload, little-endian.
 FRAME_HEADER = struct.Struct("<II")
@@ -47,6 +47,16 @@ _SEGMENT_SUFFIX = ".log"
 
 class WalError(RuntimeError):
     """The write-ahead log is unusable (bad directory, closed handle)."""
+
+
+def fsync_dir(path: str | Path) -> None:
+    """Make a directory's entries durable: a created, renamed or replaced
+    name survives a power loss only once its directory is synced."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def _segment_name(number: int) -> str:
@@ -231,6 +241,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def _open_segment(self, number: int) -> None:
         self._fh = open(self.segment_path(number), "ab")
+        fsync_dir(self.directory)  # the segment's name, before anything is in it
         self._unsynced = 0
 
     def _truncate_torn_tail(self, path: Path) -> None:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.storage.bloom import BloomFilter
 from repro.storage.bplustree import BPlusTree
@@ -121,6 +121,9 @@ class _KeyedFile:
         self.organised_on = organised_on
         self.records_per_page = schema.records_per_page(block_bytes)
         self._by_key: dict[Any, Record] = {}
+        #: Keys edited since a checkpoint's full image of this file, in edit
+        #: order; ``None`` until a checkpoint that published one installs a dict.
+        self.touched: dict[Any, None] | None = None
 
     def __len__(self) -> int:
         return len(self._by_key)
@@ -133,24 +136,41 @@ class _KeyedFile:
     def base(self) -> "_KeyedFile":
         return self
 
+    def _edit(self, dropped: Sequence[Any], filed: Sequence[Record]) -> None:
+        """The one place the key directory changes: forget the ``dropped``
+        keys, then file each record under its key (a new key goes last).
+        On a file a checkpoint has captured, each key also moves to the
+        end of :attr:`touched`, as it just did in the directory's order."""
+        by_key = self._by_key
+        for key in dropped:
+            del by_key[key]
+        for record in filed:
+            by_key[record.key] = record
+        touched = self.touched
+        if touched is not None:
+            for key in itertools.chain(dropped, (record.key for record in filed)):
+                touched.pop(key, None)
+                touched[key] = None
+
     def bulk_load(self, records: list[Record]) -> None:
         """Initial load (one write per page; meter usually reset after)."""
         self._file.bulk_load(records)
-        for record in records:
-            self._by_key[record.key] = record
+        self.touched = None  # the file was rebuilt: no image describes it
+        self._edit((), records)
 
     def insert(self, record: Record) -> None:
         """Insert a new tuple (file read + write)."""
         if record.key in self._by_key:
             raise KeyError(f"duplicate key {record.key!r} in {self.schema.name!r}")
         self._file.insert(record)
-        self._by_key[record.key] = record
+        self._edit((), (record,))
 
     def delete_by_key(self, key: Any) -> Record:
         """Delete and return the tuple with the given key."""
-        record = self._by_key.pop(key, None)
+        record = self._by_key.get(key)
         if record is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
+        self._edit((key,), ())
         self._file.delete(record)
         return record
 
@@ -161,8 +181,7 @@ class _KeyedFile:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
         new = self.schema.updated(old, **changes)
         self._rewrite(old, new)
-        del self._by_key[key]
-        self._by_key[new.key] = new
+        self._edit((key,), (new,))
         return old, new
 
     def peek_by_key(self, key: Any) -> Record | None:

@@ -7,6 +7,7 @@ import pytest
 from repro.core.strategies import Strategy
 from repro.durability.checkpoint import VERSION, CheckpointError, CheckpointManager
 from repro.durability.faults import build_database, make_workload
+from repro.durability.recovery import RecoveryError, recover
 from repro.durability.wal import WriteAheadLog
 
 
@@ -40,15 +41,28 @@ class TestPublish:
         assert manifest["transactions_applied"] == db.transactions_applied
 
     def test_second_checkpoint_gcs_the_first(self, state):
+        """GC keeps what ``CURRENT`` names and the image its manifest
+        names, nothing else: a differential spares its image and
+        replaces the differential before it; a new image replaces both."""
         db, wal, manager = state
         first = manager.checkpoint(db, wal)
         for txn in make_workload(3, 4):
             db.apply_transaction(txn)
         second = manager.checkpoint(db, wal)
-        assert second.checkpoints_removed == 1
+        assert (second.kind, second.image) == ("differential", first.name)
+        assert second.checkpoints_removed == 0
         assert second.wal_segments_removed >= 1
+        assert manager.checkpoint_names() == [first.name, second.name]
+        third = manager.checkpoint(db, wal)
+        assert (third.kind, third.checkpoints_removed) == ("differential", 1)
+        assert manager.checkpoint_names() == [first.name, third.name]
+        for txn in make_workload(4, 80, start_key=1000):
+            db.apply_transaction(txn)
+        db.fold_relation("r")  # most of the base has now been touched
+        fourth = manager.checkpoint(db, wal)
+        assert (fourth.kind, fourth.checkpoints_removed) == ("full", 2)
         assert not first.path.exists()
-        assert manager.checkpoint_names() == [second.name]
+        assert manager.checkpoint_names() == [fourth.name]
 
     def test_capture_is_unmetered(self, state):
         db, wal, manager = state
@@ -104,10 +118,17 @@ class TestValidation:
         with pytest.raises(CheckpointError):
             list(manager.read_lines(info.name, "catalog.jsonl"))
 
-    def test_latest_ignores_dangling_current(self, state):
+    def test_dangling_current_refuses_recovery(self, state, tmp_path):
+        """``CURRENT`` naming a checkpoint that is gone is a damaged
+        directory, not a fresh one: the log before it was deleted."""
         db, wal, manager = state
         info = manager.checkpoint(db, wal)
         manager.current_path.write_text("ckpt-00000042\n")
-        assert manager.latest() is None
+        assert manager.latest() == "ckpt-00000042"
+        with pytest.raises(RecoveryError, match=f"{tmp_path}.*ckpt-00000042"):
+            recover(manager, wal)
         manager.current_path.write_text(info.name + "\n")
-        assert manager.latest() == info.name
+        recovered, report, _ = recover(manager, wal)
+        assert report.checkpoint == info.name and "r" in recovered.relations
+        manager.current_path.unlink()  # never published: still a bootstrap
+        assert recover(manager, wal)[1].checkpoint is None

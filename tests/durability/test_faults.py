@@ -10,6 +10,7 @@ from repro.durability.faults import (
     default_scenarios,
     run_scenario,
 )
+from repro.durability.manager import DurabilityManager
 
 
 def _scenario(strategy, kill, **overrides):
@@ -71,11 +72,55 @@ class TestScenarios:
 class TestMatrix:
     def test_ci_matrix_shape(self):
         scenarios = default_scenarios()
-        assert len(scenarios) == 9  # 3 strategies x 3 seeded kill points
-        assert len(KILL_POINTS) == 3
+        assert len(scenarios) == 21  # 3 strategies x 7 seeded kill points
+        assert len(KILL_POINTS) == 7
         assert {s.strategy for s in scenarios} == {
             Strategy.QM_CLUSTERED, Strategy.IMMEDIATE, Strategy.DEFERRED
         }
+
+    @pytest.mark.parametrize(
+        "strategy", [Strategy.QM_CLUSTERED, Strategy.IMMEDIATE, Strategy.DEFERRED]
+    )
+    def test_one_play_crosses_both_kinds_of_checkpoint(self, tmp_path, monkeypatch, strategy):
+        """Bootstrap image, two differentials over it, then the image
+        that replaces all three: the kill cells' indices mean that."""
+        taken = []
+        real = DurabilityManager.checkpoint
+
+        def recording(manager, *args, **kwargs):
+            info = real(manager, *args, **kwargs)
+            taken.append((info.kind, info.image))
+            return info
+
+        monkeypatch.setattr(DurabilityManager, "checkpoint", recording)
+        never = KillPoint("checkpoint", "pre_publish", index=99)
+        outcome = run_scenario(_scenario(strategy, never), tmp_path)
+        assert not outcome.crashed and not outcome.mismatches
+        assert taken == [
+            ("full", "ckpt-00000001"),
+            ("differential", "ckpt-00000001"),
+            ("differential", "ckpt-00000001"),
+            ("full", "ckpt-00000004"),
+        ]
+
+    @pytest.mark.parametrize(
+        "kill, recovered_from",
+        [
+            (KillPoint("wal", "torn", 25), "ckpt-00000003"),
+            (KillPoint("checkpoint", "pre_publish", 1), "ckpt-00000002"),
+            (KillPoint("checkpoint", "pre_publish", 2), "ckpt-00000003"),
+            (KillPoint("checkpoint", "post_publish", 1), "ckpt-00000003"),
+            (KillPoint("checkpoint", "post_publish", 2), "ckpt-00000004"),
+        ],
+        ids=lambda value: value.describe() if isinstance(value, KillPoint) else value,
+    )
+    def test_kill_cells_recover_from_the_checkpoint_they_name(
+        self, tmp_path, kill, recovered_from
+    ):
+        assert kill in KILL_POINTS
+        outcome = run_scenario(_scenario(Strategy.DEFERRED, kill), tmp_path)
+        assert outcome.crashed and outcome.ok, outcome.mismatches
+        assert outcome.recovered_checkpoint == recovered_from
 
     def test_unknown_kill_target_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -66,7 +66,7 @@ class TestCheckpointAndRecovery:
         db = build_database(Strategy.DEFERRED, manager)
         info = journal.checkpoint(db, {"v": {"adaptive": False}})
         metrics = journal.metrics
-        assert metrics.counter("checkpoints_total").value == 1
+        assert metrics.counter("checkpoints_total", kind="full").value == 1
         assert metrics.gauge("checkpoint_bytes").value == info.bytes_written
         manager.close()
 
