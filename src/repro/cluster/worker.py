@@ -27,7 +27,7 @@ from repro.resilience.degradation import DegradedResult
 from repro.service.server import ViewServer
 from repro.service.spec import build_server
 from repro.storage.tuples import Schema
-from repro.views.definition import ViewTuple
+from repro.views.definition import ViewTuple, fields_of
 from .rpc import FrameParser, send_frame
 
 __all__ = [
@@ -143,14 +143,14 @@ def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
         }
         payload = answer.unwrap()
     if isinstance(payload, list):
-        fields = sorted(payload[0].values) if payload else []
+        fields = sorted(fields_of(payload[0])) if payload else []
         if view_key in fields:
             fields.remove(view_key)
             fields.insert(0, view_key)
         # itemgetter of one field returns its value bare, not a 1-tuple.
         pick = itemgetter(*fields) if len(fields) > 1 else (
             lambda values: (values[fields[0]],))
-        rows: list[Any] = [pick(vt.values) for vt in payload]
+        rows: list[Any] = list(map(pick, map(fields_of, payload)))
         body = {"kind": "rows", "fields": fields, "rows": rows}
         tagged = [at for at, column in enumerate(zip(*rows))
                   if not _ATOMS.issuperset(map(type, column))]

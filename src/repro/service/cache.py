@@ -19,6 +19,10 @@ engine: epochs unchanged ⇒ no update since the answer was computed ⇒
 the answer is still the view's current logical content (and a deferred
 view's backlog is still empty, so the skipped refresh was a no-op).
 
+Every hit is its own answer: a tuple answer is kept as an immutable
+copy and each hit gets a new list over the shared (immutable) view
+tuples, so what one client does to its list no other client sees.
+
 The cache is **opt-in**: :class:`~repro.service.server.ViewServer`
 only consults it when one is passed in, so the paper-faithful cost
 accounting of the default configuration is untouched.
@@ -44,7 +48,9 @@ class QueryResultCache:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._mutex = threading.Lock()
-        self._entries: "OrderedDict[Key, tuple[Token, Any]]" = OrderedDict()
+        #: key -> (token, answer, listed); a ``listed`` answer is kept
+        #: as a tuple and handed out as a new list per hit.
+        self._entries: "OrderedDict[Key, tuple[Token, Any, bool]]" = OrderedDict()
         self._epochs: dict[str, int] = {}
         self.hits = 0
         self.misses = 0
@@ -81,7 +87,7 @@ class QueryResultCache:
             if entry is None:
                 self.misses += 1
                 return False, None
-            stored_token, answer = entry
+            stored_token, answer, listed = entry
             if stored_token != token:
                 del self._entries[key]
                 self.invalidations += 1
@@ -89,12 +95,16 @@ class QueryResultCache:
                 return False, None
             self._entries.move_to_end(key)
             self.hits += 1
-            return True, answer
+        return True, list(answer) if listed else answer
 
     def put(self, view: str, lo: Any, hi: Any, token: Token, answer: Any) -> None:
+        """Keep a fresh answer; a list is copied, the caller keeps its own."""
         key = (view, lo, hi)
+        listed = isinstance(answer, list)
+        if listed:
+            answer = tuple(answer)
         with self._mutex:
-            self._entries[key] = (token, answer)
+            self._entries[key] = (token, answer, listed)
             self._entries.move_to_end(key)
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)

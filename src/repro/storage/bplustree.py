@@ -154,15 +154,19 @@ class BPlusTree:
         The page-get sequence (and therefore every metered read) is
         identical to :meth:`range_scan`: one descent, then each chained
         leaf up to and including the first one holding a key past
-        ``hi``.  Leaves with no in-range entries yield nothing.
+        ``hi``.  A leaf's in-range entries are the slice between
+        ``(lo, -inf)`` and ``(hi, +inf)``, found by bisection; leaves
+        with no in-range entries yield nothing.
         """
+        first, last = (lo, _NEG_INF), (hi, _POS_INF)
         current: PageId | None = self._descend(lo, _NEG_INF)
         while current is not None:
             page = self.pool.get(current)
             entries = page.records
-            batch = [r for (k, _t), r in entries if lo <= k <= hi]
-            if batch:
-                yield batch
+            start = bisect.bisect_left(entries, first, key=_ENTRY_KEY)
+            stop = bisect.bisect_right(entries, last, start, key=_ENTRY_KEY)
+            if start < stop:
+                yield [record for _, record in entries[start:stop]]
             if entries and entries[-1][0][0] > hi:
                 return
             current = page.next_page
@@ -427,3 +431,19 @@ class _NegInf:
 
 
 _NEG_INF = _NegInf()
+
+
+class _PosInf:
+    """Sorts after every other value (the upper end of a range's slice)."""
+
+    def __lt__(self, other: Any) -> bool:
+        return False
+
+    def __gt__(self, other: Any) -> bool:
+        return True
+
+    def __repr__(self) -> str:
+        return "+inf"
+
+
+_POS_INF = _PosInf()

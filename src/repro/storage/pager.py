@@ -16,14 +16,12 @@ from __future__ import annotations
 
 import itertools
 import zlib
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from repro.core.parameters import Parameters
-
-from .tuples import Record
 
 __all__ = [
     "PageId",
@@ -59,11 +57,13 @@ class PageChecksumError(RuntimeError):
 def _entry_image(entry: Any) -> bytes:
     """The serialized form of one page entry: the bytes a checksum covers.
 
-    A B+-tree leaf entry ``(entry_key, record)`` is its key part, the
-    separator and the record's ``repr``; anything else (a heap or hash
-    record, an internal node, an aggregate state) is its ``repr``.
+    A B+-tree leaf entry ``((sort_key, tiebreak), value)`` is its key
+    part, the separator and the value's ``repr`` (a base ``Record``, or
+    a stored view tuple, which renders itself as one); anything else (a
+    heap or hash record, an internal node, an aggregate state) is its
+    ``repr``.
     """
-    if type(entry) is tuple and entry and type(entry[-1]) is Record:
+    if type(entry) is tuple and len(entry) == 2 and type(entry[0]) is tuple:
         text = f"{entry[:-1]!r}\x1e{entry[-1]!r}"
     else:
         text = repr(entry)
@@ -393,7 +393,9 @@ class SimulatedDisk:
         self._pages: dict[PageId, Page] = {}
         self._checksums: dict[PageId, int] = {}
         self._next_number: dict[str, Iterator[int]] = {}
-        self._page_counts: Counter[str] = Counter()
+        #: Per file, its allocated page ids in allocation order (a dict
+        #: used as an ordered set): what :meth:`file_pages` returns.
+        self._files: dict[str, dict[PageId, None]] = {}
         #: When true, every :meth:`read` recomputes the page checksum
         #: and raises :class:`PageChecksumError` on a mismatch.  Off by
         #: default: the clean substrate cannot rot, so the paper's cost
@@ -405,14 +407,14 @@ class SimulatedDisk:
 
     def page_count(self, file: str) -> int:
         """Number of allocated pages in one file."""
-        return self._page_counts[file]
+        return len(self._files.get(file, ()))
 
     def files(self) -> list[str]:
         """Every file name with at least one allocated page, sorted."""
-        # list() snapshots the keys atomically (single bytecode under
+        # list() snapshots the items atomically (single bytecode under
         # the GIL); bare iteration races concurrent allocate() calls
         # with "dictionary changed size during iteration".
-        return sorted({pid.file for pid in list(self._pages)})
+        return sorted(file for file, pids in list(self._files.items()) if pids)
 
     def allocate(self, file: str, capacity: int) -> Page:
         """Allocate a fresh page in ``file`` (no I/O is charged)."""
@@ -421,7 +423,7 @@ class SimulatedDisk:
         page = Page(page_id, capacity)
         self._pages[page_id] = page
         self._checksums[page_id] = page.checksum()
-        self._page_counts[file] += 1
+        self._files.setdefault(file, {})[page_id] = None
         return page.clone()
 
     def read(self, page_id: PageId) -> Page:
@@ -457,14 +459,12 @@ class SimulatedDisk:
     def free(self, page_id: PageId) -> None:
         """Deallocate a page (no I/O charged, mirroring the paper)."""
         if self._pages.pop(page_id, None) is not None:
-            self._page_counts[page_id.file] -= 1
+            del self._files[page_id.file][page_id]
         self._checksums.pop(page_id, None)
 
     def file_pages(self, file: str) -> list[PageId]:
-        """All page ids of a file, in allocation order."""
-        pids = [pid for pid in list(self._pages) if pid.file == file]
-        pids.sort(key=lambda pid: pid.number)
-        return pids
+        """All page ids of a file, in allocation order (a snapshot)."""
+        return list(self._files.get(file, ()))
 
     def verify(self, page_id: PageId) -> str | None:
         """Check one page's at-rest integrity without raising.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
-__all__ = ["Schema", "Record", "SchemaError"]
+__all__ = ["Schema", "Record", "SchemaError", "record_repr"]
 
 
 class SchemaError(ValueError):
@@ -151,5 +151,11 @@ class Record:
         return value
 
     def __repr__(self) -> str:
-        inner = ", ".join([f"{k}={v!r}" for k, v in self._values.items()])
-        return f"Record(key={self.key!r}, {inner})"
+        return record_repr(self.key, self._values.items())
+
+
+def record_repr(key: Any, items: Iterable[tuple[str, Any]]) -> str:
+    """A record's ``repr`` — and page image — from its key and its
+    ``(field, value)`` items in order, for payloads that render as one."""
+    inner = ", ".join([f"{k}={v!r}" for k, v in items])
+    return f"Record(key={key!r}, {inner})"

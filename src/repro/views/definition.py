@@ -12,6 +12,8 @@ same view.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
+from types import MappingProxyType
 from typing import Any, Iterable, Mapping
 
 from repro.storage.tuples import Record
@@ -20,6 +22,7 @@ from .predicate import Predicate
 
 __all__ = [
     "ViewTuple",
+    "fields_of",
     "SelectProjectView",
     "JoinView",
     "AggregateView",
@@ -34,6 +37,11 @@ class ViewDefinitionError(ValueError):
 class ViewTuple:
     """A projected result tuple — hashable by value for duplicate counts.
 
+    Immutable in fact, not only by convention: the fields live in a dict
+    the tuple owns and never hands out (:attr:`values` is a read-only
+    view of it), so one tuple may be held by any number of readers — the
+    stored copy, every answer that read it, the result cache.
+
     Identity (the sorted item tuple) and the hash derived from it are
     computed lazily and cached in slots that stay unset until then:
     query results build many view tuples that are returned to the
@@ -41,7 +49,7 @@ class ViewTuple:
     path calls :meth:`identity` repeatedly on the same tuple.
     """
 
-    __slots__ = ("values", "_hash", "_identity")
+    __slots__ = ("_values", "_hash", "_identity")
 
     def __init__(self, values: Mapping[str, Any]) -> None:
         _set_values(self, dict(values))
@@ -50,10 +58,10 @@ class ViewTuple:
     def adopt(values: dict[str, Any], identity: tuple | None = None) -> "ViewTuple":
         """Trusted constructor: ``values`` is taken, not copied.
 
-        For the bulk read paths (the stored copy, the answer codec),
-        which build a fresh dict per tuple and hand it over.  A caller
-        that already holds ``tuple(sorted(values.items()))`` — the
-        stored copy's record key — passes it as ``identity``.
+        For the paths that build a fresh dict per tuple and hand it over
+        (a projection, the answer codec); the caller must not touch the
+        dict afterwards.  A caller that already holds
+        ``tuple(sorted(values.items()))`` passes it as ``identity``.
         """
         self = _new(ViewTuple)
         _set_values(self, values)
@@ -61,28 +69,33 @@ class ViewTuple:
             _set_identity(self, identity)
         return self
 
+    @property
+    def values(self) -> Mapping[str, Any]:
+        """The fields, read-only (assigning through it raises ``TypeError``)."""
+        return MappingProxyType(self._values)
+
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("ViewTuple is immutable")
 
     def __getitem__(self, field: str) -> Any:
-        return self.values[field]
+        return self._values[field]
 
     def get(self, field: str, default: Any = None) -> Any:
         """Field access with a default (dict.get semantics)."""
-        return self.values.get(field, default)
+        return self._values.get(field, default)
 
     def identity(self) -> tuple:
         """Canonical sortable identity used as a storage key."""
         identity = getattr(self, "_identity", None)
         if identity is None:
-            identity = tuple(sorted(self.values.items()))
+            identity = tuple(sorted(self._values.items()))
             _set_identity(self, identity)
         return identity
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ViewTuple):
             return NotImplemented
-        return self.values == other.values
+        return self._values == other._values
 
     def __hash__(self) -> int:
         value = getattr(self, "_hash", None)
@@ -92,17 +105,24 @@ class ViewTuple:
         return value
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self.values.items()))
+        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
         return f"ViewTuple({inner})"
 
 
 # ``__setattr__`` refuses every assignment, so the class's own code sets
 # its slots through their descriptors (half the cost of
-# ``object.__setattr__``, on a path that runs once per tuple read).
+# ``object.__setattr__``, on a path that runs once per tuple built).
 _new = ViewTuple.__new__
-_set_values = ViewTuple.values.__set__
+_set_values = ViewTuple._values.__set__
 _set_hash = ViewTuple._hash.__set__
 _set_identity = ViewTuple._identity.__set__
+
+#: ``fields_of(vt)`` is the tuple's own field dict, without the
+#: read-only wrapper :attr:`ViewTuple.values` builds per call: for the
+#: bulk paths that read every field of many tuples (a stored tuple's
+#: page image, the answer codec).  Read it, never edit it — the tuple
+#: is shared.
+fields_of = attrgetter("_values")
 
 
 @dataclass(frozen=True)
@@ -139,7 +159,7 @@ class SelectProjectView:
 
     def project(self, record: Record) -> ViewTuple:
         """Project one base tuple to its view tuple."""
-        return ViewTuple({f: record[f] for f in self.projection})
+        return ViewTuple.adopt({f: record[f] for f in self.projection})
 
     def evaluate(self, records: Iterable[Record]) -> list[ViewTuple]:
         """Compute the view from scratch (duplicates preserved)."""
@@ -197,7 +217,7 @@ class JoinView:
         """Build the result tuple for one joining pair."""
         values = {f: outer_record[f] for f in self.outer_projection}
         values.update({f: inner_record[f] for f in self.inner_projection})
-        return ViewTuple(values)
+        return ViewTuple.adopt(values)
 
     def evaluate(
         self, outer_records: Iterable[Record], inner_records: Iterable[Record]

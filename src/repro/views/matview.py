@@ -13,26 +13,50 @@ state: a read is one page read, a refresh one page write.
 
 from __future__ import annotations
 
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from repro.storage.bplustree import BPlusTree
-from repro.storage.pager import BufferPool
-from repro.storage.tuples import Record
+from repro.storage.pager import BufferPool, Page
+from repro.storage.tuples import record_repr
 from .aggregates import AggregateFunction
-from .definition import ViewTuple
+from .definition import ViewTuple, fields_of
 from .delta import ChangeSet
 
 __all__ = ["MaterializedView", "AggregateStateStore", "DuplicateCountError"]
-
-_DUP_FIELD = "_dup"
 
 
 class DuplicateCountError(RuntimeError):
     """A deletion arrived for a view tuple that is not stored."""
 
 
+class _Stored(NamedTuple):
+    """One leaf entry's payload: a distinct view tuple and its count.
+
+    ``key`` is the tuple's identity, the tree's tiebreak.  The tuple is
+    the object every read hands out; an entry is never edited, a new
+    count is a new entry (:meth:`repro.storage.pager.Page.replace`).
+    """
+
+    key: tuple
+    vt: ViewTuple
+    dup: int
+
+    def __repr__(self) -> str:
+        # A view page's checksum covers this: the image of a record
+        # keyed by the identity, the fields in the tuple's order, _dup.
+        return record_repr(self.key, [*fields_of(self.vt).items(), ("_dup", self.dup)])
+
+
+def _stored(vt: ViewTuple, dup: int) -> _Stored:
+    return _Stored(vt.identity(), vt, dup)
+
+
 class MaterializedView:
-    """Duplicate-counted stored copy of a select-project or join view."""
+    """Duplicate-counted stored copy of a select-project or join view.
+
+    A leaf entry is ``((view-key value, identity), _Stored)``: reads
+    hand out the stored :class:`ViewTuple` itself, ``dup`` times.
+    """
 
     def __init__(
         self,
@@ -52,7 +76,7 @@ class MaterializedView:
         self._tree = BPlusTree(
             f"view.{name}",
             pool,
-            sort_key=lambda record: record[view_key],
+            sort_key=lambda stored: stored.vt[view_key],
             records_per_leaf=records_per_page,
             fanout=fanout,
         )
@@ -66,8 +90,7 @@ class MaterializedView:
         counts: dict[ViewTuple, int] = {}
         for vt in tuples:
             counts[vt] = counts.get(vt, 0) + 1
-        records = [self._record(vt, dup) for vt, dup in counts.items()]
-        self._tree.bulk_load(records)
+        self._tree.bulk_load([_stored(vt, dup) for vt, dup in counts.items()])
 
     def rebuild(self, tuples: list[ViewTuple]) -> None:
         """Replace the stored contents wholesale (snapshot refresh).
@@ -85,9 +108,9 @@ class MaterializedView:
             raise ValueError(f"insert count must be >= 1, got {count}")
         existing = self._find(vt)
         if existing is None:
-            self._tree.insert(self._record(vt, count))
+            self._tree.insert(_stored(vt, count))
         else:
-            self._tree.update(existing, self._record(vt, existing[_DUP_FIELD] + count))
+            self._tree.update(existing, _stored(vt, existing.dup + count))
 
     def delete_tuple(self, vt: ViewTuple, count: int = 1) -> None:
         """Remove ``count`` duplicates, physically deleting at zero."""
@@ -96,16 +119,11 @@ class MaterializedView:
         existing = self._find(vt)
         if existing is None:
             raise DuplicateCountError(f"view {self.name!r} does not contain {vt!r}")
-        remaining = existing[_DUP_FIELD] - count
-        if remaining < 0:
-            raise DuplicateCountError(
-                f"view {self.name!r}: duplicate count underflow for {vt!r} "
-                f"({existing[_DUP_FIELD]} stored, {count} deleted)"
-            )
+        remaining = self._remaining(vt, existing, count)
         if remaining == 0:
             self._tree.delete(existing)
         else:
-            self._tree.update(existing, self._record(vt, remaining))
+            self._tree.update(existing, _stored(vt, remaining))
 
     def apply_changes(self, changes: ChangeSet) -> tuple[int, int]:
         """Apply a signed change multiset; returns (inserted, deleted) counts.
@@ -126,12 +144,10 @@ class MaterializedView:
             located = self._locate(vt)
             if signed > 0:
                 if located is None:
-                    tree.insert(self._record(vt, signed))
+                    tree.insert(_stored(vt, signed))
                 else:
                     page, index, existing = located
-                    tree.replace_at(
-                        page, index, self._record(vt, existing[_DUP_FIELD] + signed)
-                    )
+                    tree.replace_at(page, index, _stored(vt, existing.dup + signed))
                 inserted += signed
             else:
                 count = -signed
@@ -140,16 +156,11 @@ class MaterializedView:
                         f"view {self.name!r} does not contain {vt!r}"
                     )
                 page, index, existing = located
-                remaining = existing[_DUP_FIELD] - count
-                if remaining < 0:
-                    raise DuplicateCountError(
-                        f"view {self.name!r}: duplicate count underflow for {vt!r} "
-                        f"({existing[_DUP_FIELD]} stored, {count} deleted)"
-                    )
+                remaining = self._remaining(vt, existing, count)
                 if remaining == 0:
                     tree.delete_at(page, index)
                 else:
-                    tree.replace_at(page, index, self._record(vt, remaining))
+                    tree.replace_at(page, index, _stored(vt, remaining))
                 deleted += count
         return inserted, deleted
 
@@ -158,10 +169,9 @@ class MaterializedView:
     # ------------------------------------------------------------------
     def scan_range(self, lo: Any, hi: Any) -> Iterator[ViewTuple]:
         """View tuples with ``lo <= view_key <= hi``, duplicates expanded."""
-        for record in self._tree.range_scan(lo, hi):
-            vt = self._view_tuple(record)
-            for _ in range(record[_DUP_FIELD]):
-                yield vt
+        for stored in self._tree.range_scan(lo, hi):
+            for _ in range(stored.dup):
+                yield stored.vt
 
     def read_range(self, lo: Any, hi: Any) -> list[ViewTuple]:
         """Eager range read — the query paths' bulk entry point.
@@ -169,25 +179,24 @@ class MaterializedView:
         Same page reads as :meth:`scan_range` (both ride the leaf-chain
         batches); builds the duplicate-expanded result list in one pass
         so callers can charge one bulk ``record_screen(len(result))``
-        instead of a call per tuple.
+        instead of a call per tuple.  The tuples are the stored ones:
+        nothing is built per tuple.
         """
         out: list[ViewTuple] = []
-        for records in self._tree.range_batches(lo, hi):
-            for record in records:
-                vt = self._view_tuple(record)
-                dup = record[_DUP_FIELD]
+        append = out.append
+        for batch in self._tree.range_batches(lo, hi):
+            for _, vt, dup in batch:
                 if dup == 1:
-                    out.append(vt)
+                    append(vt)
                 else:
                     out.extend([vt] * dup)
         return out
 
     def scan_all(self) -> Iterator[ViewTuple]:
         """Every stored view tuple, duplicates expanded."""
-        for record in self._tree.scan_all():
-            vt = self._view_tuple(record)
-            for _ in range(record[_DUP_FIELD]):
-                yield vt
+        for stored in self._tree.scan_all():
+            for _ in range(stored.dup):
+                yield stored.vt
 
     def distinct_count(self) -> int:
         """Distinct stored tuples (no I/O charged; catalog statistic)."""
@@ -196,11 +205,11 @@ class MaterializedView:
     def duplicate_count(self, vt: ViewTuple) -> int:
         """Stored duplicate count of one tuple (0 if absent)."""
         existing = self._find(vt)
-        return 0 if existing is None else existing[_DUP_FIELD]
+        return 0 if existing is None else existing.dup
 
     def total_count(self) -> int:
         """Total tuples including duplicates (scans the view)."""
-        return sum(record[_DUP_FIELD] for record in self._tree.scan_all())
+        return sum(stored.dup for stored in self._tree.scan_all())
 
     @property
     def tree(self) -> BPlusTree:
@@ -210,27 +219,24 @@ class MaterializedView:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    @staticmethod
-    def _record(vt: ViewTuple, dup: int) -> Record:
-        return Record(vt.identity(), {**vt.values, _DUP_FIELD: dup})
+    def _remaining(self, vt: ViewTuple, existing: _Stored, count: int) -> int:
+        remaining = existing.dup - count
+        if remaining < 0:
+            raise DuplicateCountError(
+                f"view {self.name!r}: duplicate count underflow for {vt!r} "
+                f"({existing.dup} stored, {count} deleted)"
+            )
+        return remaining
 
-    @staticmethod
-    def _view_tuple(record: Record) -> ViewTuple:
-        # The proxy's copy() is the wrapped dict's; the record's key is
-        # the identity _record filed the tuple under.
-        values = record.values.copy()
-        del values[_DUP_FIELD]
-        return ViewTuple.adopt(values, record.key)
-
-    def _find(self, vt: ViewTuple) -> Record | None:
+    def _find(self, vt: ViewTuple) -> _Stored | None:
         sort_value = vt[self.view_key]
-        for record in self._tree.range_scan(sort_value, sort_value):
-            if record.key == vt.identity():
-                return record
+        for stored in self._tree.range_scan(sort_value, sort_value):
+            if stored.key == vt.identity():
+                return stored
         return None
 
-    def _locate(self, vt: ViewTuple):
-        """Find the stored record's leaf position for in-place patching."""
+    def _locate(self, vt: ViewTuple) -> tuple[Page, int, _Stored] | None:
+        """Find the stored entry's leaf position for in-place patching."""
         return self._tree.locate(vt[self.view_key], vt.identity())
 
 

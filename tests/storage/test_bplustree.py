@@ -1,12 +1,13 @@
 """Clustered B+-tree: correctness and I/O accounting."""
 
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.bplustree import BPlusTree
+from repro.storage.bplustree import _NEG_INF, BPlusTree
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
 from repro.storage.tuples import Schema
 
@@ -265,3 +266,63 @@ class TestAgainstModel:
                     reference.remove(victim)
         scanned = sorted((r["a"], r.key) for r in tree.scan_all())
         assert scanned == sorted((r["a"], r.key) for r in reference)
+
+
+def filtered_batches(tree, lo, hi):
+    """The range read before leaves were bisected: every entry of every
+    leaf visited compared with the bounds.  Returns (batches, leaves)."""
+    batches, leaves = [], []
+    current = tree._descend(lo, _NEG_INF)
+    while current is not None:
+        page = tree.pool.get(current)
+        leaves.append(current)
+        batch = [r for (k, _t), r in page.records if lo <= k <= hi]
+        if batch:
+            batches.append(batch)
+        if page.records and page.records[-1][0][0] > hi:
+            break
+        current = page.next_page
+    return batches, leaves
+
+
+#: Range bounds: sort keys, points between them, and the unbounded ends
+#: a view query's ``None`` becomes.
+bounds = st.one_of(
+    st.integers(min_value=-1, max_value=9),
+    st.integers(min_value=-1, max_value=9).map(lambda k: k + 0.5),
+    st.sampled_from([-math.inf, math.inf]),
+)
+
+
+class TestRangeBatchesBisection:
+    @given(
+        keys=st.lists(st.integers(min_value=0, max_value=8), max_size=40),
+        deleted=st.sets(st.integers(min_value=0, max_value=39), max_size=30),
+        lo=bounds, hi=bounds,
+        leaf_capacity=st.sampled_from([1, 2, 4]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bisected_slices_equal_the_per_entry_filter(
+        self, keys, deleted, lo, hi, leaf_capacity
+    ):
+        # Few sort values, many entries: duplicate keys span leaves, and
+        # deleting every entry of a leaf leaves it empty in the chain.
+        tree, _, pool = make_tree(leaf_capacity=leaf_capacity, fanout=3)
+        records = [rec(i, a) for i, a in enumerate(keys)]
+        for record in records:
+            tree.insert(record)
+        for i in sorted(deleted):
+            if i < len(records):
+                assert tree.delete(records[i])
+        expected, expected_leaves = filtered_batches(tree, lo, hi)
+        gets = []
+        real_get = pool.get
+
+        def recording_get(page_id):
+            gets.append(page_id)
+            return real_get(page_id)
+
+        pool.get = recording_get
+        assert list(tree.range_batches(lo, hi)) == expected
+        assert [pid for pid in gets if pid.file == "t.leaf"] == expected_leaves
+        assert list(tree.range_scan(lo, hi)) == [r for b in expected for r in b]

@@ -1,6 +1,7 @@
 """Simulated disk, buffer pool and cost meter."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.parameters import PAPER_DEFAULTS
 from repro.storage.pager import (
@@ -144,6 +145,47 @@ class TestDisk:
         assert disk.page_count("g") == 1
         disk.allocate("f", 4)
         assert disk.page_count("f") == 3
+
+
+def scanned_file_pages(disk, file):
+    """What ``file_pages`` answered before the per-file index: a filter
+    over every page id on the disk, sorted by page number."""
+    pids = [pid for pid in list(disk._pages) if pid.file == file]
+    return sorted(pids, key=lambda pid: pid.number)
+
+
+class TestFilePagesIndex:
+    @given(ops=st.lists(
+        st.tuples(st.sampled_from(["allocate", "free", "free_unknown"]),
+                  st.sampled_from(["f", "g", "h.leaf"]),
+                  st.integers(min_value=0, max_value=40)),
+        max_size=80,
+    ))
+    @settings(max_examples=150, deadline=None)
+    def test_index_answers_what_the_scan_did(self, ops):
+        disk = SimulatedDisk(CostMeter())
+        for op, file, pick in ops:
+            if op == "allocate":
+                disk.allocate(file, 4)
+            elif op == "free":
+                live = disk.file_pages(file)
+                if live:
+                    disk.free(live[pick % len(live)])
+            else:
+                disk.free(PageId(file, 1000 + pick))
+            for name in ("f", "g", "h.leaf", "never"):
+                assert disk.file_pages(name) == scanned_file_pages(disk, name)
+                assert disk.page_count(name) == len(scanned_file_pages(disk, name))
+            assert disk.files() == sorted({pid.file for pid in disk._pages})
+
+    def test_the_answer_is_a_snapshot(self, disk):
+        for _ in range(3):
+            disk.allocate("f", 4)
+        pages = disk.file_pages("f")
+        for page_id in pages:  # freeing while iterating what it returned
+            disk.free(page_id)
+            disk.allocate("f", 4)
+        assert [pid.number for pid in disk.file_pages("f")] == [3, 4, 5]
 
 
 class TestChecksums:

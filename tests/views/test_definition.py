@@ -9,6 +9,7 @@ from repro.views.definition import (
     SelectProjectView,
     ViewDefinitionError,
     ViewTuple,
+    fields_of,
 )
 from repro.views.predicate import IntervalPredicate, TruePredicate
 
@@ -61,12 +62,22 @@ class TestViewTuple:
         source["x"] = 2
         assert vt["x"] == 1
 
+    def test_values_are_read_only(self):
+        vt = ViewTuple({"x": 1})
+        with pytest.raises(TypeError):
+            vt.values["x"] = 2
+        with pytest.raises(AttributeError):
+            vt.extra = 2
+        assert vt["x"] == 1 and dict(vt.values) == {"x": 1}
+
     @pytest.mark.parametrize("identity", [None, (("a", 1), ("b", (2, 3)))])
-    def test_adopted_tuple_is_indistinguishable(self, identity):
+    def test_adopted_tuple_takes_its_dict(self, identity):
         values = {"b": (2, 3), "a": 1}
         adopted = ViewTuple.adopt(values, identity)
         public = ViewTuple({"a": 1, "b": (2, 3)})
-        assert adopted.values is values  # taken, not copied
+        assert fields_of(adopted) is values  # taken, not copied
+        assert fields_of(public) is not values
+        assert adopted.values == values
         assert adopted == public and public == adopted
         assert hash(adopted) == hash(public)
         assert repr(adopted) == repr(public)
@@ -137,6 +148,19 @@ class TestJoinView:
         assert join_view().combine(t1, t2) == ViewTuple(
             {"id": 1, "a": 5, "j": 10, "c": 99}
         )
+
+    def test_projections_hand_their_dict_over(self, monkeypatch):
+        # project() and combine() build one dict per tuple and adopt it;
+        # the copying public constructor is not on their path.
+        def copying_constructor(self, values):
+            raise AssertionError("a projection copied its dict")
+
+        monkeypatch.setattr(ViewTuple, "__init__", copying_constructor)
+        t1 = R1.new_record(id=1, a=5, j=10)
+        joined = join_view().combine(t1, R2.new_record(j=10, c=99))
+        assert list(joined.values.items()) == [("id", 1), ("a", 5), ("j", 10), ("c", 99)]
+        projected = sp_view().project(R.new_record(id=1, a=5, v=100))
+        assert list(projected.values.items()) == [("id", 1), ("a", 5)]
 
     def test_evaluate_hash_join(self):
         outers = [R1.new_record(id=i, a=i, j=i % 3) for i in range(10)]

@@ -1,7 +1,11 @@
 """Materialized views with duplicate counts + aggregate state store."""
 
+import random
+import zlib
+
 import pytest
 
+from repro.maintenance.reference import apply_changes_serial
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
 from repro.views.aggregates import make_aggregate
 from repro.views.definition import ViewTuple
@@ -87,7 +91,7 @@ class TestBulkLoadScan:
         mv.bulk_load([vt(a) for a in range(10)])
         assert sorted(t["a"] for t in mv.scan_range(3, 5)) == [3, 4, 5]
 
-    def test_every_read_path_hands_out_true_identities_and_own_dicts(self, mv):
+    def test_every_read_path_hands_out_the_stored_tuples(self, mv):
         mv.bulk_load([vt(1), vt(1), vt(2, extra=(3, 4))])
         mv.insert_tuple(vt(5))
         reads = {
@@ -98,17 +102,45 @@ class TestBulkLoadScan:
         for name, tuples in reads.items():
             assert len(tuples) == 4, name
             for t in tuples:
-                # The stored record's key, handed over as the identity.
+                # The stored identity, handed out with the tuple.
                 assert t.identity() == tuple(sorted(t.values.items())), name
                 assert t == ViewTuple(t.values) and hash(t) == hash(ViewTuple(t.values))
                 assert "_dup" not in t.values
-        # A tuple's dict is its own: editing it reaches neither the
-        # stored record nor a second read.
-        reads["read_range"][0].values["a"] = 99
-        assert [t["a"] for t in mv.read_range(0, 9)] == [1, 1, 2, 5]
-        record = next(iter(mv.tree.scan_all()))
+            # Every path hands out the stored objects: duplicates are one
+            # object, and two reads share them.
+            assert tuples[0] is tuples[1], name
+            assert [id(t) for t in tuples] == [id(t) for t in reads["read_range"]], name
+        again = mv.read_range(0, 9)
+        assert again is not reads["read_range"] and again[2] is reads["read_range"][2]
+        # Shared, so immutable: nothing a reader does reaches the copy.
         with pytest.raises(TypeError):
-            record.values["a"] = 99
+            again[0].values["a"] = 99
+        with pytest.raises(AttributeError):
+            again[0].x = 99
+        again.append(vt(7))
+        assert [t["a"] for t in mv.read_range(0, 9)] == [1, 1, 2, 5]
+
+    @pytest.mark.parametrize("batch", [True, False])
+    def test_an_answer_outlives_the_changes_after_it(self, mv, batch):
+        mv.bulk_load([vt(1), vt(1), vt(2), vt(3)])
+        answer = mv.read_range(0, 9)
+        before = [(t, dict(t.values)) for t in answer]
+        changes = ChangeSet()
+        changes.insert(vt(1), 2)  # a count patched up
+        changes.delete(vt(2))  # removed
+        changes.insert(vt(3, extra=1))  # a neighbour inserted
+        if batch:
+            mv.apply_changes(changes)
+        else:
+            apply_changes_serial(mv, changes)
+        assert [(t, dict(t.values)) for t in answer] == before
+        assert [t["a"] for t in answer] == [1, 1, 2, 3]
+        assert sorted((t["a"], t["x"]) for t in mv.read_range(0, 9)) == [
+            (1, 0), (1, 0), (1, 0), (1, 0), (3, 0), (3, 1)
+        ]
+        # The stored tuple of a patched count is the one the change
+        # carried; the answer's object is untouched either way.
+        assert mv.duplicate_count(vt(1)) == 4 and mv.duplicate_count(vt(2)) == 0
 
 
 class TestApplyChanges:
@@ -161,3 +193,59 @@ class TestAggregateStateStore:
         store = AggregateStateStore("s", pool, make_aggregate("avg"))
         store.write_state({"sum": 10, "count": 2})
         assert store.value() == 5.0
+
+
+def seeded_view(seed=1987):
+    """A stored view after a fixed seeded history; returns its disk.
+
+    Bulk load with duplicates, batch applies (counts patched up and
+    down, entries added and dropped), tuple-path inserts and deletes,
+    leaf and internal splits, evictions from a small pool, field orders
+    that differ between equal tuples, and non-atom field values.
+    """
+    rng = random.Random(seed)
+    disk = SimulatedDisk(CostMeter())
+    mv = MaterializedView("v", BufferPool(disk, capacity=8), view_key="a",
+                          records_per_page=4, fanout=4)
+
+    def tup(a, x, flip=False):
+        items = [("a", a), ("x", x), ("tag", ("t", x % 3))]
+        return ViewTuple(dict(reversed(items) if flip else items))
+
+    mv.bulk_load([tup(rng.randrange(12), rng.randrange(5)) for _ in range(60)])
+    for step in range(30):
+        changes = ChangeSet()
+        for _ in range(6):
+            t = tup(rng.randrange(14), rng.randrange(6), flip=rng.random() < 0.3)
+            stored = mv.duplicate_count(t) + changes.count(t)
+            if stored and rng.random() < 0.5:
+                changes.delete(t, rng.randrange(1, stored + 1))
+            else:
+                changes.insert(t, rng.randrange(1, 3))
+        mv.apply_changes(changes)
+        t = tup(rng.randrange(14), rng.randrange(6), flip=step % 2 == 0)
+        mv.insert_tuple(t, 1 + step % 2)
+        if step % 3 == 0:
+            mv.delete_tuple(t)
+    mv.tree.pool.flush_all()
+    return disk
+
+
+class TestViewLeafChecksumsPinned:
+    """Recorded at the commit before the stored copy filed its view
+    tuples itself, when a leaf entry held a ``Record`` of the fields plus
+    ``_dup``: the same history must record the same CRC32 on every page
+    of the view's files, so page content and order are what they were."""
+
+    @pytest.mark.parametrize("file, pages, first_three, crc_of_all", [
+        ("view.v.int", 13, [2475308859, 310889202, 3745677716], 2512541921),
+        ("view.v.leaf", 26, [3748220882, 3141062118, 3319521577], 42395022),
+    ])
+    def test_recorded_checksums(self, file, pages, first_three, crc_of_all):
+        disk = seeded_view()
+        page_ids = disk.file_pages(file)
+        sums = [disk._checksums[page_id] for page_id in page_ids]
+        assert len(sums) == pages
+        assert sums[:3] == first_three
+        assert zlib.crc32(repr(sums).encode()) == crc_of_all
+        assert all(disk.verify(page_id) is None for page_id in page_ids)
