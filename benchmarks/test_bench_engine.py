@@ -33,6 +33,7 @@ import time
 from pathlib import Path
 
 from repro.hr.differential import (
+    ADEntry,
     ClusteredRelation,
     HypotheticalRelation,
     _net_from_entries,
@@ -111,7 +112,7 @@ def bench_screen(violations: list[int]) -> dict:
     return _point(SCREEN_TUPLES, batch_s, tuple_s)
 
 
-def _ad_entries(n: int, seed: int = 23) -> list[Record]:
+def _ad_entries(n: int, seed: int = 23) -> list[ADEntry]:
     """Synthetic AD-file contents following the real update protocol:
     an update writes ``D(current value)`` + ``A(new value)``, so a hot
     key's intermediate pairs cancel during netting — the workload the
@@ -119,15 +120,12 @@ def _ad_entries(n: int, seed: int = 23) -> list[Record]:
     rng = random.Random(seed)
     keys = max(1, n // 6)  # hot keys: ~3 updates per key on average
     current: dict[int, tuple] = {}
-    entries: list[Record] = []
+    entries: list[ADEntry] = []
     seq = 0
 
     def emit(key: int, role: str, values: tuple) -> None:
         nonlocal seq
-        entries.append(Record(
-            (key, seq, role),
-            {"_k": key, "_values": values, "_role": role, "_seq": seq},
-        ))
+        entries.append(ADEntry(seq, role, key, values))
         seq += 1
 
     def fresh(key: int) -> tuple:

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, NamedTuple, Sequence
 
 from repro.storage.bloom import BloomFilter
 from repro.storage.bplustree import BPlusTree
@@ -36,6 +36,7 @@ from repro.storage.tuples import Record, Schema
 from repro.views.delta import DeltaSet
 
 __all__ = [
+    "ADEntry",
     "ClusteredRelation",
     "DifferentialRelation",
     "HashedRelation",
@@ -43,18 +44,37 @@ __all__ = [
     "SeparateFilesHR",
 ]
 
-_ROLE_FIELD = "_role"
-_SEQ_FIELD = "_seq"
 ROLE_APPENDED = "A"
 ROLE_DELETED = "D"
+#: What the AD file hashes an entry on: its tuple's key.
+_ENTRY_KEY = itemgetter(2)
 
 
-def _net_from_entries(relation: str, entries: Iterable[Record]) -> DeltaSet:
+class ADEntry(NamedTuple):
+    """One ``AD`` entry: arrival number, role, the tuple's key and its
+    sorted ``(field, value)`` items.  Sequence numbers are unique, so
+    rows sort by arrival.  The ``repr`` (the page image) is the one AD
+    entries always had: a record of ``_k``, ``_values``, ``_role``,
+    ``_seq`` keyed ``(key, seq, role)``."""
+
+    seq: int
+    role: str
+    key: Any
+    items: tuple[tuple[str, Any], ...]
+
+    def __repr__(self) -> str:
+        key, seq, role = repr(self.key), repr(self.seq), repr(self.role)
+        return (
+            f"Record(key=({key}, {seq}, {role}), _k={key}, "
+            f"_values={self.items!r}, _role={role}, _seq={seq})"
+        )
+
+
+def _net_from_entries(relation: str, entries: Iterable[ADEntry]) -> DeltaSet:
     """Build ``A-net``/``D-net`` from raw AD entries, columnar-style.
 
-    One pass extracts ``(seq, role, key, values)`` rows, a sort by
-    sequence restores arrival order, and the net toggling runs on
-    cheap ``(key, values)`` tokens — ``values`` is the AD format's
+    A sort of the rows restores arrival order, and the net toggling
+    runs on cheap ``(key, items)`` tokens — ``items`` is the AD format's
     sorted item tuple, so token equality coincides with
     :class:`Record` equality.  Records are constructed only for the
     surviving net entries (an update's cancelled D/A pair never
@@ -64,11 +84,7 @@ def _net_from_entries(relation: str, entries: Iterable[Record]) -> DeltaSet:
     sequence order (the reference spec in
     ``repro.maintenance.reference``).
     """
-    # One C-level extraction per entry; sequence numbers are unique,
-    # so a plain tuple sort orders by them without a key function.
-    getter = itemgetter(_SEQ_FIELD, _ROLE_FIELD, "_k", "_values")
-    rows = [getter(e.values) for e in entries]
-    rows.sort()
+    rows = sorted(entries)
     inserted: dict[tuple, None] = {}
     deleted: dict[tuple, None] = {}
     for _seq, role, key, values in rows:
@@ -136,7 +152,7 @@ class _KeyedFile:
     def base(self) -> "_KeyedFile":
         return self
 
-    def _edit(self, dropped: Sequence[Any], filed: Sequence[Record]) -> None:
+    def _edit(self, dropped: Iterable[Any], filed: Sequence[Record]) -> None:
         """The one place the key directory changes: forget the ``dropped``
         keys, then file each record under its key (a new key goes last).
         On a file a checkpoint has captured, each key also moves to the
@@ -170,8 +186,8 @@ class _KeyedFile:
         record = self._by_key.get(key)
         if record is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
+        self._unfile(record)
         self._edit((key,), ())
-        self._file.delete(record)
         return record
 
     def update_by_key(self, key: Any, **changes: Any) -> tuple[Record, Record]:
@@ -180,9 +196,44 @@ class _KeyedFile:
         if old is None:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
         new = self.schema.updated(old, **changes)
-        self._rewrite(old, new)
+        self._unfile(old)
+        self._file.insert(new)
         self._edit((key,), (new,))
         return old, new
+
+    def fold(self, deleted: Iterable[Record], inserted: Iterable[Record]) -> None:
+        """Apply a net change (one record per key and side at most):
+        drop each ``deleted`` record's key, then file each ``inserted``
+        record in place of its key's tuple.  Idempotent, so a fold a
+        storage fault stopped is retried whole.  The file gets one delete
+        or insert per record, in that order, each its own descent; the
+        key directory gets one edit, made also when a fault stops the
+        pass, so it always names what the file holds."""
+        by_key = self._by_key
+        dropped: dict[Any, None] = {}
+        filed: list[Record] = []
+
+        def drop(key: Any) -> None:
+            if key in by_key and key not in dropped:
+                self._unfile(by_key[key])
+                dropped[key] = None
+
+        try:
+            for record in deleted:
+                drop(record.key)
+            for record in inserted:
+                drop(record.key)
+                self._file.insert(record)
+                filed.append(record)
+        finally:
+            self._edit(dropped, filed)
+
+    def _unfile(self, record: Record) -> None:
+        """Delete a record the key directory names from the file."""
+        if not self._file.delete(record):
+            raise RuntimeError(
+                f"{self.schema.name!r} files no tuple {record!r} under its key"
+            )
 
     def peek_by_key(self, key: Any) -> Record | None:
         """Key lookup without I/O (bookkeeping paths only)."""
@@ -230,9 +281,6 @@ class ClusteredRelation(_KeyedFile):
             fanout=fanout,
         )
 
-    def _rewrite(self, old: Record, new: Record) -> None:
-        self.tree.update(old, new)
-
     def read_by_key(self, key: Any) -> Record | None:
         """Fetch one tuple by key, charging the paper's one I/O."""
         self.meter.record_read()
@@ -271,10 +319,6 @@ class HashedRelation(_KeyedFile):
             records_per_page=self.records_per_page,
             buckets=buckets if buckets is not None else 64,
         )
-
-    def _rewrite(self, old: Record, new: Record) -> None:
-        self.file.delete(old)
-        self.file.insert(new)
 
     def probe(self, value: Any) -> list[Record]:
         """Hash lookup by the clustering field (reads one chain)."""
@@ -332,7 +376,7 @@ class DifferentialRelation:
         return HashFile(
             f"{self.schema.name}.{suffix}",
             self.pool,
-            hash_key=lambda record: record["_k"],
+            hash_key=_ENTRY_KEY,
             records_per_page=self.base.records_per_page,
             buckets=buckets,
         )
@@ -436,21 +480,14 @@ class DifferentialRelation:
         is deferred-specific overhead.  ``net`` may be passed when the
         caller just computed it (avoids a second AD scan).
 
-        The fold is idempotent by construction (delete-if-present,
-        replace-on-insert): a fold interrupted mid-way — e.g. by an
+        The fold is idempotent by construction (the base file's
+        :meth:`_KeyedFile.fold`): a fold interrupted mid-way — e.g. by an
         injected storage fault — leaves the AD file intact, and the
         retry re-applies the already-folded prefix harmlessly instead
         of failing on a missing delete or a duplicate insert.
         """
         delta = net if net is not None else self.net_changes()
-        base = self.base
-        for record in delta.deleted:
-            if base.peek_by_key(record.key) is not None:
-                base.delete_by_key(record.key)
-        for record in delta.inserted:
-            if base.peek_by_key(record.key) is not None:
-                base.delete_by_key(record.key)
-            base.insert(record)
+        self.base.fold(delta.deleted, delta.inserted)
         for file in self._files:
             file.truncate()
         self.bloom.clear()
@@ -463,11 +500,10 @@ class DifferentialRelation:
         """What a checkpoint carries beyond the base file: the AD
         entries as ``(tuple, role, sequence number)`` in arrival order
         (one read of the whole AD file) and the Bloom filter."""
-        entries = sorted(self._ad_entries(), key=itemgetter(_SEQ_FIELD))
         return {
             "entries": [
-                (self._unwrap(entry), entry[_ROLE_FIELD], entry[_SEQ_FIELD])
-                for entry in entries
+                (self._unwrap(entry), entry.role, entry.seq)
+                for entry in sorted(self._ad_entries())
             ],
             "bloom": self.bloom.to_dict(),
         }
@@ -494,21 +530,19 @@ class DifferentialRelation:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _ad_entry(self, record: Record, role: str, seq: int | None = None) -> Record:
-        values = {
-            "_k": record.key,
-            # Stored as a sorted item tuple so AD entries stay hashable.
-            "_values": tuple(sorted(record.values.items())),
-            _ROLE_FIELD: role,
-            _SEQ_FIELD: next(self._seq) if seq is None else seq,
-        }
-        return Record((record.key, values[_SEQ_FIELD], role), values)
+    def _ad_entry(self, record: Record, role: str, seq: int | None = None) -> ADEntry:
+        return ADEntry(
+            next(self._seq) if seq is None else seq,
+            role,
+            record.key,
+            tuple(sorted(record.values.items())),
+        )
 
     @staticmethod
-    def _unwrap(entry: Record) -> Record:
-        return Record(entry["_k"], dict(entry["_values"]))
+    def _unwrap(entry: ADEntry) -> Record:
+        return Record.from_sorted_items(entry.key, entry.items)
 
-    def _ad_entries(self) -> Iterable[Record]:
+    def _ad_entries(self) -> Iterable[ADEntry]:
         """Every differential entry (reads the whole AD file)."""
         return itertools.chain.from_iterable(map(HashFile.scan_all, self._files))
 
@@ -516,8 +550,8 @@ class DifferentialRelation:
         if self.bloom.maybe_contains(key):
             entries = [e for file in self._files for e in file.lookup(key)]
             if entries:
-                latest = max(entries, key=lambda e: e[_SEQ_FIELD])
-                if latest[_ROLE_FIELD] == ROLE_APPENDED:
+                latest = max(entries)
+                if latest.role == ROLE_APPENDED:
                     return self._unwrap(latest)
                 return None  # most recent action was a delete
             # False drop: fall through to the base file.
@@ -550,13 +584,12 @@ class HypotheticalRelation(DifferentialRelation):
 
     def _overlay_by_key(self) -> dict[Any, Record | None]:
         """Latest AD action per key (None = deleted); reads all of AD."""
-        latest: dict[Any, Record] = {}
+        latest: dict[Any, ADEntry] = {}
         for entry in self._ad_entries():
-            key = entry["_k"]
-            if key not in latest or entry[_SEQ_FIELD] > latest[key][_SEQ_FIELD]:
-                latest[key] = entry
+            if entry.key not in latest or entry > latest[entry.key]:
+                latest[entry.key] = entry
         return {
-            key: (self._unwrap(e) if e[_ROLE_FIELD] == ROLE_APPENDED else None)
+            key: (self._unwrap(e) if e.role == ROLE_APPENDED else None)
             for key, e in latest.items()
         }
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Sequence
 
-from repro.hr.differential import ROLE_APPENDED, _ROLE_FIELD, _SEQ_FIELD
+from repro.hr.differential import ROLE_APPENDED, ADEntry
 from repro.storage.tuples import Record
 from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.delta import ChangeSet, DeltaSet
@@ -42,7 +42,7 @@ def screen_serial(screen: TwoStageScreen, records: Iterable[Record]) -> list[Rec
     return [r for r in records if screen.screen(r)]
 
 
-def net_from_entries_serial(relation: str, entries: Iterable[Record]) -> DeltaSet:
+def net_from_entries_serial(relation: str, entries: Iterable[ADEntry]) -> DeltaSet:
     """Per-entry net-change toggling over sequence-sorted AD entries.
 
     The spec for ``repro.hr.differential._net_from_entries``: unwrap
@@ -50,9 +50,9 @@ def net_from_entries_serial(relation: str, entries: Iterable[Record]) -> DeltaSe
     insert/delete toggling in arrival order.
     """
     delta = DeltaSet(relation)
-    for entry in sorted(entries, key=lambda e: e[_SEQ_FIELD]):
-        record = Record(entry["_k"], dict(entry["_values"]))
-        if entry[_ROLE_FIELD] == ROLE_APPENDED:
+    for entry in sorted(entries, key=lambda e: e.seq):
+        record = Record(entry.key, dict(entry.items))
+        if entry.role == ROLE_APPENDED:
             delta.add_insert(record)
         else:
             delta.add_delete(record)

@@ -35,6 +35,7 @@ from repro.storage.pager import (
     Page,
     PageId,
     SimulatedDisk,
+    TransientIOError,
 )
 
 __all__ = [
@@ -49,15 +50,6 @@ __all__ = [
 ]
 
 FAULT_KINDS = ("read_error", "write_error", "torn_write", "bit_flip")
-
-
-class TransientIOError(RuntimeError):
-    """A storage operation failed transiently; a retry may succeed."""
-
-    def __init__(self, page_id: PageId, op: str) -> None:
-        super().__init__(f"transient {op} error on page {page_id}")
-        self.page_id = page_id
-        self.op = op
 
 
 class TransientReadError(TransientIOError):

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = ["BloomFilter", "optimal_bits", "optimal_hashes"]
 
@@ -68,6 +68,7 @@ class BloomFilter:
         #: layer's hit-rate metric reports.
         self.probes = 0
         self.negatives = 0
+        self._last: tuple[str | None, list[int]] = (None, [])
 
     @classmethod
     def for_load(cls, expected_items: int, target_fp_rate: float = 0.01) -> "BloomFilter":
@@ -105,12 +106,19 @@ class BloomFilter:
         bloom.items_added = doc["items_added"]
         return bloom
 
-    def _positions(self, item: Any) -> Iterable[int]:
-        digest = hashlib.blake2b(repr(item).encode(), digest_size=16).digest()
-        h1 = int.from_bytes(digest[:8], "big")
-        h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full cycle
-        for i in range(self.hashes):
-            yield (h1 + i * h2) % self.bits
+    def _positions(self, item: Any) -> list[int]:
+        """The item's bit positions, from the ``repr`` of the item.  The
+        last item's are kept: an update probes its key and then adds it
+        twice (the old and the new value), and hashes it once."""
+        text = repr(item)
+        last_text, positions = self._last
+        if text != last_text:
+            digest = hashlib.blake2b(text.encode(), digest_size=16).digest()
+            h1 = int.from_bytes(digest[:8], "big")
+            h2 = int.from_bytes(digest[8:], "big") | 1  # odd => full cycle
+            positions = [(h1 + i * h2) % self.bits for i in range(self.hashes)]
+            self._last = (text, positions)
+        return positions
 
     def add(self, item: Any) -> None:
         """Insert an item's key signature."""

@@ -45,10 +45,28 @@ class _InternalNode:
     Never edited once stored: the disk's persisted image, every clone
     it hands out and the pool frame share one node, so a new separator
     makes a new node that :meth:`Page.replace` puts in its place.
+
+    Each key's and child's ``repr`` is kept beside it (rendered here
+    when not handed in), so a split splices two strings into the lists
+    and the page image is a join, not a re-render of every separator.
     """
 
     keys: list[Any] = field(default_factory=list)
     children: list[PageId] = field(default_factory=list)
+    key_texts: list[str] = field(default_factory=list, repr=False, compare=False)
+    child_texts: list[str] = field(default_factory=list, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if len(self.key_texts) != len(self.keys):
+            object.__setattr__(self, "key_texts", list(map(repr, self.keys)))
+        if len(self.child_texts) != len(self.children):
+            object.__setattr__(self, "child_texts", list(map(repr, self.children)))
+
+    def __repr__(self) -> str:
+        return (
+            f"_InternalNode(keys=[{', '.join(self.key_texts)}], "
+            f"children=[{', '.join(self.child_texts)}])"
+        )
 
 
 @dataclass
@@ -380,9 +398,12 @@ class BPlusTree:
         if split is None:
             return None
         sep_key, right_id = split
+        at = index + 1
         node = _InternalNode(
-            keys=[*node.keys[:index], sep_key, *node.keys[index:]],
-            children=[*node.children[: index + 1], right_id, *node.children[index + 1 :]],
+            [*node.keys[:index], sep_key, *node.keys[index:]],
+            [*node.children[:at], right_id, *node.children[at:]],
+            [*node.key_texts[:index], repr(sep_key), *node.key_texts[index:]],
+            [*node.child_texts[:at], repr(right_id), *node.child_texts[at:]],
         )
         if len(node.children) <= self.fanout:
             page.replace(0, node)

@@ -31,12 +31,22 @@ __all__ = [
     "CostMeter",
     "PageOverflowError",
     "PageChecksumError",
+    "TransientIOError",
     "page_checksum",
 ]
 
 
 class PageOverflowError(RuntimeError):
     """A record was added to a page that is already at capacity."""
+
+
+class TransientIOError(RuntimeError):
+    """A storage operation failed transiently; a retry may succeed."""
+
+    def __init__(self, page_id: "PageId", op: str) -> None:
+        super().__init__(f"transient {op} error on page {page_id}")
+        self.page_id = page_id
+        self.op = op
 
 
 class PageChecksumError(RuntimeError):
@@ -593,16 +603,23 @@ class BufferPool:
         self._pinned.clear()
 
     def _admit(self, page: Page) -> None:
-        while len(self._frames) >= self.capacity:
+        """Install ``page``, then evict: a victim whose write-back fails
+        transiently stays dirty and resident (the pool runs over capacity
+        until a later admit evicts it), and ``page`` is never lost."""
+        frames = self._frames
+        frames[page.page_id] = page
+        while len(frames) > self.capacity:
             victim_id = self._next_victim()
-            if victim_id is None:
-                # Everything is pinned; allow the pool to grow rather
+            if victim_id in (None, page.page_id):
+                # Everything else is pinned; allow the pool to grow rather
                 # than deadlock — mirrors the paper's large-memory
                 # assumption for the nested-loop inner relation.
                 break
-            self.flush(victim_id)
-            del self._frames[victim_id]
-        self._frames[page.page_id] = page
+            try:
+                self.flush(victim_id)
+            except TransientIOError:
+                break
+            del frames[victim_id]
 
     def _next_victim(self) -> PageId | None:
         for page_id in self._frames:

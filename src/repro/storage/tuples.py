@@ -51,14 +51,18 @@ class Schema:
 
     def new_record(self, **values: Any) -> "Record":
         """Build a record, checking the field set matches the schema."""
-        missing = set(self.fields) - set(values)
-        extra = set(values) - set(self.fields)
-        if missing or extra:
+        self._check(values)
+        return Record.adopt(values[self.key_field], values)
+
+    def _check(self, values: dict[str, Any]) -> None:
+        """Raise a SchemaError unless ``values`` has the schema's field set."""
+        if values.keys() != set(self.fields):
+            missing = set(self.fields) - values.keys()
+            extra = values.keys() - set(self.fields)
             raise SchemaError(
                 f"record fields do not match schema {self.name!r}: "
                 f"missing={sorted(missing)}, extra={sorted(extra)}"
             )
-        return Record(values[self.key_field], values)
 
     def project(self, record: "Record", fields: Iterable[str]) -> Mapping[str, Any]:
         """Project a record to a subset of fields."""
@@ -74,12 +78,12 @@ class Schema:
         The key is recomputed from the (possibly updated) key field, so
         key-changing updates stay consistent with the schema.
         """
-        merged = dict(record.values)
-        unknown = set(changes) - set(self.fields)
+        unknown = changes.keys() - set(self.fields)
         if unknown:
             raise SchemaError(f"unknown fields {sorted(unknown)} in update")
-        merged.update(changes)
-        return self.new_record(**merged)
+        merged = {**record.values, **changes}
+        self._check(merged)
+        return Record.adopt(merged[self.key_field], merged)
 
 
 class Record:
@@ -103,6 +107,17 @@ class Record:
         object.__setattr__(self, "_hash", None)
 
     @classmethod
+    def adopt(cls, key: Any, values: dict[str, Any], value_hash: int | None = None) -> "Record":
+        """A record over ``values`` itself, which the caller hands over
+        and never edits again.  ``value_hash``, if given, is
+        ``hash((key, sorted items tuple))``: what :meth:`__hash__` computes."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_values", MappingProxyType(values))
+        object.__setattr__(self, "_hash", value_hash)
+        return self
+
+    @classmethod
     def from_sorted_items(
         cls,
         key: Any,
@@ -113,16 +128,9 @@ class Record:
 
         The net-change kernels store record values as sorted item
         tuples (the AD-file format); rebuilding records from them can
-        skip the plain constructor's ``dict`` copy of a dict.  A caller
-        that already holds ``hash((key, items_tuple))`` — the exact
-        value :meth:`__hash__` computes — may pass it as ``value_hash``
-        so the record never re-sorts its items to hash itself.
+        skip the plain constructor's ``dict`` copy of a dict.
         """
-        self = cls.__new__(cls)
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "_values", MappingProxyType(dict(items)))
-        object.__setattr__(self, "_hash", value_hash)
-        return self
+        return cls.adopt(key, dict(items), value_hash)
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("Record is immutable")

@@ -13,7 +13,7 @@ on-disk page images.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hr.differential import ROLE_APPENDED, ROLE_DELETED, _net_from_entries
+from repro.hr.differential import ROLE_APPENDED, ROLE_DELETED, ADEntry, _net_from_entries
 from repro.maintenance.reference import (
     aggregate_changes_serial,
     apply_changes_serial,
@@ -141,12 +141,7 @@ def ad_entry_streams(draw):
         key = draw(st.integers(min_value=0, max_value=5))
         role = draw(st.sampled_from([ROLE_APPENDED, ROLE_DELETED]))
         fields = tuple(sorted({"k": key, "a": draw(st.integers(0, 3))}.items()))
-        entries.append(
-            Record(
-                (key, seq, role),
-                {"_k": key, "_values": fields, "_role": role, "_seq": seq},
-            )
-        )
+        entries.append(ADEntry(seq, role, key, fields))
     return draw(st.permutations(entries))
 
 
