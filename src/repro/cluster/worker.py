@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import signal
 import socket
-from operator import itemgetter
+from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.durability.codec import decode_value, encode_value
@@ -27,7 +27,7 @@ from repro.resilience.degradation import DegradedResult
 from repro.service.server import ViewServer
 from repro.service.spec import build_server
 from repro.storage.tuples import Schema
-from repro.views.definition import ViewTuple, fields_of
+from repro.views.definition import Layout
 from .rpc import FrameParser, send_frame
 
 __all__ = [
@@ -120,6 +120,7 @@ def apply_documents(
 
 
 _ATOMS = frozenset({type(None), bool, int, float, str})
+_layout_of, _row_of = attrgetter("layout"), attrgetter("row")
 
 
 def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
@@ -127,9 +128,11 @@ def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
 
     Tuples travel as positional rows under one list of field names —
     ``view_key`` first when given, the rest by name, so that sorting
-    rows sorts tuples by ``(view key, identity)``.  ``tagged`` lists the
+    rows sorts tuples by ``(view key, identity)``: a definition's layout,
+    so a shard sends its stored rows as they are.  ``tagged`` lists the
     columns that hold a non-atom and went through the value codec; an
-    all-atom answer has no such key and pays no per-cell call.
+    all-atom answer has no such key and pays no per-cell call.  A scalar
+    goes through the value codec too.
     """
     degraded = None
     payload = answer
@@ -143,14 +146,14 @@ def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
         }
         payload = answer.unwrap()
     if isinstance(payload, list):
-        fields = sorted(fields_of(payload[0])) if payload else []
+        fields = sorted(payload[0].layout.fields) if payload else []
         if view_key in fields:
             fields.remove(view_key)
             fields.insert(0, view_key)
-        # itemgetter of one field returns its value bare, not a 1-tuple.
-        pick = itemgetter(*fields) if len(fields) > 1 else (
-            lambda values: (values[fields[0]],))
-        rows: list[Any] = list(map(pick, map(fields_of, payload)))
+        rows: list[Any] = list(map(_row_of, payload))
+        picks = {lay: lay.pick(tuple(fields)) for lay in set(map(_layout_of, payload))}
+        if set(picks.values()) != {tuple}:
+            rows = [picks[vt.layout](vt.row) for vt in payload]
         body = {"kind": "rows", "fields": fields, "rows": rows}
         tagged = [at for at, column in enumerate(zip(*rows))
                   if not _ATOMS.issuperset(map(type, column))]
@@ -161,7 +164,7 @@ def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
                 for at in tagged:
                     row[at] = encode_value(row[at])
     else:
-        body = {"kind": "scalar", "value": payload}
+        body = {"kind": "scalar", "value": encode_value(payload)}
     body["degraded"] = degraded
     return body
 
@@ -176,12 +179,13 @@ def answer_rows(doc: Mapping[str, Any]) -> list[Any]:
 
 
 def decode_answer(doc: Mapping[str, Any]) -> tuple[Any, dict[str, Any] | None]:
-    """``(payload, degraded_info)`` — the router re-wraps degraded merges."""
+    """``(payload, degraded_info)`` — the router re-wraps degraded merges.
+    A row becomes a view tuple over it, in the answer's one layout."""
     if doc.get("kind") == "rows":
-        fields, adopt = doc["fields"], ViewTuple.adopt
-        payload: Any = [adopt(dict(zip(fields, row))) for row in answer_rows(doc)]
+        make = Layout.of(doc["fields"]).make
+        payload: Any = [make(tuple(row)) for row in answer_rows(doc)]
     else:
-        payload = doc.get("value")
+        payload = decode_value(doc.get("value"))
     return payload, doc.get("degraded")
 
 

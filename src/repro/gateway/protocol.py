@@ -32,15 +32,17 @@ result uses :func:`repro.cluster.worker.encode_answer`::
 
     {"kind": "rows", "fields": [name, ...], "rows": [[cell, ...], ...],
      "degraded": null | {...}}                 # "tagged": [column, ...]
-    {"kind": "scalar", "value": V, "degraded": null | {...}}
+    {"kind": "scalar", "value": V, "degraded": null | {...}}   # V tagged
 
 A tuple answer is positional: ``fields`` names the columns once, each
 row holds one tuple's cells in that order, and ``tagged`` (present only
 when needed) lists the columns whose cells are tagged like op-doc
-values.  The ``degraded`` field carries the resilience layer's
-DegradedResult labels — the wire composes both vocabularies.  The row
-form is what ``v2`` of the tag below names: ``v1`` sent one JSON
-object per tuple, which a ``v2`` reader does not parse.
+values, as is a scalar ``V`` (a ``min``/``max`` over a tuple-valued
+field); an atom is itself.  The ``degraded`` field carries the
+resilience layer's DegradedResult labels — the wire composes both
+vocabularies.  The row form is what ``v2`` of the tag below names:
+``v1`` sent one JSON object per tuple, which a ``v2`` reader does not
+parse.
 """
 
 from __future__ import annotations

@@ -11,18 +11,18 @@ same view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from operator import attrgetter
+from dataclasses import dataclass, field
+from operator import itemgetter
 from types import MappingProxyType
-from typing import Any, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from repro.storage.tuples import Record
 from .aggregates import AggregateFunction, make_aggregate
 from .predicate import Predicate
 
 __all__ = [
+    "Layout",
     "ViewTuple",
-    "fields_of",
     "SelectProjectView",
     "JoinView",
     "AggregateView",
@@ -34,13 +34,70 @@ class ViewDefinitionError(ValueError):
     """A view definition is internally inconsistent."""
 
 
+def _getter(keys: Sequence[Any]) -> Callable[[Any], tuple]:
+    """``itemgetter(*keys)``, returning a tuple for one key or none too."""
+    if len(keys) > 1:
+        return itemgetter(*keys)
+    return lambda source: tuple(map(source.__getitem__, keys))
+
+
+class Layout:
+    """The field order of a view tuple's row, shared by every tuple in it.
+
+    ``fields`` is the row's order and ``index`` a field's position in it.
+    ``image`` is the order a stored tuple's page image and
+    :attr:`ViewTuple.values` list the fields in (a definition's
+    projection order); ``names`` is the sorted order
+    :meth:`ViewTuple.identity` pairs them in.  Layouts are interned:
+    :meth:`of` hands out one object per ``(fields, image)``.
+    """
+
+    __slots__ = ("fields", "index", "image", "names", "_by_name", "_by_image")
+
+    def __init__(self, fields: tuple[str, ...], image: tuple[str, ...]) -> None:
+        self.fields, self.image, self.names = fields, image, tuple(sorted(fields))
+        self.index = {name: at for at, name in enumerate(fields)}
+        self._by_name, self._by_image = self.pick(self.names), self.pick(image)
+
+    @staticmethod
+    def of(fields: Iterable[str], image: Iterable[str] | None = None) -> "Layout":
+        """The one layout of rows in ``fields`` order (imaged in ``image``
+        order, by default the same)."""
+        fields = tuple(fields)
+        key = (fields, fields if image is None else tuple(image))
+        return _LAYOUTS.get(key) or _LAYOUTS.setdefault(key, Layout(*key))
+
+    def pick(self, fields: tuple[str, ...]) -> Callable[[tuple], tuple]:
+        """A function from a row of this layout to the values of
+        ``fields``, in that order (``tuple`` itself when that is the row)."""
+        if fields == self.fields:
+            return tuple
+        return _getter([self.index[name] for name in fields])
+
+    def make(self, row: tuple) -> "ViewTuple":
+        """Trusted constructor: the view tuple over ``row``, a tuple of
+        values in this layout's field order, taken as it is."""
+        vt = _new(ViewTuple)
+        _set_layout(vt, self)
+        _set_row(vt, row)
+        return vt
+
+    def items(self, row: tuple) -> Iterable[tuple[str, Any]]:
+        """``row``'s ``(field, value)`` pairs in image order."""
+        return zip(self.image, self._by_image(row))
+
+
+_LAYOUTS: dict[tuple[tuple[str, ...], tuple[str, ...]], Layout] = {}
+
+
 class ViewTuple:
     """A projected result tuple — hashable by value for duplicate counts.
 
-    Immutable in fact, not only by convention: the fields live in a dict
-    the tuple owns and never hands out (:attr:`values` is a read-only
-    view of it), so one tuple may be held by any number of readers — the
-    stored copy, every answer that read it, the result cache.
+    A positional ``row`` over a shared :class:`Layout`; field access,
+    equality, hash and ``repr`` do not depend on the layout.  Immutable
+    in fact, not only by convention, so one tuple may be held by any
+    number of readers — the stored copy, every answer that read it, the
+    result cache.
 
     Identity (the sorted item tuple) and the hash derived from it are
     computed lazily and cached in slots that stay unset until then:
@@ -49,53 +106,42 @@ class ViewTuple:
     path calls :meth:`identity` repeatedly on the same tuple.
     """
 
-    __slots__ = ("_values", "_hash", "_identity")
+    __slots__ = ("layout", "row", "_hash", "_identity")
 
     def __init__(self, values: Mapping[str, Any]) -> None:
-        _set_values(self, dict(values))
-
-    @staticmethod
-    def adopt(values: dict[str, Any], identity: tuple | None = None) -> "ViewTuple":
-        """Trusted constructor: ``values`` is taken, not copied.
-
-        For the paths that build a fresh dict per tuple and hand it over
-        (a projection, the answer codec); the caller must not touch the
-        dict afterwards.  A caller that already holds
-        ``tuple(sorted(values.items()))`` passes it as ``identity``.
-        """
-        self = _new(ViewTuple)
-        _set_values(self, values)
-        if identity is not None:
-            _set_identity(self, identity)
-        return self
+        _set_layout(self, Layout.of(values))
+        _set_row(self, tuple(values.values()))
 
     @property
     def values(self) -> Mapping[str, Any]:
         """The fields, read-only (assigning through it raises ``TypeError``)."""
-        return MappingProxyType(self._values)
+        return MappingProxyType(dict(self.layout.items(self.row)))
 
     def __setattr__(self, name: str, value: Any) -> None:
         raise AttributeError("ViewTuple is immutable")
 
     def __getitem__(self, field: str) -> Any:
-        return self._values[field]
+        return self.row[self.layout.index[field]]
 
     def get(self, field: str, default: Any = None) -> Any:
         """Field access with a default (dict.get semantics)."""
-        return self._values.get(field, default)
+        at = self.layout.index.get(field)
+        return default if at is None else self.row[at]
 
     def identity(self) -> tuple:
         """Canonical sortable identity used as a storage key."""
         identity = getattr(self, "_identity", None)
         if identity is None:
-            identity = tuple(sorted(self._values.items()))
+            identity = tuple(zip(self.layout.names, self.layout._by_name(self.row)))
             _set_identity(self, identity)
         return identity
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ViewTuple):
             return NotImplemented
-        return self._values == other._values
+        if self.layout is other.layout:
+            return self.row == other.row
+        return self.identity() == other.identity()
 
     def __hash__(self) -> int:
         value = getattr(self, "_hash", None)
@@ -105,24 +151,28 @@ class ViewTuple:
         return value
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v!r}" for k, v in sorted(self._values.items()))
+        inner = ", ".join(f"{k}={v!r}" for k, v in self.identity())
         return f"ViewTuple({inner})"
 
 
-# ``__setattr__`` refuses every assignment, so the class's own code sets
-# its slots through their descriptors (half the cost of
-# ``object.__setattr__``, on a path that runs once per tuple built).
+# ``__setattr__`` refuses every assignment, so the module sets the slots
+# through their descriptors (half the cost of ``object.__setattr__``, on
+# a path that runs once per tuple built).
 _new = ViewTuple.__new__
-_set_values = ViewTuple._values.__set__
+_set_layout = ViewTuple.layout.__set__
+_set_row = ViewTuple.row.__set__
 _set_hash = ViewTuple._hash.__set__
 _set_identity = ViewTuple._identity.__set__
 
-#: ``fields_of(vt)`` is the tuple's own field dict, without the
-#: read-only wrapper :attr:`ViewTuple.values` builds per call: for the
-#: bulk paths that read every field of many tuples (a stored tuple's
-#: page image, the answer codec).  Read it, never edit it — the tuple
-#: is shared.
-fields_of = attrgetter("_values")
+
+def _lay_out(definition: Any, projection: tuple[str, ...]) -> Layout:
+    """Set a definition's layout: in wire order, the view key first and
+    the rest by name, imaged in projection order."""
+    image = tuple(dict.fromkeys(projection))
+    key = definition.view_key
+    layout = Layout.of((key, *sorted(set(image) - {key})), image)
+    object.__setattr__(definition, "layout", layout)
+    return layout
 
 
 @dataclass(frozen=True)
@@ -139,6 +189,9 @@ class SelectProjectView:
     predicate: Predicate
     projection: tuple[str, ...]
     view_key: str
+    #: Set by ``__post_init__`` (see ``_lay_out``).
+    layout: Layout = field(init=False, repr=False, compare=False)
+    _pick: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.projection:
@@ -147,6 +200,7 @@ class SelectProjectView:
             raise ViewDefinitionError(
                 f"view key {self.view_key!r} must be projected in {self.name!r}"
             )
+        object.__setattr__(self, "_pick", _getter(_lay_out(self, self.projection).fields))
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -159,7 +213,7 @@ class SelectProjectView:
 
     def project(self, record: Record) -> ViewTuple:
         """Project one base tuple to its view tuple."""
-        return ViewTuple.adopt({f: record[f] for f in self.projection})
+        return self.layout.make(self._pick(record.values))
 
     def evaluate(self, records: Iterable[Record]) -> list[ViewTuple]:
         """Compute the view from scratch (duplicates preserved)."""
@@ -185,6 +239,10 @@ class JoinView:
     outer_projection: tuple[str, ...]
     inner_projection: tuple[str, ...]
     view_key: str
+    #: Set by ``__post_init__``: the layout, a picker per side, the row's.
+    layout: Layout = field(init=False, repr=False, compare=False)
+    _sides: tuple[Callable, Callable] = field(init=False, repr=False, compare=False)
+    _pick: Callable = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.outer_projection and not self.inner_projection:
@@ -199,6 +257,11 @@ class JoinView:
             raise ViewDefinitionError(
                 f"view key {self.view_key!r} must be projected in {self.name!r}"
             )
+        both = self.outer_projection + self.inner_projection
+        at = {name: i for i, name in enumerate(both)}  # the inner side wins
+        object.__setattr__(self, "_sides", (_getter(self.outer_projection),
+                                            _getter(self.inner_projection)))
+        object.__setattr__(self, "_pick", _getter([at[f] for f in _lay_out(self, both).fields]))
 
     @property
     def sources(self) -> tuple[str, ...]:
@@ -215,9 +278,8 @@ class JoinView:
 
     def combine(self, outer_record: Record, inner_record: Record) -> ViewTuple:
         """Build the result tuple for one joining pair."""
-        values = {f: outer_record[f] for f in self.outer_projection}
-        values.update({f: inner_record[f] for f in self.inner_projection})
-        return ViewTuple.adopt(values)
+        outer, inner = self._sides
+        return self.layout.make(self._pick(outer(outer_record.values) + inner(inner_record.values)))
 
     def evaluate(
         self, outer_records: Iterable[Record], inner_records: Iterable[Record]

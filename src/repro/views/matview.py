@@ -19,7 +19,7 @@ from repro.storage.bplustree import BPlusTree
 from repro.storage.pager import BufferPool, Page
 from repro.storage.tuples import record_repr
 from .aggregates import AggregateFunction
-from .definition import ViewTuple, fields_of
+from .definition import ViewTuple
 from .delta import ChangeSet
 
 __all__ = ["MaterializedView", "AggregateStateStore", "DuplicateCountError"]
@@ -43,8 +43,8 @@ class _Stored(NamedTuple):
 
     def __repr__(self) -> str:
         # A view page's checksum covers this: the image of a record
-        # keyed by the identity, the fields in the tuple's order, _dup.
-        return record_repr(self.key, [*fields_of(self.vt).items(), ("_dup", self.dup)])
+        # keyed by the identity, the fields in image order, _dup.
+        return record_repr(self.key, [*self.vt.layout.items(self.vt.row), ("_dup", self.dup)])
 
 
 def _stored(vt: ViewTuple, dup: int) -> _Stored:
@@ -76,7 +76,7 @@ class MaterializedView:
         self._tree = BPlusTree(
             f"view.{name}",
             pool,
-            sort_key=lambda stored: stored.vt[view_key],
+            sort_key=lambda stored: stored.vt.row[stored.vt.layout.index[view_key]],
             records_per_leaf=records_per_page,
             fanout=fanout,
         )

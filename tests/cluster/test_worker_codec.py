@@ -6,11 +6,14 @@ server was handed — tuples included — while every all-atom document
 keeps the bytes the parent commit wrote.
 """
 
+import hashlib
 import json
+import random
 
 import pytest
 
 from repro.cluster import worker
+from repro.cluster.rpc import pack_frame
 from repro.cluster.worker import (
     WorkerState,
     decode_answer,
@@ -100,11 +103,20 @@ class TestAnswers:
     def test_scalars_keep_the_parents_bytes_and_degraded_labels_ride_along(self):
         assert json.dumps(encode_answer(12), separators=(",", ":")) == (
             '{"kind":"scalar","value":12,"degraded":null}')
+        assert [json.dumps(encode_answer(v)["value"]) for v in (None, 2.5, "x", True)] == [
+            "null", "2.5", '"x"', "true"]
         degraded = DegradedResult(
             [ViewTuple({"a": 1})], "v", "qm_fallback", "why", 3, "qm")
         payload, label = decode_answer(wire(encode_answer(degraded, "a")))
         assert payload == [ViewTuple({"a": 1})]
         assert label["mode"] == "qm_fallback" and label["staleness_bound"] == 3
+
+    def test_a_tuple_valued_scalar_comes_back_a_tuple(self):
+        # A min/max over a tuple-valued field: JSON alone made it a list.
+        doc = encode_answer(("v", (0, 1)))
+        assert doc["value"] == {"t": "tuple", "items": [
+            "v", {"t": "tuple", "items": [0, 1]}]}
+        assert decode_answer(wire(doc)) == (("v", (0, 1)), None)
 
     def test_the_retired_per_tuple_form_has_no_reader(self):
         old = {"kind": "tuples", "items": [{"a": 1}], "degraded": None}
@@ -163,3 +175,86 @@ class TestWorkerOps:
             server, "query", {"view": "by_a", "lo": 0, "hi": 30}, WorkerState())
         assert doc["fields"] == ["a", "id", "v"] and doc["tagged"] == [1, 2]
         assert [vt["a"] for vt in decode_answer(wire(doc))[0]] == [0, 7, 14, 21, 28]
+
+
+def _join_spec():
+    rng = random.Random(11)
+    view = {"type": "join", "name": "jv", "outer": "r1", "inner": "r2",
+            "join_field": "j", "strategy": "deferred", "policy": None,
+            "predicate": {"field": "a", "lo": 0, "hi": 29, "selectivity": 0.75},
+            "outer_projection": ["id", "a"], "inner_projection": ["j", "c"],
+            "view_key": "a"}
+    return {
+        "relations": [
+            {"name": "r1", "fields": ["id", "a", "j", "v"], "key_field": "id",
+             "clustered_on": "a", "kind": "hypothetical",
+             "records": [{"id": i, "a": rng.randrange(40), "j": i % 6, "v": i}
+                         for i in range(40)]},
+            {"name": "r2", "fields": ["j", "c"], "key_field": "j",
+             "clustered_on": "j", "kind": "hashed",
+             "records": [{"j": j, "c": j * 10} for j in range(6)]},
+        ],
+        "views": [view],
+    }
+
+
+def _shared_names_spec():
+    # The inner relation also has an ``id`` and holds its join field as a
+    # float; the view takes both from the outer side only.
+    spec = _join_spec()
+    spec["views"][0].update(outer_projection=["id", "a", "j"], inner_projection=["c"])
+    spec["relations"][1].update(fields=["id", "j", "c"], records=[
+        {"id": 100 + j, "j": float(j), "c": j * 10} for j in range(6)])
+    return spec
+
+
+def _tagged_spec():
+    spec = demo_spec(n_records=40, seed=3)
+    for i, record in enumerate(spec["relations"][0]["records"]):
+        record["v"] = ("v", i % 3)
+    del spec["views"][1]  # sum(v) is not defined over tuples
+    return spec
+
+
+#: (spec, view, relation, ops applied before the read, lo, hi)
+REPLIES = {
+    "select-project": (lambda: demo_spec(n_records=40, seed=3), "by_a", "r",
+                       [Update(3, {"v": 7}), Update(5, {"a": 2}), Delete(8)],
+                       0, 800),
+    "select-project-tagged": (_tagged_spec, "by_a", "r",
+                              [Update(3, {"v": ("w", (1, 2))}), Delete(8)],
+                              0, 800),
+    "join": (_join_spec, "jv", "r1",
+             [Update(3, {"a": 4}), Update(7, {"j": 2}), Delete(9)], 0, 29),
+    "join-shared-names": (_shared_names_spec, "jv", "r1",
+                          [Update(3, {"a": 4}), Update(7, {"j": 2}), Delete(9)], 0, 29),
+}
+
+
+class TestQueryReplyBytesPinned:
+    """A shard's ``query`` reply frame, byte for byte, as the commit
+    before a view tuple became a positional row wrote it: a select-project
+    view whose projection order (``id, a, v``) is not the wire order
+    (``a, id, v``), with and without a tagged column, and a join (once
+    more with an inner relation that shares the outer's field names)."""
+
+    @pytest.mark.parametrize("case, length, digest", [
+        ("select-project", 267, "aaeb7a24581721d7"),
+        ("select-project-tagged", 650, "2819a7d6fd02b14f"),
+        ("join", 417, "240088bc71d43009"),
+        ("join-shared-names", 417, "240088bc71d43009"),  # the outer values
+    ])
+    def test_recorded_reply_frame(self, case, length, digest):
+        make_spec, view, relation, ops, lo, hi = REPLIES[case]
+        server = build_server(make_spec())
+        try:
+            state = WorkerState()
+            worker._handle(server, "update", {
+                "relation": relation,
+                "ops": wire([encode_operation(op) for op in ops])}, state)
+            result = worker._handle(
+                server, "query", {"view": view, "lo": lo, "hi": hi}, state)
+        finally:
+            server.shutdown()
+        frame = pack_frame({"id": 7, "ok": True, "result": result})
+        assert (len(frame), hashlib.sha256(frame).hexdigest()[:16]) == (length, digest)

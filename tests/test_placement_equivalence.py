@@ -86,15 +86,20 @@ def make_stream(length: int = 90, seed: int = 41) -> list[Request]:
         stream.append(Request("c", "update", txn=Transaction.of("t", ops)))
 
     whole = Request("c", "query", view="t_by_a", lo=0, hi=DOMAIN - 1)
+    # A min over a tuple-valued field answers a tuple, not a list.
+    t_lowest = Request("c", "query", view="t_lowest")
     update_t([Insert(T_SCHEMA.new_record(id=(9, 0), a=3, v=("new", 0)))])
     update_t([Update((0, 1), {"v": ("changed", (1, 2))})])
     stream.append(whole)
+    stream.append(t_lowest)
     update_t([Update((9, 0), {"a": DOMAIN - 2}), Update((3, 4), {"a": 1})])
     update_t([Insert(T_SCHEMA.new_record(id=(9, 1), a=DOMAIN - 1, v=("new", 1))),
               Update((9, 1), {"v": ("new", (1, 1))})])
     stream.append(Request("c", "query", view="t_by_a", lo=0, hi=DOMAIN // 2 - 1))
+    stream.append(t_lowest)
     update_t([Delete((0, 0)), Delete((9, 0))])
     stream.append(whole)
+    stream.append(t_lowest)
     stream.append(Request("c", "query", view="lowest"))
     # The final logical content, as the last two answers.
     stream.append(Request("c", "query", view="by_a", lo=0, hi=DOMAIN - 1))
@@ -160,6 +165,14 @@ def spec():
         "relation": "r", "strategy": "deferred", "policy": None,
         "predicate": {"field": "a", "lo": 0, "hi": 99, "selectivity": 100 / DOMAIN},
     })
+    # min(v) over the tuple-valued relation.  It stops short of the
+    # domain's last value, where (9, 1) takes a v, ("new", (1, 1)), that
+    # does not compare with ("new", 0) on the same shard.
+    spec["views"].append({
+        **spec["views"][-1], "name": "t_lowest", "relation": "t",
+        "predicate": {"field": "a", "lo": 0, "hi": DOMAIN - 2,
+                      "selectivity": (DOMAIN - 1) / DOMAIN},
+    })
     return spec
 
 
@@ -208,6 +221,9 @@ def test_the_stream_exercises_what_it_claims(spec, stream, reference):
     lowest = [a for request, a in zip(queries, reference) if request.view == "lowest"]
     assert len(lowest) >= 3 and None not in lowest
     assert shard_map.shard_of(99) == 0  # one shard selects, the other answers None
+    t_lowest = [a for request, a in zip(queries, reference)
+                if request.view == "t_lowest"]
+    assert len(t_lowest) == 3 and all(type(a) is tuple for a in t_lowest)
 
 
 def test_two_shards_answer_as_one_server(spec, stream, reference):

@@ -1,15 +1,20 @@
 """View definitions and from-scratch evaluation."""
 
+import json
+import sys
+import tracemalloc
+
 import pytest
 
+from repro.cluster.worker import decode_answer, encode_answer
 from repro.storage.tuples import Schema
 from repro.views.definition import (
     AggregateView,
     JoinView,
+    Layout,
     SelectProjectView,
     ViewDefinitionError,
     ViewTuple,
-    fields_of,
 )
 from repro.views.predicate import IntervalPredicate, TruePredicate
 
@@ -70,29 +75,56 @@ class TestViewTuple:
             vt.extra = 2
         assert vt["x"] == 1 and dict(vt.values) == {"x": 1}
 
-    @pytest.mark.parametrize("identity", [None, (("a", 1), ("b", (2, 3)))])
-    def test_adopted_tuple_takes_its_dict(self, identity):
-        values = {"b": (2, 3), "a": 1}
-        adopted = ViewTuple.adopt(values, identity)
-        public = ViewTuple({"a": 1, "b": (2, 3)})
-        assert fields_of(adopted) is values  # taken, not copied
-        assert fields_of(public) is not values
-        assert adopted.values == values
-        assert adopted == public and public == adopted
-        assert hash(adopted) == hash(public)
-        assert repr(adopted) == repr(public)
-        assert adopted.identity() == public.identity() == (("a", 1), ("b", (2, 3)))
-        assert len({adopted, public}) == 1
-        with pytest.raises(AttributeError):
-            adopted.values = {}
-        with pytest.raises(AttributeError):
-            adopted._identity = ()
+    def test_values_are_built_per_call_in_the_image_order(self):
+        vt = sp_view().project(R.new_record(id=1, a=5, v=100))
+        assert vt.values is not vt.values and vt.values == {"id": 1, "a": 5}
+        assert list(vt.values) == ["id", "a"]  # the projection's order
+        with pytest.raises(TypeError):
+            vt.values["a"] = 6
+        assert vt["a"] == 5
 
-    def test_a_handed_over_identity_is_kept_not_recomputed(self):
-        identity = (("a", 1),)
-        vt = ViewTuple.adopt({"a": 1}, identity)
-        assert vt.identity() is identity
-        assert hash(vt) == hash(identity) == hash(ViewTuple({"a": 1}))
+    def test_layouts_are_interned_per_field_order(self):
+        one, two = ViewTuple({"a": 1, "b": 2}), ViewTuple({"a": 3, "b": (4,)})
+        flipped = ViewTuple({"b": 2, "a": 1})
+        assert one.layout is two.layout is Layout.of(["a", "b"])
+        assert flipped.layout is not one.layout and flipped == one
+        assert sp_view().layout is sp_view(lo=3).layout
+        assert sp_view().layout is not Layout.of(("a", "id"))  # imaged id, a
+        assert [vt.layout for vt in _decoded([one, two])] == [Layout.of(("a", "b"))] * 2
+
+    def test_a_decoded_tuple_is_its_twin_in_another_layout(self):
+        twin = join_view().combine(R1.new_record(id=1, a=5, j=10),
+                                   R2.new_record(j=10, c=(9, 9)))
+        (decoded,) = _decoded([twin], "a")
+        assert decoded.layout is not twin.layout
+        assert decoded.row == twin.row == (5, (9, 9), 1, 10)
+        assert decoded == twin and twin == decoded and len({decoded, twin}) == 1
+        assert hash(decoded) == hash(twin)
+        assert decoded.identity() == twin.identity()
+        assert repr(decoded) == repr(twin) == "ViewTuple(a=5, c=(9, 9), id=1, j=10)"
+        assert decoded != join_view().combine(R1.new_record(id=2, a=5, j=10),
+                                              R2.new_record(j=10, c=(9, 9)))
+
+    def test_decode_answer_builds_no_dict_per_tuple(self):
+        n = 2_000
+        doc = json.loads(json.dumps(encode_answer(
+            [ViewTuple({"a": i, "id": i, "v": i}) for i in range(n)], "a")))
+        decode_answer(doc)  # the layout is interned before counting
+        tracemalloc.start()
+        try:
+            payload, _ = decode_answer(doc)
+            grown, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        one = sys.getsizeof(payload[0]) + sys.getsizeof(payload[0].row)
+        assert grown / n < one + sys.getsizeof({}) / 2, (grown / n, one)
+        assert all(type(vt.row) is tuple for vt in payload)
+
+
+def _decoded(answer, view_key=None):
+    """``answer`` as a router reads it off a shard's reply."""
+    doc = json.loads(json.dumps(encode_answer(answer, view_key)))
+    return decode_answer(doc)[0]
 
 
 class TestSelectProjectView:
@@ -149,18 +181,48 @@ class TestJoinView:
             {"id": 1, "a": 5, "j": 10, "c": 99}
         )
 
-    def test_projections_hand_their_dict_over(self, monkeypatch):
-        # project() and combine() build one dict per tuple and adopt it;
-        # the copying public constructor is not on their path.
+    def test_projections_build_rows_in_the_definitions_layout(self, monkeypatch):
+        # One picker per definition, built with it: the row is in wire
+        # order (view key first, the rest by name), the image in the
+        # projection's; the copying public constructor is not on the path.
         def copying_constructor(self, values):
-            raise AssertionError("a projection copied its dict")
+            raise AssertionError("a projection went through the public constructor")
 
         monkeypatch.setattr(ViewTuple, "__init__", copying_constructor)
-        t1 = R1.new_record(id=1, a=5, j=10)
-        joined = join_view().combine(t1, R2.new_record(j=10, c=99))
+        view = join_view()
+        joined = view.combine(R1.new_record(id=1, a=5, j=10), R2.new_record(j=10, c=99))
+        assert joined.layout is view.layout and joined.row == (5, 99, 1, 10)
+        assert view.layout.fields == ("a", "c", "id", "j")
         assert list(joined.values.items()) == [("id", 1), ("a", 5), ("j", 10), ("c", 99)]
         projected = sp_view().project(R.new_record(id=1, a=5, v=100))
+        assert projected.layout is sp_view().layout and projected.row == (5, 1)
         assert list(projected.values.items()) == [("id", 1), ("a", 5)]
+
+    def test_a_field_both_sides_project_takes_the_inner_value(self):
+        view = JoinView("jv", "r1", "r2", "j", TruePredicate(),
+                        ("j", "id"), ("c", "j"), "id")
+        joined = view.combine(R1.new_record(id=1, a=5, j=10), R2.new_record(j=10.0, c=99))
+        assert type(joined["j"]) is float
+        assert list(joined.values) == ["j", "id", "c"]
+
+    def test_a_field_only_the_outer_side_projects_keeps_the_outer_value(self):
+        # The inner schema has both ``id`` and the join field, and projects
+        # neither: the tuple takes them from the outer record, as it did
+        # when the tuple was a dict built from each side's projection.
+        inner_schema = Schema("r3", ("id", "j", "c"), "j")
+        view = JoinView("jv", "r1", "r3", "j", TruePredicate(),
+                        ("id", "a", "j"), ("c",), "a")
+        joined = view.combine(R1.new_record(id=1, a=5, j=10),
+                              inner_schema.new_record(id=99, j=10.0, c=7))
+        assert joined == ViewTuple({"id": 1, "a": 5, "j": 10, "c": 7})
+        assert type(joined["j"]) is int and joined.row == (5, 7, 1, 10)
+        assert list(joined.values.items()) == [("id", 1), ("a", 5), ("j", 10), ("c", 7)]
+        assert repr(joined) == "ViewTuple(a=5, c=7, id=1, j=10)"
+
+    def test_a_side_may_project_nothing(self):
+        view = JoinView("jv", "r1", "r2", "j", TruePredicate(), ("id", "a"), (), "a")
+        joined = view.combine(R1.new_record(id=1, a=5, j=10), R2.new_record(j=10, c=99))
+        assert joined == ViewTuple({"id": 1, "a": 5}) and joined.row == (5, 1)
 
     def test_evaluate_hash_join(self):
         outers = [R1.new_record(id=i, a=i, j=i % 3) for i in range(10)]

@@ -7,14 +7,16 @@ import pytest
 
 from repro.maintenance.reference import apply_changes_serial
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
+from repro.storage.tuples import Schema
 from repro.views.aggregates import make_aggregate
-from repro.views.definition import ViewTuple
+from repro.views.definition import JoinView, SelectProjectView, ViewTuple
 from repro.views.delta import ChangeSet
 from repro.views.matview import (
     AggregateStateStore,
     DuplicateCountError,
     MaterializedView,
 )
+from repro.views.predicate import TruePredicate
 
 
 @pytest.fixture
@@ -243,6 +245,79 @@ class TestViewLeafChecksumsPinned:
     ])
     def test_recorded_checksums(self, file, pages, first_three, crc_of_all):
         disk = seeded_view()
+        page_ids = disk.file_pages(file)
+        sums = [disk._checksums[page_id] for page_id in page_ids]
+        assert len(sums) == pages
+        assert sums[:3] == first_three
+        assert zlib.crc32(repr(sums).encode()) == crc_of_all
+        assert all(disk.verify(page_id) is None for page_id in page_ids)
+
+
+R = Schema("r", ("id", "a", "v"), "id")
+R1 = Schema("r1", ("id", "a", "j"), "id")
+R2 = Schema("r2", ("j", "c"), "j")
+#: Real definitions whose field orders are not their tuples' name order:
+#: a projection ``id, a, v`` keyed on ``a``, and a join that puts the
+#: outer side's ``id, a`` before the inner side's ``j, c``.
+DEFINITIONS = {
+    "select-project": SelectProjectView(
+        "v", "r", TruePredicate(), ("id", "a", "v"), "a"),
+    "join": JoinView("v", "r1", "r2", "j", TruePredicate(),
+                     ("id", "a"), ("j", "c"), "a"),
+}
+
+
+def definition_history(name, seed=25):
+    """:func:`seeded_view`'s history over tuples the definition builds."""
+    definition = DEFINITIONS[name]
+    rng = random.Random(seed)
+    disk = SimulatedDisk(CostMeter())
+    mv = MaterializedView("v", BufferPool(disk, capacity=8), view_key="a",
+                          records_per_page=4, fanout=4)
+
+    def tup(a, x):
+        if name == "join":
+            return definition.combine(R1.new_record(id=x, a=a, j=x % 3),
+                                      R2.new_record(j=x % 3, c=("c", x % 2)))
+        return definition.project(R.new_record(id=x, a=a, v=("t", x % 3)))
+
+    mv.bulk_load([tup(rng.randrange(12), rng.randrange(5)) for _ in range(60)])
+    for step in range(30):
+        changes = ChangeSet()
+        for _ in range(6):
+            t = tup(rng.randrange(14), rng.randrange(6))
+            stored = mv.duplicate_count(t) + changes.count(t)
+            if stored and rng.random() < 0.5:
+                changes.delete(t, rng.randrange(1, stored + 1))
+            else:
+                changes.insert(t, rng.randrange(1, 3))
+        mv.apply_changes(changes)
+        t = tup(rng.randrange(14), rng.randrange(6))
+        mv.insert_tuple(t, 1 + step % 2)
+        if step % 3 == 0:
+            mv.delete_tuple(t)
+    mv.tree.pool.flush_all()
+    return disk
+
+
+class TestDefinitionLeafChecksumsPinned:
+    """Recorded at the commit before a view tuple became a positional
+    row: the history of :func:`definition_history`, over tuples a real
+    projection and a real join build, records the same CRC32 on every
+    page — the page image keeps the definition's field order."""
+
+    @pytest.mark.parametrize("name, file, pages, first_three, crc_of_all", [
+        ("select-project", "view.v.int", 13,
+         [918768729, 2866059336, 1383381714], 978333070),
+        ("select-project", "view.v.leaf", 25,
+         [1333281950, 2854538966, 1925090958], 2037821550),
+        ("join", "view.v.int", 12,
+         [1051636871, 2095383515, 1352197122], 1030825059),
+        ("join", "view.v.leaf", 25,
+         [4019536094, 1257512894, 3544740065], 1914271753),
+    ])
+    def test_recorded_checksums(self, name, file, pages, first_three, crc_of_all):
+        disk = definition_history(name)
         page_ids = disk.file_pages(file)
         sums = [disk._checksums[page_id] for page_id in page_ids]
         assert len(sums) == pages
