@@ -152,12 +152,12 @@ def _ad_entries(n: int, seed: int = 23) -> list[ADEntry]:
 
 def bench_net_change(violations: list[int]) -> dict:
     entries = _ad_entries(NET_ENTRIES)
-    batch_net = _net_from_entries("r", entries)
+    batch_net = _net_from_entries(SCHEMA, entries)
     serial_net = net_from_entries_serial("r", entries)
     if (list(batch_net.inserted) != list(serial_net.inserted)
             or list(batch_net.deleted) != list(serial_net.deleted)):
         violations[0] += 1
-    batch_s = _best(lambda: _net_from_entries("r", entries))
+    batch_s = _best(lambda: _net_from_entries(SCHEMA, entries))
     tuple_s = _best(lambda: net_from_entries_serial("r", entries))
     return _point(NET_ENTRIES, batch_s, tuple_s)
 

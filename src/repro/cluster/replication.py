@@ -34,6 +34,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Mapping
 
+from repro.durability.codec import decode_value
 from .rpc import (
     Leg,
     RemoteOpError,
@@ -43,7 +44,7 @@ from .rpc import (
     ShardUnavailable,
     blocking,
 )
-from .worker import decode_values, worker_main
+from .worker import worker_main
 
 __all__ = [
     "ReplicationConfig",
@@ -539,7 +540,7 @@ class ReplicaSet:
             member = self._spawn(
                 "replica",
                 records={
-                    name: list(map(decode_values, docs))
+                    name: [{f: decode_value(v) for f, v in doc.items()} for doc in docs]
                     for name, docs in snap.get("relations", {}).items()
                 },
                 replica_epoch=int(snap.get("epoch", 0)),

@@ -42,6 +42,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from repro.durability.codec import decode_value
+from repro.engine.database import UnsupportedTransactionError
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
 from repro.service.metrics import MetricsRegistry
@@ -563,6 +564,8 @@ class ClusterRouter:
         """
         field = self.shard_map.partition_field
         with self._in_flight():
+            docs = list(ops)
+            self._check_keys(relation, docs)
             pending: dict[int, list[dict[str, Any]]] = {}
             # Directory mutations are *staged*, not applied: the
             # overlay answers ownership questions for later operations
@@ -574,8 +577,8 @@ class ClusterRouter:
             overlay: dict[tuple[str, Any], int | None] = {}
             # Documents are forwarded as they came; the directory and
             # the shard map see keys and partition values decoded (a
-            # tuple-valued key travels tagged, see worker.encode_operation).
-            for doc in ops:
+            # tuple-valued key travels tagged, see codec.encode_operation).
+            for doc in docs:
                 kind = doc.get("kind")
                 if kind == "insert":
                     key_field = self._key_fields.get(relation)
@@ -625,6 +628,29 @@ class ClusterRouter:
                 # under the new epoch.
                 self.cache.bump(relation)
             self.metrics.counter("router_updates_total", client=client).inc()
+
+    def _check_keys(self, relation: str, docs: list[dict[str, Any]]) -> None:
+        """Refuse, before any leg is sent, what each shard would take and
+        the cluster must not: an insert of a live key (in the directory,
+        or as the transaction leaves it) files one key on two shards, and
+        an update naming the key field leaves the directory on the old key."""
+        key_field = self._key_fields.get(relation)
+        live: dict[Any, bool] = {}
+        for doc in docs:
+            kind = doc.get("kind")
+            if kind == "update" and key_field in doc["changes"]:
+                raise UnsupportedTransactionError(
+                    f"update of {relation!r} key {decode_value(doc['key'])!r} changes "
+                    f"the key field {key_field!r}; re-key with a Delete and an Insert"
+                )
+            if kind == "delete":
+                live[decode_value(doc["key"])] = False
+            elif kind == "insert" and key_field is not None:
+                key = decode_value(doc["values"][key_field])
+                with self._directory_lock:
+                    if live.get(key, (relation, key) in self._directory):
+                        raise KeyError(f"duplicate key {key!r} in {relation!r}")
+                live[key] = True
 
     def _owner(
         self,

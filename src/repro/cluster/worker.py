@@ -21,13 +21,18 @@ import socket
 from operator import attrgetter
 from typing import Any, Mapping
 
-from repro.durability.codec import decode_value, encode_value
-from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
+from repro.durability.codec import (
+    decode_operation,
+    decode_value,
+    encode_operation,
+    encode_record,
+    encode_value,
+)
+from repro.engine.transaction import Transaction
 from repro.resilience.degradation import DegradedResult
 from repro.service.server import ViewServer
 from repro.service.spec import build_server
-from repro.storage.tuples import Schema
-from repro.views.definition import Layout
+from repro.storage.tuples import Layout
 from .rpc import FrameParser, send_frame
 
 __all__ = [
@@ -45,7 +50,7 @@ __all__ = [
 
 
 class WorkerSpecError(ValueError):
-    """A wire document names an operation or op the worker does not know."""
+    """A request names an op the worker does not know."""
 
 
 class DeltaGapError(RuntimeError):
@@ -71,37 +76,11 @@ class WorkerState:
 # ----------------------------------------------------------------------
 # wire encoding of transactions and answers
 # ----------------------------------------------------------------------
-# Keys, values and answer cells cross the wire through the journal's
-# value codec: an atom is itself, a tuple or list travels tagged and
-# comes back what it was, on a shard as in-process.
-def encode_values(values: Mapping[str, Any]) -> dict[str, Any]:
-    return {field: encode_value(value) for field, value in values.items()}
-
-
-def decode_values(doc: Mapping[str, Any]) -> dict[str, Any]:
-    return {field: decode_value(value) for field, value in doc.items()}
-
-
-def encode_operation(op: Operation) -> dict[str, Any]:
-    if isinstance(op, Insert):
-        return {"kind": "insert", "values": encode_values(op.record.values)}
-    if isinstance(op, Delete):
-        return {"kind": "delete", "key": encode_value(op.key)}
-    return {"kind": "update", "key": encode_value(op.key),
-            "changes": encode_values(op.changes)}
-
-
-def decode_operation(schema: Schema, doc: Mapping[str, Any]) -> Operation:
-    kind = doc.get("kind")
-    if kind == "insert":
-        return Insert(schema.new_record(**decode_values(doc["values"])))
-    if kind == "delete":
-        return Delete(decode_value(doc["key"]))
-    if kind == "update":
-        return Update(decode_value(doc["key"]), decode_values(doc["changes"]))
-    raise WorkerSpecError(f"unknown operation kind {kind!r}")
-
-
+# Operations, records, keys and answer cells cross the wire through the
+# journal's codec (``encode_operation``/``decode_operation`` are its
+# operation codec, in the wire spelling): an atom is itself, a tuple or
+# list travels tagged and comes back what it was, on a shard as
+# in-process.
 def apply_documents(
     server: ViewServer, relation: str, ops: Any, client: str
 ) -> int:
@@ -239,10 +218,7 @@ def _handle(
         # The router holds the shard's write lock while fetching, so
         # the records and the epoch cut the same consistent state.
         relations = {
-            name: [
-                encode_values(record.values)
-                for record in server.database.logical_records(name)
-            ]
+            name: [encode_record(r)["values"] for r in server.database.logical_records(name)]
             for name in sorted(server.database.relations)
         }
         return {"epoch": state.applied_epoch, "relations": relations}
@@ -250,9 +226,7 @@ def _handle(
         record = server.database.logical_record(
             request["relation"], decode_value(request["key"])
         )
-        return {
-            "values": None if record is None else encode_values(record.values)
-        }
+        return {"values": None if record is None else encode_record(record)["values"]}
     if op == "query":
         answer = server.query(
             request["view"], request.get("lo"), request.get("hi"),

@@ -21,7 +21,7 @@ from typing import Any
 from repro.core.strategies import Strategy
 from repro.engine.database import ViewSpec
 from repro.engine.transaction import Delete, Insert, Operation, Transaction, Update
-from repro.storage.tuples import Record, Schema
+from repro.storage.tuples import Layout, Record, Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.predicate import (
     AndPredicate,
@@ -47,6 +47,8 @@ __all__ = [
     "decode_definition",
     "encode_spec",
     "decode_spec",
+    "encode_operation",
+    "decode_operation",
     "encode_transaction",
     "decode_transaction",
     "encode_event",
@@ -84,16 +86,18 @@ def decode_value(doc: Any) -> Any:
 # records and schemas
 # ----------------------------------------------------------------------
 def encode_record(record: Record) -> dict[str, Any]:
+    """A record's key and values, the values in its image order."""
     return {
         "key": encode_value(record.key),
-        "values": {f: encode_value(v) for f, v in record.values.items()},
+        "values": {f: encode_value(v) for f, v in record.layout.items(record.row)},
     }
 
 
 def decode_record(doc: Mapping[str, Any]) -> Record:
-    return Record(
-        decode_value(doc["key"]),
-        {f: decode_value(v) for f, v in doc["values"].items()},
+    """A row over the document's field order, imaged in it."""
+    values = doc["values"]
+    return Layout.of(values).record(
+        decode_value(doc["key"]), tuple(map(decode_value, values.values()))
     )
 
 
@@ -266,47 +270,62 @@ def decode_spec(doc: Mapping[str, Any]) -> ViewSpec:
 
 
 # ----------------------------------------------------------------------
-# transactions
+# operations and transactions
 # ----------------------------------------------------------------------
-def _encode_operation(op: Operation) -> dict[str, Any]:
+def encode_operation(op: Operation, spelling: str = "wire") -> dict[str, Any]:
+    """One operation in either frozen spelling (docs/durability.md): the
+    WAL's (``"wal"``) tags it ``op`` and an insert carries its record; the
+    shard and gateway wire's tags it ``kind`` and an insert its values."""
+    tag = "op" if spelling == "wal" else "kind"
     if isinstance(op, Insert):
-        return {"op": "insert", "record": encode_record(op.record)}
+        record = encode_record(op.record)
+        if spelling == "wal":
+            return {tag: "insert", "record": record}
+        return {tag: "insert", "values": record["values"]}
     if isinstance(op, Delete):
-        return {"op": "delete", "key": encode_value(op.key)}
+        return {tag: "delete", "key": encode_value(op.key)}
     if isinstance(op, Update):
-        return {
-            "op": "update",
-            "key": encode_value(op.key),
-            "changes": {f: encode_value(v) for f, v in op.changes.items()},
-        }
+        changes = {f: encode_value(v) for f, v in op.changes.items()}
+        return {tag: "update", "key": encode_value(op.key), "changes": changes}
     raise CodecError(f"cannot encode operation type {type(op).__name__}")
 
 
-def _decode_operation(doc: Mapping[str, Any]) -> Operation:
-    kind = doc.get("op")
-    if kind == "insert":
-        return Insert(decode_record(doc["record"]))
+def decode_operation(schema: Schema | None, doc: Mapping[str, Any]) -> Operation:
+    """Inverse of :func:`encode_operation`; ``schema`` picks the spelling.
+    Without one the document is the WAL's (written by this process, an
+    insert carries its record); with one it is the wire's, which comes
+    from outside, so an insert is built by ``schema.new_record`` — it
+    checks the field set and names the key."""
+    if schema is None:
+        kind = doc.get("op")
+        if kind == "insert":
+            return Insert(decode_record(doc["record"]))
+    else:
+        kind = doc.get("kind")
+        if kind == "insert":
+            return Insert(schema.new_record(**_decode_fields(doc["values"])))
     if kind == "delete":
         return Delete(decode_value(doc["key"]))
     if kind == "update":
-        return Update(
-            decode_value(doc["key"]),
-            {f: decode_value(v) for f, v in doc["changes"].items()},
-        )
+        return Update(decode_value(doc["key"]), _decode_fields(doc["changes"]))
     raise CodecError(f"unknown operation kind {kind!r}")
+
+
+def _decode_fields(doc: Mapping[str, Any]) -> dict[str, Any]:
+    return {f: decode_value(v) for f, v in doc.items()}
 
 
 def encode_transaction(txn: Transaction) -> dict[str, Any]:
     return {
         "relation": txn.relation,
-        "operations": [_encode_operation(op) for op in txn.operations],
+        "operations": [encode_operation(op, "wal") for op in txn.operations],
     }
 
 
 def decode_transaction(doc: Mapping[str, Any]) -> Transaction:
     return Transaction(
         relation=doc["relation"],
-        operations=tuple(_decode_operation(op) for op in doc["operations"]),
+        operations=tuple(decode_operation(None, op) for op in doc["operations"]),
     )
 
 

@@ -26,6 +26,7 @@ from typing import Any
 
 from repro.core.parameters import Parameters
 from repro.engine.database import Database
+from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.storage.pager import CostMeter
 from repro.storage.tuples import Record
 
@@ -77,7 +78,7 @@ class RecoveryReport:
 def apply_event(db: Database, event: str, payload: dict[str, Any]) -> None:
     """Re-execute one decoded journal event against the engine."""
     if event == "txn":
-        db.apply_transaction(payload["txn"])
+        db.apply_transaction(_rekeyed(db, payload["txn"]))
     elif event == "net_install":
         db.settle_relation(payload["relation"])
     elif event == "create_relation":
@@ -99,6 +100,34 @@ def apply_event(db: Database, event: str, payload: dict[str, Any]) -> None:
         db.migrate_view(**payload)
     else:
         raise RecoveryError(f"cannot replay unknown event {event!r}")
+
+
+def _rekeyed(db: Database, txn: Transaction) -> Transaction:
+    """``txn`` with each ``Update`` naming the key field spelled as the
+    ``Delete`` and ``Insert`` it amounts to.  Such an update is refused
+    before it is journaled now; a log written before that refusal may
+    hold one, and its replay re-keys the tuple as it did then."""
+    relation = db.relations.get(txn.relation)
+    key_field = None if relation is None else relation.schema.key_field
+    if not any(isinstance(op, Update) and key_field in op.changes for op in txn.operations):
+        return txn
+    now: dict[Any, Record | None] = {}  # key -> its tuple after the ops so far
+    ops: list[Any] = []
+    for op in txn.operations:
+        if isinstance(op, Insert):
+            now[op.record.key] = op.record
+        elif isinstance(op, Delete):
+            now[op.key] = None
+        else:
+            old = now[op.key] if op.key in now else relation.logical_by_key(op.key)
+            new = None if old is None else relation.schema.updated(old, **op.changes)
+            if new is not None and key_field in op.changes:
+                ops += [Delete(op.key), Insert(new)]
+                now[op.key], now[new.key] = None, new
+                continue
+            now[op.key] = new
+        ops.append(op)
+    return Transaction.of(txn.relation, ops)
 
 
 def recover(

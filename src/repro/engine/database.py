@@ -89,12 +89,14 @@ class CatalogError(ValueError):
 
 
 class UnsupportedTransactionError(CatalogError, NotImplementedError):
-    """A transaction some affected view cannot be maintained under.
+    """A transaction some affected view cannot be maintained under, or
+    an update that names its relation's key field.
 
     Raised by :meth:`Database.apply_transaction` *before* the
     transaction is journaled or any page is touched, so refusing it
     leaves no trace.  Also a ``NotImplementedError``: the catalog knows
-    the relation and the view, it has no way to maintain the pair.
+    the relation and the view, it has no way to maintain the pair (and
+    a tuple is re-keyed by a delete and an insert, not an update).
     """
 
 
@@ -399,6 +401,7 @@ class Database:
         # refuses it now, before it is journaled or applied.
         for view_name in self._views_by_relation.get(txn.relation, ()):
             self.views[view_name].check_transaction(txn)
+        _check_keys(relation, txn)
         # Write-ahead: journal before touching any page, so a crash
         # mid-transaction replays the whole batch from the log.
         self._journal("txn", txn=txn)
@@ -740,3 +743,28 @@ class Database:
                 index.on_delete(deleted)
             if inserted is not None:
                 index.on_insert(inserted)
+
+
+def _check_keys(relation: Any, txn: Transaction) -> None:
+    """Refuse a transaction that would fail part-way, before anything is
+    journaled or touched: every key it deletes or updates must be live
+    and every key it inserts absent, in the relation's logical content
+    as the transaction's own earlier operations leave it, and no update
+    may name the key field.  A dict lookup per operation; no I/O."""
+    schema = relation.schema
+    live: dict[Any, bool] = {}
+    for op in txn.operations:
+        key = op.record.key if isinstance(op, Insert) else op.key
+        if key not in live:
+            live[key] = relation.logical_by_key(key) is not None
+        if isinstance(op, Insert):
+            if live[key]:
+                raise KeyError(f"duplicate key {key!r} in {schema.name!r}")
+        elif not live[key]:
+            raise KeyError(f"no tuple with key {key!r} in {schema.name!r}")
+        elif isinstance(op, Update) and schema.key_field in op.changes:
+            raise UnsupportedTransactionError(
+                f"update of {schema.name!r} key {key!r} changes the key field "
+                f"{schema.key_field!r}; re-key a tuple with a Delete and an Insert"
+            )
+        live[key] = not isinstance(op, Delete)

@@ -24,7 +24,7 @@ class Insert:
 
     def written_fields(self) -> frozenset[str]:
         """Every field of the new tuple is written."""
-        return frozenset(self.record.values)
+        return frozenset(self.record.layout.fields)
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,8 @@ Request documents::
      "client": str, "deadline_ms": F}
     {"id": N, "op": "ping" | "stats" | "metrics"}
 
-``op-doc`` is the cluster wire encoding
-(:func:`repro.cluster.worker.encode_operation`): keys and values are
+``op-doc`` is the wire spelling of the one operation codec
+(:func:`repro.durability.codec.encode_operation`): keys and values are
 themselves when they are JSON atoms, and a tuple or list travels
 tagged, ``{"t": "tuple", "items": [...]}``.  Responses::
 

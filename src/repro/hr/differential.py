@@ -70,7 +70,7 @@ class ADEntry(NamedTuple):
         )
 
 
-def _net_from_entries(relation: str, entries: Iterable[ADEntry]) -> DeltaSet:
+def _net_from_entries(schema: Schema, entries: Iterable[ADEntry]) -> DeltaSet:
     """Build ``A-net``/``D-net`` from raw AD entries, columnar-style.
 
     A sort of the rows restores arrival order, and the net toggling
@@ -78,11 +78,11 @@ def _net_from_entries(relation: str, entries: Iterable[ADEntry]) -> DeltaSet:
     sorted item tuple, so token equality coincides with
     :class:`Record` equality.  Records are constructed only for the
     surviving net entries (an update's cancelled D/A pair never
-    builds one), via :meth:`Record.from_sorted_items` which skips
-    re-sorting.  Result order and content match feeding each entry to
-    :meth:`DeltaSet.add_insert` / :meth:`DeltaSet.add_delete` in
-    sequence order (the reference spec in
-    ``repro.maintenance.reference``).
+    builds one), as rows of ``schema`` imaged in the sorted order
+    (:meth:`Schema.from_items`).  Result order and content match
+    feeding each entry to :meth:`DeltaSet.add_insert` /
+    :meth:`DeltaSet.add_delete` in sequence order (the reference spec
+    in ``repro.maintenance.reference``).
     """
     rows = sorted(entries)
     inserted: dict[tuple, None] = {}
@@ -101,10 +101,11 @@ def _net_from_entries(relation: str, entries: Iterable[ADEntry]) -> DeltaSet:
                 deleted[token] = None
     # The token (key, values) is exactly what Record.__hash__ hashes,
     # so survivors are built with their value hash precomputed.
+    build = schema.from_items
     return DeltaSet.from_disjoint(
-        relation,
-        [Record.from_sorted_items(k, v, value_hash=hash((k, v))) for k, v in inserted],
-        [Record.from_sorted_items(k, v, value_hash=hash((k, v))) for k, v in deleted],
+        schema.name,
+        [build(k, v, hash((k, v))) for k, v in inserted],
+        [build(k, v, hash((k, v))) for k, v in deleted],
     )
 
 
@@ -361,7 +362,10 @@ class DifferentialRelation:
         self._files: tuple[HashFile, ...] = (self.ad,)
         self.bloom = BloomFilter(bloom_bits)
         self._seq = itertools.count()
-        self._pending = DeltaSet(self.schema.name)
+        #: Per key edited since the last fold, its tuple now (``None``:
+        #: deleted), in the order the keys were last edited: the logical
+        #: content's in-memory mirror, read without I/O.
+        self._latest: dict[Any, Record | None] = {}
         #: Times the whole AD file has been read to compute A-net/D-net.
         #: The shared-delta planner's proof obligation: one refresh
         #: epoch must bump this once per relation, not once per view.
@@ -392,7 +396,7 @@ class DifferentialRelation:
             )
         self._files[0].insert(self._ad_entry(record, ROLE_APPENDED))
         self.bloom.add(record.key)
-        self._pending.add_insert(record)
+        self._edited(record.key, record)
 
     def delete_by_key(self, key: Any) -> Record:
         """Delete a tuple: read it (1 I/O), add an AD entry with role ``D``."""
@@ -401,7 +405,7 @@ class DifferentialRelation:
             raise KeyError(f"no tuple with key {key!r} in {self.schema.name!r}")
         self._files[-1].insert(self._ad_entry(current, ROLE_DELETED))
         self.bloom.add(key)
-        self._pending.add_delete(current)
+        self._edited(key, None)
         return current
 
     def update_by_key(self, key: Any, **changes: Any) -> tuple[Record, Record]:
@@ -425,7 +429,8 @@ class DifferentialRelation:
             self._files[0].insert(appended)  # I/O #4-5
         self.bloom.add(old.key)
         self.bloom.add(new.key)
-        self._pending.add_update(old, new)
+        self._edited(old.key, None)
+        self._edited(new.key, new)
         return old, new
 
     # ------------------------------------------------------------------
@@ -438,21 +443,21 @@ class DifferentialRelation:
     def logical_snapshot(self) -> list[Record]:
         """Current logical contents without charging any I/O.
 
-        Uses the in-memory pending-delta mirror; for baseline/assertion
-        paths only (a real client pays a scan).
+        Uses the in-memory mirror of the pending changes; for
+        baseline/assertion paths only (a real client pays a scan).  A key
+        whose changes cancel out keeps its place in the base file.
         """
-        deleted = set(self._pending.deleted)
-        merged = [r for r in self.base.records_snapshot() if r not in deleted]
-        merged.extend(self._pending.inserted)
+        base = self.base
+        changed = {k: r for k, r in self._latest.items() if r != base.peek_by_key(k)}
+        merged = [r for r in base.records_snapshot() if r.key not in changed]
+        merged.extend(r for r in changed.values() if r is not None)
         return merged
 
     def logical_by_key(self, key: Any) -> Record | None:
         """One tuple of :meth:`logical_snapshot` by key, or ``None``."""
-        for record in self._pending.inserted:
-            if record.key == key:
-                return record
         record = self.base.peek_by_key(key)
-        return None if record in self._pending.deleted else record
+        latest = self._latest.get(key, record)
+        return record if latest == record else latest
 
     # ------------------------------------------------------------------
     # deferred-refresh support
@@ -460,7 +465,7 @@ class DifferentialRelation:
     def net_changes(self) -> DeltaSet:
         """Compute ``A-net``/``D-net`` by reading the whole AD file."""
         self.net_reads += 1
-        return _net_from_entries(self.schema.name, self._ad_entries())
+        return _net_from_entries(self.schema, self._ad_entries())
 
     def ad_entry_count(self) -> int:
         """Entries currently in AD (no I/O; catalog statistic)."""
@@ -491,7 +496,7 @@ class DifferentialRelation:
         for file in self._files:
             file.truncate()
         self.bloom.clear()
-        self._pending.clear()
+        self._latest.clear()
 
     # ------------------------------------------------------------------
     # durability: the AD file's durable form (repro.durability)
@@ -512,12 +517,9 @@ class DifferentialRelation:
         """Adopt a :meth:`state_doc` into an empty AD file."""
         entries = doc["entries"]
         for record, role, seq in entries:
-            if role == ROLE_APPENDED:
-                self._files[0].insert(self._ad_entry(record, role, seq))
-                self._pending.add_insert(record)
-            else:
-                self._files[-1].insert(self._ad_entry(record, role, seq))
-                self._pending.add_delete(record)
+            appended = role == ROLE_APPENDED
+            self._files[0 if appended else -1].insert(self._ad_entry(record, role, seq))
+            self._edited(record.key, record if appended else None)
         last = max((seq for _record, _role, seq in entries), default=-1)
         self._seq = itertools.count(last + 1)
         bloom = doc["bloom"]
@@ -535,12 +537,15 @@ class DifferentialRelation:
             next(self._seq) if seq is None else seq,
             role,
             record.key,
-            tuple(sorted(record.values.items())),
+            record.identity(),
         )
 
-    @staticmethod
-    def _unwrap(entry: ADEntry) -> Record:
-        return Record.from_sorted_items(entry.key, entry.items)
+    def _edited(self, key: Any, record: Record | None) -> None:
+        self._latest.pop(key, None)
+        self._latest[key] = record
+
+    def _unwrap(self, entry: ADEntry) -> Record:
+        return self.schema.from_items(entry.key, entry.items)
 
     def _ad_entries(self) -> Iterable[ADEntry]:
         """Every differential entry (reads the whole AD file)."""

@@ -56,7 +56,7 @@ class TLockIndex:
         if "*" in self._full_fields:
             return True
         for field in self._full_fields:
-            if field in record.values:
+            if field in record.layout.index:
                 return True
         for field, intervals in self._intervals.items():
             value = record.get(field)

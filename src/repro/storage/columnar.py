@@ -63,13 +63,6 @@ class SelectionVector:
             return self.indices == other.indices
         return NotImplemented
 
-    def complement(self, length: int) -> "SelectionVector":
-        """Rows of a ``length``-row batch *not* in this selection."""
-        member = bytearray(length)
-        for i in self.indices:
-            member[i] = 1
-        return SelectionVector([i for i in range(length) if not member[i]])
-
     def __repr__(self) -> str:
         return f"SelectionVector({self.indices!r})"
 
@@ -124,14 +117,21 @@ class ColumnBatch:
         """The field's values, row-aligned (``None`` where absent).
 
         Built once per batch and cached; kernels index the returned
-        list directly (it must not be mutated).
+        list directly (it must not be mutated).  The field's position is
+        looked up once per row layout in the batch; when every row holds
+        it at one position (a relation's rows are in its schema's order)
+        the column is one pass reading that position.
         """
         col = self._columns.get(field)
         if col is None:
-            # r._values is the record's mapping slot; going through it
-            # directly keeps the build one C dict.get per row instead
-            # of a Python-level Record.get frame per row.
-            col = [r._values.get(field) for r in self._records]
+            records = self._records
+            at = {lay: lay.index.get(field) for lay in {r.layout for r in records}}
+            positions = set(at.values())
+            if len(positions) == 1 and None not in positions:
+                (i,) = positions
+                col = [r.row[i] for r in records]
+            else:
+                col = [None if (i := at[r.layout]) is None else r.row[i] for r in records]
             self._columns[field] = col
         return col
 
@@ -144,7 +144,8 @@ class ColumnBatch:
         cache_key = (_ABSENT, field)
         col = self._columns.get(cache_key)
         if col is None:
-            col = [field in r._values for r in self._records]
+            present = {lay: field in lay.index for lay in {r.layout for r in self._records}}
+            col = [present[r.layout] for r in self._records]
             self._columns[cache_key] = col
         return col
 

@@ -14,6 +14,7 @@ import pytest
 
 from repro.cluster import worker
 from repro.cluster.rpc import pack_frame
+from repro.durability.codec import decode_value
 from repro.cluster.worker import (
     WorkerState,
     decode_answer,
@@ -123,6 +124,11 @@ class TestAnswers:
         assert decode_answer(old) == (None, None)
 
 
+def decoded(values):
+    """A fetched or snapshot tuple's values, decoded field by field."""
+    return {field: decode_value(value) for field, value in values.items()}
+
+
 class TestWorkerOps:
     @pytest.fixture()
     def server(self):
@@ -143,7 +149,7 @@ class TestWorkerOps:
         state = WorkerState()
         key = wire(encode_operation(Delete((3, "k"))))["key"]
         fetched = worker._handle(server, "fetch", {"relation": "r", "key": key}, state)
-        assert worker.decode_values(wire(fetched)["values"]) == {
+        assert decoded(wire(fetched)["values"]) == {
             "id": (3, "k"), "a": 21, "v": ("v", 3)}
         gone = wire(encode_operation(Delete((99, "k"))))["key"]
         assert worker._handle(
@@ -162,11 +168,11 @@ class TestWorkerOps:
                 {"relation": "r", "key": wire(encode_operation(Delete(key)))["key"]},
                 state,
             )["values"]
-            assert (fetched and worker.decode_values(fetched)["v"]) == expected
+            assert (fetched and decoded(fetched)["v"]) == expected
 
     def test_snapshot_records_come_back_as_they_were(self, server):
         snap = wire(worker._handle(server, "snapshot", {}, WorkerState()))
-        records = list(map(worker.decode_values, snap["relations"]["r"]))
+        records = list(map(decoded, snap["relations"]["r"]))
         assert sorted(records, key=lambda r: r["id"])[3] == {
             "id": (3, "k"), "a": 21, "v": ("v", 3)}
 

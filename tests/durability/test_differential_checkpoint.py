@@ -169,14 +169,10 @@ class History:
                 built.append(Delete(key_of(i)))
                 del state[i]
             elif verb == "rekey" and j not in state:
-                if kind in ("hypothetical", "hashed_hypothetical"):
-                    # One combined AD file refuses an update whose two
-                    # entries hash apart (as at the parent commit): the
-                    # key is rewritten as a delete and an insert.
-                    built.append(Delete(key_of(i)))
-                    built.append(Insert(schema.new_record(id=key_of(j), a=state[i], v="moved")))
-                else:
-                    built.append(Update(key_of(i), {"id": key_of(j)}))
+                # An update may not name the key field: a key is
+                # rewritten as a delete and an insert.
+                built.append(Delete(key_of(i)))
+                built.append(Insert(schema.new_record(id=key_of(j), a=state[i], v="moved")))
                 state[j] = state.pop(i)
             elif verb == "recluster":
                 built.append(Update(key_of(i), {"a": j}))

@@ -1,0 +1,164 @@
+"""A transaction is applied whole or refused whole, before it is journaled.
+
+Reproduced at 760ec5f: with key 42 absent, ``[Insert(7), Delete(42)]``
+raised ``KeyError`` after 7 had reached the base file and before any
+view saw it (the base held 7, the view did not; through
+``ViewServer.open`` the client got the error and 7 was in the view after
+reopening); an ``Update`` naming the key field left two tuples under one
+key, or failed inside the AD file.  Both are now refused by one check
+beside the views' ``check_transaction``: nothing is journaled, no page,
+meter or view moves.
+"""
+
+from collections import Counter
+
+import pytest
+
+from repro.cluster.worker import apply_documents
+from repro.core.strategies import Strategy
+from repro.durability.codec import CodecError
+from repro.durability.manager import DurabilityManager
+from repro.engine.database import KINDS, Database, UnsupportedTransactionError
+from repro.engine.transaction import Delete, Insert, Transaction, Update
+from repro.service.server import ViewServer
+from repro.storage.tuples import Schema, SchemaError
+from repro.views.definition import SelectProjectView
+from repro.views.predicate import IntervalPredicate
+
+R = Schema("r", ("id", "a", "v"), "id", tuple_bytes=100)
+VIEW = SelectProjectView("v", "r", IntervalPredicate("a", 0, 9), ("id", "a"), "a")
+#: relation kind -> the strategy its view is maintained under
+CASES = {"plain": Strategy.IMMEDIATE, "hypothetical": Strategy.DEFERRED,
+         "separate": Strategy.DEFERRED}
+
+
+def build(kind, manager=None):
+    db = Database(buffer_pages=64)
+    if manager is not None:
+        manager.attach(db)
+    # A hashed relation must be hashed on its key (hashed_hypothetical).
+    on = "id" if kind.startswith("hashed") else "a"
+    db.create_relation(R, on, kind=kind, ad_buckets=4, hash_buckets=4,
+                       records=[R.new_record(id=i, a=i % 10, v=i) for i in range(30)])
+    if kind in CASES:
+        db.define_view(VIEW, CASES[kind])
+    db.reset_meter()
+    return db
+
+
+def frozen(db):
+    """Everything a refused transaction must leave as it was."""
+    return (
+        sorted(map(repr, db.logical_records("r"))),
+        dict(db.storage_disk._checksums),
+        db.meter.snapshot(),
+        db.transactions_applied,
+    )
+
+
+def assert_refused(db, ops, error, match):
+    before = frozen(db)
+    with pytest.raises(error, match=match):
+        db.apply_transaction(Transaction.of("r", ops))
+    assert frozen(db) == before
+    if "v" in db.views:
+        assert Counter(db.query_view("v")) == Counter(VIEW.evaluate(db.logical_records("r")))
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+class TestAllOrNothing:
+    def test_a_missing_key_refuses_the_whole_transaction(self, kind):
+        db = build(kind)
+        assert_refused(db, [Insert(R.new_record(id=77, a=3, v=0)), Delete(42)],
+                       KeyError, "no tuple with key 42")
+        assert db.logical_record("r", 77) is None
+
+    def test_a_live_key_refuses_an_insert(self, kind):
+        db = build(kind)
+        assert_refused(db, [Delete(5), Insert(R.new_record(id=6, a=3, v=0))],
+                       KeyError, "duplicate key 6")
+        assert_refused(db, [Update(4, {"v": 1}), Update(99, {"v": 1})],
+                       KeyError, "no tuple with key 99")
+
+    def test_the_transaction_sees_its_own_earlier_operations(self, kind):
+        db = build(kind)
+        db.apply_transaction(Transaction.of("r", [
+            Insert(R.new_record(id=77, a=3, v=0)), Update(77, {"v": 1}), Delete(77),
+            Delete(5), Insert(R.new_record(id=5, a=4, v=9)),
+        ]))
+        assert db.logical_record("r", 77) is None
+        assert db.logical_record("r", 5)["v"] == 9
+        assert_refused(db, [Delete(8), Update(8, {"v": 1})], KeyError, "key 8")
+        assert Counter(db.query_view("v")) == Counter(VIEW.evaluate(db.logical_records("r")))
+
+
+@pytest.mark.parametrize("kind", sorted(KINDS))
+def test_an_update_may_not_name_the_key_field(kind):
+    db = build(kind)
+    assert_refused(db, [Update(1, {"id": 2})], UnsupportedTransactionError,
+                   "Delete and an Insert")
+    assert_refused(db, [Update(1, {"v": 3, "id": 31})], UnsupportedTransactionError,
+                   "key field 'id'")
+    # Schema.updated itself still recomputes the key.
+    assert R.updated(db.logical_record("r", 1), id=31).key == 31
+    with pytest.raises(SchemaError):
+        R.updated(db.logical_record("r", 1), bogus=1)
+
+
+def _wal_bytes(state_dir):
+    return {path.name: path.read_bytes() for path in sorted((state_dir / "wal").iterdir())}
+
+
+@pytest.mark.parametrize("doc", [
+    # The WAL's insert spelling: a key that is not its key field's value
+    # and a missing field would be taken as they are.
+    {"kind": "insert", "record": {"key": 500, "values": {"id": 600}}},
+    {"op": "insert", "record": {"key": 500, "values": {"id": 600}}},
+    {"kind": "insert", "values": {"id": 600}},
+], ids=["record", "wal-spelling", "missing-fields"])
+def test_a_wire_insert_is_built_by_the_schema(tmp_path, doc):
+    """Wire documents come from outside: an insert is read only in the
+    wire spelling and built by the relation's schema, so a malformed one
+    is refused before anything is journaled."""
+    manager = DurabilityManager(tmp_path)
+    manager.save_config({"buffer_pages": 64})
+    build("plain", manager)
+    manager.close()
+    server = ViewServer.open(tmp_path)
+    try:
+        before, wal = frozen(server.database), _wal_bytes(tmp_path)
+        with pytest.raises((KeyError, SchemaError, CodecError)):
+            apply_documents(server, "r", [doc], "c")
+        assert frozen(server.database) == before
+        assert _wal_bytes(tmp_path) == wal
+    finally:
+        server.shutdown()
+    server = ViewServer.open(tmp_path)
+    server.shutdown()
+
+
+def test_a_refused_transaction_is_not_journaled_and_the_dir_reopens(tmp_path):
+    manager = DurabilityManager(tmp_path)
+    manager.save_config({"buffer_pages": 64})
+    db = build("hypothetical", manager)
+    journaled = manager.wal.records_appended
+    with pytest.raises(KeyError):
+        db.apply_transaction(Transaction.of("r", [
+            Insert(R.new_record(id=77, a=3, v=0)), Delete(42)]))
+    assert manager.wal.records_appended == journaled
+    manager.close()
+
+    server = ViewServer.open(tmp_path)
+    try:
+        with pytest.raises(KeyError):
+            server.apply_update(Transaction.of("r", [
+                Insert(R.new_record(id=78, a=3, v=0)), Delete(42)]))
+        assert all(vt["id"] not in (77, 78) for vt in server.query("v"))
+    finally:
+        server.shutdown()
+    server = ViewServer.open(tmp_path)
+    try:
+        assert all(vt["id"] not in (77, 78) for vt in server.query("v"))
+        assert server.database.logical_record("r", 78) is None
+    finally:
+        server.shutdown()

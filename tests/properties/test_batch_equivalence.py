@@ -24,7 +24,7 @@ from repro.maintenance.reference import (
 from repro.maintenance.screening import TwoStageScreen
 from repro.storage.columnar import ColumnBatch, SelectionVector
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
-from repro.storage.tuples import Record
+from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, SelectProjectView, ViewTuple
 from repro.views.delta import (
     ChangeSet,
@@ -149,7 +149,7 @@ class TestNetChanges:
     @given(entries=ad_entry_streams())
     @settings(max_examples=120, deadline=None)
     def test_columnar_net_equals_serial_toggling(self, entries):
-        columnar = _net_from_entries("r", entries)
+        columnar = _net_from_entries(Schema("r", ("k", "a"), "k"), entries)
         serial = net_from_entries_serial("r", entries)
         assert list(columnar.inserted) == list(serial.inserted)
         assert list(columnar.deleted) == list(serial.deleted)

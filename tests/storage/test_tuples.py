@@ -43,15 +43,6 @@ class TestSchema:
         record = schema.new_record(id=7, dept="eng", salary=100)
         assert record.key == 7
 
-    def test_project(self, schema):
-        record = schema.new_record(id=7, dept="eng", salary=100)
-        assert schema.project(record, ("dept",)) == {"dept": "eng"}
-
-    def test_project_unknown_field_raises(self, schema):
-        record = schema.new_record(id=7, dept="eng", salary=100)
-        with pytest.raises(SchemaError):
-            schema.project(record, ("bogus",))
-
     def test_updated_replaces_fields(self, schema):
         record = schema.new_record(id=7, dept="eng", salary=100)
         newer = schema.updated(record, salary=200)

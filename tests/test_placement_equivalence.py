@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from repro.cluster.harness import DOMAIN, demo_shard_map, demo_spec
+from repro.cluster.harness import DOMAIN, demo_shard_map, demo_spec, launch_demo
 from repro.cluster.router import ClusterRouter
 from repro.cluster.worker import encode_operation
+from repro.engine.database import UnsupportedTransactionError
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.gateway import (
     AsyncGatewayClient,
@@ -242,3 +243,33 @@ def test_gateway_over_one_server_answers_the_same(spec, stream, reference):
 def test_gateway_over_two_shards_answers_the_same(spec, stream, reference):
     with ClusterRouter.launch(spec, demo_shard_map(2)) as router:
         assert replay_over_the_wire(ClusterBackend(router), stream) == reference
+
+
+def test_the_router_refuses_a_live_key_on_either_shard():
+    """Reproduced at 760ec5f: an insert of a live key whose partition
+    value falls on the other shard was accepted — ``by_a`` held two
+    tuples with one key, ``total`` moved, the directory followed the new
+    copy and the old one could never be deleted.  In-process the same
+    insert raises ``KeyError``; the router now refuses it (and an update
+    naming the key field) before any leg is sent."""
+    spec = demo_spec(n_records=40, seed=17)
+    old = next(r for r in spec["relations"][0]["records"] if r["id"] == 0)
+    other = (old["a"] + DOMAIN // 2) % DOMAIN  # the other half of the domain
+    duplicate = Transaction.of("r", [Insert(SCHEMA.new_record(id=0, a=other, v=5))])
+    rekey = Transaction.of("r", [Update(1, {"id": 4000, "a": other})])
+    with launch_demo(2, n_records=40, seed=17) as router:
+        before = (router.query("by_a", 0, DOMAIN - 1), router.query("total"))
+        for txn, error in ((duplicate, KeyError), (rekey, UnsupportedTransactionError)):
+            with pytest.raises(error):
+                router.apply_update(txn)
+            assert (router.query("by_a", 0, DOMAIN - 1), router.query("total")) == before
+        router.apply_update(Transaction.of("r", [Delete(0)]))
+        assert [vt for vt in router.query("by_a", 0, DOMAIN - 1) if vt["id"] == 0] == []
+    server = build_server(spec)
+    try:
+        with pytest.raises(KeyError, match="duplicate key 0"):
+            server.apply_update(duplicate)
+        with pytest.raises(UnsupportedTransactionError):
+            server.apply_update(rekey)
+    finally:
+        server.shutdown()
