@@ -149,11 +149,12 @@ def select_promotion_candidate(members: list[Member]) -> Member | None:
 class ReplicaSet:
     """1 primary + N replicas behind one shard id.
 
-    Writes are serialized per shard under ``_lock`` so every committed
-    batch gets a unique, contiguous epoch; the epoch tag also makes a
-    retried write idempotent on a worker that already applied it.
-    Reads never take the write lock — they go primary-first and fall
-    back to the most-caught-up replica within the caller's deadline.
+    Writes and every other primary op are serialized per shard under
+    ``_lock``, so every committed batch gets a unique, contiguous epoch;
+    the epoch tag also makes a retried write idempotent on a worker that
+    already applied it.  Reads never take the write lock — they go
+    primary-first and fall back to the most-caught-up replica within the
+    caller's deadline.
     """
 
     def __init__(
@@ -186,7 +187,7 @@ class ReplicaSet:
         #: assigned an epoch, so an epoch number is never reused for
         #: different operations — the dedup on the worker side depends
         #: on that.
-        self._in_doubt: tuple[int, str, list[dict[str, Any]], int] | None = None
+        self._in_doubt: tuple[int, str, list[dict[str, Any]]] | None = None
         self._lock = threading.RLock()
         self._next_member_id = 0
         self._context = multiprocessing.get_context("fork")
@@ -316,6 +317,76 @@ class ReplicaSet:
         return health
 
     # ------------------------------------------------------------------
+    # reaching a member
+    # ------------------------------------------------------------------
+    def _repair(self, member: Member, attempts: int = 4) -> None:
+        """The one step to a member: a poisoned client to a live worker
+        is reconnected in place, in at most ``attempts`` tries.
+
+        Raises :class:`ShardUnavailable` when the worker is gone or
+        refuses the reconnect; what that means is the caller's rule —
+        the primary is failed over (:meth:`_usable_primary`), a read
+        tries the next member, the supervisor counts a failure.
+        """
+        if member.client.broken is None:
+            return
+        if not member.process.is_alive():
+            raise ShardUnavailable(
+                self.shard_id, f"worker m{member.member_id} exited"
+            )
+        member.client.reconnect(attempts=attempts)
+        self.repairs_total += 1
+        self._count("reconnect_repairs_total")
+
+    def _usable_primary(self) -> Member:
+        """The current primary, repaired in place if its client is
+        poisoned; a primary that is gone or cannot be repaired is marked
+        dead and the most-caught-up replica promoted."""
+        for _ in range(len(self.members) + 2):
+            primary = self.primary
+            if primary is not None and primary.is_live:
+                try:
+                    self._repair(primary, attempts=2)
+                    return primary
+                except ShardUnavailable:
+                    primary.health = "dead"
+            self.promote()
+        raise ShardUnavailable(self.shard_id, "no usable primary")
+
+    def primary_leg(
+        self, op: str, timeout: float | None = None, **params: Any
+    ) -> Leg:
+        """One op on the primary — a write, a refresh, fetch/stats/metrics.
+
+        The primary is reached through :meth:`_usable_primary`; a
+        connection lost under the call is repaired (or the primary
+        failed over) and the op sent again, which a write's epoch tag
+        makes idempotent.  :class:`RemoteOpError` and
+        :class:`ShardTimeout` are re-raised as they are: the worker ran
+        the op, or may have.
+
+        The write lock is held from the leg's first step to its end, so
+        a promotion after the frame went out re-enters a lock this leg
+        already holds instead of waiting, inside a gather that holds
+        other shards' connections, for a write that waits on them.
+        """
+        with self._lock:
+            last: ShardUnavailable | None = None
+            for _ in range(len(self.members) + 2):
+                primary = self._usable_primary()
+                try:
+                    return (yield from primary.client.exchange(
+                        op, timeout=timeout, **params
+                    ))
+                except ShardUnavailable as exc:
+                    last = exc
+            raise last if last is not None else ShardUnavailable(
+                self.shard_id, "no usable primary"
+            )
+
+    call_primary = blocking(primary_leg)
+
+    # ------------------------------------------------------------------
     # writes: primary fan-in, delta fan-out
     # ------------------------------------------------------------------
     def update_leg(
@@ -338,7 +409,8 @@ class ReplicaSet:
         out write is *ambiguous* (the primary may have committed it),
         and retrying elsewhere could double-apply.  The epoch tag makes
         a retry on the *same* primary idempotent, so only the
-        connection-level ``ShardUnavailable`` path retries.
+        connection-level ``ShardUnavailable`` path retries
+        (:meth:`primary_leg`).
 
         A leg, split at the primary's frame; the write lock is held
         from its first step to its end.
@@ -347,20 +419,26 @@ class ReplicaSet:
             self._resolve_in_doubt()
             epoch = self.write_epoch + 1
             try:
-                result = yield from self._write_primary(
-                    relation, ops, client, epoch, timeout
+                result = yield from self.primary_leg(
+                    "update", relation=relation, ops=ops,
+                    client=client, epoch=epoch, timeout=timeout,
                 )
             except ShardTimeout:
-                self._in_doubt = (epoch, relation, list(ops), len(ops))
+                self._in_doubt = (epoch, relation, list(ops))
                 raise
-            self.write_epoch = epoch
-            if self.config.replicas or len(self.members) > 1:
-                self.delta_log.append((epoch, relation, list(ops), len(ops)))
-                self.shipped_ops_total += len(ops)
-                self._ship(relation, ops, epoch)
+            self._commit(epoch, relation, list(ops))
             return result
 
     apply_update = blocking(update_leg)
+
+    def _commit(self, epoch: int, relation: str, ops: list[dict[str, Any]]) -> None:
+        """An acked batch: its epoch is the set's, and with replicas it
+        joins the delta log and is shipped."""
+        self.write_epoch = epoch
+        if self.config.replicas or len(self.members) > 1:
+            self.delta_log.append((epoch, relation, ops, len(ops)))
+            self.shipped_ops_total += len(ops)
+            self._ship(relation, ops, epoch)
 
     def _resolve_in_doubt(self) -> None:
         """Settle whether a timed-out batch committed before reusing its epoch.
@@ -375,71 +453,11 @@ class ReplicaSet:
         """
         if self._in_doubt is None:
             return
-        epoch, relation, ops, n_ops = self._in_doubt
-        primary = self._usable_primary()
-        pong = primary.client.call("ping", timeout=self.rpc_timeout)
+        epoch, relation, ops = self._in_doubt
+        pong = self.call_primary("ping", timeout=self.rpc_timeout)
         if int(pong.get("epoch", 0)) >= epoch:
-            self.write_epoch = epoch
-            if self.config.replicas or len(self.members) > 1:
-                self.delta_log.append((epoch, relation, ops, n_ops))
-                self.shipped_ops_total += n_ops
-                self._ship(relation, ops, epoch)
+            self._commit(epoch, relation, ops)
         self._in_doubt = None
-
-    def _write_primary(
-        self,
-        relation: str,
-        ops: list[dict[str, Any]],
-        client: str,
-        epoch: int,
-        timeout: float | None,
-    ) -> Leg:
-        last: Exception | None = None
-        for _ in range(len(self.members) + 2):
-            primary = self._usable_primary()
-            try:
-                return (yield from primary.client.exchange(
-                    "update", relation=relation, ops=ops,
-                    client=client, epoch=epoch, timeout=timeout,
-                ))
-            except (RemoteOpError, ShardTimeout):
-                raise
-            except ShardUnavailable as exc:
-                last = exc
-                if primary.process.is_alive():
-                    try:
-                        primary.client.reconnect(attempts=2)
-                        self.repairs_total += 1
-                        self._count("reconnect_repairs_total")
-                        continue  # retry the same primary; epoch dedups
-                    except ShardUnavailable:
-                        pass
-                primary.health = "dead"
-        raise last if last is not None else ShardUnavailable(
-            self.shard_id, "no usable primary"
-        )
-
-    def _usable_primary(self) -> Member:
-        """The current primary, promoting or repairing as needed."""
-        for _ in range(len(self.members) + 2):
-            primary = self.primary
-            if primary is None or not primary.is_live:
-                self.promote()
-                continue
-            if primary.client.broken is not None:
-                if primary.process.is_alive():
-                    try:
-                        primary.client.reconnect(attempts=2)
-                        self.repairs_total += 1
-                        self._count("reconnect_repairs_total")
-                    except ShardUnavailable:
-                        primary.health = "dead"
-                        continue
-                else:
-                    primary.health = "dead"
-                    continue
-            return primary
-        raise ShardUnavailable(self.shard_id, "no usable primary")
 
     def _ship(self, relation: str, ops: list[dict[str, Any]], epoch: int) -> None:
         # Shipments run on the ack path (under the write lock), so a
@@ -465,14 +483,25 @@ class ReplicaSet:
             except (RpcError, ReplicationError):
                 self.note_failure(member)
 
-    def _catch_up(self, member: Member, timeout: float | None = None) -> None:
-        """Replay retained deltas the member has not applied yet."""
+    def _missing(self, member: Member) -> list[Any] | None:
+        """The retained batches the member has not applied, oldest
+        first; ``None`` once the window has rolled past its position."""
+        # The supervisor reads this from its heartbeat thread while
+        # update_leg appends on a router thread; iterating the live
+        # deque dies with "deque mutated during iteration".
         entries = [e for e in list(self.delta_log) if e[0] > member.applied_epoch]
         if entries and entries[0][0] != member.applied_epoch + 1:
+            return None
+        return entries
+
+    def _catch_up(self, member: Member, timeout: float | None = None) -> None:
+        """Replay retained deltas the member has not applied yet."""
+        entries = self._missing(member)
+        if entries is None:
             raise ReplicationError(
                 f"shard {self.shard_id} member m{member.member_id} is behind "
-                f"the retained delta window (applied {member.applied_epoch}, "
-                f"oldest retained {entries[0][0]}): snapshot bootstrap required"
+                f"the retained delta window (applied {member.applied_epoch}): "
+                f"snapshot bootstrap required"
             )
         for epoch, relation, ops, _n_ops in entries:
             result = member.client.call(
@@ -490,11 +519,8 @@ class ReplicaSet:
         """
         if self.write_epoch <= member.applied_epoch:
             return 0
-        # The supervisor reads lag from its heartbeat thread while
-        # apply_update appends on a router thread; iterating the live
-        # deque dies with "deque mutated during iteration".
-        entries = [e for e in list(self.delta_log) if e[0] > member.applied_epoch]
-        if entries and entries[0][0] == member.applied_epoch + 1:
+        entries = self._missing(member)
+        if entries:
             return sum(e[3] for e in entries)
         return max(self.shipped_ops_total, self.write_epoch - member.applied_epoch)
 
@@ -535,8 +561,7 @@ class ReplicaSet:
         the snapshot epoch plus replayed deltas is a complete history.
         """
         with self._lock:
-            source = self._usable_primary()
-            snap = source.client.call("snapshot", timeout=self.rpc_timeout)
+            snap = self.call_primary("snapshot", timeout=self.rpc_timeout)
             member = self._spawn(
                 "replica",
                 records={
@@ -556,10 +581,7 @@ class ReplicaSet:
     def resync(self, member: Member) -> None:
         """Repair a poisoned connection and replay any missed deltas."""
         with self._lock:
-            if member.client.broken is not None:
-                member.client.reconnect()
-                self.repairs_total += 1
-                self._count("reconnect_repairs_total")
+            self._repair(member)
             pong = member.client.call(
                 "ping", timeout=self.config.heartbeat_timeout_s
             )
@@ -574,7 +596,9 @@ class ReplicaSet:
     # reads
     # ------------------------------------------------------------------
     def query_leg(self, timeout: float | None = None, **params: Any) -> Leg:
-        """Primary-first read with replica retry inside the deadline.
+        """Primary-first read with replica retry inside the deadline; a
+        poisoned client is repaired in place first (one attempt), and
+        nothing is promoted — reads never take the write lock.
 
         Returns ``(answer_doc, leg_info)`` where ``leg_info`` records
         who served the read (``served_by``/``member``), whether a
@@ -604,8 +628,6 @@ class ReplicaSet:
             raise errors[-1]
         raise ShardUnavailable(self.shard_id, "no live member to serve the query")
 
-    query = blocking(query_leg)
-
     def _query_once(
         self,
         deadline: float,
@@ -615,30 +637,24 @@ class ReplicaSet:
         errors: list[Exception],
     ) -> Leg:
         primary = self.primary
-        if primary is not None and primary.health != "dead" and primary.process.is_alive():
-            if primary.client.broken is not None:
-                try:
-                    primary.client.reconnect(attempts=1)
-                    self.repairs_total += 1
-                    self._count("reconnect_repairs_total")
-                except ShardUnavailable as exc:
-                    errors.append(exc)
-            if primary.client.broken is None:
-                try:
-                    doc = yield from primary.client.exchange(
-                        "query", timeout=timeout, **params
-                    )
-                    primary.note_ok()
-                    return doc, {
-                        "served_by": "primary",
-                        "member": primary.member_id,
-                        "retried": False,
-                        "lag": 0,
-                    }
-                except RemoteOpError:
-                    raise
-                except RpcError as exc:
-                    errors.append(exc)
+        if primary is not None and primary.is_live:
+            try:
+                self._repair(primary, attempts=1)
+                doc = yield from primary.client.exchange(
+                    "query", timeout=timeout, **params
+                )
+            except RemoteOpError:
+                raise
+            except RpcError as exc:
+                errors.append(exc)
+            else:
+                primary.note_ok()
+                return doc, {
+                    "served_by": "primary",
+                    "member": primary.member_id,
+                    "retried": False,
+                    "lag": 0,
+                }
         replicas = sorted(
             self.live_replicas(),
             key=lambda m: (-m.applied_epoch, m.member_id),
@@ -647,15 +663,8 @@ class ReplicaSet:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            if member.client.broken is not None:
-                try:
-                    member.client.reconnect(attempts=1)
-                    self.repairs_total += 1
-                    self._count("reconnect_repairs_total")
-                except ShardUnavailable as exc:
-                    errors.append(exc)
-                    continue
             try:
+                self._repair(member, attempts=1)
                 doc = member.client.call(
                     "query", timeout=min(remaining, budget), **params
                 )
@@ -675,44 +684,24 @@ class ReplicaSet:
         return None
 
     # ------------------------------------------------------------------
-    # other primary ops and refresh
+    # refresh
     # ------------------------------------------------------------------
-    def primary_leg(
-        self, op: str, timeout: float | None = None, **params: Any
-    ) -> Leg:
-        """One non-replicated op (fetch/stats/metrics/…) on the primary."""
-        primary = self._usable_primary()
-        return (yield from primary.client.exchange(op, timeout=timeout, **params))
-
-    call_primary = blocking(primary_leg)
-
     def refresh_leg(self, timeout: float | None = None) -> Leg:
-        """Refresh every live member's views; failover on a dead primary.
+        """Refresh every live member's views, the primary first (through
+        :meth:`primary_leg`: repaired or failed over like any primary op).
 
         Replica refresh failures only mark the member lagging: the
         primary's answer is the epoch's result, and a replica that
         missed a refresh recomputes on its next query anyway.  A leg,
         split at the primary's frame.
         """
-        primary = self._usable_primary()
-        try:
-            result = yield from primary.client.exchange("refresh", timeout=timeout)
-        except (RemoteOpError, ShardTimeout):
-            raise
-        except ShardUnavailable:
-            if primary.process.is_alive():
-                raise
-            primary.health = "dead"
-            self.promote()
-            result = self._usable_primary().client.call("refresh", timeout=timeout)
+        result = yield from self.primary_leg("refresh", timeout=timeout)
         for member in self.live_replicas():
             try:
                 member.client.call("refresh", timeout=timeout)
             except RpcError:
                 self.note_failure(member)
         return result
-
-    refresh = blocking(refresh_leg)
 
     # ------------------------------------------------------------------
     # shutdown

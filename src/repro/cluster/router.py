@@ -24,9 +24,10 @@ the same traffic surface as a single :class:`ViewServer` — ``query``,
   worst rung wins, bounds add across failed legs) instead of hiding
   them;
 * **cluster refresh epochs** — concurrent ``refresh_epoch`` callers
-  coalesce onto one in-flight cluster-wide scatter, mirroring the
-  per-shard SharedDeltaPlanner: each shard still computes its
-  partition's net change exactly once per epoch, now cluster-wide;
+  coalesce onto one in-flight cluster-wide scatter through the same
+  :class:`~repro.concurrency.Coalescer` as the per-shard
+  SharedDeltaPlanner: each shard still computes its partition's net
+  change exactly once per epoch, now cluster-wide;
 * **merged-result caching** — an optional
   :class:`~repro.service.cache.QueryResultCache` holds merged
   cross-shard answers under relation epoch tokens bumped *after*
@@ -39,8 +40,9 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Iterable, Iterator, Mapping
 
+from repro.concurrency import Coalescer
 from repro.durability.codec import decode_value
 from repro.engine.database import UnsupportedTransactionError
 from repro.resilience.degradation import DegradedResult
@@ -53,6 +55,9 @@ from .shardmap import ShardMap
 from .worker import answer_rows, decode_answer, encode_operation
 
 __all__ = ["ClusterRouter", "ClusterError", "ClusterClosedError"]
+
+#: What ends one shard's leg of a scatter without ending the others.
+_LEG_FAILURES = (RpcError, ReplicationError)
 
 #: Aggregate merge functions the scatter layer knows how to fold.  A
 #: shard whose partition selects nothing answers ``None`` for min/max.
@@ -151,12 +156,10 @@ class ClusterRouter:
         #: relation -> primary-key field: where an insert document
         #: carries the key its directory entry is filed under.
         self._key_fields = dict(key_fields or {})
-        #: Cluster refresh-epoch coalescing (the planner's leader /
-        #: follower pattern lifted one level up).
-        self._epoch_lock = threading.Lock()
-        self._epoch_inflight: threading.Event | None = None
+        #: Cluster refresh epochs: completed ones, and the leader /
+        #: follower coalescing the per-shard planner uses too.
         self.epochs = 0
-        self.coalesced_waits = 0
+        self._epoch_runs = Coalescer()
         #: In-flight request accounting for drain-before-close.
         self._flight_lock = threading.Lock()
         self._flight_cond = threading.Condition(self._flight_lock)
@@ -191,6 +194,11 @@ class ClusterRouter:
         return [
             member.process for rs in self.shards for member in rs.members
         ]
+
+    @property
+    def coalesced_waits(self) -> int:
+        """Refresh calls that waited on another caller's epoch."""
+        return self._epoch_runs.waits
 
     def pop_retried(self) -> bool:
         """Consume this thread's replica-retry flag (set by query())."""
@@ -291,37 +299,6 @@ class ClusterRouter:
                 self._inflight -= 1
                 if self._inflight == 0:
                     self._flight_cond.notify_all()
-
-    # ------------------------------------------------------------------
-    # scatter plumbing
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _fan_out(
-        shards: Iterable[int], leg: Callable[[int], Leg]
-    ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        """Run ``leg(shard)`` for many shards at once, on this thread.
-
-        Every leg's frame is written in ascending shard order, then the
-        replies are gathered as they arrive, each leg under its own
-        deadline and with its own retries (:func:`~repro.cluster.rpc
-        .gather`).  Returns ``(results, failures)`` keyed by shard id:
-        a leg's result, or the RPC/replication error it raised.
-        """
-        return gather(
-            {shard: leg(shard) for shard in shards}, (RpcError, ReplicationError)
-        )
-
-    def _scatter(
-        self, shards: Iterable[int], op: str, **params: Any
-    ) -> tuple[dict[int, Any], dict[int, Exception]]:
-        """Issue one admin op to many shards' clients at once."""
-        clients = self.clients
-        return self._fan_out(
-            shards,
-            lambda shard: clients[shard].exchange(
-                op, timeout=self.rpc_timeout, **params
-            ),
-        )
 
     # ------------------------------------------------------------------
     # queries
@@ -425,7 +402,9 @@ class ClusterRouter:
                     }
             return doc
 
-        results, failures = self._fan_out(shards, leg)
+        results, failures = gather(
+            {shard: leg(shard) for shard in shards}, _LEG_FAILURES
+        )
         return results, failures, bool(retried_legs)
 
     def _cache_token(self, meta: _ViewMeta) -> Any:
@@ -562,63 +541,26 @@ class ClusterRouter:
         every shard RPC the transaction fans out into.  ``None`` falls
         back to each shard client's construction-time default.
         """
-        field = self.shard_map.partition_field
         with self._in_flight():
-            docs = list(ops)
-            self._check_keys(relation, docs)
+            routed = self._route(relation, ops)
             pending: dict[int, list[dict[str, Any]]] = {}
-            # Directory mutations are *staged*, not applied: the
-            # overlay answers ownership questions for later operations
-            # in this transaction, and ``staged`` commits to the real
-            # directory per shard only once that shard has acknowledged
-            # its batch (in _flush).  A failed flush therefore cannot
-            # leave phantom entries that misroute later updates.
+            # Directory mutations are *staged*, not applied: ``staged``
+            # commits to the real directory per shard only once that
+            # shard has acknowledged its batch (in _flush).  A failed
+            # flush therefore cannot leave phantom entries that misroute
+            # later updates.
             staged: dict[int, list[tuple[Any, int | None]]] = {}
-            overlay: dict[tuple[str, Any], int | None] = {}
-            # Documents are forwarded as they came; the directory and
-            # the shard map see keys and partition values decoded (a
-            # tuple-valued key travels tagged, see codec.encode_operation).
-            for doc in docs:
-                kind = doc.get("kind")
-                if kind == "insert":
-                    key_field = self._key_fields.get(relation)
-                    if key_field is None:
-                        raise ClusterError(
-                            f"relation {relation!r} is not served by this cluster"
-                        )
-                    shard = self.shard_map.shard_of(
-                        decode_value(doc["values"][field])
-                    )
-                    key = decode_value(doc["values"][key_field])
-                    overlay[(relation, key)] = shard
-                    staged.setdefault(shard, []).append((key, shard))
-                    pending.setdefault(shard, []).append(doc)
-                elif kind == "delete":
-                    key = decode_value(doc["key"])
-                    shard = self._owner(relation, key, overlay)
-                    overlay[(relation, key)] = None
-                    staged.setdefault(shard, []).append((key, None))
-                    pending.setdefault(shard, []).append(doc)
-                elif kind != "update":
-                    raise ClusterError(f"unknown operation kind {kind!r}")
-                else:
-                    key = decode_value(doc["key"])
-                    shard = self._owner(relation, key, overlay)
-                    changes = doc["changes"]
-                    if field in changes:
-                        target = self.shard_map.shard_of(
-                            decode_value(changes[field])
-                        )
-                        if target != shard:
-                            self._flush(relation, pending, staged, client,
-                                        only={shard, target},
-                                        timeout=timeout)
-                            self._move(relation, doc["key"], changes,
-                                       shard, target, client,
-                                       timeout=timeout)
-                            overlay[(relation, key)] = target
-                            continue
-                    pending.setdefault(shard, []).append(doc)
+            for doc, key, shard, target in routed:
+                if target is not None:
+                    self._flush(relation, pending, staged, client,
+                                only={shard, target}, timeout=timeout)
+                    self._move(relation, doc["key"], doc["changes"],
+                               shard, target, client, timeout=timeout)
+                    continue
+                pending.setdefault(shard, []).append(doc)
+                if doc["kind"] != "update":
+                    owner = shard if doc["kind"] == "insert" else None
+                    staged.setdefault(shard, []).append((key, owner))
             self._flush(relation, pending, staged, client, timeout=timeout)
             if self.cache is not None:
                 # Bump *after* every shard committed: a reader that
@@ -629,38 +571,75 @@ class ClusterRouter:
                 self.cache.bump(relation)
             self.metrics.counter("router_updates_total", client=client).inc()
 
-    def _check_keys(self, relation: str, docs: list[dict[str, Any]]) -> None:
-        """Refuse, before any leg is sent, what each shard would take and
-        the cluster must not: an insert of a live key (in the directory,
-        or as the transaction leaves it) files one key on two shards, and
-        an update naming the key field leaves the directory on the old key."""
+    def _route(
+        self, relation: str, docs: Iterable[dict[str, Any]]
+    ) -> list[tuple[dict[str, Any], Any, int, int | None]]:
+        """Each operation with its key, its owning shard and, for a move
+        across the partition boundary, the target shard.
+
+        Every owner is resolved before any leg is sent, against the
+        directory plus an overlay of what this transaction did to it so
+        far, so a transaction that would fail part-way is refused whole:
+        an unknown key or operation kind, an insert of a live key (one
+        key filed on two shards), an update naming the key field (the
+        directory would stay on the old key).  The directory and the
+        shard map see keys and partition values decoded (a tuple-valued
+        key travels tagged, see codec.encode_operation); the documents
+        are forwarded as they came.
+        """
+        field = self.shard_map.partition_field
         key_field = self._key_fields.get(relation)
-        live: dict[Any, bool] = {}
+        overlay: dict[Any, int | None] = {}
+        routed = []
         for doc in docs:
             kind = doc.get("kind")
-            if kind == "update" and key_field in doc["changes"]:
-                raise UnsupportedTransactionError(
-                    f"update of {relation!r} key {decode_value(doc['key'])!r} changes "
-                    f"the key field {key_field!r}; re-key with a Delete and an Insert"
-                )
-            if kind == "delete":
-                live[decode_value(doc["key"])] = False
-            elif kind == "insert" and key_field is not None:
+            target = None
+            if kind == "insert":
+                if key_field is None:
+                    raise ClusterError(
+                        f"relation {relation!r} is not served by this cluster"
+                    )
                 key = decode_value(doc["values"][key_field])
                 with self._directory_lock:
-                    if live.get(key, (relation, key) in self._directory):
-                        raise KeyError(f"duplicate key {key!r} in {relation!r}")
-                live[key] = True
+                    live = (
+                        overlay[key] is not None if key in overlay
+                        else (relation, key) in self._directory
+                    )
+                if live:
+                    raise KeyError(f"duplicate key {key!r} in {relation!r}")
+                shard = self.shard_map.shard_of(decode_value(doc["values"][field]))
+                overlay[key] = shard
+            elif kind == "delete":
+                key = decode_value(doc["key"])
+                shard = self._owner(relation, key, overlay)
+                overlay[key] = None
+            elif kind == "update":
+                key = decode_value(doc["key"])
+                changes = doc["changes"]
+                if key_field in changes:
+                    raise UnsupportedTransactionError(
+                        f"update of {relation!r} key {key!r} changes the key "
+                        f"field {key_field!r}; re-key with a Delete and an Insert"
+                    )
+                shard = self._owner(relation, key, overlay)
+                if field in changes:
+                    moved = self.shard_map.shard_of(decode_value(changes[field]))
+                    if moved != shard:
+                        target = overlay[key] = moved
+            else:
+                raise ClusterError(f"unknown operation kind {kind!r}")
+            routed.append((doc, key, shard, target))
+        return routed
 
     def _owner(
         self,
         relation: str,
         key: Any,
-        overlay: Mapping[tuple[str, Any], int | None] | None = None,
+        overlay: Mapping[Any, int | None] | None = None,
     ) -> int:
         shard: int | None
-        if overlay is not None and (relation, key) in overlay:
-            shard = overlay[(relation, key)]
+        if overlay is not None and key in overlay:
+            shard = overlay[key]
         else:
             with self._directory_lock:
                 shard = self._directory.get((relation, key))
@@ -689,11 +668,14 @@ class ClusterRouter:
         # Through the replica sets: each batch gets its epoch, lands on
         # the (possibly just-promoted) primary, and is shipped to
         # replicas before the ack comes back.
-        results, failures = self._fan_out(
-            shards,
-            lambda shard: self.shards[shard].update_leg(
-                relation, pending[shard], client=client, timeout=timeout,
-            ),
+        results, failures = gather(
+            {
+                shard: self.shards[shard].update_leg(
+                    relation, pending[shard], client=client, timeout=timeout,
+                )
+                for shard in shards
+            },
+            _LEG_FAILURES,
         )
         for shard in shards:
             if shard in results:
@@ -777,9 +759,10 @@ class ClusterRouter:
 
         The leader scatters ``refresh`` to every shard's replica set
         (each shard's SharedDeltaPlanner folds its partition's net
-        change exactly once; a dead primary is failed over first);
-        concurrent callers wait on the in-flight epoch instead of
-        stacking duplicate scatters, then return ``False``.
+        change exactly once; a poisoned primary is repaired and a dead
+        one failed over first); concurrent callers wait on the
+        in-flight epoch instead of stacking duplicate scatters, then
+        return ``False``.
 
         Two failure rules keep the epoch honest under crashes:
 
@@ -787,54 +770,38 @@ class ClusterRouter:
           epoch — the survivors converge and the lost legs are counted
           in ``refresh_leg_failures_total``; only a scatter with *no*
           surviving leg raises;
-        * a follower that wakes to find the epoch count unchanged knows
-          its leader died mid-epoch and loops back to take over the
-          leadership instead of reporting an epoch that never happened.
+        * a follower returns only once the epoch count has advanced
+          since its call began: one that wakes to find it unchanged
+          knows its leader died mid-epoch and takes over the leadership
+          instead of reporting an epoch that never happened.
         """
         with self._in_flight():
-            while True:
-                with self._epoch_lock:
-                    epochs_seen = self.epochs
-                    event = self._epoch_inflight
-                    if event is None:
-                        event = threading.Event()
-                        self._epoch_inflight = event
-                        leading = True
-                    else:
-                        leading = False
-                if leading:
-                    try:
-                        results, failures = self._fan_out(
-                            self.shard_map.all_shards(),
-                            lambda shard: self.shards[shard].refresh_leg(
-                                timeout=timeout
-                            ),
-                        )
-                        if not results:
-                            shard, exc = next(iter(failures.items()))
-                            raise exc
-                        for shard in failures:
-                            self.metrics.counter(
-                                "refresh_leg_failures_total", shard=str(shard)
-                            ).inc()
-                        with self._epoch_lock:
-                            self.epochs += 1
-                        self.metrics.counter("cluster_refresh_epochs_total").inc()
-                    finally:
-                        with self._epoch_lock:
-                            self._epoch_inflight = None
-                        event.set()
-                    return True
-                with self._epoch_lock:
-                    self.coalesced_waits += 1
+            seen = self.epochs
+
+            def covered() -> bool:
                 self.metrics.counter("cluster_refresh_coalesced_total").inc()
-                event.wait()
-                with self._epoch_lock:
-                    advanced = self.epochs > epochs_seen
-                if advanced:
-                    return False
-                # The leader failed without completing the epoch; take
-                # over rather than pretending a refresh happened.
+                return self.epochs > seen
+
+            return self._epoch_runs.run(
+                None, lambda: self._lead_epoch(timeout), covered
+            )
+
+    def _lead_epoch(self, timeout: float | None) -> None:
+        results, failures = gather(
+            {
+                shard: replica_set.refresh_leg(timeout=timeout)
+                for shard, replica_set in enumerate(self.shards)
+            },
+            _LEG_FAILURES,
+        )
+        if not results:
+            raise next(iter(failures.values()))
+        for shard in failures:
+            self.metrics.counter(
+                "refresh_leg_failures_total", shard=str(shard)
+            ).inc()
+        self.epochs += 1
+        self.metrics.counter("cluster_refresh_epochs_total").inc()
 
     # ------------------------------------------------------------------
     # observability
@@ -842,15 +809,35 @@ class ClusterRouter:
     def stats(self) -> dict[str, Any]:
         """Cluster + per-shard planner counters (epoch accounting)."""
         with self._in_flight():
-            results, failures = self._scatter(self.shard_map.all_shards(), "stats")
+            results, failures = gather(
+                {
+                    shard: replica_set.primary_leg("stats", timeout=self.rpc_timeout)
+                    for shard, replica_set in enumerate(self.shards)
+                },
+                _LEG_FAILURES,
+            )
             return {
                 "epochs": self.epochs,
                 "coalesced_waits": self.coalesced_waits,
                 "shards": {
                     shard: results.get(shard, {"error": str(failures.get(shard))})
-                    for shard in self.shard_map.all_shards()
+                    for shard in range(len(self.shards))
                 },
             }
+
+    def shard_metrics(self) -> dict[int, dict[str, Any]]:
+        """The raw per-shard exports, keyed by shard id."""
+        with self._in_flight():
+            results, failures = gather(
+                {
+                    shard: replica_set.primary_leg("metrics", timeout=self.rpc_timeout)
+                    for shard, replica_set in enumerate(self.shards)
+                },
+                _LEG_FAILURES,
+            )
+            if failures:
+                raise next(iter(failures.values()))
+            return dict(sorted(results.items()))
 
     def cluster_metrics(self) -> dict[str, Any]:
         """One v1 export: every shard registry merged, plus the router's.
@@ -859,23 +846,8 @@ class ClusterRouter:
         bucket-by-bucket — see :func:`repro.cluster.metrics
         .aggregate_metrics`.
         """
-        with self._in_flight():
-            results, failures = self._scatter(self.shard_map.all_shards(), "metrics")
-            if failures:
-                shard, exc = next(iter(failures.items()))
-                raise exc
-            exports = [results[shard] for shard in sorted(results)]
-            exports.append(self.metrics.to_dict())
-            return aggregate_metrics(exports)
-
-    def shard_metrics(self) -> dict[int, dict[str, Any]]:
-        """The raw per-shard exports, keyed by shard id."""
-        with self._in_flight():
-            results, failures = self._scatter(self.shard_map.all_shards(), "metrics")
-            if failures:
-                shard, exc = next(iter(failures.items()))
-                raise exc
-            return dict(sorted(results.items()))
+        exports = list(self.shard_metrics().values())
+        return aggregate_metrics(exports + [self.metrics.to_dict()])
 
     # ------------------------------------------------------------------
     # shutdown

@@ -10,9 +10,9 @@ member of every shard's replica set:
   mark it dead — one slow call never removes a worker from service.
 * **promotion** — a shard whose primary is dead gets the most-caught-up
   live replica promoted (after delta-log catch-up, so no acked write
-  is lost).  The write and refresh paths also promote inline on first
-  contact with a dead primary; the supervisor is the backstop that
-  catches shards with no traffic.
+  is lost).  Every primary op (write, refresh, fetch/stats/metrics)
+  also promotes inline on first contact with a dead primary; the
+  supervisor is the backstop that catches shards with no traffic.
 * **repair** — a poisoned :class:`~repro.cluster.rpc.ShardClient`
   whose worker process is still alive is reconnected (the worker's
   accept loop takes a fresh connection) and, for replicas, resynced by
@@ -22,6 +22,11 @@ member of every shard's replica set:
   plus replayed deltas.  Replaced and dead members stay in the set's
   member list, so the router's close() reaps every process the
   supervisor ever created.
+
+What it does is counted in the router's metrics registry
+(``heartbeats_total``, ``member_failures_total``,
+``supervisor_errors_total``; promotions, respawns and repairs by the
+replica set).
 """
 
 from __future__ import annotations
@@ -46,12 +51,6 @@ class ClusterSupervisor:
             (rs.config.heartbeat_interval_s for rs in router.shards),
             default=0.15,
         )
-        self.heartbeats_total = 0
-        self.failures_total = 0
-        self.promotions_total = 0
-        self.respawns_total = 0
-        self.repairs_total = 0
-        self.errors_total = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
 
@@ -96,7 +95,6 @@ class ClusterSupervisor:
                     # Supervision must survive anything one shard's
                     # check throws; the error is counted, the next
                     # sweep retries.
-                    self.errors_total += 1
                     self._count("supervisor_errors_total")
 
     def _count(self, name: str, **labels: str) -> None:
@@ -111,7 +109,6 @@ class ClusterSupervisor:
                 continue
             if not member.process.is_alive():
                 member.health = "dead"
-                self.failures_total += 1
                 self._count(
                     "member_failures_total",
                     shard=str(rs.shard_id), member=str(member.member_id),
@@ -120,9 +117,7 @@ class ClusterSupervisor:
             if member.client.broken is not None:
                 try:
                     rs.resync(member)
-                    self.repairs_total += 1
                 except (RpcError, ReplicationError):
-                    self.failures_total += 1
                     rs.note_failure(member)
                 continue
             try:
@@ -130,28 +125,19 @@ class ClusterSupervisor:
                     "ping", timeout=cfg.heartbeat_timeout_s
                 )
             except RpcError:
-                self.heartbeats_total += 1
-                self.failures_total += 1
                 rs.note_failure(member)
                 continue
-            self.heartbeats_total += 1
             self._count("heartbeats_total", shard=str(rs.shard_id))
             member.applied_epoch = max(
                 member.applied_epoch, int(pong.get("epoch", 0))
             )
             member.note_ok()
+        # A promotion or respawn that fails is counted by _run, like
+        # any other error of a sweep; the next sweep retries.
         primary = rs.primary
         if (primary is None or not primary.is_live) and rs.live_replicas():
-            try:
-                rs.promote()
-                self.promotions_total += 1
-            except (RpcError, ReplicationError):
-                self.errors_total += 1
+            rs.promote()
         if cfg.respawn and cfg.replicas:
             target = 1 + cfg.replicas
             if len(rs.live_members()) < target and rs.live_members():
-                try:
-                    rs.respawn_replica()
-                    self.respawns_total += 1
-                except (RpcError, ReplicationError):
-                    self.errors_total += 1
+                rs.respawn_replica()

@@ -18,8 +18,15 @@ server builds its striped reader-writer scheme on:
 * :class:`EngineMutex` — the one mutex around the shared buffer pool
   and cost meter; each section's meter delta is priced into the
   running request's :class:`CostBox` and paced outside the mutex.
+* :class:`Coalescer` — leader/follower coalescing of one run per key:
+  the shared-delta planner's refresh and the cluster's refresh epoch.
 """
 
-from .locks import CostBox, EngineMutex, LockTimeout, LockManager, Pacer, RWLock
+from .locks import (
+    Coalescer, CostBox, EngineMutex, LockManager, LockTimeout, Pacer, RWLock,
+)
 
-__all__ = ["CostBox", "EngineMutex", "LockTimeout", "LockManager", "Pacer", "RWLock"]
+__all__ = [
+    "Coalescer", "CostBox", "EngineMutex", "LockTimeout", "LockManager",
+    "Pacer", "RWLock",
+]

@@ -34,6 +34,7 @@ __all__ = [
     "Pacer",
     "CostBox",
     "EngineMutex",
+    "Coalescer",
     "set_lock_observer",
     "get_lock_observer",
 ]
@@ -330,3 +331,43 @@ class EngineMutex:
         """``work(*args)`` inside one section."""
         with self.section(box):
             return work(*args)
+
+
+class Coalescer:
+    """Leader/follower coalescing: one in-flight run per key.
+
+    The first caller for a key leads and runs the work; callers arriving
+    while it runs wait on it instead of stacking duplicates behind it.
+    A woken follower asks its own ``covered`` rule whether the run it
+    waited on served it too; if not — the leader failed, its exception
+    going to its own caller only — the follower loops and may lead.
+    """
+
+    def __init__(self) -> None:
+        self._mutex = threading.Lock()
+        self._inflight: dict[Any, threading.Event] = {}
+        #: Waits on another caller's in-flight run (each wait counts).
+        self.waits = 0
+
+    def run(
+        self, key: Any, lead: Callable[[], Any], covered: Callable[[], bool]
+    ) -> bool:
+        """Lead ``lead()`` for ``key`` and return True, or wait on the
+        run in flight until ``covered()`` holds after a wait: False."""
+        while True:
+            with self._mutex:
+                running = self._inflight.get(key)
+                if running is None:
+                    event = self._inflight[key] = threading.Event()
+                    break
+                self.waits += 1
+            running.wait()
+            if covered():
+                return False
+        try:
+            lead()
+        finally:
+            with self._mutex:
+                del self._inflight[key]
+            event.set()
+        return True

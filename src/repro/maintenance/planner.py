@@ -28,8 +28,9 @@ maintenance layer knowing any of those exist.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable
+
+from repro.concurrency import Coalescer
 
 __all__ = ["SharedDeltaPlanner"]
 
@@ -45,14 +46,16 @@ class SharedDeltaPlanner:
 
     def __init__(self, database: Any) -> None:
         self.database = database
-        self._mutex = threading.Lock()
-        #: relation name -> completion event of the in-flight refresh.
-        self._inflight: dict[str, threading.Event] = {}
+        #: One in-flight refresh per relation name.
+        self._runs = Coalescer()
         #: Refresh epochs actually executed (leader runs).
         self.epochs = 0
-        #: Requests that waited on another request's in-flight refresh
-        #: instead of starting their own.
-        self.coalesced_waits = 0
+
+    @property
+    def coalesced_waits(self) -> int:
+        """Requests that waited on another request's in-flight refresh
+        instead of starting their own."""
+        return self._runs.waits
 
     # ------------------------------------------------------------------
     # planning surface
@@ -86,30 +89,13 @@ class SharedDeltaPlanner:
         new leader rather than serving stale silently.
         """
         runner = run or _run_inline
-        while True:
-            with self._mutex:
-                event = self._inflight.get(relation_name)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[relation_name] = event
-                    leading = True
-                else:
-                    leading = False
-            if leading:
-                try:
-                    runner(lambda: self._refresh_now(relation_name))
-                finally:
-                    with self._mutex:
-                        del self._inflight[relation_name]
-                    event.set()
-                return True
-            with self._mutex:
-                self.coalesced_waits += 1
-            event.wait()
-            # The leader finished (or failed).  Fresh now?  Then its
-            # epoch covered this request too; otherwise loop and lead.
-            if self.pending(relation_name) == 0:
-                return False
+        # A follower's rule: fresh once the leader finished (or failed)?
+        # Then its epoch covered this request too; otherwise it leads.
+        return self._runs.run(
+            relation_name,
+            lambda: runner(lambda: self._refresh_now(relation_name)),
+            lambda: self.pending(relation_name) == 0,
+        )
 
     def refresh_all_stale(self, run: Runner | None = None) -> tuple[str, ...]:
         """One refresh epoch over every relation with a backlog."""

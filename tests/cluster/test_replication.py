@@ -2,6 +2,7 @@
 
 import os
 import socket
+import threading
 import time
 
 import pytest
@@ -268,6 +269,118 @@ class TestFailover:
             assert rs.repairs_total == 1
             key = keys_on_shard(router, 0)[0]
             write(router, key, 7000)  # the write path reuses the repair
+        finally:
+            router.close()
+
+
+class TestOnePathToAMember:
+    """Every router-to-shard path reaches its primary through the replica
+    set's one step: a poisoned client to a live worker is repaired in
+    place, a primary that cannot be reached is failed over.  Reproduced
+    at 4c892e9: after the socket below was shut down, the refresh epoch
+    counted shard 0 as a lost leg without refreshing it, and the admin
+    scatters (``cluster_metrics``, ``stats``) reported it unavailable
+    until some query or write happened to repair the client."""
+
+    @pytest.fixture()
+    def poisoned(self):
+        router = launch_demo(2, n_records=N_RECORDS)
+        try:
+            write(router, keys_on_shard(router, 0)[0], 8000)
+            # The connection dies; the worker lives.
+            router.shards[0].primary.client.sock.shutdown(socket.SHUT_RDWR)
+            yield router
+        finally:
+            router.close()
+
+    def test_refresh_epoch_repairs_a_poisoned_primary(self, poisoned):
+        assert poisoned.refresh_epoch() is True
+        assert counter_value(
+            poisoned, "refresh_leg_failures_total", shard="0"
+        ) == 0
+        assert poisoned.shards[0].repairs_total == 1
+        shard_stats = poisoned.stats()["shards"][0]
+        assert shard_stats["relations"]["r"]["pending"] == 0
+
+    def test_cluster_metrics_repairs_a_poisoned_primary(self, poisoned):
+        export = poisoned.cluster_metrics()
+        assert export["metrics"]
+        assert poisoned.shards[0].repairs_total == 1
+
+    def test_stats_repairs_a_poisoned_primary(self, poisoned):
+        shard_stats = poisoned.stats()["shards"][0]
+        assert "error" not in shard_stats
+        assert shard_stats["relations"]["r"]["pending"] >= 1
+        assert poisoned.shards[0].repairs_total == 1
+
+    def test_refresh_epoch_promotes_over_a_killed_primary(self, tolerant):
+        rs = tolerant.shards[0]
+        key = keys_on_shard(tolerant, 0)[0]
+        write(tolerant, key, 8100)  # acked, shipped to the replica
+        rs.primary.process.kill()
+        rs.primary.process.join(timeout=5.0)
+        assert tolerant.refresh_epoch() is True
+        assert rs.promotions_total == 1
+        assert rs.primary.process.is_alive()
+        assert tolerant.epochs == 1
+        assert counter_value(
+            tolerant, "refresh_leg_failures_total", shard="0"
+        ) == 0
+        expected = base_total() - next(
+            values["v"] for values in demo_records() if values["id"] == key
+        ) + 8100
+        assert tolerant.query("total") == expected
+
+
+class TestPromotionInsideAScatter:
+    def test_a_refresh_that_promotes_does_not_deadlock_a_write(self):
+        """Reproduced at 4c892e9: a refresh epoch whose shard-0 leg lost
+        its primary after the frame went out promoted under the set's
+        write lock while its gather still held shard 1's connection; a
+        write gather holding that lock and waiting for that connection
+        deadlocked with it.  A primary op now holds the write lock from
+        its first step, so the promotion re-enters it."""
+        router = launch_demo(2, n_records=N_RECORDS, replication=TOLERANT)
+        rs0, rs1 = router.shards
+        primary0, primary1 = rs0.primary, rs1.primary
+        keys = [keys_on_shard(router, shard)[0] for shard in (0, 1)]
+        injector = ChaosInjector(router, seed=23)
+        injector.pause(primary0)
+        injector.pause(primary1)
+        outcomes = {}
+
+        def refresh():
+            outcomes["refresh"] = router.refresh_epoch()
+
+        def update():
+            router.apply_update(Transaction.of(
+                "r", [Update(key, {"v": 9100}) for key in keys]
+            ))
+            outcomes["update"] = True
+
+        threads = [threading.Thread(target=f, daemon=True) for f in (refresh, update)]
+        threads[0].start()
+        time.sleep(0.3)  # both refresh frames are out, neither answered
+        threads[1].start()
+        time.sleep(0.3)  # the write waits behind the refresh
+        injector.kill(primary0)
+        primary0.process.join(timeout=5.0)
+        injector.resume(primary1)
+        for thread in threads:
+            thread.join(timeout=30.0)
+        if any(thread.is_alive() for thread in threads):
+            # Deadlocked threads hold the sets' locks: close() would wait
+            # on them forever, so only the workers are reaped.
+            for process in router.processes:
+                process.kill()
+            pytest.fail("the refresh epoch and the write deadlocked")
+        try:
+            assert outcomes == {"refresh": True, "update": True}
+            assert rs0.promotions_total == 1
+            assert router.query("total") == base_total() + sum(
+                9100 - values["v"] for values in demo_records()
+                if values["id"] in keys
+            )
         finally:
             router.close()
 

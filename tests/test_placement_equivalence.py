@@ -14,7 +14,7 @@ import random
 import pytest
 
 from repro.cluster.harness import DOMAIN, demo_shard_map, demo_spec, launch_demo
-from repro.cluster.router import ClusterRouter
+from repro.cluster.router import ClusterError, ClusterRouter
 from repro.cluster.worker import encode_operation
 from repro.engine.database import UnsupportedTransactionError
 from repro.engine.transaction import Delete, Insert, Transaction, Update
@@ -271,5 +271,37 @@ def test_the_router_refuses_a_live_key_on_either_shard():
             server.apply_update(duplicate)
         with pytest.raises(UnsupportedTransactionError):
             server.apply_update(rekey)
+    finally:
+        server.shutdown()
+
+
+def test_a_refused_transaction_moves_nothing():
+    """Reproduced at 4c892e9: a transaction whose first operation moves
+    record 1 across the shard boundary and whose second deletes a key
+    nobody owns.  The router fetched, inserted and deleted the moved
+    tuple, then raised, leaving ``by_a`` with ``id=1`` at its new ``a``.
+    In-process the same transaction raises ``KeyError`` and changes
+    nothing; the router now resolves every key's owner before any leg is
+    sent."""
+    spec = demo_spec(n_records=40, seed=17)
+    one = next(r for r in spec["relations"][0]["records"] if r["id"] == 1)
+    txn = Transaction.of(
+        "r", [Update(1, {"a": one["a"] + DOMAIN // 2}), Delete(999999)]
+    )
+    with launch_demo(2, n_records=40, seed=17) as router:
+        assert router.shard_map.shard_of(one["a"]) == 0
+        before = (router.query("by_a", 0, DOMAIN - 1), router.query("total"))
+        with pytest.raises(ClusterError, match="no shard owns"):
+            router.apply_update(txn)
+        assert (router.query("by_a", 0, DOMAIN - 1), router.query("total")) == before
+        assert router.metrics.counter(
+            "cross_shard_moves_total", relation="r"
+        ).value == 0
+    server = build_server(spec)
+    try:
+        before = (server.query("by_a", 0, DOMAIN - 1), server.query("total"))
+        with pytest.raises(KeyError):
+            server.apply_update(txn)
+        assert (server.query("by_a", 0, DOMAIN - 1), server.query("total")) == before
     finally:
         server.shutdown()
