@@ -1,129 +1,34 @@
 """Cluster-wide metrics: N per-shard registries, one v1 export.
 
 Each shard worker keeps its own :class:`~repro.service.metrics
-.MetricsRegistry`; the router gathers their exports and merges them
-into a single document that still satisfies the
-``repro.service.metrics/v1`` schema (so every existing consumer —
-``validate_metrics``, ``MetricsRegistry.from_dict``, the dashboard —
-works on the cluster export unchanged).
-
-Merge rules per instrument kind:
-
-* **counters** — summed (total requests served by the cluster);
-* **gauges** — maximum (a level like AD depth or breaker state is
-  reported at its worst shard, never averaged away);
-* **histograms** — merged per bucket (bounds must agree), with
-  ``count``/``sum`` summed and ``min``/``max`` taken across shards, so
-  cluster latency distributions are exact, not approximated.
+.MetricsRegistry`; the router folds their exports, and its own, into
+one registry with :meth:`MetricsRegistry.merge` (counters add, gauges
+keep their worst shard, histograms merge bucket by bucket) and exports
+that.  The result is a ``repro.service.metrics/v1`` document like any
+single server's, so every consumer reads it unchanged.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Any, Iterable, Mapping
 
-from repro.service.metrics import (
-    SCHEMA,
-    Histogram,
-    MetricsRegistry,
-    validate_metrics,
-)
+from repro.service.metrics import MetricsMergeError, MetricsRegistry
 
 __all__ = ["MetricsMergeError", "aggregate_metrics", "cluster_registry"]
 
 
-class MetricsMergeError(ValueError):
-    """Per-shard exports disagree in a way the merge cannot reconcile."""
-
-
-def _series_key(entry: Mapping[str, Any]) -> tuple[str, tuple[tuple[str, str], ...]]:
-    return entry["name"], tuple(sorted(entry["labels"].items()))
-
-
-def _merge_scalar(merged: dict[str, Any], entry: Mapping[str, Any]) -> None:
-    if entry["kind"] == "counter":
-        merged["value"] += entry["value"]
-    else:
-        merged["value"] = max(merged["value"], entry["value"])
-
-
-def _merge_histogram(merged: dict[str, Any], entry: Mapping[str, Any]) -> None:
-    bounds = [b["le"] for b in merged["buckets"]]
-    if [b["le"] for b in entry["buckets"]] != bounds:
-        raise MetricsMergeError(
-            f"{entry['name']}: shards exported different bucket bounds"
-        )
-    for target, source in zip(merged["buckets"], entry["buckets"]):
-        target["count"] += source["count"]
-    merged["count"] += entry["count"]
-    merged["sum"] += entry["sum"]
-    for field, pick in (("min", min), ("max", max)):
-        if entry.get(field) is not None:
-            current = merged.get(field)
-            merged[field] = (
-                entry[field] if current is None else pick(current, entry[field])
-            )
-    merged["mean"] = merged["sum"] / merged["count"] if merged["count"] else 0.0
-    _refresh_summaries(merged)
-
-
-def _refresh_summaries(merged: dict[str, Any]) -> None:
-    """Recompute p50/p95/p99 from the merged bucket state — the
-    per-shard summaries are stale once counts are combined."""
-    bounds = tuple(
-        math.inf if b["le"] == "inf" else float(b["le"])
-        for b in merged["buckets"]
-    )
-    hist = Histogram(merged["name"], (), buckets=bounds)
-    hist.bucket_counts = [b["count"] for b in merged["buckets"]]
-    hist.count = int(merged["count"])
-    hist.sum = float(merged["sum"])
-    if merged.get("min") is not None:
-        hist.min = float(merged["min"])
-    if merged.get("max") is not None:
-        hist.max = float(merged["max"])
-    merged["p50"] = hist.quantile(0.50)
-    merged["p95"] = hist.quantile(0.95)
-    merged["p99"] = hist.quantile(0.99)
+def cluster_registry(exports: Iterable[Mapping[str, Any]]) -> MetricsRegistry:
+    """The exports merged into one live registry, in the order given."""
+    registry = MetricsRegistry()
+    for export in exports:
+        registry.merge(export)
+    return registry
 
 
 def aggregate_metrics(exports: Iterable[Mapping[str, Any]]) -> dict[str, Any]:
     """Merge per-shard v1 exports into one v1 export.
 
-    Every input is schema-validated first and the output is validated
-    before returning, so the aggregate round-trips through
-    :meth:`MetricsRegistry.from_dict` exactly like a single-server
-    export would.
+    The exports are added in the order given, so the same exports in
+    the same order always give the same float sums, bit for bit.
     """
-    merged: dict[tuple[str, tuple[tuple[str, str], ...]], dict[str, Any]] = {}
-    for export in exports:
-        validate_metrics(export)
-        for entry in export["metrics"]:
-            key = _series_key(entry)
-            existing = merged.get(key)
-            if existing is None:
-                copy = dict(entry)
-                if entry["kind"] == "histogram":
-                    copy["buckets"] = [dict(b) for b in entry["buckets"]]
-                merged[key] = copy
-                continue
-            if existing["kind"] != entry["kind"]:
-                raise MetricsMergeError(
-                    f"{entry['name']}: kind mismatch across shards "
-                    f"({existing['kind']} vs {entry['kind']})"
-                )
-            if entry["kind"] == "histogram":
-                _merge_histogram(existing, entry)
-            else:
-                _merge_scalar(existing, entry)
-    doc = {
-        "schema": SCHEMA,
-        "metrics": [merged[key] for key in sorted(merged)],
-    }
-    validate_metrics(doc)
-    return doc
-
-
-def cluster_registry(exports: Iterable[Mapping[str, Any]]) -> MetricsRegistry:
-    """The aggregate as a live registry (dashboard rendering, tests)."""
-    return MetricsRegistry.from_dict(aggregate_metrics(exports))
+    return cluster_registry(exports).to_dict()

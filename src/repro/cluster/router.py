@@ -47,7 +47,10 @@ from repro.durability.codec import decode_value
 from repro.engine.database import UnsupportedTransactionError
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
+from repro.service.catalog import ViewDefinition
 from repro.service.metrics import MetricsRegistry
+from repro.service.spec import definition_of
+from repro.views.definition import AggregateView, SelectProjectView
 from .metrics import aggregate_metrics
 from .replication import ReplicaSet, ReplicationConfig, ReplicationError
 from .rpc import Leg, RpcError, ShardTimeout, gather
@@ -77,55 +80,6 @@ class ClusterClosedError(ClusterError):
     """The router was shut down; no further requests are accepted."""
 
 
-class _ViewMeta:
-    """What the router must know about a view to route and merge it."""
-
-    __slots__ = ("name", "kind", "relations", "view_key", "merge", "prunable")
-
-    def __init__(
-        self,
-        name: str,
-        kind: str,
-        relations: tuple[str, ...],
-        view_key: str | None,
-        merge: Any,
-        prunable: bool,
-    ) -> None:
-        self.name = name
-        self.kind = kind
-        self.relations = relations
-        self.view_key = view_key
-        self.merge = merge
-        self.prunable = prunable
-
-
-def _view_meta(doc: Mapping[str, Any], shard_map: ShardMap) -> _ViewMeta:
-    kind = doc["type"]
-    if kind == "aggregate":
-        merge = _SCALAR_MERGES.get(doc["aggregate"])
-        if merge is None:
-            raise ClusterError(
-                f"view {doc['name']!r}: aggregate {doc['aggregate']!r} does "
-                f"not merge across shards (supported: "
-                f"{', '.join(sorted(_SCALAR_MERGES))})"
-            )
-        return _ViewMeta(
-            doc["name"], "scalar", (doc["relation"],), None, merge, False
-        )
-    if kind == "join":
-        return _ViewMeta(
-            doc["name"], "tuples", (doc["outer"], doc["inner"]),
-            doc["view_key"], None, False,
-        )
-    prunable = (
-        shard_map.scheme == "range"
-        and doc["view_key"] == shard_map.partition_field
-    )
-    return _ViewMeta(
-        doc["name"], "tuples", (doc["relation"],), doc["view_key"], None, prunable
-    )
-
-
 class ClusterRouter:
     """Scatter–gather front end over N forked shard workers."""
 
@@ -133,7 +87,7 @@ class ClusterRouter:
         self,
         shard_map: ShardMap,
         shards: list[ReplicaSet],
-        views: dict[str, _ViewMeta],
+        views: Iterable[ViewDefinition],
         directory: dict[tuple[str, Any], int],
         cache: QueryResultCache | None = None,
         rpc_timeout: float = 30.0,
@@ -148,7 +102,25 @@ class ClusterRouter:
         self.metrics = MetricsRegistry()
         self.cache = cache
         self.rpc_timeout = rpc_timeout
-        self._views = views
+        self._views = {definition.name: definition for definition in views}
+        for definition in self._views.values():
+            if (
+                isinstance(definition, AggregateView)
+                and definition.aggregate not in _SCALAR_MERGES
+            ):
+                raise ClusterError(
+                    f"view {definition.name!r}: aggregate "
+                    f"{definition.aggregate!r} does not merge across shards "
+                    f"(supported: {', '.join(sorted(_SCALAR_MERGES))})"
+                )
+        #: Views whose ranged queries reach only the shards owning the
+        #: range: a select-project keyed on the range partition field.
+        self._prunable = frozenset(
+            name for name, definition in self._views.items()
+            if shard_map.scheme == "range"
+            and isinstance(definition, SelectProjectView)
+            and definition.view_key == shard_map.partition_field
+        )
         #: (relation, primary key) -> owning shard.  Guarded by
         #: ``_directory_lock``; cross-shard moves mutate it.
         self._directory = directory
@@ -232,10 +204,8 @@ class ClusterRouter:
         """
         replication = replication or ReplicationConfig()
         field = shard_map.partition_field
-        views = {}
-        for view_doc in spec.get("views", ()):
-            meta = _view_meta(view_doc, shard_map)
-            views[meta.name] = meta
+        # Read as each shard's worker reads them, so both agree on a view.
+        views = [definition_of(doc) for doc in spec.get("views", ())]
 
         directory: dict[tuple[str, Any], int] = {}
         shard_records: dict[str, list[list[dict[str, Any]]]] = {}
@@ -320,16 +290,16 @@ class ClusterRouter:
         produce a labelled :class:`DegradedResult` instead of an
         exception; only a query with *no* surviving leg raises.
         """
-        meta = self._views.get(name)
-        if meta is None:
+        definition = self._views.get(name)
+        if definition is None:
             raise ClusterError(f"view {name!r} is not served by this cluster")
         with self._in_flight():
-            if meta.prunable and (lo is not None or hi is not None):
+            if name in self._prunable and (lo is not None or hi is not None):
                 shards = self.shard_map.shards_for_range(lo, hi)
             else:
                 shards = self.shard_map.all_shards()
             self.metrics.counter("router_queries_total", view=name).inc()
-            token = self._cache_token(meta)
+            token = self._cache_token(definition)
             if token is not None:
                 hit, answer = self.cache.get(name, lo, hi, token)
                 if hit:
@@ -344,12 +314,14 @@ class ClusterRouter:
             )
             if retried:
                 self._retry_local.flag = True
-            answer = self._merge(meta, shards, results, failures, allow_partial)
+            answer = self._merge(
+                definition, shards, results, failures, allow_partial
+            )
             if (
                 token is not None
                 and not failures
                 and not isinstance(answer, DegradedResult)
-                and self._cache_token(meta) == token
+                and self._cache_token(definition) == token
             ):
                 # The epoch vector is unchanged across the whole
                 # scatter: no update committed meanwhile, so the merge
@@ -407,14 +379,14 @@ class ClusterRouter:
         )
         return results, failures, bool(retried_legs)
 
-    def _cache_token(self, meta: _ViewMeta) -> Any:
+    def _cache_token(self, definition: ViewDefinition) -> Any:
         if self.cache is None:
             return None
-        return self.cache.epoch_token(meta.relations)
+        return self.cache.epoch_token(definition.sources)
 
     def _merge(
         self,
-        meta: _ViewMeta,
+        definition: ViewDefinition,
         shards: Iterable[int],
         results: Mapping[int, Any],
         failures: Mapping[int, Exception],
@@ -423,7 +395,7 @@ class ClusterRouter:
         if failures:
             for shard in failures:
                 self.metrics.counter(
-                    "scatter_leg_failures_total", view=meta.name,
+                    "scatter_leg_failures_total", view=definition.name,
                     shard=str(shard),
                 ).inc()
             if not allow_partial or not results:
@@ -433,8 +405,8 @@ class ClusterRouter:
             shard: doc["degraded"] for shard, doc in results.items()
             if doc.get("degraded") is not None
         }
-        if meta.kind == "scalar":
-            merged: Any = meta.merge(
+        if isinstance(definition, AggregateView):
+            merged: Any = _SCALAR_MERGES[definition.aggregate](
                 decode_answer(results[shard])[0] for shard in sorted(results)
             )
         else:
@@ -452,11 +424,13 @@ class ClusterRouter:
             )
         if not failures and not degraded_legs:
             return merged
-        return self._compose_degraded(meta, merged, degraded_legs, failures)
+        return self._compose_degraded(
+            definition.name, merged, degraded_legs, failures
+        )
 
     def _compose_degraded(
         self,
-        meta: _ViewMeta,
+        view: str,
         merged: Any,
         degraded_legs: Mapping[int, Mapping[str, Any]],
         failures: Mapping[int, Exception],
@@ -490,13 +464,13 @@ class ClusterRouter:
                     "shard_updates_total", shard=str(shard)
                 ).value
             )
-        self.metrics.counter("degraded_merges_total", view=meta.name).inc()
+        self.metrics.counter("degraded_merges_total", view=view).inc()
         strategies = {
             str(leg.get("strategy")) for leg in degraded_legs.values()
         } or {"unavailable"}
         return DegradedResult(
             answer=merged,
-            view=meta.name,
+            view=view,
             mode=mode,
             reason="; ".join(reasons),
             staleness_bound=bound,
@@ -550,25 +524,29 @@ class ClusterRouter:
             # flush therefore cannot leave phantom entries that misroute
             # later updates.
             staged: dict[int, list[tuple[Any, int | None]]] = {}
-            for doc, key, shard, target in routed:
-                if target is not None:
-                    self._flush(relation, pending, staged, client,
-                                only={shard, target}, timeout=timeout)
-                    self._move(relation, doc["key"], doc["changes"],
-                               shard, target, client, timeout=timeout)
-                    continue
-                pending.setdefault(shard, []).append(doc)
-                if doc["kind"] != "update":
-                    owner = shard if doc["kind"] == "insert" else None
-                    staged.setdefault(shard, []).append((key, owner))
-            self._flush(relation, pending, staged, client, timeout=timeout)
-            if self.cache is not None:
-                # Bump *after* every shard committed: a reader that
-                # sampled the old token mid-update re-validates before
-                # caching, so the old answer can be served (that read
-                # serializes before the update) but never re-cached
-                # under the new epoch.
-                self.cache.bump(relation)
+            try:
+                for doc, key, shard, target in routed:
+                    if target is not None:
+                        self._flush(relation, pending, staged, client,
+                                    only={shard, target}, timeout=timeout)
+                        self._move(relation, doc["key"], doc["changes"],
+                                   shard, target, client, timeout=timeout)
+                        continue
+                    pending.setdefault(shard, []).append(doc)
+                    if doc["kind"] != "update":
+                        owner = shard if doc["kind"] == "insert" else None
+                        staged.setdefault(shard, []).append((key, owner))
+                self._flush(relation, pending, staged, client, timeout=timeout)
+            finally:
+                if self.cache is not None:
+                    # Bump *after* the shards answered, and also when a
+                    # leg failed: another leg may have committed.  A
+                    # reader that sampled the old token mid-update
+                    # re-validates before caching, so the old answer
+                    # can be served (that read serializes before the
+                    # update) but never re-cached under the new epoch.
+                    # An extra bump only wastes cache entries.
+                    self.cache.bump(relation)
             self.metrics.counter("router_updates_total", client=client).inc()
 
     def _route(

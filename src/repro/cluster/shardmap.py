@@ -12,11 +12,10 @@ workers by the value of one *partition field*.  Two schemes:
   processes and Python hash seeds).  Point lookups route to one shard;
   range queries always scatter.
 
-The map is **versioned and serializable**: routers and workers agree on
-a placement by exchanging ``to_dict()`` documents, and any rebalance
-produces a *new* map with ``version + 1`` (placement never mutates in
-place — a request carries the version it routed under, so a stale
-router is detectable rather than silently wrong).
+The map is **versioned and serializable**: ``to_dict()`` documents
+carry a placement, and a rebalance produces a *new* map with
+``version + 1`` (placement never mutates in place).  No request carries
+the version, so nothing detects a router routing under a stale map.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ so the speedup measures process parallelism past the GIL (see
 from __future__ import annotations
 
 from repro.cluster.harness import launch_demo, partitioned_cluster_streams
+from repro.service.metrics import MetricsRegistry
 from repro.service.traffic import run_traffic
 from .series import TableData
 
@@ -55,12 +56,11 @@ def configure_shard_counts(max_shards: int) -> tuple[int, ...]:
 
 def _routing_mix(export: dict) -> tuple[int, int]:
     """(single-shard, scatter) query totals from a cluster export."""
-    single = scatter = 0
-    for metric in export["metrics"]:
-        if metric["name"] == "single_shard_queries_total":
-            single += int(metric["value"])
-        elif metric["name"] == "scatter_queries_total":
-            scatter += int(metric["value"])
+    registry = MetricsRegistry.from_dict(export)
+    single, scatter = (
+        int(sum(counter.value for counter in registry.series(name)))
+        for name in ("single_shard_queries_total", "scatter_queries_total")
+    )
     return single, scatter
 
 

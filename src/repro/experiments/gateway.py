@@ -41,7 +41,7 @@ from repro.gateway import (
     ViewServerBackend,
     call_once,
 )
-from repro.service.metrics import validate_metrics
+from repro.service.metrics import MetricsRegistry
 from repro.service.traffic import demo_server
 from repro.workload.clients import (
     LoadReport,
@@ -119,19 +119,15 @@ def _call(host: str, port: int, doc: dict[str, Any]) -> Any:
 
 def _metrics_summary(export: dict[str, Any]) -> dict[str, dict[str, float | None]]:
     """Per-outcome latency summaries from the gateway's metrics export."""
-    validate_metrics(export)
-    summary: dict[str, dict[str, float | None]] = {}
-    for entry in export["metrics"]:
-        if entry["name"] != "gateway_request_ms":
-            continue
-        outcome = entry["labels"].get("outcome", "")
-        summary[outcome] = {
-            "count": entry["count"],
-            "p50_ms": entry["p50"],
-            "p95_ms": entry["p95"],
-            "p99_ms": entry["p99"],
+    return {
+        dict(hist.labels).get("outcome", ""): {
+            "count": hist.count,
+            "p50_ms": hist.quantile(0.50),
+            "p95_ms": hist.quantile(0.95),
+            "p99_ms": hist.quantile(0.99),
         }
-    return summary
+        for hist in MetricsRegistry.from_dict(export).series("gateway_request_ms")
+    }
 
 
 def run_overload(

@@ -97,14 +97,6 @@ class SharedDeltaPlanner:
             lambda: self.pending(relation_name) == 0,
         )
 
-    def refresh_all_stale(self, run: Runner | None = None) -> tuple[str, ...]:
-        """One refresh epoch over every relation with a backlog."""
-        refreshed = []
-        for relation_name, _views in sorted(self.groups().items()):
-            if self.pending(relation_name) > 0 and self.refresh(relation_name, run):
-                refreshed.append(relation_name)
-        return tuple(refreshed)
-
     def _refresh_now(self, relation_name: str) -> None:
         """The actual epoch: one net compute fanned out to all views."""
         self.database.fold_relation(relation_name)

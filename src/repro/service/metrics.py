@@ -29,6 +29,7 @@ __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MetricsMergeError",
     "MetricsRegistry",
     "MetricsSchemaError",
     "SCHEMA",
@@ -53,10 +54,10 @@ def _labels_of(labels: Mapping[str, Any]) -> Labels:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotonically increasing count (requests served, switches)."""
+class _Scalar:
+    """One number per series: what a counter and a gauge share."""
 
-    kind = "counter"
+    kind = ""
 
     def __init__(self, name: str, labels: Labels) -> None:
         self.name = name
@@ -64,11 +65,11 @@ class Counter:
         self.value = 0.0
         self._mutex = threading.Lock()
 
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
-        with self._mutex:
-            self.value += amount
+    @classmethod
+    def from_entry(cls, key: tuple[str, Labels], entry: Mapping[str, Any]) -> Any:
+        scalar = cls(*key)
+        scalar.value = float(entry["value"])
+        return scalar
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -79,16 +80,27 @@ class Counter:
         }
 
 
-class Gauge:
+class Counter(_Scalar):
+    """A monotonically increasing count (requests served, switches)."""
+
+    kind = "counter"
+
+    def inc(self, amount: float = 1.0) -> None:
+        if amount < 0:
+            raise ValueError(f"counter {self.name!r} cannot decrease (inc {amount})")
+        with self._mutex:
+            self.value += amount
+
+    def merge(self, entry: Mapping[str, Any]) -> None:
+        """Another export's count of this series adds."""
+        with self._mutex:
+            self.value += entry["value"]
+
+
+class Gauge(_Scalar):
     """A point-in-time level (AD depth, Bloom fill, staleness)."""
 
     kind = "gauge"
-
-    def __init__(self, name: str, labels: Labels) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-        self._mutex = threading.Lock()
 
     def set(self, value: float) -> None:
         with self._mutex:
@@ -98,13 +110,10 @@ class Gauge:
         with self._mutex:
             self.value += amount
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "labels": dict(self.labels),
-            "value": self.value,
-        }
+    def merge(self, entry: Mapping[str, Any]) -> None:
+        """A level is reported at its worst export, never averaged."""
+        with self._mutex:
+            self.value = max(self.value, entry["value"])
 
 
 class Histogram:
@@ -135,6 +144,30 @@ class Histogram:
         self.min = math.inf
         self.max = -math.inf
         self._mutex = threading.Lock()
+
+    @classmethod
+    def from_entry(
+        cls, key: tuple[str, Labels], entry: Mapping[str, Any]
+    ) -> "Histogram":
+        hist = cls(*key, buckets=_bounds(entry))
+        hist.merge(entry)
+        return hist
+
+    def merge(self, entry: Mapping[str, Any]) -> None:
+        """Add another export's buckets, count and sum; widen min/max."""
+        if _bounds(entry) != self.buckets:
+            raise MetricsMergeError(
+                f"{self.name}: exports have different bucket bounds"
+            )
+        with self._mutex:
+            for i, bucket in enumerate(entry["buckets"]):
+                self.bucket_counts[i] += bucket["count"]
+            self.count += int(entry["count"])
+            self.sum += float(entry["sum"])
+            if entry.get("min") is not None:
+                self.min = min(self.min, entry["min"])
+            if entry.get("max") is not None:
+                self.max = max(self.max, entry["max"])
 
     def observe(self, value: float) -> None:
         with self._mutex:
@@ -285,41 +318,43 @@ class MetricsRegistry:
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
+    def merge(self, doc: Mapping[str, Any]) -> None:
+        """Fold a v1 export into this registry.
+
+        A series the registry has not seen is created from its entry.
+        Otherwise a counter adds, a gauge keeps the max, and a histogram
+        adds bucket counts, count and sum and takes min and max; a kind
+        or bucket grid that disagrees raises :class:`MetricsMergeError`.
+        Exports fold in the order they are merged, so the same exports
+        in the same order give the same float sums bit for bit.
+        """
+        validate_metrics(doc)
+        for entry in doc["metrics"]:
+            cls = _KINDS[entry["kind"]]
+            key = (entry["name"], _labels_of(entry["labels"]))
+            with self._mutex:
+                instrument = self._instruments.get(key)
+                if instrument is None:
+                    self._instruments[key] = cls.from_entry(key, entry)
+                    continue
+            if not isinstance(instrument, cls):
+                raise MetricsMergeError(
+                    f"{key[0]}: kind mismatch across exports "
+                    f"({instrument.kind} vs {cls.kind})"
+                )
+            instrument.merge(entry)
+
     @classmethod
     def from_dict(cls, doc: Mapping[str, Any]) -> "MetricsRegistry":
         """Rebuild a registry from a v1 export (inverse of :meth:`to_dict`).
 
-        The document is schema-validated first, so a registry rebuilt
+        :meth:`merge` into an empty registry, so a registry rebuilt
         from its own export round-trips exactly:
         ``from_dict(r.to_dict()).to_dict() == r.to_dict()``.  Used by
         the durability layer to restore serving metrics state.
         """
-        validate_metrics(doc)
         registry = cls()
-        for entry in doc["metrics"]:
-            name = entry["name"]
-            labels = _labels_of(entry["labels"])
-            key = (name, labels)
-            if entry["kind"] == "counter":
-                counter = Counter(name, labels)
-                counter.value = float(entry["value"])
-                registry._instruments[key] = counter
-            elif entry["kind"] == "gauge":
-                gauge = Gauge(name, labels)
-                gauge.value = float(entry["value"])
-                registry._instruments[key] = gauge
-            else:
-                bounds = tuple(
-                    math.inf if b["le"] == "inf" else float(b["le"])
-                    for b in entry["buckets"]
-                )
-                hist = Histogram(name, labels, buckets=bounds)
-                hist.bucket_counts = [b["count"] for b in entry["buckets"]]
-                hist.count = int(entry["count"])
-                hist.sum = float(entry["sum"])
-                hist.min = math.inf if entry.get("min") is None else entry["min"]
-                hist.max = -math.inf if entry.get("max") is None else entry["max"]
-                registry._instruments[key] = hist
+        registry.merge(doc)
         return registry
 
     def render_dashboard(self, width: int = 72) -> str:
@@ -350,8 +385,22 @@ class MetricsRegistry:
         return f"    [{marks}] <= {hist.buckets[-2] if len(hist.buckets) > 1 else 'inf'} ms ... inf"
 
 
+_KINDS: dict[str, Any] = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
+
+
+def _bounds(entry: Mapping[str, Any]) -> tuple[float, ...]:
+    """A histogram entry's bucket upper bounds, ``"inf"`` decoded."""
+    return tuple(
+        math.inf if b["le"] == "inf" else float(b["le"]) for b in entry["buckets"]
+    )
+
+
 class MetricsSchemaError(ValueError):
     """A metrics export violates the ``repro.service.metrics/v1`` schema."""
+
+
+class MetricsMergeError(ValueError):
+    """Two exports disagree on a series' kind or bucket bounds."""
 
 
 def _require(condition: bool, message: str) -> None:

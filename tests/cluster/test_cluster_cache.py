@@ -14,6 +14,7 @@ import threading
 import pytest
 
 from repro.cluster.harness import DOMAIN, launch_demo
+from repro.cluster.rpc import RemoteOpError
 from repro.engine.transaction import Transaction, Update
 
 N_RECORDS = 240
@@ -80,6 +81,25 @@ class TestDeterministicContract:
             }
             assert merged[key] == value
         assert counters(router)["router_cache_hits_total"] == 0
+
+    def test_a_transaction_failing_on_one_shard_still_bumps_the_epoch(
+        self, router
+    ):
+        """Shard 0's leg commits, shard 1's raises: what shard 0
+        committed must not be hidden behind a cached merge."""
+        before = router.query("total")
+        full = router.query("by_a", 0, DOMAIN - 1)
+        lower = next(vt for vt in full if vt.values["a"] < DOMAIN // 2)
+        upper = next(vt for vt in full if vt.values["a"] >= DOMAIN // 2)
+        with pytest.raises(RemoteOpError):
+            router.apply_update(Transaction.of("r", [
+                Update(lower.values["id"], {"v": lower.values["v"] + 10}),
+                Update(upper.values["id"], {"no_such_field": 1}),
+            ]))
+        assert router.query("total") == before + 10
+        assert router.query("total") == sum(
+            vt.values["v"] for vt in router.query("by_a", 0, DOMAIN - 1)
+        )
 
 
 class TestConcurrentFreshness:

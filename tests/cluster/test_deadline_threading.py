@@ -11,11 +11,12 @@ received.
 
 import pytest
 
-from repro.cluster.router import ClusterRouter, _view_meta
+from repro.cluster.router import ClusterRouter
 from repro.cluster.rpc import finish
 from repro.cluster.shardmap import ShardMap
 from repro.engine.transaction import Transaction, Update
 from repro.gateway.server import ClusterBackend
+from repro.service.spec import definition_of
 
 
 class FakeReplicaSet:
@@ -66,11 +67,13 @@ def router():
         FakeReplicaSet(),
     ]
     directory = {("r", 0): 0, ("r", 1): 1}
-    total = _view_meta(
+    total = definition_of(
         {"type": "aggregate", "name": "total", "aggregate": "sum",
-         "relation": "r"}, shard_map,
+         "relation": "r", "field": "v"}
     )
-    return ClusterRouter(shard_map, shards, {"total": total}, directory), shards
+    router = ClusterRouter(shard_map, shards, [total], directory)
+    assert "total" not in router._prunable
+    return router, shards
 
 
 def test_update_timeout_reaches_the_shard(router):

@@ -14,10 +14,11 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import ClusterRouter, _view_meta
+from repro.cluster.router import ClusterRouter
 from repro.cluster.shardmap import ShardMap
 from repro.cluster.worker import encode_answer
 from repro.resilience.degradation import DegradedResult
+from repro.service.spec import definition_of
 from repro.views.definition import ViewTuple
 
 #: ``k`` is the view key and sorts *after* ``a`` by name, so an encoder
@@ -39,12 +40,12 @@ def merged(scheme, leg_payloads, presorted=True, degraded=()):
         ShardMap.ranged("k", 0, 8, len(leg_payloads)) if scheme == "range"
         else ShardMap.hashed("k", len(leg_payloads))
     )
-    meta = _view_meta(
-        {"type": "select_project", "name": "v", "relation": "r", "view_key": "k"},
-        shard_map,
+    view = definition_of(
+        {"type": "select_project", "name": "v", "relation": "r",
+         "projection": ["k", "a", "z"], "view_key": "k"}
     )
-    assert meta.prunable == (scheme == "range")
-    router = ClusterRouter(shard_map, [], {"v": meta}, {})
+    router = ClusterRouter(shard_map, [], [view], {})
+    assert ("v" in router._prunable) == (scheme == "range")
     results = {}
     for shard, payload in enumerate(leg_payloads):
         answer = canonical(payload) if presorted else payload
@@ -52,7 +53,7 @@ def merged(scheme, leg_payloads, presorted=True, degraded=()):
             answer = DegradedResult(answer, "v", "qm_fallback", "test", 0, "qm")
         # What arrives is what a frame carried: JSON text and back.
         results[shard] = json.loads(json.dumps(encode_answer(answer, "k")))
-    return router._merge(meta, list(results), results, {}, True)
+    return router._merge(view, list(results), results, {}, True)
 
 
 @given(leg_payloads=legs, scheme=st.sampled_from(["range", "hash"]))

@@ -7,6 +7,7 @@ from repro.core.strategies import Strategy
 from repro.engine.database import Database
 from repro.engine.transaction import Transaction, Update
 from repro.maintenance.planner import SharedDeltaPlanner
+from repro.service.server import ViewServer
 from repro.storage.tuples import Schema
 from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
@@ -69,11 +70,13 @@ class TestNetOncePerEpoch:
         assert database.deferred_coordinator("r").net_computes == 3
 
     def test_refresh_all_stale_skips_clean_relations(self):
+        # The refresh-all loop is the server's, over its planner.
         database = make_db(relations=("r", "s"))
-        planner = SharedDeltaPlanner(database)
+        server = ViewServer(database)
         touch(database, "s", 5, 99)
-        refreshed = planner.refresh_all_stale()
+        refreshed = server.refresh_all_stale()
         assert refreshed == ("s",)
+        assert server.planner.epochs == 1
         assert database.relations["r"].net_reads == 0
         assert database.relations["s"].net_reads == 1
 
