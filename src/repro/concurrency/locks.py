@@ -23,8 +23,7 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, Iterator, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 __all__ = [
     "LockTimeout",
@@ -88,11 +87,16 @@ class RWLock:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._cond = threading.Condition(threading.Lock())
+        # Entered directly (not through the condition's Python-level
+        # wrapper); waits and notifies go through ``_cond`` over it.
+        self._mutex = threading.Lock()
+        self._cond = threading.Condition(self._mutex)
         self._readers: dict[int, int] = {}
         self._writer: int | None = None
         self._write_depth = 0
         self._writers_waiting = 0
+        #: Threads parked in :meth:`_wait`; a release notifies only these.
+        self._waiters = 0
 
     def _observed_name(self) -> str:
         return self.name or f"rwlock@{id(self):x}"
@@ -105,7 +109,7 @@ class RWLock:
         (the caller already holds the write side)."""
         me = threading.get_ident()
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
+        with self._mutex:
             if self._writer == me:
                 return False
             while self._writer is not None or (
@@ -125,22 +129,17 @@ class RWLock:
         me = threading.get_ident()
         if _observer is not None:
             _observer.on_release(self._observed_name(), "read")
-        with self._cond:
+        with self._mutex:
             count = self._readers.get(me, 0)
             if count <= 1:
                 self._readers.pop(me, None)
             else:
                 self._readers[me] = count - 1
-            self._cond.notify_all()
+            if self._waiters:
+                self._cond.notify_all()
 
-    @contextmanager
-    def read(self, timeout: float | None = None) -> Iterator[None]:
-        acquired = self.acquire_read(timeout)
-        try:
-            yield
-        finally:
-            if acquired:
-                self.release_read()
+    def read(self, timeout: float | None = None) -> "_Held":
+        return _Held(((self, False),), timeout)
 
     # ------------------------------------------------------------------
     # write side
@@ -148,7 +147,7 @@ class RWLock:
     def acquire_write(self, timeout: float | None = None) -> None:
         me = threading.get_ident()
         deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
+        with self._mutex:
             if self._writer == me:
                 self._write_depth += 1
             else:
@@ -170,33 +169,68 @@ class RWLock:
     def release_write(self) -> None:
         if _observer is not None:
             _observer.on_release(self._observed_name(), "write")
-        with self._cond:
+        with self._mutex:
             if self._writer != threading.get_ident():
                 raise RuntimeError(f"lock {self.name!r}: write released by non-owner")
             self._write_depth -= 1
             if self._write_depth == 0:
                 self._writer = None
-                self._cond.notify_all()
+                if self._waiters:
+                    self._cond.notify_all()
 
-    @contextmanager
-    def write(self, timeout: float | None = None) -> Iterator[None]:
-        self.acquire_write(timeout)
-        try:
-            yield
-        finally:
-            self.release_write()
+    def write(self, timeout: float | None = None) -> "_Held":
+        return _Held(((self, True),), timeout)
 
     def _wait(self, deadline: float | None, mode: str) -> None:
-        if deadline is None:
-            self._cond.wait()
-            return
-        remaining = deadline - time.monotonic()
-        if remaining <= 0 or not self._cond.wait(remaining):
-            raise LockTimeout(f"lock {self.name!r}: {mode} acquisition timed out")
+        # Counted under the condition's lock, so a release that sees no
+        # waiter can skip its notify without losing a wake-up.
+        self._waiters += 1
+        try:
+            if deadline is None:
+                self._cond.wait()
+                return
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not self._cond.wait(remaining):
+                raise LockTimeout(f"lock {self.name!r}: {mode} acquisition timed out")
+        finally:
+            self._waiters -= 1
 
     def write_held_by_me(self) -> bool:
-        with self._cond:
+        with self._mutex:
             return self._writer == threading.get_ident()
+
+
+class _Held:
+    """The guard ``with`` takes: RWLock sides acquired in ``plan`` order
+    (``(lock, write)`` pairs) and released in reverse, also when a later
+    one raises ``LockTimeout``; a no-op read is not released."""
+
+    __slots__ = ("_plan", "_timeout", "_taken")
+
+    def __init__(
+        self, plan: Iterable[tuple[RWLock, bool]], timeout: float | None
+    ) -> None:
+        self._plan, self._timeout = plan, timeout
+
+    def __enter__(self) -> None:
+        self._taken: list[tuple[RWLock, bool]] = []
+        try:
+            for lock, write in self._plan:
+                if write:
+                    lock.acquire_write(self._timeout)
+                elif not lock.acquire_read(self._timeout):
+                    continue
+                self._taken.append((lock, write))
+        except BaseException:
+            self.__exit__()
+            raise
+
+    def __exit__(self, *exc_info: object) -> None:
+        for lock, write in reversed(self._taken):
+            if write:
+                lock.release_write()
+            else:
+                lock.release_read()
 
 
 class LockManager:
@@ -215,43 +249,26 @@ class LockManager:
         self._locks: dict[str, RWLock] = {}
 
     def lock(self, name: str) -> RWLock:
-        with self._mutex:
-            lock = self._locks.get(name)
-            if lock is None:
-                lock = RWLock(name)
-                self._locks[name] = lock
-            return lock
+        # Locks are never dropped: an existing one is read lock-free.
+        lock = self._locks.get(name)
+        if lock is None:
+            with self._mutex:
+                lock = self._locks.setdefault(name, RWLock(name))
+        return lock
 
-    @contextmanager
     def acquire(
         self,
         writes: Iterable[str] = (),
         reads: Iterable[str] = (),
         timeout: float | None = None,
-    ) -> Iterator[None]:
+    ) -> _Held:
         """Acquire a set of named locks in canonical (sorted) order."""
         write_set = set(writes)
-        read_set = set(reads) - write_set
         plan = sorted(
-            [(name, "w") for name in write_set] + [(name, "r") for name in read_set]
+            [(name, True) for name in write_set]
+            + [(name, False) for name in set(reads) - write_set]
         )
-        held: list[tuple[RWLock, str, bool]] = []
-        try:
-            for name, mode in plan:
-                lock = self.lock(name)
-                if mode == "w":
-                    lock.acquire_write(timeout)
-                    held.append((lock, "w", True))
-                else:
-                    acquired = lock.acquire_read(timeout)
-                    held.append((lock, "r", acquired))
-            yield
-        finally:
-            for lock, mode, acquired in reversed(held):
-                if mode == "w":
-                    lock.release_write()
-                elif acquired:
-                    lock.release_read()
+        return _Held([(self.lock(name), write) for name, write in plan], timeout)
 
 
 class Pacer:
@@ -313,24 +330,43 @@ class EngineMutex:
         self._price = price
         self.pacer = Pacer(pacing)
 
-    @contextmanager
-    def section(self, box: CostBox | None = None) -> Iterator[None]:
-        ms = 0.0
-        with self._mutex:
-            meter = self._meter()
-            before = meter.snapshot()
-            try:
-                yield
-            finally:
-                ms = self._price(meter.diff(before))
-                if box is not None:
-                    box.ms += ms
-        self.pacer.pace(ms)
+    def section(self, box: CostBox | None = None) -> "_Section":
+        return _Section(self, box)
 
     def run(self, box: CostBox | None, work: Callable[..., Any], *args: Any) -> Any:
         """``work(*args)`` inside one section."""
         with self.section(box):
             return work(*args)
+
+
+class _Section:
+    """``EngineMutex.section``'s guard: the meter delta is priced into
+    the box even when the body raises; only a clean exit is paced."""
+
+    __slots__ = ("_engine", "_box", "_meter", "_before")
+
+    def __init__(self, engine: EngineMutex, box: CostBox | None) -> None:
+        self._engine, self._box = engine, box
+
+    def __enter__(self) -> None:
+        self._engine._mutex.acquire()
+        try:
+            self._meter = self._engine._meter()
+            self._before = self._meter.snapshot()
+        except BaseException:
+            self._engine._mutex.release()
+            raise
+
+    def __exit__(self, exc_type: object, *exc_info: object) -> None:
+        engine = self._engine
+        try:
+            ms = engine._price(self._meter.diff(self._before))
+            if self._box is not None:
+                self._box.ms += ms
+        finally:
+            engine._mutex.release()
+        if exc_type is None:
+            engine.pacer.pace(ms)
 
 
 class Coalescer:

@@ -10,16 +10,17 @@ table in ``tests/service/test_lock_plan.py`` pins every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, NamedTuple
 
 from repro.core.strategies import Strategy
 
-__all__ = ["LockPlan", "fold_locks", "lock_plan", "probe_locks", "update_locks"]
+__all__ = [
+    "LockPlan", "backlog", "fold_locks", "fold_set", "lock_plan", "probe_locks",
+    "update_locks",
+]
 
 
-@dataclass(frozen=True)
-class LockPlan:
+class LockPlan(NamedTuple):
     """Lock names for one query: never a read and a write side together."""
 
     reads: tuple[str, ...] = ()
@@ -27,6 +28,12 @@ class LockPlan:
     #: Write locks of the shared refresh epoch a deferred view runs
     #: (and releases) before it serves; empty when no fold is due.
     fold: tuple[str, ...] = ()
+    #: The plan that folds, when this one skipped a fold because the
+    #: fold set's relations (``unfolded``) had nothing pending: the
+    #: server checks their backlog again under this plan's locks and
+    #: takes ``due`` instead if an update committed in between.
+    due: LockPlan | None = None
+    unfolded: tuple[str, ...] = ()
 
 
 def _names(relations: Iterable[str], views: Iterable[str]) -> tuple[str, ...]:
@@ -35,10 +42,10 @@ def _names(relations: Iterable[str], views: Iterable[str]) -> tuple[str, ...]:
     )
 
 
-def fold_locks(
+def fold_set(
     database: Any, relation: str, sources: Iterable[str] = (), view: str | None = None
-) -> tuple[str, ...]:
-    """Everything a fold of one relation's AD file may rewrite.
+) -> tuple[list[str], list[str]]:
+    """``(relations, views)`` a fold of one relation's AD file may rewrite.
 
     The relation itself, every deferred sibling view it feeds, and
     those views' other source relations (a two-sided deferred join
@@ -52,7 +59,21 @@ def fold_locks(
         if impl is not None and impl.strategy is Strategy.DEFERRED:
             views.add(name)
             relations.update(impl.definition.sources)
-    return _names(sorted(relations), sorted(views))
+    return sorted(relations), sorted(views)
+
+
+def fold_locks(
+    database: Any, relation: str, sources: Iterable[str] = (), view: str | None = None
+) -> tuple[str, ...]:
+    """Write locks of a fold: every name in :func:`fold_set`."""
+    return _names(*fold_set(database, relation, sources, view))
+
+
+def backlog(database: Any, relations: Iterable[str]) -> bool:
+    """Whether a fold of the fold set ``relations`` has anything to fold:
+    an AD entry pending in one of them (an in-memory count, no I/O)."""
+    catalog = database.relations
+    return any(catalog[name].pending for name in relations)
 
 
 def update_locks(database: Any, relation: str) -> tuple[str, ...]:
@@ -77,16 +98,23 @@ def lock_plan(
     before reading it, which rewrites any deferred siblings too:
     exclusive locks over the whole fold set.  Every materialized
     strategy reads its stored copy under shared locks; a deferred view
-    whose policy says ``refresh_now`` first runs the fold epoch.
+    whose policy says ``refresh_now`` first runs the fold epoch.  Both
+    folds are planned only when the fold set has a :func:`backlog`;
+    without one the query reads under shared locks, with the folding
+    plan kept as ``due``.
     """
     sources = definition.sources
     own = _names(sources, (definition.name,))
     if strategy is None:
         return LockPlan(writes=own)
     if strategy.is_query_modification():
-        return LockPlan(
-            writes=fold_locks(database, sources[0], sources, definition.name)
-        )
-    if strategy is Strategy.DEFERRED and refresh_now:
-        return LockPlan(reads=own, fold=fold_locks(database, sources[0]))
-    return LockPlan(reads=own)
+        relations, views = fold_set(database, sources[0], sources, definition.name)
+        due = LockPlan(writes=_names(relations, views))
+    elif strategy is Strategy.DEFERRED and refresh_now:
+        relations, views = fold_set(database, sources[0])
+        due = LockPlan(reads=own, fold=_names(relations, views))
+    else:
+        return LockPlan(reads=own)
+    if backlog(database, relations):
+        return due
+    return LockPlan(reads=own, due=due, unfolded=tuple(relations))

@@ -276,6 +276,11 @@ class MetricsRegistry:
         buckets: Iterable[float] | None = None,
     ) -> Any:
         key = (name, _labels_of(labels))
+        # Instruments are never dropped: an existing one is read without
+        # the mutex, which only creation takes.
+        instrument = self._instruments.get(key)
+        if type(instrument) is cls:
+            return instrument
         with self._mutex:
             instrument = self._instruments.get(key)
             if instrument is None:

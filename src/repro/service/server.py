@@ -37,7 +37,9 @@ from repro.resilience.policy import ResilienceConfig
 from repro.resilience.scrub import ScrubReport
 from .cache import QueryResultCache
 from .catalog import ServedView, ViewCatalog, ViewDefinition
-from .lockplan import fold_locks, lock_plan, probe_locks, update_locks
+from .lockplan import (
+    backlog, fold_locks, fold_set, lock_plan, probe_locks, update_locks,
+)
 from .metrics import MetricsRegistry
 from .router import AdaptiveRouter, query_width
 from .scheduler import RefreshPolicy, RefreshScheduler, StalenessReport
@@ -453,43 +455,54 @@ class ViewServer:
     def _serve_healthy(
         self, name: str, impl: Any, plan: Any, lo: Any, hi: Any, box: CostBox
     ) -> tuple[Any, Any]:
-        """The healthy serving path: fold if due, then one locked read."""
+        """The healthy serving path: fold if due, then one locked read.
+
+        A plan that skipped its fold (nothing was pending) checks the
+        backlog again under its locks; an update that committed since
+        planning sends it round once more with the folding plan."""
         strategy = impl.strategy
         sources = impl.definition.sources
         deferred = strategy is Strategy.DEFERRED
-        if plan.fold:
-            # Fold first (one shared-delta epoch, coalesced with any
-            # concurrent request on the same relation), then serve the
-            # freshly installed copy under read locks.
-            self._refresh(sources[0], box, plan.fold)
-        with self._locks.acquire(
-            writes=plan.writes, reads=plan.reads, timeout=self._lock_timeout
-        ):
-            with self._engine.section(box):
-                if strategy.is_query_modification():
-                    # QM plans read base files — fold any pending AD first.
-                    self.database.settle_relation(sources[0])
-                # A deferred copy is read as it stands: either the fold
-                # above just ran, or the policy says to serve stale.
-                answer = self.database.query_view(name, lo, hi, refresh=not deferred)
-                # Only fresh answers are cached.  Immediate maintenance
-                # and recomputation always are; snapshot and hybrid
-                # copies may serve stale; a deferred copy is fresh once
-                # its AD is empty — but a join's inner backlog isn't
-                # visible through the outer HR, so only single-source
-                # views qualify.
-                if deferred:
-                    fresh = len(sources) == 1 and impl.relation.ad_entry_count() == 0
-                else:
-                    fresh = strategy is Strategy.IMMEDIATE or strategy.is_query_modification()
-            token = None
-            if fresh and self.cache is not None:
-                token = self.cache.epoch_token(sources)
-        if deferred and plan.fold:
+        while True:
+            if plan.fold:
+                # Fold first (one shared-delta epoch, coalesced with any
+                # concurrent request on the same relation), then serve
+                # the freshly installed copy under read locks.
+                self._refresh(sources[0], box, plan.fold)
+            with self._locks.acquire(
+                writes=plan.writes, reads=plan.reads, timeout=self._lock_timeout
+            ):
+                if plan.due is not None and backlog(self.database, plan.unfolded):
+                    plan = plan.due
+                    continue
+                with self._engine.section(box):
+                    if plan.writes:
+                        # A query-modification plan with a backlog: QM
+                        # reads base files, so fold the pending AD first.
+                        self.database.settle_relation(sources[0])
+                    # A deferred copy is read as it stands: it is current
+                    # (folded above, or nothing to fold), or the policy
+                    # says to serve stale.
+                    answer = self.database.query_view(name, lo, hi, refresh=not deferred)
+                token = None
+                if self.cache is not None and self._fresh(strategy, sources):
+                    token = self.cache.epoch_token(sources)
+            break
+        if deferred and (plan.fold or plan.due is not None):
             self.scheduler.note_refreshed(name)
         elif deferred:
             self.scheduler.note_stale_answer(name)
         return answer, token
+
+    def _fresh(self, strategy: Strategy, sources: tuple[str, ...]) -> bool:
+        """Whether an answer just read reflects every update so far — the
+        precondition for caching it.  Immediate maintenance and
+        recomputation always do; snapshot and hybrid copies may serve
+        stale; a deferred copy does once its fold set has nothing
+        pending (a join's inner backlog included)."""
+        if strategy is Strategy.DEFERRED:
+            return not backlog(self.database, fold_set(self.database, sources[0])[0])
+        return strategy is Strategy.IMMEDIATE or strategy.is_query_modification()
 
     # ------------------------------------------------------------------
     # refresh epochs

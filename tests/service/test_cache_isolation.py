@@ -88,3 +88,43 @@ def test_a_router_hit_is_not_the_first_clients_list():
         assert_untouched(second, first)
     finally:
         router.close()
+
+
+def test_a_deferred_join_is_cached_once_both_backlogs_are_empty():
+    """A deferred join's answer is fresh once neither its outer nor its
+    inner relation has anything pending; an inner update invalidates it."""
+    from collections import Counter
+
+    from repro.engine.transaction import Transaction, Update
+    from repro.views.definition import JoinView
+    from repro.views.predicate import IntervalPredicate
+
+    outer = Schema("r1", ("id", "a", "j"), "id", tuple_bytes=100)
+    inner = Schema("r2", ("j", "c"), "j", tuple_bytes=100)
+    database = Database(buffer_pages=64)
+    database.create_relation(outer, "a", kind="hypothetical", records=[
+        outer.new_record(id=i, a=i % 20, j=i % 6) for i in range(60)])
+    database.create_relation(inner, "j", kind="hashed_hypothetical", records=[
+        inner.new_record(j=j, c=j * 10) for j in range(6)])
+    view = JoinView("v", "r1", "r2", "j", IntervalPredicate("a", 0, 9),
+                    ("id", "a"), ("j", "c"), "a")
+    cache = QueryResultCache()
+    server = ViewServer(database, cache=cache)
+    server.register_view(view, Strategy.DEFERRED, adaptive=False)
+
+    def truth():
+        return Counter(view.evaluate(database.logical_records("r1"),
+                                     database.logical_records("r2")))
+
+    server.apply_update(Transaction.of("r1", [Update(3, {"a": 15})]))
+    assert Counter(server.query("v", 0, 9)) == truth()
+    assert Counter(server.query("v", 0, 9)) == truth()
+    assert cache.hits == 1
+    server.apply_update(Transaction.of("r2", [Update(2, {"c": 999})]))
+    assert database.relations["r2"].pending
+    answer = server.query("v", 0, 9)
+    assert cache.hits == 1
+    assert Counter(answer) == truth()
+    assert any(t["c"] == 999 for t in answer)
+    assert Counter(server.query("v", 0, 9)) == truth()
+    assert cache.hits == 2

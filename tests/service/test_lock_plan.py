@@ -1,21 +1,27 @@
-"""The lock plan, pinned: one row per strategy x request state x view shape.
+"""The lock plan, pinned: one row per strategy x request state x view
+shape x backlog.
 
 ``TABLE`` was recorded once at the commit *before* the plan existed
 (six hand-built ``_rel_locks(...) + _view_locks(...)`` sites), with the
-``set_lock_observer`` hook around ``ViewServer.query``.  Every row is
-checked twice: against what :func:`repro.service.lockplan.lock_plan`
-returns, and against what the server actually acquires — so the plan
-cannot silently widen or narrow a lock, and the pipeline cannot bypass
-the plan.
+``set_lock_observer`` hook around ``ViewServer.query``.  Those plans
+folded whether or not anything was pending, so each row now stands
+with one update pending in ``r1``; ``EMPTY_BACKLOG`` records the plans
+of the same queries with nothing pending, where no fold is planned.
+Every row is checked twice: against what
+:func:`repro.service.lockplan.lock_plan` returns, and against what the
+server actually acquires — so the plan cannot silently widen or narrow
+a lock, and the pipeline cannot bypass the plan.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.concurrency import locks
 from repro.core.strategies import Strategy
 from repro.engine.database import Database
+from repro.engine.transaction import Transaction, Update
 from repro.resilience.policy import ResilienceConfig
 from repro.service.scheduler import RefreshPolicy
 from repro.service.server import ViewServer
@@ -103,6 +109,70 @@ TABLE = {
         ([], ['rel:r1', 'rel:r2', 'view:v']),
 }
 
+#: The same queries with nothing pending in ``r1``: every non-degraded
+#: query reads under shared locks on the view and its sources — no fold
+#: epoch, no query-modification settle, so no ``view:sib``.
+EMPTY_BACKLOG = {
+    ('single', 'deferred', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'deferred', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'deferred', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'immediate', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'immediate', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'immediate', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'qm_clustered', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'qm_clustered', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'qm_clustered', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'qm_sequential', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'qm_sequential', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'qm_sequential', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'snapshot', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'snapshot', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'snapshot', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('single', 'bc_recompute', 'refresh_now'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'bc_recompute', 'fresh'):
+        (['rel:r1', 'view:v'], []),
+    ('single', 'bc_recompute', 'known_degraded'):
+        ([], ['rel:r1', 'view:v']),
+    ('join', 'deferred', 'refresh_now'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'deferred', 'fresh'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'deferred', 'known_degraded'):
+        ([], ['rel:r1', 'rel:r2', 'view:v']),
+    ('join', 'immediate', 'refresh_now'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'immediate', 'fresh'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'immediate', 'known_degraded'):
+        ([], ['rel:r1', 'rel:r2', 'view:v']),
+    ('join', 'qm_loopjoin', 'refresh_now'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'qm_loopjoin', 'fresh'):
+        (['rel:r1', 'rel:r2', 'view:v'], []),
+    ('join', 'qm_loopjoin', 'known_degraded'):
+        ([], ['rel:r1', 'rel:r2', 'view:v']),
+}
+
+#: The update left pending in ``r1`` for ``TABLE``'s rows.  ``sib`` is
+#: deferred, so no strategy folds it at update time.
+PENDING = Transaction.of("r1", [Update(5, {"v": 55})])
+
 
 def build(shape, strategy):
     db = Database(buffer_pages=64, resilience=ResilienceConfig(repair=False))
@@ -152,13 +222,26 @@ def _observed(action):
     return sorted(recorder.reads), sorted(recorder.writes)
 
 
-def observe(server, state):
-    """The striped locks one ``query("v")`` takes in the given state."""
+def observe(server, state, pending=True):
+    """The striped locks one ``query("v")`` takes in the given state,
+    with ``PENDING`` left in ``r1`` before it (or nothing pending)."""
     if state == "fresh":
         server.query("v")
-    elif state == "known_degraded":
+    if pending:
+        server.apply_update(PENDING)
+    if state == "known_degraded":
         degrade(server)
     return _observed(lambda: server.query("v"))
+
+
+def plan_of(server, shape, strategy, state):
+    from repro.service.lockplan import lock_plan
+
+    return lock_plan(
+        server.database, SHAPES[shape],
+        None if state == "known_degraded" else Strategy(strategy),
+        refresh_now=state == "refresh_now",
+    )
 
 
 ROWS = [(shape, strategy, state)
@@ -167,18 +250,14 @@ ROWS = [(shape, strategy, state)
 
 def test_table_covers_every_row():
     assert sorted(TABLE) == sorted(ROWS)
+    assert sorted(EMPTY_BACKLOG) == sorted(ROWS)
 
 
 @pytest.mark.parametrize("shape,strategy,state", ROWS)
 def test_plan_matches_the_recorded_table(shape, strategy, state):
-    from repro.service.lockplan import lock_plan
-
     server = build(shape, strategy)
-    plan = lock_plan(
-        server.database, SHAPES[shape],
-        None if state == "known_degraded" else Strategy(strategy),
-        refresh_now=state == "refresh_now",
-    )
+    server.apply_update(PENDING)
+    plan = plan_of(server, shape, strategy, state)
     reads, writes = TABLE[shape, strategy, state]
     assert sorted(plan.reads) == reads
     assert sorted(set(plan.fold) | set(plan.writes)) == writes
@@ -190,6 +269,53 @@ def test_plan_matches_the_recorded_table(shape, strategy, state):
 def test_server_acquires_exactly_the_recorded_locks(shape, strategy, state):
     reads, writes = TABLE[shape, strategy, state]
     assert observe(build(shape, strategy), state) == (reads, writes)
+
+
+@pytest.mark.parametrize("shape,strategy,state", ROWS)
+def test_empty_backlog_plan_matches_the_recorded_table(shape, strategy, state):
+    server = build(shape, strategy)
+    plan = plan_of(server, shape, strategy, state)
+    reads, writes = EMPTY_BACKLOG[shape, strategy, state]
+    assert sorted(plan.reads) == reads
+    assert sorted(set(plan.fold) | set(plan.writes)) == writes
+    # The skipped fold is kept: with a backlog it would be TABLE's row.
+    if plan.due is not None:
+        due = plan.due
+        assert (sorted(due.reads), sorted(set(due.fold) | set(due.writes))) == (
+            TABLE[shape, strategy, state])
+
+
+@pytest.mark.parametrize("shape,strategy,state", ROWS)
+def test_server_acquires_exactly_the_empty_backlog_locks(shape, strategy, state):
+    reads, writes = EMPTY_BACKLOG[shape, strategy, state]
+    assert observe(build(shape, strategy), state, pending=False) == (reads, writes)
+
+
+@pytest.mark.parametrize("strategy", ["deferred", "qm_clustered"])
+def test_an_update_between_plan_and_locks_is_folded(strategy):
+    """Planned with nothing pending; an update commits before the shared
+    locks are taken: the query sees the backlog under them and folds."""
+    server = build("single", strategy)
+    acquire = server._locks.acquire
+    # Moves tuple 7 across the view's predicate, whichever side it is on.
+    a = server.database.logical_record("r1", 7)["a"]
+    late = Transaction.of("r1", [Update(7, {"a": 20 if a <= 9 else 3})])
+    fired = []
+
+    def acquire_after_an_update(writes=(), reads=(), timeout=None):
+        if "view:v" in reads and not fired:
+            fired.append(True)
+            server.apply_update(late)
+        return acquire(writes=writes, reads=reads, timeout=timeout)
+
+    server._locks.acquire = acquire_after_an_update
+    answer = server.query("v")
+    assert fired
+    assert server.database.relations["r1"].pending == 0
+    truth = SHAPES["single"].evaluate(server.database.logical_records("r1"))
+    assert Counter(answer) == Counter(truth)
+    if strategy == "deferred":
+        assert server.planner.epochs == 1
 
 
 def test_update_locks_the_relation_and_every_view_on_it():

@@ -139,6 +139,20 @@ class TestRefreshPolicies:
         assert caught_up == AGG.evaluate(snapshot(server))
         assert server.staleness("v_total").is_fresh
 
+    def test_a_refresh_with_nothing_to_fold_runs_no_epoch_but_counts(self):
+        server = make_server(Strategy.DEFERRED, policy=RefreshPolicy.periodic(2),
+                             definitions=(AGG,))
+        server.query("v_total")  # refresh cycle, nothing pending
+        server.query("v_total")  # off cycle
+        assert server.staleness("v_total").queries_since_refresh == 1
+        server.query("v_total")  # refresh cycle again, still nothing
+        assert server.staleness("v_total").queries_since_refresh == 0
+        assert server.planner.epochs == 0
+        server.apply_update(Transaction.of("r", [Update(0, {"a": 5, "v": 10})]))
+        server.query("v_total")  # off cycle: the backlog stays
+        assert server.query("v_total") == AGG.evaluate(snapshot(server))
+        assert server.planner.epochs == 1
+
     def test_async_policy_folds_backlog_after_updates(self):
         server = make_server(Strategy.DEFERRED,
                              policy=RefreshPolicy.async_refresh())
