@@ -241,12 +241,15 @@ class LockManager:
     of read- and write-mode locks in one canonical global order —
     sorted by name, write mode winning when a name appears in both
     sets — which is the fixed lock-ordering discipline that makes the
-    striped scheme deadlock-free.
+    striped scheme deadlock-free.  :meth:`resolve` computes that order
+    once per set of names: since no lock is ever dropped, the answer
+    never goes stale.
     """
 
     def __init__(self) -> None:
         self._mutex = threading.Lock()
         self._locks: dict[str, RWLock] = {}
+        self._resolved: dict[Any, tuple[tuple[RWLock, bool], ...]] = {}
 
     def lock(self, name: str) -> RWLock:
         # Locks are never dropped: an existing one is read lock-free.
@@ -263,12 +266,16 @@ class LockManager:
         timeout: float | None = None,
     ) -> _Held:
         """Acquire a set of named locks in canonical (sorted) order."""
-        write_set = set(writes)
-        plan = sorted(
-            [(name, True) for name in write_set]
-            + [(name, False) for name in set(reads) - write_set]
-        )
-        return _Held([(self.lock(name), write) for name, write in plan], timeout)
+        return _Held(self.resolve(writes, reads), timeout)
+
+    def resolve(self, writes: Iterable[str], reads: Iterable[str]) -> tuple[Any, ...]:
+        """The ``(lock, write)`` pairs :meth:`acquire` takes, in order."""
+        key = (tuple(writes), tuple(reads))
+        plan = self._resolved.get(key)
+        if plan is None:
+            modes = {**dict.fromkeys(key[1], False), **dict.fromkeys(key[0], True)}
+            plan = self._resolved[key] = tuple((self.lock(n), modes[n]) for n in sorted(modes))
+        return plan
 
 
 class Pacer:

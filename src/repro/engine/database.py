@@ -173,6 +173,11 @@ class Database:
         self.views: dict[str, "MaintenanceStrategy"] = {}
         self._views_by_relation: dict[str, list[str]] = {}
         self._deferred_coordinators: dict[str, Any] = {}
+        #: Goes up on every change to what a lock plan reads — a
+        #: relation created, a view hosted or dropped (so a define,
+        #: migrate, rebuild or restore) — and at no other time; the
+        #: serving layer recompiles its plans when it moves.
+        self.catalog_epoch = 0
         self.transactions_applied = 0
         self.queries_answered = 0
         #: Catalog specs captured for checkpointing (repro.durability):
@@ -256,6 +261,7 @@ class Database:
             if differential is not None:
                 relation = differential(relation, ad_buckets=ad_buckets)
             self.relations[schema.name] = relation
+            self.catalog_epoch += 1
             loaded: list[Record] | None = None
             if records is not None:
                 loaded = list(records)
@@ -336,6 +342,7 @@ class Database:
             if setup_bucket:
                 self.pool.flush_all()
         self.views[spec.name] = impl
+        self.catalog_epoch += 1
         # A join is listed under its inner relation too: inner updates
         # also affect it (an extension beyond the paper's
         # R2-is-never-updated simplification).
@@ -367,13 +374,13 @@ class Database:
         source, *others = definition.sources
         # Deferred maintenance reads its relation through the pending
         # changes; every other strategy reads the base file.
-        screened = self._base_of(source)
-        if strategy is not Strategy.DEFERRED:
-            screened = screened.base
+        relation = self._base_of(source)
+        screened = relation if strategy is Strategy.DEFERRED else relation.base
         model = catalog.model_class(definition)(
             definition, screened, *(self._base_of(name) for name in others),
             pool=self.pool, block_bytes=self.block_bytes, fanout=self.fanout,
         )
+        model.current = relation
         offered = {
             **vars(spec),
             "index_for": lambda field: self.secondary_indexes.get((source, field))
@@ -584,6 +591,7 @@ class Database:
         if impl is None:
             raise CatalogError(f"unknown view {name!r}")
         self._view_specs.pop(name, None)
+        self.catalog_epoch += 1
         self._journal("drop_view", view=name)
         for view_names in self._views_by_relation.values():
             while name in view_names:

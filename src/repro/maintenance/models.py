@@ -89,6 +89,10 @@ class Model:
         #: itself (reads then see pending changes) when maintenance is
         #: deferred.
         self.relation = relation
+        #: The same relation as it stands, pending changes included: the
+        #: differential relation whose base file ``relation`` is, when
+        #: maintenance reads the base (the engine sets it).
+        self.current = relation
         self.pool = pool
         self.block_bytes = block_bytes
         self.fanout = fanout
@@ -401,7 +405,9 @@ class JoinModel(Model):
         for inner_record, sign in _signed(delta.inserted, delta.deleted):
             join_value = inner_record[definition.join_field]
             for outer_key in sorted(self._outer_by_join.get(join_value, ())):
-                outer = self.relation.read_by_key(outer_key)
+                # The index is of the outer's current content, and so is
+                # the tuple read: a base file behind an AD backlog is not.
+                outer = self.current.read_by_key(outer_key)
                 if outer is None:
                     continue
                 meter.record_screen()

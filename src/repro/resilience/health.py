@@ -91,9 +91,10 @@ class ViewHealth:
         checkpoint and the log, so nothing stays degraded or queued.
         """
         self.database = database
-        resilient = database.resilient_disk
-        if resilient is not None:
-            resilient.listener = self._on_disk_event
+        #: What :meth:`export_gauges` reads, looked up once per engine.
+        self._faults, self._resilient = database.faults, database.resilient_disk
+        if self._resilient is not None:
+            self._resilient.listener = self._on_disk_event
         with self._mutex:
             for name in list(self._degraded):
                 self._clear(name)
@@ -410,12 +411,12 @@ class ViewHealth:
         )
 
     def export_gauges(self) -> None:
-        """Export the fault-injection and retry/breaker counters."""
-        faults = self.database.faults
+        """Export the fault-injection and retry/breaker counters (of the
+        fault injector and resilient disk :meth:`watch` found)."""
+        faults, resilient = self._faults, self._resilient
         if faults is not None:
             for kind, count in faults.injected.items():
                 self.metrics.gauge("faults_injected", kind=kind).set(count)
-        resilient = self.database.resilient_disk
         if resilient is not None:
             self.metrics.gauge("disk_retries").set(resilient.retries)
             self.metrics.gauge("disk_giveups").set(resilient.gave_up)

@@ -27,6 +27,9 @@ class ServedView:
     adaptive: bool
     queries: int = 0
     updates_seen: int = 0
+    #: Compiled against the catalog the last request saw; replaced
+    #: whole once that catalog changes (see ``ViewServer._plan``).
+    plan: Any = None
 
 
 class ViewCatalog:

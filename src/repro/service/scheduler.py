@@ -71,6 +71,10 @@ class RefreshPolicy:
         return cls(doc["kind"], every=int(doc.get("every", 1)))
 
 
+#: The policy of a view nobody set one for (one instance, not one per call).
+_ON_DEMAND = RefreshPolicy.on_demand()
+
+
 @dataclass(frozen=True)
 class StalenessReport:
     """How far behind the true relation a view's stored copy may be."""
@@ -105,7 +109,7 @@ class RefreshScheduler:
             self._queries_since_refresh.setdefault(view, 0)
 
     def policy_of(self, view: str) -> RefreshPolicy:
-        return self._policies.get(view, RefreshPolicy.on_demand())
+        return self._policies.get(view, _ON_DEMAND)
 
     # ------------------------------------------------------------------
     # decision points (called by the server)
@@ -116,17 +120,14 @@ class RefreshScheduler:
         Counts the query either way, so periodic views hit their cycle
         deterministically (query 1 refreshes, then every ``every``-th).
         """
-        policy = self.policy_of(view)
+        policy = self._policies.get(view, _ON_DEMAND)
         with self._mutex:
             seen = self._queries_seen.get(view, 0)
             self._queries_seen[view] = seen + 1
-        if policy.kind == "periodic":
-            return seen % policy.every == 0
-        if policy.kind == "async":
-            # Background refreshes keep the backlog near zero; a query
-            # still folds any residue so answers stay correct.
-            return True
-        return True
+        # On demand refreshes every query; async too (background
+        # refreshes keep the backlog near zero, a query still folds any
+        # residue so answers stay correct).
+        return policy.kind != "periodic" or seen % policy.every == 0
 
     def wants_background_refresh(self, view: str) -> bool:
         """Whether updates to this view's relation trigger idle-time work."""

@@ -37,10 +37,8 @@ from repro.resilience.policy import ResilienceConfig
 from repro.resilience.scrub import ScrubReport
 from .cache import QueryResultCache
 from .catalog import ServedView, ViewCatalog, ViewDefinition
-from .lockplan import (
-    backlog, fold_locks, fold_set, lock_plan, probe_locks, update_locks,
-)
-from .metrics import MetricsRegistry
+from .lockplan import Compiled, ServingPlan, fold_locks, lock_plan, update_locks
+from .metrics import Counter, MetricsRegistry
 from .router import AdaptiveRouter, query_width
 from .scheduler import RefreshPolicy, RefreshScheduler, StalenessReport
 
@@ -75,6 +73,8 @@ class ViewServer:
         self._world = RWLock("world")
         #: Striped per-relation and per-view locks (see lockplan).
         self._locks = LockManager()
+        #: ``queries_total`` per client, looked up once each.
+        self._queries_total: dict[str, Counter] = {}
         #: Serializes engine sections (shared buffer pool + cost meter);
         #: ``pacing`` is wall seconds per modelled millisecond (0 = off).
         self._engine = EngineMutex(
@@ -101,6 +101,8 @@ class ViewServer:
     def _bind(self, database: Database) -> None:
         """Serve from this engine (at start-up, and after recovery)."""
         self.database = database
+        #: Per-relation lock sets compiled against this engine's catalog.
+        self._relation_plans = Compiled(database)
         #: Shared-delta refresh planning (grouping + coalescing).
         self.planner = SharedDeltaPlanner(database)
         self.health.watch(database)
@@ -324,7 +326,7 @@ class ViewServer:
         """Apply under the update's write locks; returns the base-path
         failure that needs recovery, if any."""
         with self._locks.acquire(
-            writes=update_locks(self.database, txn.relation),
+            writes=self._relations().memo(update_locks, txn.relation),
             timeout=self._lock_timeout,
         ):
             try:
@@ -368,7 +370,7 @@ class ViewServer:
         repair is queued.  Only when every rung fails does it raise.
         """
         entry = self._catalog.entry(name)
-        answer = self._cache_probe(name, entry, lo, hi, client)
+        answer = self._cache_probe(name, entry, lo, hi, client) if self.cache is not None else _MISS
         if answer is _MISS:
             with self._world.read(self._lock_timeout):
                 answer, token = self._serve(name, entry, lo, hi, client)
@@ -380,32 +382,46 @@ class ViewServer:
         self._post_request(observe_query=(name, lo, hi))
         return answer
 
+    def _plan(self, entry: ServedView) -> ServingPlan:
+        """The view's compiled plan; called under the world read lock,
+        which every catalog change excludes, and compiled afresh when
+        the engine or its catalog epoch has moved since."""
+        plan, database = entry.plan, self.database
+        if plan is None or not plan.current(database):
+            name = entry.definition.name
+            impl = database.views.get(name)
+            strategy = impl.strategy if impl is not None else None
+            label = strategy.value if strategy is not None else "unavailable"
+            query_ms = self.metrics.histogram("query_ms", view=name, strategy=label)
+            plan = entry.plan = ServingPlan(database, entry.definition, strategy, query_ms)
+        return plan
+
     def _count_query(
-        self, name: str, entry: ServedView, client: str, impl: Any, ms: float
+        self, entry: ServedView, plan: ServingPlan, client: str, ms: float
     ) -> None:
-        strategy = impl.strategy.value if impl is not None else "unavailable"
         self._catalog.count_query(entry)
-        self.metrics.counter("queries_total", client=client).inc()
-        self.metrics.histogram("query_ms", view=name, strategy=strategy).observe(ms)
+        counter = self._queries_total.get(client)
+        if counter is None:
+            counter = self.metrics.counter("queries_total", client=client)
+            self._queries_total[client] = counter
+        counter.inc()
+        plan.query_ms.observe(ms)
 
     def _cache_probe(
         self, name: str, entry: ServedView, lo: Any, hi: Any, client: str
     ) -> Any:
         """Serve from the cache when possible; ``_MISS`` otherwise."""
         cache = self.cache
-        impl = self.database.views.get(name)
-        if cache is None or impl is None or self.health.reason(name) is not None:
-            return _MISS
-        sources = entry.definition.sources
         with self._world.read(self._lock_timeout):
-            with self._locks.acquire(
-                reads=probe_locks(entry.definition), timeout=self._lock_timeout
-            ):
-                hit, answer = cache.get(name, lo, hi, cache.epoch_token(sources))
+            if name not in self.database.views or self.health.reason(name) is not None:
+                return _MISS
+            plan = self._plan(entry)
+            with self._locks.acquire(reads=plan.probe, timeout=self._lock_timeout):
+                hit, answer = cache.get(name, lo, hi, cache.epoch_token(plan.sources))
         if not hit:
             return _MISS
         self.metrics.counter("cache_hits_total", view=name).inc()
-        self._count_query(name, entry, client, impl, 0.0)
+        self._count_query(entry, plan, client, 0.0)
         return answer
 
     def _serve(
@@ -421,22 +437,19 @@ class ViewServer:
             # Only a degraded, repair-pending view may be missing
             # its engine-side impl (vanished mid-composite-op).
             raise CatalogError(f"unknown view {name!r}")
+        plan = self._plan(entry)
         definition = entry.definition
         box = CostBox()
         try:
             if reason is None:
-                plan = lock_plan(
-                    self.database, definition, impl.strategy,
-                    self.scheduler.should_refresh_on_query(name),
-                )
                 try:
-                    return self._serve_healthy(name, impl, plan, lo, hi, box)
+                    return self._serve_healthy(name, plan, lo, hi, box)
                 except DEGRADABLE_ERRORS as exc:
                     reason = self.health.fail(name, "query", exc)
             # A known-bad view skips straight here: don't poke the
             # broken machinery (and its breakers) until repair clears it.
             with self._locks.acquire(
-                writes=lock_plan(self.database, definition, None).writes,
+                writes=plan.memo(lock_plan, definition, None).writes,
                 timeout=self._lock_timeout,
             ):
                 degraded = self.health.answer(
@@ -450,19 +463,19 @@ class ViewServer:
                 )
             return degraded, None
         finally:
-            self._count_query(name, entry, client, impl, box.ms)
+            self._count_query(entry, plan, client, box.ms)
 
     def _serve_healthy(
-        self, name: str, impl: Any, plan: Any, lo: Any, hi: Any, box: CostBox
+        self, name: str, compiled: ServingPlan, lo: Any, hi: Any, box: CostBox
     ) -> tuple[Any, Any]:
         """The healthy serving path: fold if due, then one locked read.
 
         A plan that skipped its fold (nothing was pending) checks the
         backlog again under its locks; an update that committed since
         planning sends it round once more with the folding plan."""
-        strategy = impl.strategy
-        sources = impl.definition.sources
-        deferred = strategy is Strategy.DEFERRED
+        sources = compiled.sources
+        deferred = compiled.strategy is Strategy.DEFERRED
+        plan = compiled.plan(self.scheduler.should_refresh_on_query(name))
         while True:
             if plan.fold:
                 # Fold first (one shared-delta epoch, coalesced with any
@@ -472,7 +485,7 @@ class ViewServer:
             with self._locks.acquire(
                 writes=plan.writes, reads=plan.reads, timeout=self._lock_timeout
             ):
-                if plan.due is not None and backlog(self.database, plan.unfolded):
+                if plan.due is not None and compiled.pending():
                     plan = plan.due
                     continue
                 with self._engine.section(box):
@@ -485,7 +498,7 @@ class ViewServer:
                     # says to serve stale.
                     answer = self.database.query_view(name, lo, hi, refresh=not deferred)
                 token = None
-                if self.cache is not None and self._fresh(strategy, sources):
+                if self.cache is not None and self._fresh(compiled):
                     token = self.cache.epoch_token(sources)
             break
         if deferred and (plan.fold or plan.due is not None):
@@ -494,15 +507,15 @@ class ViewServer:
             self.scheduler.note_stale_answer(name)
         return answer, token
 
-    def _fresh(self, strategy: Strategy, sources: tuple[str, ...]) -> bool:
+    def _fresh(self, plan: ServingPlan) -> bool:
         """Whether an answer just read reflects every update so far — the
         precondition for caching it.  Immediate maintenance and
         recomputation always do; snapshot and hybrid copies may serve
         stale; a deferred copy does once its fold set has nothing
         pending (a join's inner backlog included)."""
-        if strategy is Strategy.DEFERRED:
-            return not backlog(self.database, fold_set(self.database, sources[0])[0])
-        return strategy is Strategy.IMMEDIATE or strategy.is_query_modification()
+        if plan.strategy is Strategy.DEFERRED:
+            return not plan.pending()
+        return plan.strategy is Strategy.IMMEDIATE or plan.strategy.is_query_modification()
 
     # ------------------------------------------------------------------
     # refresh epochs
@@ -517,13 +530,20 @@ class ViewServer:
 
         def run(work: Callable[[], None]) -> None:
             with self._locks.acquire(
-                writes=writes or fold_locks(self.database, relation),
+                writes=writes or self._relations().memo(fold_locks, relation),
                 timeout=self._lock_timeout,
             ):
                 with self._engine.section(box):
                     work()
 
         return self.planner.refresh(relation, run=run)
+
+    def _relations(self) -> Compiled:
+        """Per-relation lock sets, compiled afresh when the catalog moved."""
+        plans = self._relation_plans
+        if not plans.current(self.database):
+            plans = self._relation_plans = Compiled(self.database)
+        return plans
 
     def _run_background_refreshes(self, affected: tuple[str, ...]) -> None:
         """Async-policy views fold their backlog right after the update.

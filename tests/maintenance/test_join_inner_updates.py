@@ -9,7 +9,7 @@ from repro.core.strategies import Strategy
 from repro.engine.database import Database
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.storage.tuples import Schema
-from repro.views.definition import JoinView
+from repro.views.definition import JoinView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
 
 R1 = Schema("r1", ("id", "a", "j"), "id", tuple_bytes=100)
@@ -115,3 +115,30 @@ class TestOtherStrategies:
         db = build(Strategy.DEFERRED)
         with pytest.raises(NotImplementedError, match="IMMEDIATE"):
             db.apply_transaction(Transaction.of("r2", [Update(3, {"c": 1})]))
+
+
+class TestImmediateJoinBesideADeferredSibling:
+    """A deferred sibling keeps the outer relation hypothetical with AD
+    pending, so the immediate join's base file lags the relation; an
+    inner update must join the outer tuples as they stand."""
+
+    def test_inner_updates_read_the_outer_as_it_stands(self):
+        db = Database(buffer_pages=256)
+        rng = random.Random(4)
+        db.create_relation(R1, "a", kind="hypothetical", ad_buckets=4, records=[
+            R1.new_record(id=i, a=rng.randrange(20), j=i % 5) for i in range(60)])
+        db.create_relation(R2, "j", kind="hashed",
+                           records=[R2.new_record(j=j, c=j) for j in range(5)])
+        db.define_view(VIEW, Strategy.IMMEDIATE)
+        db.define_view(SelectProjectView("d", "r1", IntervalPredicate("a", 0, 9),
+                                         ("id", "a"), "a"), Strategy.DEFERRED)
+        for step in range(40):
+            if step % 3 == 2:
+                txn = Transaction.of("r2", [Update(step % 5, {"c": step})])
+            else:
+                txn = Transaction.of("r1", [Update(rng.randrange(60), {
+                    "a": rng.randrange(20)})])
+            db.apply_transaction(txn)
+            assert db.relations["r1"].pending
+            truth = VIEW.evaluate(db.logical_records("r1"), db.logical_records("r2"))
+            assert Counter(db.query_view("v")) == Counter(truth), step

@@ -338,3 +338,122 @@ def test_cache_hit_reads_only_the_source_relations():
     server.query("v", 0, 5)
     assert _observed(lambda: server.query("v", 0, 5)) == (["rel:r1", "rel:r2"], [])
     assert server.metrics.counter("cache_hits_total", view="v").value == 1
+
+
+# ----------------------------------------------------------------------
+# compiled plans: a request reuses lock_plan's outcome until the catalog
+# (or the engine) changes, and recompiles exactly then
+# ----------------------------------------------------------------------
+
+#: A second deferred sibling, registered and dropped between queries.
+SIBLING_2 = SelectProjectView("sib2", "r1", IN_VIEW, ("id", "a", "v"), "a")
+CHANGES = ("register", "drop", "migrate")
+
+
+def change_catalog(server, change):
+    if change == "register":
+        server.register_view(SIBLING_2, Strategy.DEFERRED, adaptive=False)
+    elif change == "drop":
+        server.database.drop_view("sib2")
+    else:
+        server.migrate("v", Strategy.QM_CLUSTERED)
+
+
+def planned(server):
+    """(reads, writes) ``lock_plan`` gives the next ``query("v")`` (an
+    on-demand verdict) on the server's catalog as it stands now."""
+    from repro.service.lockplan import lock_plan
+
+    database = server.database
+    plan = lock_plan(database, SHAPES["single"], database.views["v"].strategy, True)
+    return sorted(plan.reads), sorted(set(plan.fold) | set(plan.writes))
+
+
+def test_a_catalog_change_between_two_queries_replans():
+    """Between two queries the catalog changes: a deferred sibling comes
+    and goes, the view migrates, the engine is swapped for a recovered
+    twin.  Each next query takes exactly the locks ``lock_plan`` gives
+    for the new catalog, and answers from it."""
+    server = build("single", "deferred")
+    server.scheduler.set_policy("v", RefreshPolicy.on_demand())
+
+    def next_query():
+        server.apply_update(PENDING)
+        expected = planned(server)
+        assert _observed(lambda: server.query("v")) == expected
+        return expected
+
+    seen = [next_query()]
+    for change in CHANGES:
+        change_catalog(server, change)
+        seen.append(next_query())
+    assert seen == [
+        (["rel:r1", "view:v"], ["rel:r1", "view:sib", "view:v"]),
+        (["rel:r1", "view:v"], ["rel:r1", "view:sib", "view:sib2", "view:v"]),
+        (["rel:r1", "view:v"], ["rel:r1", "view:sib", "view:v"]),
+        ([], ["rel:r1", "view:sib", "view:v"]),
+    ]
+    # The swap recovery makes: a twin engine with the same catalog
+    # history, hence the same epoch, but relations of its own — and an
+    # update pending only there.
+    twin = build("single", "deferred")
+    for change in CHANGES:
+        change_catalog(twin, change)
+    assert twin.database.catalog_epoch == server.database.catalog_epoch
+    twin.apply_update(PENDING)
+    server._bind(twin.database)
+    expected = planned(server)
+    assert expected == ([], ["rel:r1", "view:sib", "view:v"])
+    answers = []
+    assert _observed(lambda: answers.append(server.query("v"))) == expected
+    truth = SHAPES["single"].evaluate(twin.database.logical_records("r1"))
+    assert Counter(answers[0]) == Counter(truth)
+
+
+@pytest.mark.parametrize("shape,strategy", [
+    (shape, strategy) for shape in SHAPES for strategy in STRATEGIES[shape]
+])
+def test_a_plan_is_compiled_once_per_catalog_state(monkeypatch, shape, strategy):
+    """200 queries with updates in between compile each (view, strategy,
+    refresh verdict) once, and each relation's update locks once; one
+    catalog change then recompiles every view queried, once."""
+    from repro.service import lockplan
+
+    compiled = Counter()
+    from repro.service import server as server_module
+
+    real_plan, real_update = lockplan.lock_plan, server_module.update_locks
+
+    def counted_plan(database, definition, strategy, refresh_now=False):
+        compiled[definition.name, strategy, refresh_now] += 1
+        return real_plan(database, definition, strategy, refresh_now)
+
+    def counted_update(database, relation):
+        compiled["update", relation] += 1
+        return real_update(database, relation)
+
+    monkeypatch.setattr(lockplan, "lock_plan", counted_plan)
+    monkeypatch.setattr(server_module, "update_locks", counted_update)
+    server = build(shape, strategy)
+    plans = {"v": [], "sib": []}
+
+    def run(n):
+        for i in range(n):
+            if i % 5 == 4:
+                server.apply_update(Transaction.of("r1", [Update(i % 80, {"v": i})]))
+            name = "v" if i % 2 == 0 else "sib"
+            server.query(name)
+            plans[name].append(server._catalog.entry(name).plan)
+
+    # v is periodic(2), so both verdicts; sib is on demand.
+    once = Counter({("v", Strategy(strategy), True): 1, ("v", Strategy(strategy), False): 1,
+                    ("sib", Strategy.DEFERRED, True): 1, ("update", "r1"): 1})
+    run(200)
+    assert compiled == once
+    assert all(len({id(p) for p in seen}) == 1 for seen in plans.values())
+    compiled.clear()
+    change_catalog(server, "register")
+    run(20)
+    assert compiled == once
+    assert all(len({id(p) for p in seen}) == 2 for seen in plans.values())
+    assert all(seen[-1].epoch == server.database.catalog_epoch for seen in plans.values())

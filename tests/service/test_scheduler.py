@@ -64,6 +64,16 @@ class TestScheduler:
     def test_unregistered_view_defaults_to_on_demand(self):
         assert RefreshScheduler().policy_of("v").kind == "on_demand"
 
+    def test_the_default_policy_is_one_object(self):
+        """No policy is built per call: every unregistered view gets the
+        same on-demand instance, on every call."""
+        scheduler = RefreshScheduler()
+        first = scheduler.policy_of("v")
+        assert first == RefreshPolicy.on_demand()
+        assert scheduler.policy_of("v") is first
+        assert scheduler.policy_of("w") is first
+        assert RefreshScheduler().policy_of("v") is first
+
 
 class TestPolicyPricing:
     def test_on_demand_is_the_baseline(self):
