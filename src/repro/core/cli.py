@@ -16,6 +16,7 @@ import json
 import sys
 
 from .advisor import evaluate, recommend
+from .model1 import whole_system_total
 from .parameters import PAPER_DEFAULTS, ParameterError, Parameters
 from .strategies import ViewModel
 
@@ -129,6 +130,8 @@ def main(argv: list[str] | None = None) -> int:
         print()
         for breakdown in evaluate(params, model).values():
             print(breakdown.describe())
+            whole = whole_system_total(params, breakdown)
+            print(f"  {'whole system':<16} {whole:10.2f} ms  (total + C_base)")
             print()
     return 0
 

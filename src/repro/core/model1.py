@@ -26,6 +26,8 @@ __all__ = [
     "cost_deferred_refresh",
     "cost_immediate_refresh",
     "cost_ad_set_overhead",
+    "cost_base_update",
+    "whole_system_total",
     "total_deferred",
     "total_immediate",
     "total_qm_clustered",
@@ -121,6 +123,32 @@ def cost_ad_set_overhead(p: Parameters) -> float:
     ``k/q`` transactions per query.
     """
     return p.c3 * 2.0 * p.f * p.l * (p.k / p.q)
+
+
+def cost_base_update(p: Parameters, strategy: Strategy, method: Method = _YAO) -> float:
+    """``C_base``: writing the updates into the base relation, per query.
+
+    The paper leaves it out of every total as the "normal" update cost.
+    It differs by strategy all the same: a deferred fold applies a
+    query's ``u`` changes in one pass over ``y(N, b, u)`` base pages,
+    while immediate maintenance and query modification touch ``y(N, b,
+    l)`` pages per transaction, ``k/q`` times per query.  Each page costs
+    ``3 + H_base`` I/Os, as a view page does in ``C_def_refresh``.
+    Models 2 and 3 update the same ``N``-tuple relation, so the one term
+    serves all three models.
+    """
+    if strategy is Strategy.DEFERRED:
+        touched = yao(p.N, p.b, p.u, method=method)
+    else:
+        touched = (p.k / p.q) * yao(p.N, p.b, p.l, method=method)
+    return p.c2 * (3.0 + p.H_base) * touched
+
+
+def whole_system_total(p: Parameters, breakdown: CostBreakdown, method: Method = _YAO) -> float:
+    """A strategy's cost per query with its base update included: the
+    paper's total for any model plus :func:`cost_base_update`.  The
+    paper's totals, figures and the advisor's ranking do not use it."""
+    return breakdown.total + cost_base_update(p, breakdown.strategy, method=method)
 
 
 def total_deferred(p: Parameters, method: Method = _YAO) -> CostBreakdown:

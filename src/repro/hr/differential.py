@@ -206,28 +206,42 @@ class _KeyedFile:
         """Apply a net change (one record per key and side at most):
         drop each ``deleted`` record's key, then file each ``inserted``
         record in place of its key's tuple.  Idempotent, so a fold a
-        storage fault stopped is retried whole.  The file gets one delete
-        or insert per record, in that order, each its own descent; the
-        key directory gets one edit, made also when a fault stops the
-        pass, so it always names what the file holds."""
-        by_key = self._by_key
-        dropped: dict[Any, None] = {}
-        filed: list[Record] = []
+        storage fault stopped is retried whole.
 
-        def drop(key: Any) -> None:
-            if key in by_key and key not in dropped:
-                self._unfile(by_key[key])
-                dropped[key] = None
-
+        The file is edited in one pass in its own order (the file's
+        ``position``): the filed version of every net key is
+        removed and every inserted record added, a removal first at an
+        equal position, so a batch meets each leaf or chain in one run.
+        An addition first drops its key's older version wherever that
+        sits, so no key is ever filed twice.  The key directory gets one
+        edit in net-change order, made also when a fault stops the pass,
+        so it always names what the file holds."""
+        by_key, position = self._by_key, self._file.position
+        inserted = list(inserted)
+        net_keys = dict.fromkeys(itertools.chain(
+            (record.key for record in deleted), (record.key for record in inserted)
+        ))
+        steps = sorted(
+            [(position(by_key[key]), 0, by_key[key]) for key in net_keys if key in by_key]
+            + [(position(record), 1, record) for record in inserted],
+            key=itemgetter(0, 1),
+        )
+        dropped: set[Any] = set()
+        filed: set[Any] = set()
         try:
-            for record in deleted:
-                drop(record.key)
-            for record in inserted:
-                drop(record.key)
-                self._file.insert(record)
-                filed.append(record)
+            for _, adding, record in steps:
+                key = record.key
+                if key in by_key and key not in dropped:
+                    self._unfile(by_key[key])
+                    dropped.add(key)
+                if adding:
+                    self._file.insert(record)
+                    filed.add(key)
         finally:
-            self._edit(dropped, filed)
+            self._edit(
+                [key for key in net_keys if key in dropped],
+                [record for record in inserted if record.key in filed],
+            )
 
     def _unfile(self, record: Record) -> None:
         """Delete a record the key directory names from the file."""

@@ -138,6 +138,12 @@ class BPlusTree:
             self._height += 1
         self._entries += 1
 
+    def position(self, record: Record) -> tuple[Any, Any]:
+        """Where ``record`` sits in this file's order: its entry key
+        ``(sort_key, tiebreak)``, the order the chained leaves hold.  A
+        batch applied in this order meets each leaf in one run."""
+        return self.sort_key(record), self._tiebreak(record)
+
     def delete(self, record: Record) -> bool:
         """Delete one entry matching the record exactly; True if found."""
         entry = (self.sort_key(record), self._tiebreak(record))

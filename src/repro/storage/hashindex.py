@@ -48,6 +48,13 @@ class HashFile:
     def __len__(self) -> int:
         return self._entries
 
+    def position(self, record: Record) -> int:
+        """Where ``record`` sits in this file's order: its bucket number
+        (:meth:`_bucket_of` its hash key), the order :meth:`scan_all`
+        reads the chains in.  A batch applied in this order meets each
+        chain in one run."""
+        return hash(self.hash_key(record)) % self.buckets
+
     def _bucket_of(self, key: Any) -> int:
         # Stable across runs for ints/strings; Python ints hash to
         # themselves so integer keys spread by modulo, like a real
@@ -82,7 +89,7 @@ class HashFile:
         Returns the page written.  Appends a new chain page when the
         bucket is full.
         """
-        bucket = self._bucket_of(self.hash_key(record))
+        bucket = self.position(record)
         last_page: Page | None = None
         for page in self._chain_pages(bucket):
             last_page = page
@@ -110,8 +117,8 @@ class HashFile:
         the appended new value hash to the same AD page, so both are
         placed with a single page read and a single page write.
         """
-        bucket = self._bucket_of(self.hash_key(first))
-        if bucket != self._bucket_of(self.hash_key(second)):
+        bucket = self.position(first)
+        if bucket != self.position(second):
             raise ValueError("insert_pair requires records hashing to one bucket")
         last_page: Page | None = None
         for page in self._chain_pages(bucket):
@@ -136,7 +143,7 @@ class HashFile:
 
     def delete(self, record: Record) -> bool:
         """Remove one exactly-matching record; True if found."""
-        bucket = self._bucket_of(self.hash_key(record))
+        bucket = self.position(record)
         for page in self._chain_pages(bucket):
             for i, stored in enumerate(page.records):
                 if stored == record:
@@ -185,7 +192,7 @@ class HashFile:
             raise RuntimeError("bulk_load requires an empty hash file")
         grouped: dict[int, list[Record]] = {}
         for record in records:
-            grouped.setdefault(self._bucket_of(self.hash_key(record)), []).append(record)
+            grouped.setdefault(self.position(record), []).append(record)
         for bucket, group in grouped.items():
             prev: Page | None = None
             for start in range(0, len(group), self.records_per_page):

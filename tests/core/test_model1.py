@@ -179,3 +179,38 @@ class TestPaperHeadlines:
         for builder in (model1.total_deferred, model1.total_immediate):
             bd = builder(low)
             assert bd.fraction("C_query1") > 0.9
+
+
+class TestBaseUpdateTerm:
+    """``C_base``: the base update outside the paper's totals, in Yao's
+    form (one fold per query deferred, ``k/q`` transactions otherwise)."""
+
+    def test_exact_form(self):
+        per_page = P.c2 * (3.0 + P.H_base)
+        heavy = P.with_update_probability(0.8)
+        assert model1.cost_base_update(heavy, Strategy.DEFERRED) == pytest.approx(
+            per_page * yao_cardenas(P.N, P.b, heavy.u)
+        )
+        assert model1.cost_base_update(heavy, Strategy.IMMEDIATE) == pytest.approx(
+            per_page * (heavy.k / heavy.q) * yao_cardenas(P.N, P.b, heavy.l)
+        )
+
+    def test_a_fold_batches_the_base_writes(self):
+        """Subadditivity: with more than one transaction per query the
+        fold touches fewer base pages than the transactions would."""
+        for p_value in (0.6, 0.8, 0.95):
+            params = P.with_update_probability(p_value)
+            deferred = model1.cost_base_update(params, Strategy.DEFERRED)
+            for other in (Strategy.IMMEDIATE, Strategy.QM_CLUSTERED):
+                assert deferred < model1.cost_base_update(params, other)
+
+    @pytest.mark.parametrize("model", list(ViewModel))
+    def test_whole_system_total_is_the_paper_total_plus_c_base(self, model):
+        from repro.core.advisor import evaluate
+
+        params = P.with_update_probability(0.5)
+        for strategy, bd in evaluate(params, model).items():
+            assert "C_base" not in bd.components
+            assert model1.whole_system_total(params, bd) == pytest.approx(
+                bd.total + model1.cost_base_update(params, strategy)
+            )

@@ -79,6 +79,16 @@ class TestComponentValidation:
         row = next(r for r in table.rows if r[0] == "C_def_refresh")
         assert 0.5 <= row[3] <= 2.0
 
+    def test_fold_matches_the_base_update_term(self, table):
+        """The deferred fold of one batch, against ``C_base``, inside the
+        deferred strategy's ratio band."""
+        from repro.core.strategies import Strategy
+        from repro.experiments.validation import RATIO_BANDS
+
+        row = next(r for r in table.rows if r[0] == "C_base (fold)")
+        low, high = RATIO_BANDS[Strategy.DEFERRED]
+        assert low <= row[3] <= high
+
     def test_query_matches_formula(self, table):
         row = next(r for r in table.rows if r[0] == "C_query1")
         assert 0.5 <= row[3] <= 2.0

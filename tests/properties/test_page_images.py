@@ -432,14 +432,19 @@ def fold_trace(pool_pages, seed=1987):
 class TestFoldAccessOrderPinned:
     """Recorded at the commit before leaves were bisected in place and
     ``PageId`` became a named tuple: the fold must ask the pool for the
-    same pages in the same order, so every CostMeter count holds."""
+    same pages in the same order, so every CostMeter count holds.
+    Re-pinned once, when the fold began to go over the file in its own
+    order: at four pool pages misses fell 275 -> 147 and writes
+    130 -> 97; at 64 pages (four-record leaves, inserts met in
+    ascending order split more leaves) both rose, 21 -> 30 and
+    38 -> 50.  The number of gets is unchanged."""
 
     @pytest.mark.parametrize("pool_pages, hits, misses, writes", [
-        (4, 129, 275, 130),
-        (64, 383, 21, 38),
+        (4, 257, 147, 97),
+        (64, 374, 30, 50),
     ])
     def test_fold_page_gets(self, pool_pages, hits, misses, writes):
         assert fold_trace(pool_pages) == {
             "hits": hits, "misses": misses, "page_reads": misses,
-            "page_writes": writes, "gets": 404, "gets_crc": 3801473307,
+            "page_writes": writes, "gets": 404, "gets_crc": 1949019390,
         }

@@ -201,12 +201,14 @@ class TestJoinEquivalence:
 
     #: (page_reads, page_writes, screens, ad_ops) of the seeded run
     #: below, measured at the commit before the strategy x model split:
-    #: the modelled clock is an invariant of refactors.
+    #: the modelled clock is an invariant of refactors.  The two
+    #: deferred rows were re-pinned once (from 432/159 and 11468/1254),
+    #: when the fold began to go over the base file in its own order.
     PINNED_COSTS = {
         "loopjoin": (397, 109, 7814, 0),
         "immediate": (11347, 1182, 7113, 52),
-        "deferred-outer-only": (432, 159, 4011, 0),
-        "deferred-two-sided": (11468, 1254, 7113, 0),
+        "deferred-outer-only": (430, 157, 4011, 0),
+        "deferred-two-sided": (11466, 1252, 7113, 0),
     }
 
     @pytest.mark.parametrize("label", sorted(JOIN_CONFIGS))
