@@ -14,7 +14,7 @@ Each rule mechanizes one convention the stack's correctness depends on
 * ``batch-hot-path`` — the engine's hot modules stay batch-native (no
   per-record kernels over relation/delta iterators);
 * ``page-edit`` — page content is edited through ``Page``'s methods,
-  which keep each entry's serialized image beside it.
+  the one edit path, which hold the capacity guards.
 
 Rules are deliberately syntactic: they run on one file at a time with
 no import resolution, so every check is a conservative pattern over
@@ -878,11 +878,12 @@ class BatchHotPathRule(Rule):
 class PageEditRule(Rule):
     """Page content is edited only by ``Page``'s own methods.
 
-    A page keeps the serialized image of every entry beside the entry
-    and checksums a write from those images, so an edit of ``records``
-    that goes around :class:`repro.storage.pager.Page` leaves an image
-    stale and the next write records a checksum the content does not
-    have.  In the storage, hypothetical-relation, view, maintenance and
+    They are the one edit path and hold the capacity guards (a full
+    page refuses an add, a leaf takes one extra entry before its split
+    and no more), so an edit of ``records`` that goes around
+    :class:`repro.storage.pager.Page` can overfill a page silently or
+    change a list the persisted image shares.  In the storage,
+    hypothetical-relation, view, maintenance and
     resilience packages — everything that holds a page — the rule fires
     on any assignment to a ``.records`` attribute or to an index or
     slice of one, any ``del`` of the same, and any list-mutating method
@@ -893,7 +894,7 @@ class PageEditRule(Rule):
     description = (
         "direct edit of a page's .records (assignment, del, or a mutating "
         "list method) outside repro.storage.pager; use the Page edit "
-        "methods, which keep the entry images current"
+        "methods, the one edit path, which hold the capacity guards"
     )
     scopes = (
         "repro.storage", "repro.hr", "repro.views", "repro.maintenance",
@@ -926,8 +927,8 @@ class PageEditRule(Rule):
                 for records in self._records_edited(target):
                     findings.append(self.finding(
                         ctx, node,
-                        f"{verb} `{_unparse(records)}` edits a page behind "
-                        f"its entry images; use the Page edit methods",
+                        f"{verb} `{_unparse(records)}` edits a page around "
+                        f"its capacity guards; use the Page edit methods",
                     ))
         return findings
 

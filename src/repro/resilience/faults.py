@@ -212,8 +212,8 @@ class FaultyDisk(SimulatedDisk):
             else:
                 torn.next_page = PageId(page_id.file, page_id.number + 1_000_003)
             self._pages[page_id] = torn
-            # The page header records the checksum of the *intended*
-            # image — exactly how a torn sector is caught later.
-            self._checksums[page_id] = page.checksum()
+            # The page header records the *intended* image — exactly
+            # how a torn sector is caught later.
+            self._checksums.record(page)
             return
         super().write(page)

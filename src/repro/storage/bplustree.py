@@ -11,16 +11,17 @@ predicate attribute usually has many tuples per value): entries are
 ordered by ``(sort_key, tiebreak)`` where the tiebreak is the record's
 unique key.
 
-Deletion removes the entry and unlinks emptied leaves but does not
-rebalance/merge underfull nodes — the paper's cost model likewise
-ignores structural maintenance beyond leaf writes ("splits of internal
-index pages are infrequent, so their cost will be ignored").
+Deletion removes the entry and nothing else: a leaf it empties stays
+in the chain (a scan still reads it) and underfull nodes are neither
+merged nor rebalanced — the paper's cost model likewise ignores
+structural maintenance beyond leaf writes ("splits of internal index
+pages are infrequent, so their cost will be ignored").
 """
 
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Callable, Iterator
 
@@ -42,30 +43,21 @@ class _InternalNode:
     ``children[i]`` covers keys < ``keys[i]``; the last child covers
     the remainder.  ``len(children) == len(keys) + 1``.
 
-    Never edited once stored: the disk's persisted image, every clone
-    it hands out and the pool frame share one node, so a new separator
-    makes a new node that :meth:`Page.replace` puts in its place.
-
-    Each key's and child's ``repr`` is kept beside it (rendered here
-    when not handed in), so a split splices two strings into the lists
-    and the page image is a join, not a re-render of every separator.
+    Immutable (frozen, over tuples): the disk's persisted image and its
+    write-time record, every clone it hands out and the pool frame
+    share one node, so a new separator makes a new node that
+    :meth:`Page.replace` puts in its place.  It renders its sequences
+    as lists: that text is the page image every internal-page checksum
+    is pinned to.
     """
 
-    keys: list[Any] = field(default_factory=list)
-    children: list[PageId] = field(default_factory=list)
-    key_texts: list[str] = field(default_factory=list, repr=False, compare=False)
-    child_texts: list[str] = field(default_factory=list, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.key_texts) != len(self.keys):
-            object.__setattr__(self, "key_texts", list(map(repr, self.keys)))
-        if len(self.child_texts) != len(self.children):
-            object.__setattr__(self, "child_texts", list(map(repr, self.children)))
+    keys: tuple[Any, ...] = ()
+    children: tuple[PageId, ...] = ()
 
     def __repr__(self) -> str:
         return (
-            f"_InternalNode(keys=[{', '.join(self.key_texts)}], "
-            f"children=[{', '.join(self.child_texts)}])"
+            f"_InternalNode(keys=[{', '.join(map(repr, self.keys))}], "
+            f"children=[{', '.join(map(repr, self.children))}])"
         )
 
 
@@ -131,7 +123,7 @@ class BPlusTree:
         if split is not None:
             sep_key, right_id = split
             new_root = self.pool.disk.allocate(self._file("int"), 1)
-            node = _InternalNode(keys=[sep_key], children=[self.root_id, right_id])
+            node = _InternalNode(keys=(sep_key,), children=(self.root_id, right_id))
             new_root.add(node)
             self.pool.put(new_root, dirty=True)
             self.root_id = new_root.page_id
@@ -344,7 +336,7 @@ class BPlusTree:
                 child_ids = level_ids[start : start + group]
                 child_keys = level_keys[start : start + group]
                 page = self.pool.disk.allocate(self._file("int"), 1)
-                node = _InternalNode(keys=list(child_keys[1:]), children=list(child_ids))
+                node = _InternalNode(keys=tuple(child_keys[1:]), children=tuple(child_ids))
                 page.add(node)
                 self.pool.put(page, dirty=True)
                 parent_ids.append(page.page_id)
@@ -406,10 +398,8 @@ class BPlusTree:
         sep_key, right_id = split
         at = index + 1
         node = _InternalNode(
-            [*node.keys[:index], sep_key, *node.keys[index:]],
-            [*node.children[:at], right_id, *node.children[at:]],
-            [*node.key_texts[:index], repr(sep_key), *node.key_texts[index:]],
-            [*node.child_texts[:at], repr(right_id), *node.child_texts[at:]],
+            (*node.keys[:index], sep_key, *node.keys[index:]),
+            (*node.children[:at], right_id, *node.children[at:]),
         )
         if len(node.children) <= self.fanout:
             page.replace(0, node)

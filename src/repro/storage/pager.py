@@ -19,7 +19,7 @@ import zlib
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 from repro.core.parameters import Parameters
 
@@ -80,26 +80,26 @@ def _entry_image(entry: Any) -> bytes:
     return text.encode("utf-8", "replace")
 
 
-def _checksum_of(images: Iterable[bytes], next_page: "PageId | None") -> int:
-    """CRC32 of a page's entry images, in order, then its successor link."""
+def _checksum_of(entries: Iterable[Any], next_page: "PageId | None") -> int:
+    """CRC32 of the entries' images, in order, then the successor link."""
     link = str(next_page).encode("utf-8", "replace")
-    return zlib.crc32(b"\x1e".join([*images, link]))
+    return zlib.crc32(b"\x1e".join([*map(_entry_image, entries), link]))
 
 
 def page_checksum(page: "Page") -> int:
-    """CRC32 over a page's logical content, recomputed from ``records``.
+    """CRC32 over a page's logical content.
 
     Covers every entry of ``page.records``, their order, and the
     successor link — not ``capacity`` or the page id.  Any in-place
     mutation of the stored image (simulated bit-rot), truncation (torn
     write) or scrambled link changes it.
 
-    This is the *verifier*: every check for damage serializes the
-    entries themselves, so it also exposes an entry image that went
-    stale.  Writes record :meth:`Page.checksum`, the same value from
-    the images the page kept as it was edited.
+    Every check for damage computes it from the stored image and
+    compares it with the disk's checksum of what was written there
+    (:attr:`SimulatedDisk._checksums`), the same function over the
+    write-time record.
     """
-    return _checksum_of(map(_entry_image, page.records), page.next_page)
+    return _checksum_of(page.records, page.next_page)
 
 
 class PageId(NamedTuple):
@@ -124,14 +124,12 @@ class Page:
 
     ``records`` is read freely but edited only through the methods
     below (the ``page-edit`` lint rule holds the rest of the code to
-    that): each edit keeps the entry's serialized image beside the
-    entry, so :meth:`checksum` at write time joins what is already
-    there instead of serializing the page again.  An entry must not be
-    mutated once stored — clones share it with the persisted image;
-    :meth:`replace` it with a new one.
+    that), which hold the capacity rules in one place.  An entry is
+    immutable once stored — clones and the disk's write-time record
+    share it; :meth:`replace` it with a new one.
     """
 
-    __slots__ = ("page_id", "capacity", "records", "next_page", "_images")
+    __slots__ = ("page_id", "capacity", "records", "next_page")
 
     def __init__(self, page_id: PageId, capacity: int) -> None:
         if capacity < 1:
@@ -141,8 +139,6 @@ class Page:
         self.records: list[Any] = []
         #: Optional link to a successor page (leaf chains, bucket chains).
         self.next_page: PageId | None = None
-        #: ``_images[i]`` is ``_entry_image(records[i])``.
-        self._images: list[bytes] = []
 
     @property
     def is_full(self) -> bool:
@@ -153,7 +149,6 @@ class Page:
         if self.is_full:
             raise PageOverflowError(f"page {self.page_id} is full ({self.capacity})")
         self.records.append(record)
-        self._images.append(_entry_image(record))
 
     def insert(self, index: int, record: Any) -> None:
         """Insert a record at ``index``, keeping the page's order.
@@ -166,58 +161,40 @@ class Page:
         if len(self.records) > self.capacity:
             raise PageOverflowError(f"page {self.page_id} is over capacity ({self.capacity})")
         self.records.insert(index, record)
-        self._images.insert(index, _entry_image(record))
 
     def replace(self, index: int, record: Any) -> None:
         """Put ``record`` in place of the entry at ``index``."""
         self.records[index] = record
-        self._images[index] = _entry_image(record)
 
     def remove(self, index: int) -> None:
         """Remove the entry at ``index``."""
         del self.records[index]
-        del self._images[index]
 
     def remove_where(self, match: Callable[[Any], bool]) -> int:
         """Remove every entry ``match`` accepts; returns how many there were."""
-        keep = [not match(record) for record in self.records]
-        removed = keep.count(False)
-        if removed:
-            self.records = list(itertools.compress(self.records, keep))
-            self._images = list(itertools.compress(self._images, keep))
+        kept = [record for record in self.records if not match(record)]
+        removed, self.records = len(self.records) - len(kept), kept
         return removed
 
     def keep_range(self, start: int, stop: int | None = None) -> None:
         """Keep only ``records[start:stop]`` (a truncation, a dropped head)."""
         self.records = self.records[start:stop]
-        self._images = self._images[start:stop]
 
     def fill(self, records: Iterable[Any]) -> None:
         """Assign the page's whole content (a bulk load fills pages this way)."""
         self.records = list(records)
-        self._images = [_entry_image(record) for record in self.records]
 
     def move_tail(self, start: int, fresh: "Page") -> None:
         """Move ``records[start:]`` to the empty page ``fresh`` (a leaf split)."""
         if fresh.records:
             raise ValueError(f"page {fresh.page_id} is not empty")
         fresh.records = self.records[start:]
-        fresh._images = self._images[start:]
         self.keep_range(0, start)
-
-    def checksum(self) -> int:
-        """CRC32 of the page's content, from the images its edits kept.
-
-        The value :func:`page_checksum` computes from ``records`` for
-        the same content; what :meth:`SimulatedDisk.write` records.
-        """
-        return _checksum_of(self._images, self.next_page)
 
     def clone(self) -> "Page":
         """Shallow copy used by the disk to model a persisted image."""
         copy = Page(self.page_id, self.capacity)
         copy.records = self.records.copy()
-        copy._images = self._images.copy()
         copy.next_page = self.next_page
         return copy
 
@@ -389,6 +366,40 @@ class CostMeter:
         self.clear_setup()
 
 
+class _Checksums(Mapping[PageId, int]):
+    """Each page's checksum: the CRC32 of the image last written to it.
+
+    A write records the image's entries and successor link; the first
+    time something asks for the checksum (a verified read, a scrub,
+    :meth:`SimulatedDisk.corrupt`) it is computed from that record and
+    kept in its place until the page is written again.  Stored entries
+    are immutable, so it is the value the write would have computed.
+    """
+
+    def __init__(self) -> None:
+        #: Page id -> its write-time record, or the CRC32 computed from it.
+        self._written: dict[PageId, int | tuple[tuple[Any, ...], PageId | None]] = {}
+
+    def record(self, page: Page) -> None:
+        """Record ``page`` as the image written to its page id."""
+        self._written[page.page_id] = (tuple(page.records), page.next_page)
+
+    def forget(self, page_id: PageId) -> None:
+        self._written.pop(page_id, None)
+
+    def __getitem__(self, page_id: PageId) -> int:
+        value = self._written[page_id]
+        if isinstance(value, tuple):
+            value = self._written[page_id] = _checksum_of(*value)
+        return value
+
+    def __iter__(self) -> Iterator[PageId]:
+        return iter(self._written)
+
+    def __len__(self) -> int:
+        return len(self._written)
+
+
 class SimulatedDisk:
     """Page store with read/write counting.
 
@@ -401,7 +412,7 @@ class SimulatedDisk:
     def __init__(self, meter: CostMeter | None = None) -> None:
         self.meter = meter if meter is not None else CostMeter()
         self._pages: dict[PageId, Page] = {}
-        self._checksums: dict[PageId, int] = {}
+        self._checksums = _Checksums()
         self._next_number: dict[str, Iterator[int]] = {}
         #: Per file, its allocated page ids in allocation order (a dict
         #: used as an ordered set): what :meth:`file_pages` returns.
@@ -432,7 +443,7 @@ class SimulatedDisk:
         page_id = PageId(file, next(counter))
         page = Page(page_id, capacity)
         self._pages[page_id] = page
-        self._checksums[page_id] = page.checksum()
+        self._checksums.record(page)
         self._files.setdefault(file, {})[page_id] = None
         return page.clone()
 
@@ -455,22 +466,20 @@ class SimulatedDisk:
     def write(self, page: Page) -> None:
         """Persist a page image, charging one write.
 
-        The checksum recorded is the page's maintained one
-        (:meth:`Page.checksum`); everything that looks for damage
-        recomputes it from the stored entries (:func:`page_checksum`).
+        The disk stores a clone and records the written entries and
+        link; no checksum is computed until something checks the page.
         """
         if page.page_id not in self._pages:
             raise KeyError(f"cannot write unallocated page: {page.page_id}")
         self.meter.record_write()
-        stored = page.clone()
-        self._pages[page.page_id] = stored
-        self._checksums[page.page_id] = stored.checksum()
+        self._pages[page.page_id] = page.clone()
+        self._checksums.record(page)
 
     def free(self, page_id: PageId) -> None:
         """Deallocate a page (no I/O charged, mirroring the paper)."""
         if self._pages.pop(page_id, None) is not None:
             del self._files[page_id.file][page_id]
-        self._checksums.pop(page_id, None)
+        self._checksums.forget(page_id)
 
     def file_pages(self, file: str) -> list[PageId]:
         """All page ids of a file, in allocation order (a snapshot)."""

@@ -13,7 +13,8 @@ state: a read is one page read, a refresh one page write.
 
 from __future__ import annotations
 
-from typing import Any, Iterator, NamedTuple
+from copy import copy
+from typing import Any, Iterator, NamedTuple, NoReturn
 
 from repro.storage.bplustree import BPlusTree
 from repro.storage.pager import BufferPool, Page
@@ -240,6 +241,25 @@ class MaterializedView:
         return self._tree.locate(vt[self.view_key], vt.identity())
 
 
+class _StoredState(dict[str, Any]):
+    """An aggregate state as its page holds it: a ``dict`` that refuses
+    mutation and renders as one, so the page image is a plain dict's.
+
+    Its values are copies no working state shares (a min/max multiset
+    is a ``Counter`` that :meth:`AggregateStateStore.apply` edits in
+    place), so what the disk stored stays what it wrote.
+    """
+
+    def __init__(self, state: dict[str, Any]) -> None:
+        super().__init__((name, copy(value)) for name, value in state.items())
+
+    def _refuse(self, *args: Any, **kwargs: Any) -> NoReturn:
+        raise TypeError("a stored aggregate state is immutable; write a new one")
+
+    __setitem__ = __delitem__ = clear = pop = popitem = _refuse
+    setdefault = update = __ior__ = _refuse
+
+
 class AggregateStateStore:
     """One-page persistent aggregate state (Model 3's stored view)."""
 
@@ -248,25 +268,25 @@ class AggregateStateStore:
         self.pool = pool
         self.function = function
         page = pool.disk.allocate(f"agg.{name}", 1)
-        page.add(function.initial_state())
+        page.add(_StoredState(function.initial_state()))
         pool.put(page, dirty=True)
         pool.flush(page.page_id)
         self._page_id = page.page_id
 
     def read_state(self) -> dict[str, Any]:
-        """Read the state (one page read on a cold buffer)."""
+        """Read a working copy of the state (one page read on a cold buffer)."""
         page = self.pool.get(self._page_id)
-        return dict(page.records[0])
+        return {name: copy(value) for name, value in page.records[0].items()}
 
     def write_state(self, state: dict[str, Any]) -> None:
         """Persist a new state (one page write)."""
         page = self.pool.get(self._page_id)
-        page.replace(0, dict(state))
+        page.replace(0, _StoredState(state))
         self.pool.put(page, dirty=True)
 
     def value(self) -> Any:
         """Current aggregate value (reads the state page)."""
-        return self.function.value(self.read_state())
+        return self.function.value(self.pool.get(self._page_id).records[0])
 
     def free(self) -> None:
         """Deallocate the state page (catalog drop; no I/O charged)."""

@@ -1,8 +1,7 @@
 """Edits of a page's ``records`` that go around the Page edit methods.
 
-Each marked line changes what a page holds without touching the entry
-image the page keeps beside it, so the next write would record a
-checksum the content does not have.
+Each marked line changes what a page holds around the capacity guards
+of the one edit path, or edits a list the persisted image may share.
 """
 
 

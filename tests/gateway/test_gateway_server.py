@@ -27,6 +27,7 @@ from repro.gateway import (
     GatewayHandle,
     ViewServerBackend,
 )
+from repro.gateway.admission import BoundedQueue
 from repro.service.metrics import validate_metrics
 from repro.service.traffic import demo_server
 
@@ -36,6 +37,8 @@ class StubBackend:
 
     def __init__(self) -> None:
         self.gate = threading.Event()
+        #: Set once a ``block`` query is executing (out of the queue).
+        self.blocking = threading.Event()
         self.updates: list[tuple[str, int]] = []
 
     def views(self):
@@ -46,6 +49,7 @@ class StubBackend:
             time.sleep(float(lo))
             return lo
         if view == "block":
+            self.blocking.set()
             assert self.gate.wait(timeout=10), "test gate never opened"
             return 1
         if view == "boom":
@@ -194,6 +198,27 @@ class TestAdmissionOverTheWire:
         assert not second.ok and second.rejected == "rejected_rate"
 
     def test_concurrency_queue_full_and_expiry_labels(self):
+        self.assert_queue_labels()
+
+    def test_labels_hold_when_the_worker_picks_up_late(self, monkeypatch):
+        """A request that is admitted counts as in flight before a worker
+        takes it from the queue: the scenario must wait for the worker,
+        not for the count, or a late pickup (a loaded machine) leaves A
+        in the queue and B is refused as queue-full."""
+        real_pop = BoundedQueue.pop
+
+        def late_pop(self, timeout=None):
+            deadline = time.monotonic() + (timeout or 0)
+            while not self.depth and time.monotonic() < deadline:
+                time.sleep(0.005)
+            if self.depth:
+                time.sleep(0.3)
+            return real_pop(self, timeout=0)
+
+        monkeypatch.setattr(BoundedQueue, "pop", late_pop)
+        self.assert_queue_labels()
+
+    def assert_queue_labels(self):
         backend, handle = launch_stub(GatewayConfig(
             admission=AdmissionConfig(client_concurrency=2, max_queue=1),
             workers=1,
@@ -207,11 +232,12 @@ class TestAdmissionOverTheWire:
                 # A occupies the single worker (client c: 1 in flight).
                 blocked = loop.create_task(conn.query("block", 0, None))
                 await asyncio.sleep(0)
-                # Wait until A is executing so the queue is empty again.
+                # Wait until A is executing so the queue is empty again
+                # (A counts as in flight from admission, queued or not).
                 assert await loop.run_in_executor(
-                    None, wait_until,
-                    lambda: gateway_stats_sync()["inflight"] == 1,
-                )
+                    None, backend.blocking.wait, 5.0)
+                stats = await loop.run_in_executor(None, gateway_stats_sync)
+                assert stats["queue"]["depth"] == 0
                 # B fills the 1-deep queue (client c: 2 in flight) with
                 # a deadline that will expire while it waits.
                 queued = loop.create_task(

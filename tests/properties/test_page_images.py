@@ -1,14 +1,19 @@
-"""Page images: the checksum of every page write, joined from the entry
-images the page kept as it was edited, equals a from-scratch
-serialization of the same page — through any sequence of Page edits,
-through ``clone()`` and on both halves of a split — and equals the value
-the parent commit recorded; the fault classes the checksum exists for
-are still caught, because verification serializes the stored entries
-themselves; an unflushed split leaves the persisted parent page alone;
-and the leaf-edit rewrite did not reorder a single page access."""
+"""Page checksums: the disk records each write's entries and successor
+link and computes the checksum from that record when something first
+checks the page.  That value equals a from-scratch serialization of the
+same page — through any sequence of Page edits, through ``clone()`` and
+on both halves of a split — and equals the value recorded before pages
+were checksummed on demand; the fault classes the checksum exists for
+are still caught, because every check compares the stored image with
+the write-time record; stored entries refuse mutation; a clean serving
+run serializes no entry at all; an unflushed split leaves the persisted
+parent page alone; and the leaf-edit rewrite did not reorder a single
+page access."""
 
 import random
 import zlib
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from repro.hr.differential import ClusteredRelation, HypotheticalRelation
 from repro.resilience.faults import FaultProfile, FaultRates, FaultyDisk
 from repro.resilience.scrub import scrub_disk
+from repro.service.traffic import PhaseSpec, demo_server, drifting_traffic, run_traffic
+from repro.storage import pager
 from repro.storage.bplustree import BPlusTree, _InternalNode
 from repro.storage.hashindex import HashFile
 from repro.storage.heap import HeapFile
@@ -27,9 +34,12 @@ from repro.storage.pager import (
     PageId,
     PageOverflowError,
     SimulatedDisk,
+    _Checksums,
     page_checksum,
 )
 from repro.storage.tuples import Record, Schema
+from repro.views.aggregates import MinAggregate
+from repro.views.matview import AggregateStateStore, _StoredState
 
 SCHEMA = Schema("r", ("id", "a", "v"), "id", tuple_bytes=100)
 
@@ -145,9 +155,9 @@ ENTRIES = {
     "leaf": lambda key, a: ((a, key), record(key, a)),
     "record": lambda key, a: record(key, a),
     "internal": lambda key, a: _InternalNode(
-        keys=[(a, key)], children=[PageId("t.leaf", key), PageId("t.leaf", a)]
+        keys=((a, key),), children=(PageId("t.leaf", key), PageId("t.leaf", a))
     ),
-    "aggregate": lambda key, a: {"count": key, "sum": a / 2},
+    "aggregate": lambda key, a: _StoredState({"count": key, "sum": a / 2}),
 }
 
 #: One Page edit: (method, two integers that pick positions and content).
@@ -163,8 +173,12 @@ edits = st.lists(
 
 
 def assert_images_current(page, expected):
+    """``page`` holds ``expected``, and a write of it records the
+    checksum a from-scratch serialization computes."""
     assert page.records == expected
-    assert page.checksum() == page_checksum(page) == scratch_checksum(page)
+    written = _Checksums()
+    written.record(page)
+    assert written[page.page_id] == page_checksum(page) == scratch_checksum(page)
 
 
 class TestAnyEditSequence:
@@ -313,6 +327,7 @@ class TestFaultsStillCaught:
         disk = SimulatedDisk(CostMeter())
         first, second = leaf_disk(disk)
         assert disk._pages[first].next_page == second
+        assert disk.verify(first) is None and disk.verify(second) is None
         disk._pages[first].next_page = PageId(second.file, second.number + 1)
         self.assert_caught(disk, first)
         disk._pages[second].next_page = first  # was None
@@ -339,18 +354,168 @@ class TestFaultsStillCaught:
         disk.write(page)  # a whole rewrite heals it
         assert disk.verify(first) is None
 
-
-    def test_stale_image_on_a_written_page(self):
-        """An entry edited behind the Page API's back leaves its image
-        stale; the write records the stale checksum and every check,
-        which serializes the entries themselves, reports the page."""
+    def test_an_entry_replaced_around_the_page_api(self):
+        """An entry replaced by hand before a write is what the write
+        records, so the page verifies clean; the same replacement made
+        to the stored image after the write is damage."""
         disk = SimulatedDisk(CostMeter())
         first, _ = leaf_disk(disk)
         page = disk.read(first)
-        page.records[0] = (page.records[0][0], record(0, 0, v=9))
-        assert page.checksum() != page_checksum(page)
+        original, edited = page.records[0], (page.records[0][0], record(0, 0, v=9))
+        page.records[0] = edited
         disk.write(page)
+        assert disk.verify(first) is None
+        assert disk._checksums[first] == scratch_checksum(page)
+        assert disk._checksums[first] == scratch_checksum(disk._pages[first])
+        page.records[0] = original
+        disk.write(page)
+        assert disk.verify(first) is None
+        disk._pages[first].records[0] = edited
         self.assert_caught(disk, first)
+
+    def test_torn_write_leaving_the_previous_image(self):
+        """The half a torn write keeps is, object for object, the image
+        written before it: the checksum of the intended page catches it."""
+        disk = FaultyDisk(CostMeter(), FaultProfile(name="torn", rates=FaultRates(torn_write=1.0)))
+        page = disk.allocate("p", 4)
+        page.fill([record(0, 0), record(1, 1)])
+        disk.write(page)
+        previous = disk._pages[page.page_id]
+        page.add(record(2, 2))
+        page.add(record(3, 3))
+        disk.arm()
+        disk.write(page)
+        disk.disarm()
+        torn = disk._pages[page.page_id]
+        assert disk.injected["torn_write"] == 1
+        assert len(torn.records) == len(previous.records) == 2
+        assert all(a is b for a, b in zip(torn.records, previous.records))
+        assert torn.next_page == previous.next_page
+        self.assert_caught(disk, page.page_id)
+
+
+class TestStoredEntriesAreImmutable:
+    """A checksum computed when a page is first checked equals the one
+    its write would have computed only if no stored entry can change
+    after the write: the two entry kinds that were mutable refuse it."""
+
+    def test_an_internal_node(self):
+        disk = SimulatedDisk(CostMeter())
+        leaf_disk(disk)
+        (root,) = disk.file_pages("t.int")
+        node = disk._pages[root].records[0]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            node.keys = ()
+        with pytest.raises(TypeError):
+            node.keys[0] = (0, 0)
+        with pytest.raises(AttributeError):
+            node.children.append(PageId("t.leaf", 9))
+        assert disk.verify(root) is None
+
+    def test_an_aggregate_state(self):
+        disk = SimulatedDisk(CostMeter())
+        pool = BufferPool(disk, capacity=4)
+        store = AggregateStateStore("m", pool, MinAggregate())
+        store.apply([3, 5], [])
+        pool.flush_all()
+        state = disk._pages[store._page_id].records[0]
+        assert repr(state) == "{'values': Counter({3: 1, 5: 1})}"
+        for edit in (
+            lambda: state.__setitem__("values", None),
+            lambda: state.__delitem__("values"),
+            lambda: state.update(values=None),
+            lambda: state.pop("values"),
+            lambda: state.setdefault("other", 0),
+            lambda: state.clear(),
+        ):
+            with pytest.raises(TypeError):
+                edit()
+        assert disk.verify(store._page_id) is None
+
+    def test_a_min_refresh_leaves_the_written_state_alone(self):
+        """A min/max state's multiset is edited in place by a refresh;
+        the working copy must not be the one the disk stored, or the
+        page changes before its write (a scrub reported it damaged)."""
+        disk = SimulatedDisk(CostMeter())
+        pool = BufferPool(disk, capacity=4)
+        store = AggregateStateStore("m", pool, MinAggregate())
+        written = repr(disk._pages[store._page_id].records)
+        store.apply([3, 5], [])  # not flushed: the disk still holds the old state
+        assert repr(disk._pages[store._page_id].records) == written
+        assert disk.verify(store._page_id) is None
+        assert store.value() == 3
+        pool.flush_all()
+        assert disk.verify(store._page_id) is None
+        assert store.value() == 3
+
+
+class TestChecksumsOnDemand:
+    """Only a check serializes a page: a clean serving run renders no
+    entry image, and under ``verify_reads`` each written image is
+    serialized at most once for its recorded checksum."""
+
+    PHASES = (
+        PhaseSpec(operations=40, update_probability=0.2, batch_size=3),
+        PhaseSpec(operations=40, update_probability=0.7, batch_size=5),
+    )
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        counts = {"images": 0, "verified": 0, "records": 0, "recorded": 0}
+        entry_image, checksum, record_image = (
+            pager._entry_image, pager.page_checksum, _Checksums.record
+        )
+
+        def counted_image(entry):
+            counts["images"] += 1
+            return entry_image(entry)
+
+        def counted_checksum(page):
+            counts["verified"] += len(page.records)
+            return checksum(page)
+
+        def counted_record(self, page):
+            counts["records"] += 1
+            counts["recorded"] += len(page.records)
+            record_image(self, page)
+
+        monkeypatch.setattr(pager, "_entry_image", counted_image)
+        monkeypatch.setattr(pager, "page_checksum", counted_checksum)
+        monkeypatch.setattr(_Checksums, "record", counted_record)
+        return counts
+
+    def serve(self, verify_reads):
+        demo = demo_server(n_tuples=400)
+        demo.database.storage_disk.verify_reads = verify_reads
+        summary = run_traffic(demo.server, drifting_traffic(demo, self.PHASES, seed=3))
+        assert summary.operations == 80
+        return demo
+
+    def test_a_clean_run_serializes_no_entry(self, tally):
+        demo = self.serve(verify_reads=False)
+        assert demo.database.meter.page_writes > 0
+        assert tally["records"] > 0 and tally["recorded"] > 0
+        assert tally["images"] == tally["verified"] == 0
+
+    def test_verified_reads_serialize_each_written_image_at_most_once(self, tally):
+        self.serve(verify_reads=True)
+        assert tally["verified"] > 0
+        recorded_images = tally["images"] - tally["verified"]
+        assert 0 < recorded_images <= tally["recorded"]
+
+    def test_a_recorded_checksum_is_kept(self, tally):
+        disk = SimulatedDisk(CostMeter())
+        page = disk.allocate("p", 4)
+        page.fill([record(0, 0), record(1, 1), record(2, 2)])
+        disk.write(page)
+        assert tally["images"] == 0
+        sums = {disk._checksums[page.page_id] for _ in range(3)}
+        assert tally["images"] == 3
+        assert sums == {scratch_checksum(page)}
+        page.add(record(3, 3))
+        disk.write(page)
+        assert disk._checksums[page.page_id] == scratch_checksum(page)
+        assert tally["images"] == 7
 
 
 class TestUnflushedSplit:

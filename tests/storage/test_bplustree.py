@@ -76,7 +76,7 @@ class TestInsertSearch:
         tree.insert(rec(30, 30))
         assert tree.height == 2
         node = pool.get(tree.root_id).records[0]
-        assert node.keys == [(30, 30)]
+        assert node.keys == ((30, 30),)
         assert node.children[0] == left_id
         left, right = (pool.get(child) for child in node.children)
         assert [r["a"] for _, r in left.records] == [10, 20]
@@ -154,6 +154,25 @@ class TestDelete:
         scanned = sorted((r["a"], r.key) for r in tree.scan_all())
         expected = sorted((r["a"], r.key) for r in live.values())
         assert scanned == expected
+
+    def test_an_emptied_leaf_stays_chained_and_is_read(self):
+        """Deletion neither unlinks nor merges: a leaf it empties stays
+        in the chain, and a full scan charges one read for it."""
+        tree, meter, pool = make_tree(leaf_capacity=4, fanout=4)
+        tree.bulk_load([rec(i, i) for i in range(16)])  # four full leaves
+        for i in range(4, 12):  # the second and third leaves
+            assert tree.delete(rec(i, i))
+        pool.invalidate_all()
+        disk, chain = pool.disk, []
+        current = disk.file_pages("t.leaf")[0]  # the first leaf
+        while current is not None:
+            chain.append(disk._pages[current])
+            current = chain[-1].next_page
+        assert [len(page.records) for page in chain] == [4, 0, 0, 4]
+        before = meter.snapshot()
+        assert [r["a"] for r in tree.scan_all()] == [0, 1, 2, 3, 12, 13, 14, 15]
+        assert tree.height == 2
+        assert meter.diff(before).page_reads == 1 + len(chain)  # root + every leaf
 
 
 class TestUpdate:

@@ -209,7 +209,6 @@ class TestChecksums:
         assert page_checksum(page) == base
         page.next_page = 7  # chain pointer is covered too
         assert page_checksum(page) != base
-        assert page.checksum() == page_checksum(page)
 
     def test_checksum_covers_records_order_and_link_only(self):
         """Pinned coverage: the entries, their order and the successor
@@ -221,16 +220,15 @@ class TestChecksums:
         page = Page(PageId("f", 0), capacity=4)
         page.fill([first, ((2, 2), second)])
         base = page_checksum(page)
-        assert page.checksum() == base
         other = Page(PageId("g", 7), capacity=9)
         other.fill(page.records)
-        assert page_checksum(other) == other.checksum() == base
+        assert page_checksum(other) == base
         other.fill(reversed(page.records))
         assert page_checksum(other) != base
         page.replace(1, ((2, 3), second))  # a leaf entry's key is covered
         assert page_checksum(page) != base
         page.replace(1, ((2, 2), Record(2, {"id": 2})))  # equal record, new object
-        assert page_checksum(page) == page.checksum() == base
+        assert page_checksum(page) == base
 
     def test_verify_reads_off_by_default_serves_rot_silently(self, disk):
         page = self.write_one(disk)
