@@ -22,8 +22,9 @@ import random
 from repro import PAPER_DEFAULTS, Strategy
 from repro.engine import Database, Insert, Transaction, Update
 from repro.storage import Schema
-from repro.triggers import Alerter, ThresholdCondition
 from repro.views import AggregateView, IntervalPredicate, SelectProjectView
+
+from quel.alerter import Alerter, ThresholdCondition
 
 TICKETS = 1_500
 SEVERITY_DOMAIN = 100
@@ -65,9 +66,9 @@ def main() -> None:
     db.define_view(BACKLOG_ALERT, Strategy.DEFERRED)
     db.reset_meter()
 
-    # The alerter watches the maintained COUNT through the triggers
-    # package (edge-triggered: fires once per excursion, re-arms when
-    # the backlog falls back under the threshold).
+    # The alerter watches the maintained COUNT (edge-triggered: fires
+    # once per excursion, re-arms when the backlog falls back under the
+    # threshold).
     alerter = Alerter(db)
     alerter.register(
         ThresholdCondition("backlog-high", "critical_count", ">=", ALERT_THRESHOLD)

@@ -1,4 +1,4 @@
-"""Semantic analysis: :class:`ViewSpec` → typed view definitions.
+"""Semantic analysis: :class:`ParsedView` → typed view definitions.
 
 Classifies a parsed specification into the paper's three view models:
 
@@ -26,11 +26,11 @@ from repro.views.predicate import (
 )
 from .parser import (
     BetweenRestriction,
+    ParsedView,
     QualifiedName,
     Restriction,
     TargetAggregate,
     TargetField,
-    ViewSpec,
     parse,
 )
 
@@ -41,7 +41,7 @@ class BuildError(ValueError):
     """A parsed definition is semantically invalid."""
 
 
-def _predicate_for(spec: ViewSpec, relation: str) -> Predicate:
+def _predicate_for(spec: ParsedView, relation: str) -> Predicate:
     clauses: list[Predicate] = []
     for restriction in spec.restrictions:
         if restriction.name.relation != relation:
@@ -61,7 +61,7 @@ def _predicate_for(spec: ViewSpec, relation: str) -> Predicate:
     return AndPredicate(tuple(clauses))
 
 
-def _foreign_restrictions(spec: ViewSpec, relation: str) -> list[str]:
+def _foreign_restrictions(spec: ParsedView, relation: str) -> list[str]:
     return [
         str(r.name)
         for r in spec.restrictions
@@ -69,13 +69,13 @@ def _foreign_restrictions(spec: ViewSpec, relation: str) -> list[str]:
     ]
 
 
-def _view_key(spec: ViewSpec, default: QualifiedName) -> str:
+def _view_key(spec: ParsedView, default: QualifiedName) -> str:
     if spec.clustered_on is not None:
         return spec.clustered_on.field
     return default.field
 
 
-def build_definition(spec: ViewSpec) -> SelectProjectView | JoinView | AggregateView:
+def build_definition(spec: ParsedView) -> SelectProjectView | JoinView | AggregateView:
     """Turn a parsed spec into the matching typed view definition."""
     aggregates = [t for t in spec.targets if isinstance(t, TargetAggregate)]
     fields = [t for t in spec.targets if isinstance(t, TargetField)]
@@ -87,7 +87,7 @@ def build_definition(spec: ViewSpec) -> SelectProjectView | JoinView | Aggregate
     return _build_select_project(spec, fields)
 
 
-def _build_select_project(spec: ViewSpec, fields: list[TargetField]) -> SelectProjectView:
+def _build_select_project(spec: ParsedView, fields: list[TargetField]) -> SelectProjectView:
     relations = spec.relations()
     if len(relations) != 1:
         raise BuildError(
@@ -111,7 +111,7 @@ def _build_select_project(spec: ViewSpec, fields: list[TargetField]) -> SelectPr
     )
 
 
-def _build_join(spec: ViewSpec, fields: list[TargetField]) -> JoinView:
+def _build_join(spec: ParsedView, fields: list[TargetField]) -> JoinView:
     if len(spec.joins) != 1:
         raise BuildError(
             f"view {spec.name!r}: the paper's Model 2 allows exactly one "
@@ -159,7 +159,7 @@ def _build_join(spec: ViewSpec, fields: list[TargetField]) -> JoinView:
 
 
 def _build_aggregate(
-    spec: ViewSpec,
+    spec: ParsedView,
     aggregates: list[TargetAggregate],
     fields: list[TargetField],
 ) -> AggregateView:

@@ -5,8 +5,8 @@ The paper writes view definitions in INGRES' QUEL style::
     define view V (R1.fields, R2.fields)
         where R1.x = R2.y and C_f
 
-:mod:`repro.lang` accepts exactly that shape (see
-:mod:`repro.lang.parser` for the grammar).  The lexer produces a flat
+This package accepts exactly that shape (see
+:mod:`quel.parser` for the grammar).  The lexer produces a flat
 token stream: keywords, identifiers, qualified names, numbers, strings,
 comparison operators and punctuation.
 """

@@ -18,8 +18,8 @@ Grammar (keywords case-insensitive)::
     OP          := = | != | < | <= | > | >=
     literal     := NUMBER | 'string'
 
-The output is a plain AST (:class:`ViewSpec`);
-:mod:`repro.lang.builder` turns it into the typed view definitions of
+The output is a plain AST (:class:`ParsedView`);
+:mod:`quel.builder` turns it into the typed view definitions of
 :mod:`repro.views.definition`.
 """
 
@@ -38,7 +38,7 @@ __all__ = [
     "Restriction",
     "BetweenRestriction",
     "JoinTerm",
-    "ViewSpec",
+    "ParsedView",
     "parse",
 ]
 
@@ -100,7 +100,7 @@ class JoinTerm:
 
 
 @dataclass(frozen=True)
-class ViewSpec:
+class ParsedView:
     """Parsed definition, before semantic checking."""
 
     name: str
@@ -232,8 +232,8 @@ def _parse_clause(cursor: _Cursor):
     return Restriction(left, op, value)
 
 
-def parse(source: str) -> ViewSpec:
-    """Parse one ``define view`` statement into a :class:`ViewSpec`."""
+def parse(source: str) -> ParsedView:
+    """Parse one ``define view`` statement into a :class:`ParsedView`."""
     try:
         cursor = _Cursor(tokenize(source))
     except LexError as exc:
@@ -276,7 +276,7 @@ def parse(source: str) -> ViewSpec:
             f"unexpected trailing input at offset {trailing.position}: "
             f"{trailing.text!r}"
         )
-    return ViewSpec(
+    return ParsedView(
         name=view_name,
         targets=tuple(targets),
         restrictions=tuple(restrictions),

@@ -4,7 +4,7 @@
 Ties the adopter-facing surfaces together:
 
 1. Define three views over a staffing database using the paper's own
-   ``define view`` syntax (``repro.lang``).
+   ``define view`` syntax (the ``quel`` package beside this script).
 2. Measure the cost-model parameters from the data and the observed
    workload (``repro.core.estimation`` — histograms, catalog stats).
 3. Ask the advisor which maintenance strategy each view should use.
@@ -18,10 +18,12 @@ import random
 from repro import Strategy, ViewModel, recommend
 from repro.core.estimation import estimate_parameters
 from repro.engine import Database, Transaction, Update
-from repro.lang import build_definition, parse
 from repro.storage import Schema
-from repro.triggers import Alerter, ThresholdCondition
 from repro.views.definition import AggregateView, JoinView
+
+from quel.alerter import Alerter, ThresholdCondition
+from quel.builder import build_definition
+from quel.parser import parse
 
 EMP = Schema("emp", ("eno", "salary", "dno", "age"), "eno", tuple_bytes=100)
 DEPT = Schema("dept", ("dno", "budget", "floor"), "dno", tuple_bytes=100)

@@ -278,12 +278,12 @@ def run_scenario(scenario: FaultScenario, state_dir: str | Path) -> FaultOutcome
 
     # Phase 1: victim.  Bootstrap, checkpoint, then crash mid-workload.
     manager = DurabilityManager(state_dir)
-    manager.save_config(ENGINE_CONFIG)
-    db = build_database(scenario.strategy, manager)
-    manager.checkpoint(db)
-    _arm(manager, scenario.kill)
     crashed = False
     try:
+        manager.save_config(ENGINE_CONFIG)
+        db = build_database(scenario.strategy, manager)
+        manager.checkpoint(db)
+        _arm(manager, scenario.kill)
         for i, txn in enumerate(txns):
             if i in scenario.checkpoint_at:
                 manager.checkpoint(db)
@@ -293,11 +293,13 @@ def run_scenario(scenario: FaultScenario, state_dir: str | Path) -> FaultOutcome
                     db.query_view(view, *_QUERY_RANGE)
     except SimulatedCrash:
         crashed = True
-    # The 'machine' is gone: drop the handle without a graceful close.
-    try:
-        manager.wal._fh.close()
-    except OSError:  # pragma: no cover - defensive
-        pass
+    finally:
+        # The 'machine' is gone (or the scenario was refused): drop the
+        # handle without a graceful close.
+        try:
+            manager.wal._fh.close()
+        except OSError:  # pragma: no cover - defensive
+            pass
 
     # Phase 2: recovery from the crash image.
     recovered_manager = DurabilityManager(state_dir)

@@ -595,8 +595,8 @@ class BufferPool:
             self._dirty.discard(page_id)
 
     def flush_all(self) -> None:
-        """Write every dirty page back to disk."""
-        for page_id in list(self._dirty):
+        """Write every dirty page back to disk, in page order."""
+        for page_id in sorted(self._dirty):
             self.flush(page_id)
 
     def discard(self, page_id: PageId) -> None:

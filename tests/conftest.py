@@ -12,11 +12,19 @@ Tests that install their own recorder (the ``repro.analysis`` suite)
 temporarily displace the session recorder via ``recording()``'s
 save/restore, so deliberately seeded cycles in those tests never leak
 into the session graph.
+
+``examples/`` goes on ``sys.path`` here, once, so the tests import the
+example package ``quel`` under the same name the example scripts do
+(``python examples/x.py`` puts ``examples/`` on the path).
 """
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "examples"))
 
 
 @pytest.fixture(scope="session", autouse=True)

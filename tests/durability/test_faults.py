@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.strategies import Strategy
+from repro.durability import faults as faults_module
 from repro.durability.faults import (
     KILL_POINTS,
     FaultScenario,
@@ -128,3 +129,21 @@ class TestMatrix:
                 _scenario(Strategy.IMMEDIATE, KillPoint("pager", "before_append", 0)),
                 tmp_path,
             )
+
+    def test_a_refused_scenario_closes_its_wal(self, tmp_path, monkeypatch):
+        """Refusing the kill point after the victim's manager is open
+        must not leave its WAL segment open."""
+        opened = []
+
+        class Recorded(DurabilityManager):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                opened.append(self)
+
+        monkeypatch.setattr(faults_module, "DurabilityManager", Recorded)
+        with pytest.raises(ValueError):
+            run_scenario(
+                _scenario(Strategy.IMMEDIATE, KillPoint("pager", "before_append", 0)),
+                tmp_path,
+            )
+        assert opened and all(manager.wal._fh.closed for manager in opened)

@@ -1,5 +1,7 @@
 """Write-ahead log: framing, CRC, torn tails, rotation, fsync batching."""
 
+from contextlib import closing
+
 import pytest
 
 from repro.durability.wal import FRAME_HEADER, WalError, WriteAheadLog
@@ -15,7 +17,8 @@ class TestAppendReplay:
         for rec in _records(5):
             wal.append(rec)
         wal.close()
-        assert list(WriteAheadLog(tmp_path).replay()) == _records(5)
+        with closing(WriteAheadLog(tmp_path)) as reopened:
+            assert list(reopened.replay()) == _records(5)
 
     def test_append_returns_sequential_indexes(self, tmp_path):
         wal = WriteAheadLog(tmp_path)
@@ -26,7 +29,8 @@ class TestAppendReplay:
         wal = WriteAheadLog(tmp_path)
         wal.log("drop_view", {"view": "v"})
         wal.close()
-        (rec,) = WriteAheadLog(tmp_path).replay()
+        with closing(WriteAheadLog(tmp_path)) as reopened:
+            (rec,) = reopened.replay()
         assert rec["event"] == "drop_view"
         assert rec["view"] == "v"
 
@@ -85,7 +89,8 @@ class TestTornTail:
         reopened = WriteAheadLog(tmp_path)
         reopened.append({"event": "txn", "payload": {"i": 1}})
         reopened.close()
-        assert list(WriteAheadLog(tmp_path).replay()) == _records(2)
+        with closing(WriteAheadLog(tmp_path)) as again:
+            assert list(again.replay()) == _records(2)
 
 
 class TestRotation:
@@ -111,15 +116,16 @@ class TestRotation:
         wal = WriteAheadLog(tmp_path)
         wal.rotate()
         wal.close()
-        assert WriteAheadLog(tmp_path).epoch == 2
+        with closing(WriteAheadLog(tmp_path)) as reopened:
+            assert reopened.epoch == 2
 
 
 class TestFsyncBatching:
     def test_one_fsync_per_batch(self, tmp_path):
-        wal = WriteAheadLog(tmp_path, fsync_every=5)
-        for rec in _records(10):
-            wal.append(rec)
-        assert wal.fsyncs == 2
+        with closing(WriteAheadLog(tmp_path, fsync_every=5)) as wal:
+            for rec in _records(10):
+                wal.append(rec)
+            assert wal.fsyncs == 2
 
     def test_close_syncs_the_residue(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync_every=5)

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from contextlib import closing
 
 import pytest
 
@@ -259,9 +260,10 @@ class TestRefusedMigrationLeavesNoTrace:
         assert Counter(db.query_view("v", 0, 9)) == answer
         manager.close()
 
-        reopened, _report, _state = DurabilityManager(tmp_path / "state").open()
-        assert reopened.views["v"].strategy is Strategy.DEFERRED
-        assert Counter(reopened.query_view("v", 0, 9)) == answer
+        with closing(DurabilityManager(tmp_path / "state")) as reopening:
+            reopened, _report, _state = reopening.open()
+            assert reopened.views["v"].strategy is Strategy.DEFERRED
+            assert Counter(reopened.query_view("v", 0, 9)) == answer
 
     def test_refused_definition_and_restore_build_nothing(self):
         db = join_db()

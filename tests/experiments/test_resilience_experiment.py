@@ -1,5 +1,11 @@
 """The ext-resilience experiment: the chaos matrix and its acceptance bar."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.core.strategies import Strategy
 from repro.experiments.resilience import (
     ResilienceRun,
@@ -92,3 +98,26 @@ class TestTable:
         assert by_arm["resilient"][-1] == "1.25x"  # 500 / 400 vs clean
         assert by_arm["baseline"][4] == "70.0%"  # availability column
         assert "silent" in table.notes
+
+
+def test_table_does_not_depend_on_the_hash_seed():
+    """The pool writes dirty pages back in page order: which write a torn
+    or failed-write fault lands on, and so every row of the table, is the
+    same under any ``PYTHONHASHSEED``."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    runs = [
+        subprocess.Popen(
+            [sys.executable, "-m", "repro.experiments.runner", "ext-resilience"],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        for seed in ("0", "1")
+    ]
+    tables = []
+    for run in runs:
+        out, err = run.communicate(timeout=300)
+        assert run.returncode == 0, err
+        # Drop the "ran 1 experiment(s) in N s" timing footer.
+        tables.append([line for line in out.splitlines()
+                       if not line.startswith("ran ")])
+    assert tables[0] == tables[1]

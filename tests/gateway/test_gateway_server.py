@@ -483,8 +483,11 @@ class TestBoundedClientAwait:
     @staticmethod
     async def _black_hole_server():
         async def black_hole(reader, writer):
-            while await reader.read(65536):
-                pass
+            try:
+                while await reader.read(65536):
+                    pass
+            finally:
+                writer.close()
 
         return await asyncio.start_server(black_hole, "127.0.0.1", 0)
 

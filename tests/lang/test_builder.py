@@ -7,7 +7,6 @@ import pytest
 
 from repro.core.strategies import Strategy
 from repro.engine.database import Database
-from repro.lang import BuildError, build_definition, define_view_from_text, parse
 from repro.storage.tuples import Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.predicate import (
@@ -16,6 +15,9 @@ from repro.views.predicate import (
     IntervalPredicate,
     TruePredicate,
 )
+
+from quel.builder import BuildError, build_definition, define_view_from_text
+from quel.parser import parse
 
 R = Schema("r", ("id", "a", "v"), "id", tuple_bytes=100)
 R1 = Schema("r1", ("id", "a", "j"), "id", tuple_bytes=100)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.lexer import LexError, tokenize
+from quel.lexer import LexError, tokenize
 
 
 class TestTokenize:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang.parser import (
+from quel.parser import (
     BetweenRestriction,
     JoinTerm,
     ParseError,

@@ -2,6 +2,7 @@
 
 import random
 from collections import Counter
+from contextlib import closing
 
 import pytest
 
@@ -301,7 +302,7 @@ class TestViewHealth:
         error = PageChecksumError(PageId("r.leaf", 0))
         server.health.fail("v_total", "query", error)
         assert not server.health.needs_recovery  # nothing to recover from
-        manager = DurabilityManager(tmp_path)
-        server.attach_durability(manager)
-        server.health.fail("v_total", "query", error)
-        assert server.health.needs_recovery and server.health.repairs_due()
+        with closing(DurabilityManager(tmp_path)) as manager:
+            server.attach_durability(manager)
+            server.health.fail("v_total", "query", error)
+            assert server.health.needs_recovery and server.health.repairs_due()

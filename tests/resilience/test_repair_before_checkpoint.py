@@ -9,6 +9,8 @@ engine and truncates the very log recovery needs, after which the
 
 from collections import Counter
 
+import pytest
+
 from repro.core.strategies import Strategy
 from repro.durability.manager import DurabilityManager
 from repro.engine.transaction import Transaction, Update
@@ -43,16 +45,23 @@ def damage_upper_base_leaves(db):
     db.pool.invalidate_all()
 
 
+@pytest.fixture
+def manager(tmp_path):
+    """The state dir's durability manager, closed at teardown."""
+    manager = DurabilityManager(tmp_path / "state")
+    yield manager
+    manager.close()
+
+
 def unwrap(answer):
     answer = answer.unwrap() if isinstance(answer, DegradedResult) else answer
     return Counter(answer) if isinstance(answer, list) else answer
 
 
-def test_cadence_checkpoint_waits_for_queued_recovery(tmp_path, monkeypatch):
+def test_cadence_checkpoint_waits_for_queued_recovery(manager, monkeypatch):
     demo = build(ResilienceConfig())
     twin = build()
     server = demo.server
-    manager = DurabilityManager(tmp_path / "state")
     server.attach_durability(manager, checkpoint_every=3)
     server.checkpoint()
     for txn in updates(demo):
@@ -93,10 +102,9 @@ def test_cadence_checkpoint_waits_for_queued_recovery(tmp_path, monkeypatch):
     assert unhealthy_snapshots == []
 
 
-def test_cadence_tick_is_deferred_while_a_view_is_degraded(tmp_path):
+def test_cadence_tick_is_deferred_while_a_view_is_degraded(manager):
     demo = build(ResilienceConfig(repair=False))
     server = demo.server
-    manager = DurabilityManager(tmp_path / "state")
     server.attach_durability(manager, checkpoint_every=2)
     server.checkpoint()
     db = server.database

@@ -1,6 +1,7 @@
 """ViewServer: traffic surface, refresh policies, migration, metrics."""
 
 import random
+from contextlib import closing
 
 import pytest
 
@@ -234,24 +235,24 @@ class TestRequestPathGauges:
         from repro.durability.manager import DurabilityManager
 
         server = make_server()
-        manager = DurabilityManager(tmp_path, fsync_every=4)
-        manager.save_config(server.database.engine_config())
-        server.attach_durability(manager)
-        server.checkpoint()
+        with closing(DurabilityManager(tmp_path, fsync_every=4)) as manager:
+            manager.save_config(server.database.engine_config())
+            server.attach_durability(manager)
+            server.checkpoint()
 
-        def forbidden(*args, **kwargs):
-            raise AssertionError("per-request gauges walked the state directory")
+            def forbidden(*args, **kwargs):
+                raise AssertionError("per-request gauges walked the state directory")
 
-        monkeypatch.setattr(manager, "stats", forbidden)
-        monkeypatch.setattr(manager.wal, "segment_numbers", forbidden)
-        for i in range(6):
-            server.apply_update(Transaction.of("r", [Update(i, {"a": 3})]))
-            server.query("v_total")
-            wal = manager.wal
-            assert self.gauge(server, "wal_records") == wal.records_appended
-            assert self.gauge(server, "wal_bytes") == wal.bytes_appended
-            assert self.gauge(server, "wal_fsyncs") == wal.fsyncs
-        assert manager.wal.records_appended >= 6
+            monkeypatch.setattr(manager, "stats", forbidden)
+            monkeypatch.setattr(manager.wal, "segment_numbers", forbidden)
+            for i in range(6):
+                server.apply_update(Transaction.of("r", [Update(i, {"a": 3})]))
+                server.query("v_total")
+                wal = manager.wal
+                assert self.gauge(server, "wal_records") == wal.records_appended
+                assert self.gauge(server, "wal_bytes") == wal.bytes_appended
+                assert self.gauge(server, "wal_fsyncs") == wal.fsyncs
+            assert manager.wal.records_appended >= 6
 
     def test_bloom_fill_gauge_is_exact(self):
         server = make_server()

@@ -17,10 +17,11 @@ from repro.core.strategies import Strategy, ViewModel
 from repro.core.advisor import recommend
 from repro.engine.database import Database
 from repro.engine.transaction import Insert, Transaction, Update
-from repro.lang import define_view_from_text
 from repro.storage.tuples import Schema
-from repro.triggers import Alerter, ThresholdCondition
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
+
+from quel.alerter import Alerter, ThresholdCondition
+from quel.builder import define_view_from_text
 
 EMP = Schema("emp", ("eno", "sal", "dno"), "eno", tuple_bytes=100)
 DEPT = Schema("dept", ("dno", "budget"), "dno", tuple_bytes=100)

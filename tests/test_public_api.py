@@ -14,8 +14,6 @@ PACKAGES = [
     "repro.maintenance",
     "repro.engine",
     "repro.workload",
-    "repro.triggers",
-    "repro.lang",
     "repro.experiments",
 ]
 

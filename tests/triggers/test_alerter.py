@@ -1,4 +1,4 @@
-"""Triggers and alerters over maintained views."""
+"""The alerter over maintained views."""
 
 import random
 
@@ -8,15 +8,10 @@ from repro.core.strategies import Strategy
 from repro.engine.database import Database
 from repro.engine.transaction import Insert, Transaction, Update
 from repro.storage.tuples import Schema
-from repro.triggers import (
-    Alert,
-    Alerter,
-    NonEmptyCondition,
-    PredicateCondition,
-    ThresholdCondition,
-)
 from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
+
+from quel.alerter import Alerter, ThresholdCondition
 
 R = Schema("r", ("id", "a", "v"), "id", tuple_bytes=100)
 COUNT_VIEW = AggregateView("cnt", "r", IntervalPredicate("a", 0, 9), "count", "id")
@@ -57,15 +52,6 @@ class TestConditions:
     def test_threshold_none_answer_is_false(self):
         assert not ThresholdCondition("c", "cnt", ">", 0).evaluate(None)
 
-    def test_non_empty_condition(self):
-        cond = NonEmptyCondition("c", "rows", 0, 9)
-        assert cond.evaluate([1]) and not cond.evaluate([])
-        assert cond.query_range() == (0, 9)
-
-    def test_predicate_condition(self):
-        cond = PredicateCondition("c", "total", lambda total: total % 2 == 0)
-        assert cond.evaluate(4) and not cond.evaluate(5)
-
 
 class TestAlerterRegistration:
     def test_unknown_view_rejected(self, db):
@@ -78,12 +64,6 @@ class TestAlerterRegistration:
         alerter.register(ThresholdCondition("c", "cnt", ">", 0))
         with pytest.raises(ValueError):
             alerter.register(ThresholdCondition("c", "cnt", ">", 1))
-
-    def test_unregister(self, db):
-        alerter = Alerter(db)
-        alerter.register(ThresholdCondition("c", "cnt", ">", 0))
-        alerter.unregister("c")
-        assert alerter.conditions == ()
 
 
 class TestEdgeSemantics:
@@ -107,27 +87,18 @@ class TestEdgeSemantics:
         bump_count(db, 10)
         assert alerter.check()                 # fires again
 
-    def test_level_triggered_mode(self, db):
-        alerter = Alerter(db, level_triggered=True)
-        alerter.register(ThresholdCondition("busy", "cnt", ">=", 1))
-        assert alerter.check()
-        assert alerter.check()                 # fires every check
-
-    def test_callback_invoked(self, db):
-        seen: list[Alert] = []
-        alerter = Alerter(db)
-        alerter.register(ThresholdCondition("busy", "cnt", ">=", 1), seen.append)
-        alerter.check()
-        assert len(seen) == 1
-        assert seen[0].condition == "busy"
-
     def test_history_accumulates(self, db):
-        alerter = Alerter(db, level_triggered=True)
-        alerter.register(ThresholdCondition("busy", "cnt", ">=", 1))
-        alerter.check()
-        alerter.check()
-        assert len(alerter.history) == 2
-        assert alerter.history[1].check_number == 2
+        alerter = Alerter(db)
+        alerter.register(ThresholdCondition("busy", "cnt", ">=", 21))
+        bump_count(db, 10)
+        alerter.check()                        # check 1: fires
+        alerter.check()                        # check 2: still true, silent
+        bump_count(db, 10, into_view=False)
+        alerter.check()                        # check 3: false, re-arms
+        bump_count(db, 10)
+        alerter.check()                        # check 4: fires again
+        assert [a.check_number for a in alerter.history] == [1, 4]
+        assert [a.answer for a in alerter.history] == [21, 21]
 
 
 class TestEfficiency:
@@ -149,10 +120,3 @@ class TestEfficiency:
         alerter.check()
         delta = db.meter.delta_since(before)
         assert delta.page_reads <= 2
-
-    def test_mixed_view_kinds_in_one_alerter(self, db):
-        alerter = Alerter(db)
-        alerter.register(ThresholdCondition("sum", "total", ">", 0))
-        alerter.register(NonEmptyCondition("rows", "rows", 0, 9))
-        fired = alerter.check()
-        assert {a.condition for a in fired} == {"sum", "rows"}
