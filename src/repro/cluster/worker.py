@@ -27,6 +27,7 @@ from repro.durability.codec import (
     encode_operation,
     encode_record,
     encode_value,
+    tagged_columns,
 )
 from repro.engine.transaction import Transaction
 from repro.resilience.degradation import DegradedResult
@@ -98,7 +99,6 @@ def apply_documents(
     return len(txn)
 
 
-_ATOMS = frozenset({type(None), bool, int, float, str})
 _layout_of, _row_of = attrgetter("layout"), attrgetter("row")
 
 
@@ -134,8 +134,7 @@ def encode_answer(answer: Any, view_key: str | None = None) -> dict[str, Any]:
         if set(picks.values()) != {tuple}:
             rows = [picks[vt.layout](vt.row) for vt in payload]
         body = {"kind": "rows", "fields": fields, "rows": rows}
-        tagged = [at for at, column in enumerate(zip(*rows))
-                  if not _ATOMS.issuperset(map(type, column))]
+        tagged = tagged_columns(rows)
         if tagged:
             body["tagged"] = tagged
             body["rows"] = rows = [list(row) for row in rows]

@@ -10,15 +10,19 @@ A checkpoint directory under ``<state_dir>/checkpoints/`` holds::
       views.jsonl         # deferred per-view markers
       service.jsonl       # serving-layer catalog (policies, flags)
 
-A **full image** (:data:`VERSION`) carries every base record.  A
-**differential checkpoint** (:data:`DIFFERENTIAL_VERSION`) names the
-full ``image`` it rests on in its manifest, and its ``relations.jsonl``
+A **full image** carries every base record.  A **differential
+checkpoint** names the full ``image`` it rests on in its manifest, and
+its ``relations.jsonl``
 carries per relation only the base file's net change since that image:
 the records now filed under the keys edited since (``upserts``) and the
 edited keys that are gone (``deleted``), both in edit order.  Each is
 cumulative over the one image, never chained: a state directory holds
 at most two checkpoints.  The base file notes its edited keys itself
 (``_KeyedFile.touched``); ``_image_under`` picks a tick's kind.
+Every list of records (a base, the upserts, the AD entries, a deferred
+view's markers) is one row block, and every manifest and line is tagged
+:data:`ROWS_VERSION`.  Directories written before blocks (:data:`VERSION`
+images, :data:`DIFFERENTIAL_VERSION` differentials) are still read.
 
 Publish protocol (each step atomic, any crash point recoverable):
 
@@ -60,18 +64,24 @@ from .wal import WriteAheadLog, fsync_dir
 __all__ = [
     "VERSION",
     "DIFFERENTIAL_VERSION",
+    "ROWS_VERSION",
     "FOLD_FRACTION",
     "CheckpointError",
     "CheckpointInfo",
     "CheckpointManager",
 ]
 
-#: Version tag stamped into the manifest and every JSON line.
+#: Version tag of a full image written before row blocks.
 VERSION = "repro.durability/v1"
-#: Tag of a differential's manifest and base-change lines: a reader of
-#: :data:`VERSION` alone refuses it instead of restoring a partial base.
+#: Tag of a differential's manifest and base-change lines written before
+#: row blocks: a reader of :data:`VERSION` alone refuses it instead of
+#: restoring a partial base.
 DIFFERENTIAL_VERSION = "repro.durability/v2"
-_VERSIONS = (VERSION, DIFFERENTIAL_VERSION)
+#: Tag of every manifest and line written now, which carry their records
+#: as row blocks (:func:`~repro.durability.codec.encode_rows`): a reader
+#: of the two tags above refuses them instead of misreading a block.
+ROWS_VERSION = "repro.durability/v3"
+_VERSIONS = (VERSION, DIFFERENTIAL_VERSION, ROWS_VERSION)
 
 #: A tick writes a new full image once the keys touched since the last
 #: one outnumber this share of the base records: a reopen reads image
@@ -121,8 +131,8 @@ def _unmetered(meter: CostMeter) -> Iterator[None]:
         meter.setup_ad_ops = before.setup_ad_ops
 
 
-def _line(kind: str, version: str = VERSION, **fields: Any) -> dict[str, Any]:
-    return {"version": version, "kind": kind, **fields}
+def _line(kind: str, **fields: Any) -> dict[str, Any]:
+    return {"version": ROWS_VERSION, "kind": kind, **fields}
 
 
 class CheckpointManager:
@@ -130,8 +140,8 @@ class CheckpointManager:
 
     def __init__(self, state_dir: str | Path) -> None:
         self.state_dir = Path(state_dir)
+        #: A writer's (``DurabilityManager``'s) to make: a reader makes nothing.
         self.checkpoint_dir = self.state_dir / "checkpoints"
-        self.checkpoint_dir.mkdir(parents=True, exist_ok=True)
         self.current_path = self.state_dir / "CURRENT"
         #: Crash-injection seam: ``hook(phase)`` with phase in
         #: {"capture", "pre_publish", "post_publish"}; may raise.
@@ -154,6 +164,8 @@ class CheckpointManager:
 
     def checkpoint_names(self) -> list[str]:
         """Every fully-published checkpoint directory, ascending."""
+        if not self.checkpoint_dir.is_dir():
+            return []
         return sorted(
             p.name
             for p in self.checkpoint_dir.iterdir()
@@ -182,7 +194,8 @@ class CheckpointManager:
             "image": image,
             "bytes": sum(f.stat().st_size for f in (self.checkpoint_dir / name).iterdir()),
             "records": {
-                doc["relation"]: {f: len(v) for f, v in doc.items() if isinstance(v, list)}
+                doc["relation"]: {f: len(v["keys"] if isinstance(v, dict) else v)
+                                  for f, v in doc.items() if isinstance(v, (dict, list))}
                 for doc in self.read_lines(name, "relations.jsonl")
             },
         }
@@ -226,7 +239,7 @@ class CheckpointManager:
         with _unmetered(database.meter):
             sections = self._capture(database, service_state, image is not None)
         manifest = {
-            "version": VERSION,
+            "version": ROWS_VERSION,
             "checkpoint": name,
             "wal_epoch": epoch,
             "transactions_applied": database.transactions_applied,
@@ -239,7 +252,7 @@ class CheckpointManager:
             },
         }
         if image is not None:
-            manifest.update(version=DIFFERENTIAL_VERSION, image=image)
+            manifest["image"] = image
 
         if tmp.exists():  # a crashed attempt's files are not this one's
             shutil.rmtree(tmp)
@@ -325,13 +338,12 @@ class CheckpointManager:
                 now = [(key, base.peek_by_key(key)) for key in base.touched]
                 line = _line(
                     "base_change",
-                    DIFFERENTIAL_VERSION,
                     relation=name,
-                    upserts=[codec.encode_record(r) for _, r in now if r is not None],
+                    upserts=codec.encode_rows([r for _, r in now if r is not None]),
                     deleted=[codec.encode_value(key) for key, r in now if r is None],
                 )
             else:
-                records = [codec.encode_record(r) for r in base.records_snapshot()]
+                records = codec.encode_rows(base.records_snapshot())
                 line = _line("base", relation=name, records=records)
             relations.append(line)
             if relation.differential:
@@ -342,7 +354,7 @@ class CheckpointManager:
             state = impl.state_doc()
             if state is None:
                 continue
-            state["markers"] = [codec.encode_record(r) for r in state["markers"]]
+            state["markers"] = codec.encode_rows(state["markers"])
             views.append(_line("deferred_state", view=name, **state))
 
         service: list[dict[str, Any]] = []
@@ -360,11 +372,13 @@ class CheckpointManager:
     @staticmethod
     def _capture_differential(name: str, relation: Any) -> dict[str, Any]:
         state = relation.state_doc()
-        entries = [
-            {"record": codec.encode_record(record), "role": role, "seq": seq}
-            for record, role, seq in state["entries"]
-        ]
-        return _line("ad_state", relation=name, entries=entries, bloom=state["bloom"])
+        records, roles, seqs = zip(*state["entries"]) if state["entries"] else ((), (), ())
+        return _line(
+            "ad_state",
+            relation=name,
+            entries={**codec.encode_rows(records), "roles": roles, "seqs": seqs},
+            bloom=state["bloom"],
+        )
 
     # ------------------------------------------------------------------
     # internals

@@ -2,10 +2,10 @@
 
 Default action recovers the directory (checkpoint restore + WAL
 replay) and prints the recovery report in the paper's cost units;
-``--inspect`` only lists what the directory holds.  Note that merely
-opening the WAL truncates a torn tail left by a crash — inspection of
-a crash image is therefore itself the first step of recovery, exactly
-as in a real system.
+``--inspect`` only lists what the directory holds.  Inspecting reads
+and changes nothing: a torn WAL tail left by a crash is reported (its
+segment, the offset of its first bad byte and its length), not cut —
+recovery cuts it, when it opens the log.
 """
 
 from __future__ import annotations
@@ -19,35 +19,30 @@ from repro.core.parameters import Parameters
 
 from .checkpoint import CheckpointManager
 from .manager import DurabilityManager
-from .wal import WriteAheadLog
+from .wal import WriteAheadLog, frames, segments
 
 __all__ = ["main"]
 
 
 def _inspect(state_dir: Path) -> dict:
     checkpoints = CheckpointManager(state_dir)
-    wal = WriteAheadLog(state_dir / "wal")
-    try:
-        segments = {
-            number: sum(1 for _ in wal.read_segment(wal.segment_path(number)))
-            for number in wal.segment_numbers()
-        }
-        doc = {
-            "state_dir": str(state_dir),
-            "current_checkpoint": checkpoints.latest(),
-            "checkpoints": [
-                checkpoints.describe(name) for name in checkpoints.checkpoint_names()
-            ],
-            "wal_segments": {
-                f"wal-{number:08d}": count for number, count in segments.items()
-            },
-            "wal_records": sum(segments.values()),
-            "wal_bytes": wal.wal_bytes(),
-            "torn_tail_truncations": wal.torn_tail_truncations,
-        }
-    finally:
-        wal.close()
-    return doc
+    records, torn, wal_bytes = {}, {}, 0
+    for _number, path in sorted(segments(state_dir / "wal").items()):
+        data = path.read_bytes()
+        records[path.stem] = sum(1 for _ in WriteAheadLog.read_segment(path))
+        wal_bytes += len(data)
+        intact = max((end for end, _payload in frames(data)), default=0)
+        if intact < len(data):
+            torn[path.stem] = {"offset": intact, "bytes": len(data) - intact}
+    return {
+        "state_dir": str(state_dir),
+        "current_checkpoint": checkpoints.latest(),
+        "checkpoints": [checkpoints.describe(name) for name in checkpoints.checkpoint_names()],
+        "wal_segments": records,
+        "wal_records": sum(records.values()),
+        "wal_bytes": wal_bytes,
+        "torn_tails": torn,
+    }
 
 
 def _recover(state_dir: Path, params: Parameters) -> dict:

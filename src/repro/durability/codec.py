@@ -15,7 +15,9 @@ marker so round-trips preserve identity-sensitive types.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
+from itertools import zip_longest
+from operator import attrgetter
 from typing import Any
 
 from repro.core.strategies import Strategy
@@ -39,6 +41,10 @@ __all__ = [
     "decode_value",
     "encode_record",
     "decode_record",
+    "tagged_columns",
+    "encode_rows",
+    "decode_rows",
+    "decode_records",
     "encode_schema",
     "decode_schema",
     "encode_predicate",
@@ -99,6 +105,64 @@ def decode_record(doc: Mapping[str, Any]) -> Record:
     return Layout.of(values).record(
         decode_value(doc["key"]), tuple(map(decode_value, values.values()))
     )
+
+
+_ATOMS = frozenset({type(None), bool, int, float, str})
+_key_of, _layout_of, _row_of = attrgetter("key"), attrgetter("layout"), attrgetter("row")
+
+
+def tagged_columns(rows: Sequence[Sequence[Any]]) -> list[int]:
+    """The columns of ``rows`` that hold a non-atom: the ones whose
+    values must go through :func:`encode_value` (a short row has no
+    value in the columns past its end)."""
+    return [at for at, column in enumerate(zip_longest(*rows))
+            if not _ATOMS.issuperset(map(type, column))]
+
+
+def encode_rows(records: Sequence[Record]) -> dict[str, Any]:
+    """Records as one row block: each distinct layout's ``fields`` and
+    ``image`` once, the keys as one column and every ``record.row`` as it
+    is, in order.  ``of`` numbers each record's layout when there is more
+    than one; ``tagged`` lists the row columns that hold a non-atom and
+    went through :func:`encode_value` (``tagged_keys`` the key column),
+    so an all-atom block pays no per-value call."""
+    layouts = dict.fromkeys(map(_layout_of, records))
+    keys, rows = list(map(_key_of, records)), list(map(_row_of, records))
+    block: dict[str, Any] = {"layouts": [[lay.fields, lay.image] for lay in layouts]}
+    if len(layouts) > 1:
+        number = {layout: at for at, layout in enumerate(layouts)}
+        block["of"] = list(map(number.__getitem__, map(_layout_of, records)))
+    if not _ATOMS.issuperset(map(type, keys)):
+        keys, block["tagged_keys"] = list(map(encode_value, keys)), True
+    tagged = tagged_columns(rows)
+    if tagged:
+        block["tagged"] = tagged
+        rows = [[encode_value(v) if at in tagged else v for at, v in enumerate(row)]
+                for row in rows]
+    return {**block, "keys": keys, "rows": rows}
+
+
+def decode_rows(block: Mapping[str, Any]) -> list[Record]:
+    """Inverse of :func:`encode_rows`: each record over its own layout,
+    ``Layout.of(fields, image)`` — the layout the live record had."""
+    layouts = [Layout.of(fields, image) for fields, image in block["layouts"]]
+    keys, rows, tagged = block["keys"], block["rows"], block.get("tagged", ())
+    if block.get("tagged_keys"):
+        keys = list(map(decode_value, keys))
+    if tagged:
+        rows = [[decode_value(v) if at in tagged else v for at, v in enumerate(row)]
+                for row in rows]
+    if len(layouts) == 1:
+        return list(map(layouts[0].record, keys, map(tuple, rows)))
+    return [layouts[n].record(k, tuple(r)) for n, k, r in zip(block.get("of", ()), keys, rows)]
+
+
+def decode_records(doc: Any) -> list[Record]:
+    """A row block, or a list of :func:`encode_record` documents as
+    written before blocks (each decoded as it was then)."""
+    if isinstance(doc, Mapping):
+        return decode_rows(doc)
+    return [decode_record(r) for r in doc]
 
 
 def encode_schema(schema: Schema) -> dict[str, Any]:
@@ -347,7 +411,7 @@ def encode_event(event: str, payload: Mapping[str, Any]) -> dict[str, Any]:
             "kind": payload["kind"],
             "ad_buckets": payload["ad_buckets"],
             "hash_buckets": payload["hash_buckets"],
-            "records": None if records is None else [encode_record(r) for r in records],
+            "records": None if records is None else encode_rows(records),
         }
     if event == "define_view":
         return {"event": event, **encode_spec(payload["spec"])}
@@ -375,7 +439,7 @@ def decode_event(doc: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
             "kind": doc["kind"],
             "ad_buckets": doc["ad_buckets"],
             "hash_buckets": doc["hash_buckets"],
-            "records": None if records is None else [decode_record(r) for r in records],
+            "records": None if records is None else decode_records(records),
         }
     if event == "define_view":
         return event, {"spec": decode_spec(doc)}

@@ -37,6 +37,7 @@ class DurabilityManager:
         self.state_dir.mkdir(parents=True, exist_ok=True)
         self.wal = WriteAheadLog(self.state_dir / "wal", fsync_every=fsync_every)
         self.checkpoints = CheckpointManager(self.state_dir)
+        self.checkpoints.checkpoint_dir.mkdir(exist_ok=True)
         self.config_path = self.state_dir / "CONFIG.json"
         self.checkpoints_taken = 0
         self.last_checkpoint: CheckpointInfo | None = None

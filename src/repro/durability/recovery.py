@@ -221,15 +221,15 @@ def _restore_checkpoint(
         changes = {doc["relation"]: doc for doc in ckpt.read_lines(name, "relations.jsonl")}
     base_records: dict[str, list[Record]] = {}
     for doc in ckpt.read_lines(image, "relations.jsonl"):
-        kept, change = doc["records"], changes.get(doc["relation"])
+        kept, change = codec.decode_records(doc["records"]), changes.get(doc["relation"])
         if change is not None:
             # Image order less the edited keys, then the upserts in edit order:
-            # the live directory's order.  Superseded records are never decoded.
+            # the live directory's order.
+            upserts = codec.decode_records(change["upserts"])
             edited = {codec.decode_value(key) for key in change["deleted"]}
-            edited.update(codec.decode_value(r["key"]) for r in change["upserts"])
-            kept = [r for r in kept if codec.decode_value(r["key"]) not in edited]
-            kept += change["upserts"]
-        base_records[doc["relation"]] = [codec.decode_record(r) for r in kept]
+            edited.update(r.key for r in upserts)
+            kept = [r for r in kept if r.key not in edited] + upserts
+        base_records[doc["relation"]] = kept
 
     for doc in ckpt.read_lines(name, "catalog.jsonl"):
         kind = doc["kind"]
@@ -256,9 +256,7 @@ def _restore_checkpoint(
     for doc in ckpt.read_lines(name, "views.jsonl"):
         impl = db.views.get(doc["view"])
         if impl is not None:
-            impl.restore_state(
-                {**doc, "markers": [codec.decode_record(r) for r in doc["markers"]]}
-            )
+            impl.restore_state({**doc, "markers": codec.decode_records(doc["markers"])})
 
 
 def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
@@ -269,10 +267,11 @@ def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
             f"checkpoint AD state for unknown/non-hypothetical relation "
             f"{doc['relation']!r}"
         )
-    entries = [
-        (codec.decode_record(entry["record"]), entry["role"], entry["seq"])
-        for entry in doc["entries"]
-    ]
+    entries = doc["entries"]
+    if isinstance(entries, dict):  # a row block with its roles and seqs
+        entries = list(zip(codec.decode_rows(entries), entries["roles"], entries["seqs"]))
+    else:
+        entries = [(codec.decode_record(e["record"]), e["role"], e["seq"]) for e in entries]
     with db.meter.setup_phase():
         relation.restore_state({"entries": entries, "bloom": doc["bloom"]})
         db.pool.flush_all()

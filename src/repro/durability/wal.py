@@ -36,7 +36,14 @@ from typing import Any, Callable, Iterator, Mapping
 
 from .codec import encode_event
 
-__all__ = ["WalError", "WriteAheadLog", "FRAME_HEADER", "fsync_dir"]
+__all__ = [
+    "WalError",
+    "WriteAheadLog",
+    "FRAME_HEADER",
+    "frames",
+    "fsync_dir",
+    "segments",
+]
 
 #: Frame header: payload length + CRC32 of the payload, little-endian.
 FRAME_HEADER = struct.Struct("<II")
@@ -59,16 +66,35 @@ def fsync_dir(path: str | Path) -> None:
         os.close(fd)
 
 
+def frames(data: bytes) -> Iterator[tuple[int, bytes]]:
+    """Each intact frame of a segment's bytes as ``(end offset, payload)``,
+    in order, up to the first torn one: a short header, a short payload
+    or a CRC mismatch, the tail of a crashed append."""
+    offset = 0
+    while offset + FRAME_HEADER.size <= len(data):
+        length, crc = FRAME_HEADER.unpack_from(data, offset)
+        start = offset + FRAME_HEADER.size
+        end = start + length
+        if end > len(data) or zlib.crc32(data[start:end]) != crc:
+            return
+        yield end, data[start:end]
+        offset = end
+
+
 def _segment_name(number: int) -> str:
     return f"{_SEGMENT_PREFIX}{number:08d}{_SEGMENT_SUFFIX}"
 
 
-def _segment_number(path: Path) -> int | None:
-    name = path.name
-    if not (name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)):
-        return None
-    digits = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
+def segments(directory: Path) -> dict[int, Path]:
+    """The segment files of a WAL directory by number (none if it is absent)."""
+    found = {}
+    for path in directory.iterdir() if directory.is_dir() else ():
+        name = path.name
+        digits = name[len(_SEGMENT_PREFIX) : -len(_SEGMENT_SUFFIX)]
+        named = name.startswith(_SEGMENT_PREFIX) and name.endswith(_SEGMENT_SUFFIX)
+        if named and digits.isdigit():
+            found[int(digits)] = path
+    return found
 
 
 class WriteAheadLog:
@@ -108,12 +134,7 @@ class WriteAheadLog:
 
     def segment_numbers(self) -> list[int]:
         """Existing segment numbers, ascending."""
-        numbers = []
-        for path in self.directory.iterdir():
-            number = _segment_number(path)
-            if number is not None:
-                numbers.append(number)
-        return sorted(numbers)
+        return sorted(segments(self.directory))
 
     def segment_path(self, number: int) -> Path:
         return self.directory / _segment_name(number)
@@ -219,22 +240,12 @@ class WriteAheadLog:
         tail of a crashed append; everything before it is intact
         because frames are written strictly sequentially.
         """
-        data = path.read_bytes()
-        offset = 0
-        while offset + FRAME_HEADER.size <= len(data):
-            length, crc = FRAME_HEADER.unpack_from(data, offset)
-            start = offset + FRAME_HEADER.size
-            end = start + length
-            if end > len(data):
-                break  # torn frame: payload missing
-            payload = data[start:end]
-            if zlib.crc32(payload) != crc:
-                break  # torn frame: payload corrupt
+        for _end, payload in frames(path.read_bytes()):
             try:
-                yield json.loads(payload.decode())
+                doc = json.loads(payload.decode())
             except ValueError:
                 break
-            offset = end
+            yield doc
 
     # ------------------------------------------------------------------
     # internals
@@ -250,14 +261,7 @@ class WriteAheadLog:
             data = path.read_bytes()
         except FileNotFoundError:
             return
-        offset = 0
-        while offset + FRAME_HEADER.size <= len(data):
-            length, crc = FRAME_HEADER.unpack_from(data, offset)
-            start = offset + FRAME_HEADER.size
-            end = start + length
-            if end > len(data) or zlib.crc32(data[start:end]) != crc:
-                break
-            offset = end
+        offset = max((end for end, _payload in frames(data)), default=0)
         if offset < len(data):
             with open(path, "r+b") as fh:
                 fh.truncate(offset)

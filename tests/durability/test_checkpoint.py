@@ -5,7 +5,7 @@ import json
 import pytest
 
 from repro.core.strategies import Strategy
-from repro.durability.checkpoint import VERSION, CheckpointError, CheckpointManager
+from repro.durability.checkpoint import ROWS_VERSION, CheckpointError, CheckpointManager
 from repro.durability.faults import build_database, make_workload
 from repro.durability.recovery import RecoveryError, recover
 from repro.durability.wal import WriteAheadLog
@@ -35,7 +35,7 @@ class TestPublish:
         db, wal, manager = state
         info = manager.checkpoint(db, wal)
         manifest = manager.load_manifest(info.name)
-        assert manifest["version"] == VERSION
+        assert manifest["version"] == ROWS_VERSION
         assert manifest["wal_epoch"] == info.wal_epoch == wal.epoch
         assert manifest["config"]["block_bytes"] == db.block_bytes
         assert manifest["transactions_applied"] == db.transactions_applied
@@ -88,7 +88,7 @@ class TestPublish:
         info = manager.checkpoint(db, wal)
         (line,) = manager.read_lines(info.name, "differential.jsonl")
         assert line["relation"] == "r"
-        assert len(line["entries"]) == pending > 0
+        assert len(line["entries"]["keys"]) == len(line["entries"]["roles"]) == pending > 0
         assert line["bloom"]["items_added"] >= 0
 
 

@@ -9,16 +9,22 @@ checkpoint, a differential one taken while ``AD`` entries were pending,
 and a WAL tail after it.  ``fixtures/rekey_760ec5f`` (by
 :func:`rekey_history`) is a log holding updates that name the key field.
 To regenerate either, run its function in a ``git archive`` of 760ec5f,
-never with the current code.
+never with the current code.  ``fixtures/row_history_v3`` is what
+:func:`row_history` writes with row blocks (``ROWS_VERSION``): generated
+by running it into that directory at the commit that introduced them,
+and regenerated the same way only when the writer's format changes on
+purpose.
 """
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
 from repro.core.strategies import Strategy
 from repro.durability.faults import ENGINE_CONFIG
 from repro.durability.manager import DurabilityManager
+from repro.durability.wal import WriteAheadLog
 from repro.engine.database import Database
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.storage.tuples import Record, Schema
@@ -26,6 +32,7 @@ from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.predicate import IntervalPredicate
 
 FIXTURE = Path(__file__).parent / "fixtures" / "state_760ec5f"
+ROWS_FIXTURE = Path(__file__).parent / "fixtures" / "row_history_v3"
 #: ``_state(recovered, repr)`` of the fixture reopened at 760ec5f.
 PARENT_REOPENED = "15cd9107ed5e028f"
 
@@ -206,6 +213,47 @@ def test_a_parent_logged_key_changing_update_replays(tmp_path):
     assert (state, answers) == PARENT_REKEYED
 
 
+def _wal_frames(root):
+    """Every WAL frame under ``root`` but the ``create_relation`` ones
+    (which carry a row block now), as the bytes that were written."""
+    return {
+        str(path.relative_to(root)): [
+            json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            for doc in WriteAheadLog.read_segment(path)
+            if doc["event"] != "create_relation"
+        ]
+        for path in sorted(Path(root).rglob("wal-*.log"))
+    }
+
+
 def test_the_same_history_writes_the_parents_bytes(tmp_path):
+    """The WAL frames are the parent's, byte for byte; the checkpoints
+    carry their records as row blocks, pinned by ``ROWS_FIXTURE``."""
     row_history(tmp_path / "again")
-    assert _files(tmp_path / "again") == _files(FIXTURE)
+    assert _wal_frames(tmp_path / "again") == _wal_frames(FIXTURE)
+    assert _files(FIXTURE)["wal/wal-00000003.log"] == _files(ROWS_FIXTURE)[
+        "wal/wal-00000003.log"
+    ]
+    assert _files(tmp_path / "again") == _files(ROWS_FIXTURE)
+
+
+def test_the_row_block_directory_restores_what_the_parents_held(tmp_path):
+    """The same history written with row blocks reopens to the engine the
+    parent's directory reopens to, each restored base record over the
+    layout the live record had (the parent's restore images them by
+    name).  A pending AD entry is filed by name on both sides, so the
+    tuple it restores is imaged by name, as before."""
+    copy = tmp_path / "rows"
+    shutil.copytree(ROWS_FIXTURE, copy)
+    manager = DurabilityManager(copy)
+    try:
+        recovered, _report, _ = manager.open()
+        recovered.attach_journal(None)
+    finally:
+        manager.close()
+    live = row_history(tmp_path / "again")
+    assert _state(recovered) == _state(reopen(tmp_path)) == _state(live)
+    for name in ("r", "p"):
+        shown, want = _state(recovered, repr)[name], _state(live, repr)[name]
+        assert shown["base"] == want["base"] and shown.get("ad") == want.get("ad")
+    assert answers(recovered) == answers(live)
