@@ -44,18 +44,19 @@ from typing import Any, Iterable, Iterator, Mapping
 
 from repro.concurrency import Coalescer
 from repro.durability.codec import decode_value
-from repro.engine.database import UnsupportedTransactionError
+from repro.engine.transaction import CatalogError, Delete, Insert, Transaction, route
 from repro.resilience.degradation import DegradedResult
 from repro.service.cache import QueryResultCache
 from repro.service.catalog import ViewDefinition
 from repro.service.metrics import MetricsRegistry
-from repro.service.spec import definition_of
+from repro.service.spec import definition_of, schema_of
+from repro.storage.tuples import Schema
 from repro.views.definition import AggregateView, SelectProjectView
 from .metrics import aggregate_metrics
 from .replication import ReplicaSet, ReplicationConfig, ReplicationError
 from .rpc import Leg, RpcError, ShardTimeout, gather
 from .shardmap import ShardMap
-from .worker import answer_rows, decode_answer, encode_operation
+from .worker import answer_rows, decode_answer, decode_operation, encode_operation
 
 __all__ = ["ClusterRouter", "ClusterError", "ClusterClosedError"]
 
@@ -91,7 +92,7 @@ class ClusterRouter:
         directory: dict[tuple[str, Any], int],
         cache: QueryResultCache | None = None,
         rpc_timeout: float = 30.0,
-        key_fields: Mapping[str, str] | None = None,
+        schemas: Iterable[Schema] = (),
     ) -> None:
         self.shard_map = shard_map
         #: One :class:`ReplicaSet` per shard id, in shard order.
@@ -125,9 +126,8 @@ class ClusterRouter:
         #: ``_directory_lock``; cross-shard moves mutate it.
         self._directory = directory
         self._directory_lock = threading.Lock()
-        #: relation -> primary-key field: where an insert document
-        #: carries the key its directory entry is filed under.
-        self._key_fields = dict(key_fields or {})
+        #: relation -> schema: what a write document is read against.
+        self._schemas = {schema.name: schema for schema in schemas}
         #: Cluster refresh epochs: completed ones, and the leader /
         #: follower coalescing the per-shard planner uses too.
         self.epochs = 0
@@ -226,9 +226,7 @@ class ClusterRouter:
         router = cls(
             shard_map, [], views, directory,
             cache=cache, rpc_timeout=rpc_timeout,
-            key_fields={
-                rel["name"]: rel["key_field"] for rel in spec.get("relations", ())
-            },
+            schemas=[schema_of(rel) for rel in spec.get("relations", ())],
         )
         try:
             for shard in range(shard_map.n_shards):
@@ -481,7 +479,7 @@ class ClusterRouter:
     # updates
     # ------------------------------------------------------------------
     def apply_update(
-        self, txn: Any, client: str = "anon", timeout: float | None = None,
+        self, txn: Transaction, client: str = "anon", timeout: float | None = None,
     ) -> None:
         """Route one transaction's operations to their owning shards.
 
@@ -503,20 +501,36 @@ class ClusterRouter:
         """Route one transaction, given as wire operation documents.
 
         The write entry for callers that already hold documents (the
-        gateway).  Operations that stay within a shard are batched per
-        shard and applied as one transaction there (concurrently across
-        shards).  An update that changes the partition field across a
-        boundary is executed as a fetch + insert + delete move; pending
-        batches for the involved shards are flushed first so per-key
-        operation order is preserved.
+        gateway).  The documents are read as a shard reads them and
+        every operation's shard is resolved before any leg is sent, by
+        the engine's own refusal rule (:func:`~repro.engine.transaction
+        .route`) over the key directory: a transaction that would fail
+        part-way is refused whole, with the error it gets in-process.
+        The documents are forwarded as they came.  Operations that stay
+        within a shard are batched per shard and applied as one
+        transaction there (concurrently across shards).  An update that
+        changes the partition field across a boundary is executed as a
+        fetch + insert + delete move; pending batches for the involved
+        shards are flushed first so per-key operation order is
+        preserved.
 
         ``timeout`` is the caller's remaining deadline budget (the
         gateway passes what is left of ``deadline_ms``); it bounds
         every shard RPC the transaction fans out into.  ``None`` falls
         back to each shard client's construction-time default.
         """
+        docs, schema = list(ops), self._schemas.get(relation)
+        if schema is None:
+            raise CatalogError(f"unknown relation {relation!r}")
+        txn = Transaction.of(relation, [decode_operation(schema, doc) for doc in docs])
+        field, shard_of = self.shard_map.partition_field, self.shard_map.shard_of
         with self._in_flight():
-            routed = self._route(relation, ops)
+            with self._directory_lock:
+                routes = route(
+                    schema, txn.operations,
+                    lambda key: self._directory.get((relation, key)),
+                    lambda values: shard_of(values[field]) if field in values else None,
+                )
             pending: dict[int, list[dict[str, Any]]] = {}
             # Directory mutations are *staged*, not applied: ``staged``
             # commits to the real directory per shard only once that
@@ -525,7 +539,7 @@ class ClusterRouter:
             # later updates.
             staged: dict[int, list[tuple[Any, int | None]]] = {}
             try:
-                for doc, key, shard, target in routed:
+                for doc, op, (shard, target) in zip(docs, txn.operations, routes):
                     if target is not None:
                         self._flush(relation, pending, staged, client,
                                     only={shard, target}, timeout=timeout)
@@ -533,9 +547,10 @@ class ClusterRouter:
                                    shard, target, client, timeout=timeout)
                         continue
                     pending.setdefault(shard, []).append(doc)
-                    if doc["kind"] != "update":
-                        owner = shard if doc["kind"] == "insert" else None
-                        staged.setdefault(shard, []).append((key, owner))
+                    if isinstance(op, Insert):
+                        staged.setdefault(shard, []).append((op.record.key, shard))
+                    elif isinstance(op, Delete):
+                        staged.setdefault(shard, []).append((op.key, None))
                 self._flush(relation, pending, staged, client, timeout=timeout)
             finally:
                 if self.cache is not None:
@@ -548,85 +563,6 @@ class ClusterRouter:
                     # An extra bump only wastes cache entries.
                     self.cache.bump(relation)
             self.metrics.counter("router_updates_total", client=client).inc()
-
-    def _route(
-        self, relation: str, docs: Iterable[dict[str, Any]]
-    ) -> list[tuple[dict[str, Any], Any, int, int | None]]:
-        """Each operation with its key, its owning shard and, for a move
-        across the partition boundary, the target shard.
-
-        Every owner is resolved before any leg is sent, against the
-        directory plus an overlay of what this transaction did to it so
-        far, so a transaction that would fail part-way is refused whole:
-        an unknown key or operation kind, an insert of a live key (one
-        key filed on two shards), an update naming the key field (the
-        directory would stay on the old key).  The directory and the
-        shard map see keys and partition values decoded (a tuple-valued
-        key travels tagged, see codec.encode_operation); the documents
-        are forwarded as they came.
-        """
-        field = self.shard_map.partition_field
-        key_field = self._key_fields.get(relation)
-        overlay: dict[Any, int | None] = {}
-        routed = []
-        for doc in docs:
-            kind = doc.get("kind")
-            target = None
-            if kind == "insert":
-                if key_field is None:
-                    raise ClusterError(
-                        f"relation {relation!r} is not served by this cluster"
-                    )
-                key = decode_value(doc["values"][key_field])
-                with self._directory_lock:
-                    live = (
-                        overlay[key] is not None if key in overlay
-                        else (relation, key) in self._directory
-                    )
-                if live:
-                    raise KeyError(f"duplicate key {key!r} in {relation!r}")
-                shard = self.shard_map.shard_of(decode_value(doc["values"][field]))
-                overlay[key] = shard
-            elif kind == "delete":
-                key = decode_value(doc["key"])
-                shard = self._owner(relation, key, overlay)
-                overlay[key] = None
-            elif kind == "update":
-                key = decode_value(doc["key"])
-                changes = doc["changes"]
-                if key_field in changes:
-                    raise UnsupportedTransactionError(
-                        f"update of {relation!r} key {key!r} changes the key "
-                        f"field {key_field!r}; re-key with a Delete and an Insert"
-                    )
-                shard = self._owner(relation, key, overlay)
-                if field in changes:
-                    moved = self.shard_map.shard_of(decode_value(changes[field]))
-                    if moved != shard:
-                        target = overlay[key] = moved
-            else:
-                raise ClusterError(f"unknown operation kind {kind!r}")
-            routed.append((doc, key, shard, target))
-        return routed
-
-    def _owner(
-        self,
-        relation: str,
-        key: Any,
-        overlay: Mapping[Any, int | None] | None = None,
-    ) -> int:
-        shard: int | None
-        if overlay is not None and key in overlay:
-            shard = overlay[key]
-        else:
-            with self._directory_lock:
-                shard = self._directory.get((relation, key))
-        if shard is None:
-            raise ClusterError(
-                f"no shard owns {relation!r} key {key!r} "
-                f"(unknown key, or insert never routed through this router)"
-            )
-        return shard
 
     def _flush(
         self,

@@ -91,7 +91,7 @@ def apply_documents(
     worker (``update`` / ``apply_delta``) and the gateway's
     ``ViewServerBackend`` alike.
     """
-    schema = server.database.relations[relation].schema
+    schema = server.database.base_of(relation).schema
     txn = Transaction.of(
         relation, [decode_operation(schema, doc) for doc in ops]
     )

@@ -35,7 +35,9 @@ from repro.storage.tuples import Record, Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView
 from repro.views.delta import DeltaSet
 from .executor import SecondaryIndex
-from .transaction import Delete, Insert, Transaction, Update
+from .transaction import (
+    CatalogError, Delete, Insert, Transaction, UnsupportedTransactionError, Update, route,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.maintenance.base import MaintenanceStrategy
@@ -82,22 +84,6 @@ class ViewSpec:
     def name(self) -> str:
         """The view's name."""
         return self.definition.name
-
-
-class CatalogError(ValueError):
-    """Invalid catalog operation (unknown names, bad combinations)."""
-
-
-class UnsupportedTransactionError(CatalogError, NotImplementedError):
-    """A transaction some affected view cannot be maintained under, or
-    an update that names its relation's key field.
-
-    Raised by :meth:`Database.apply_transaction` *before* the
-    transaction is journaled or any page is touched, so refusing it
-    leaves no trace.  Also a ``NotImplementedError``: the catalog knows
-    the relation and the view, it has no way to maintain the pair (and
-    a tuple is re-keyed by a delete and an insert, not an update).
-    """
 
 
 class ViewMaintenanceError(RuntimeError):
@@ -279,7 +265,7 @@ class Database:
 
     def create_secondary_index(self, relation_name: str, field: str) -> SecondaryIndex:
         """Build an in-memory secondary index on a plain relation."""
-        relation = self._base_of(relation_name)
+        relation = self.base_of(relation_name)
         self._catalog().check_indexable(relation)
         index = SecondaryIndex(relation, field)
         self.secondary_indexes[(relation_name, field)] = index
@@ -374,10 +360,10 @@ class Database:
         source, *others = definition.sources
         # Deferred maintenance reads its relation through the pending
         # changes; every other strategy reads the base file.
-        relation = self._base_of(source)
+        relation = self.base_of(source)
         screened = relation if strategy is Strategy.DEFERRED else relation.base
         model = catalog.model_class(definition)(
-            definition, screened, *(self._base_of(name) for name in others),
+            definition, screened, *(self.base_of(name) for name in others),
             pool=self.pool, block_bytes=self.block_bytes, fanout=self.fanout,
         )
         model.current = relation
@@ -401,14 +387,13 @@ class Database:
 
         Returns the net delta (useful for assertions in tests).
         """
-        relation = self.relations.get(txn.relation)
-        if relation is None:
-            raise CatalogError(f"unknown relation {txn.relation!r}")
-        # A view that cannot be maintained under this transaction
-        # refuses it now, before it is journaled or applied.
+        relation = self.base_of(txn.relation)
+        # A view that cannot be maintained under this transaction, or a
+        # transaction that would fail part-way, is refused now, before
+        # it is journaled or applied.
         for view_name in self._views_by_relation.get(txn.relation, ()):
             self.views[view_name].check_transaction(txn)
-        _check_keys(relation, txn)
+        route(relation.schema, txn.operations, relation.logical_by_key)
         # Write-ahead: journal before touching any page, so a crash
         # mid-transaction replays the whole batch from the log.
         self._journal("txn", txn=txn)
@@ -475,12 +460,12 @@ class Database:
         changes still pending in its differential file.  Charges no
         I/O (baselines, snapshots and the degraded-read fallback; a
         costed client pays ``scan_logical``)."""
-        return self._base_of(relation_name).logical_snapshot()
+        return self.base_of(relation_name).logical_snapshot()
 
     def logical_record(self, relation_name: str, key: Any) -> Record | None:
         """The tuple ``key`` names in that content, or ``None``: the
         keyed form of :meth:`logical_records`, as free of I/O."""
-        return self._base_of(relation_name).logical_by_key(key)
+        return self.base_of(relation_name).logical_by_key(key)
 
     def reset_meter(self) -> None:
         """Zero the cost counters (typically after setup/bulk load)."""
@@ -531,7 +516,7 @@ class Database:
         pending (always, for a plain relation) costs nothing; otherwise
         this is one :meth:`fold_relation`.
         """
-        if self._base_of(relation_name).pending:
+        if self.base_of(relation_name).pending:
             self.fold_relation(relation_name)
 
     def settle_unless_batched(self, relation_name: str) -> None:
@@ -576,7 +561,7 @@ class Database:
             coordinator.refresh_all()
         else:
             self._journal("net_install", relation=relation_name)
-            self._base_of(relation_name).reset()
+            self.base_of(relation_name).reset()
         self.pool.flush_all()
 
     def drop_view(self, name: str) -> None:
@@ -732,7 +717,8 @@ class Database:
     # ------------------------------------------------------------------
     # internals
     # ------------------------------------------------------------------
-    def _base_of(self, relation_name: str) -> Any:
+    def base_of(self, relation_name: str) -> Any:
+        """The base relation of that name; ``CatalogError`` if none."""
         relation = self.relations.get(relation_name)
         if relation is None:
             raise CatalogError(f"unknown relation {relation_name!r}")
@@ -752,27 +738,3 @@ class Database:
             if inserted is not None:
                 index.on_insert(inserted)
 
-
-def _check_keys(relation: Any, txn: Transaction) -> None:
-    """Refuse a transaction that would fail part-way, before anything is
-    journaled or touched: every key it deletes or updates must be live
-    and every key it inserts absent, in the relation's logical content
-    as the transaction's own earlier operations leave it, and no update
-    may name the key field.  A dict lookup per operation; no I/O."""
-    schema = relation.schema
-    live: dict[Any, bool] = {}
-    for op in txn.operations:
-        key = op.record.key if isinstance(op, Insert) else op.key
-        if key not in live:
-            live[key] = relation.logical_by_key(key) is not None
-        if isinstance(op, Insert):
-            if live[key]:
-                raise KeyError(f"duplicate key {key!r} in {schema.name!r}")
-        elif not live[key]:
-            raise KeyError(f"no tuple with key {key!r} in {schema.name!r}")
-        elif isinstance(op, Update) and schema.key_field in op.changes:
-            raise UnsupportedTransactionError(
-                f"update of {schema.name!r} key {key!r} changes the key field "
-                f"{schema.key_field!r}; re-key a tuple with a Delete and an Insert"
-            )
-        live[key] = not isinstance(op, Delete)

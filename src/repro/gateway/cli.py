@@ -180,7 +180,7 @@ def _cmd_load(args: argparse.Namespace) -> int:
         print(f"no {GATEWAY_PROTOCOL} gateway answered at {host}:{port} "
               f"within {args.connect_timeout:.0f}s", file=sys.stderr)
         return 2
-    # Updating a key no shard owns is a routing error, so the generated
+    # Updating a key that is not live is refused, so the generated
     # key range must match the serve side's record count: the same demo
     # spec, hence the same defaults, describes both sides.
     factory = demo_request_factory(

@@ -28,7 +28,7 @@ from .router import AdaptiveRouter
 from .scheduler import RefreshPolicy
 from .server import ViewServer
 
-__all__ = ["DOMAIN", "build_server", "definition_of", "demo_spec"]
+__all__ = ["DOMAIN", "build_server", "definition_of", "demo_spec", "schema_of"]
 
 #: Partition-field domain of the cluster-shaped demo relation.
 DOMAIN = 1600
@@ -49,6 +49,14 @@ def definition_of(view: Mapping[str, Any]) -> ViewDefinition:
     elif "t" not in predicate:
         doc["predicate"] = {"t": "interval", **predicate}
     return decode_definition(doc)
+
+
+def schema_of(rel: Mapping[str, Any]) -> Schema:
+    """The schema of one spec relation document."""
+    return Schema(
+        rel["name"], tuple(rel["fields"]), rel["key_field"],
+        tuple_bytes=int(rel.get("tuple_bytes", 100)),
+    )
 
 
 def build_server(
@@ -74,10 +82,7 @@ def build_server(
         resilience=resilience,
     )
     for rel in spec.get("relations", ()):
-        schema = Schema(
-            rel["name"], tuple(rel["fields"]), rel["key_field"],
-            tuple_bytes=int(rel.get("tuple_bytes", 100)),
-        )
+        schema = schema_of(rel)
         records = [schema.new_record(**values) for values in rel.get("records", ())]
         database.create_relation(
             schema, rel["clustered_on"], kind=rel.get("kind", "hypothetical"),

@@ -131,12 +131,17 @@ class Schema:
         try:
             layout = Layout.of(self.fields, values)
         except ValueError:  # not an order of the schema's fields
-            missing, extra = set(self.fields) - values.keys(), values.keys() - set(self.fields)
-            raise SchemaError(
-                f"record fields do not match schema {self.name!r}: "
-                f"missing={sorted(missing)}, extra={sorted(extra)}"
-            ) from None
+            raise self.fields_error(values) from None
         return layout.record(values[self.key_field], layout._from_image(tuple(values.values())))
+
+    def fields_error(self, given: Iterable[str]) -> SchemaError:
+        """The error for a record whose fields are ``given``, not this
+        schema's."""
+        names, own = set(given), set(self.fields)
+        return SchemaError(
+            f"record fields do not match schema {self.name!r}: "
+            f"missing={sorted(own - names)}, extra={sorted(names - own)}"
+        )
 
     def from_items(
         self, key: Any, items: tuple[tuple[str, Any], ...], value_hash: int | None = None

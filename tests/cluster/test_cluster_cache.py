@@ -86,15 +86,21 @@ class TestDeterministicContract:
         self, router
     ):
         """Shard 0's leg commits, shard 1's raises: what shard 0
-        committed must not be hidden behind a cached merge."""
-        before = router.query("total")
+        committed must not be hidden behind a cached merge.  Shard 1
+        fails because its tuple was deleted behind the router's back
+        (the directory still routes to it); a transaction the router can
+        see would fail is refused before any leg is sent."""
         full = router.query("by_a", 0, DOMAIN - 1)
         lower = next(vt for vt in full if vt.values["a"] < DOMAIN // 2)
         upper = next(vt for vt in full if vt.values["a"] >= DOMAIN // 2)
+        router.shards[1].apply_update(
+            "r", [{"kind": "delete", "key": upper.values["id"]}]
+        )
+        before = router.query("total")
         with pytest.raises(RemoteOpError):
             router.apply_update(Transaction.of("r", [
                 Update(lower.values["id"], {"v": lower.values["v"] + 10}),
-                Update(upper.values["id"], {"no_such_field": 1}),
+                Update(upper.values["id"], {"v": 1}),
             ]))
         assert router.query("total") == before + 10
         assert router.query("total") == sum(

@@ -17,6 +17,7 @@ from repro.cluster.shardmap import ShardMap
 from repro.engine.transaction import Transaction, Update
 from repro.gateway.server import ClusterBackend
 from repro.service.spec import definition_of
+from repro.storage.tuples import Schema
 
 
 class FakeReplicaSet:
@@ -71,7 +72,8 @@ def router():
         {"type": "aggregate", "name": "total", "aggregate": "sum",
          "relation": "r", "field": "v"}
     )
-    router = ClusterRouter(shard_map, shards, [total], directory)
+    router = ClusterRouter(shard_map, shards, [total], directory,
+                           schemas=[Schema("r", ("id", "a", "v"), "id")])
     assert "total" not in router._prunable
     return router, shards
 

@@ -21,7 +21,7 @@ from repro.durability.manager import DurabilityManager
 from repro.engine.database import KINDS, Database, UnsupportedTransactionError
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.service.server import ViewServer
-from repro.storage.tuples import Schema, SchemaError
+from repro.storage.tuples import Record, Schema, SchemaError
 from repro.views.definition import SelectProjectView
 from repro.views.predicate import IntervalPredicate
 
@@ -90,6 +90,50 @@ class TestAllOrNothing:
         assert db.logical_record("r", 5)["v"] == 9
         assert_refused(db, [Delete(8), Update(8, {"v": 1})], KeyError, "key 8")
         assert Counter(db.query_view("v")) == Counter(VIEW.evaluate(db.logical_records("r")))
+
+
+#: Transactions the schema refuses, with the error each raises.
+#: Reproduced at a903bec: the first reached the base file and then
+#: raised, with no view told (a deferred sum stayed off the base from
+#: then on); the other two were accepted, the second filing a tuple
+#: without ``v`` that made every later sum over ``v`` raise.
+SCHEMA_REFUSALS = {
+    "half-applied-unknown-field": (
+        [Update(0, {"v": 778}), Update(1, {"zz": 1})],
+        r"unknown fields \['zz'\] in update",
+    ),
+    "wrong-fields-insert": (
+        [Insert(Record(9000, {"id": 9000, "a": 5, "zz": 1}))],
+        r"do not match schema 'r': missing=\['v'\], extra=\['zz'\]",
+    ),
+    "key-not-its-key-field": (
+        [Insert(Record(9000, {"id": 9001, "a": 5, "v": 1}))],
+        "record key 9000 is not its key field 'id'",
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@pytest.mark.parametrize("case", sorted(SCHEMA_REFUSALS))
+def test_the_schema_refuses_the_whole_transaction(kind, case):
+    db = build(kind)
+    ops, match = SCHEMA_REFUSALS[case]
+    assert_refused(db, ops, SchemaError, match)
+    assert db.logical_record("r", 9000) is None
+    db.apply_transaction(Transaction.of("r", [Update(0, {"v": 5})]))
+    assert Counter(db.query_view("v")) == Counter(VIEW.evaluate(db.logical_records("r")))
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_REFUSALS))
+def test_a_schema_refusal_writes_nothing_to_the_log(tmp_path, case):
+    manager = DurabilityManager(tmp_path)
+    manager.save_config({"buffer_pages": 64})
+    db = build("hypothetical", manager)
+    ops, match = SCHEMA_REFUSALS[case]
+    wal = _wal_bytes(tmp_path)
+    assert_refused(db, ops, SchemaError, match)
+    assert _wal_bytes(tmp_path) == wal
+    manager.close()
 
 
 @pytest.mark.parametrize("kind", sorted(KINDS))

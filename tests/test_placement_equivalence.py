@@ -14,9 +14,10 @@ import random
 import pytest
 
 from repro.cluster.harness import DOMAIN, demo_shard_map, demo_spec, launch_demo
-from repro.cluster.router import ClusterError, ClusterRouter
+from repro.cluster.router import ClusterRouter
 from repro.cluster.worker import encode_operation
-from repro.engine.database import UnsupportedTransactionError
+from repro.durability.codec import CodecError
+from repro.engine.database import CatalogError, UnsupportedTransactionError
 from repro.engine.transaction import Delete, Insert, Transaction, Update
 from repro.gateway import (
     AsyncGatewayClient,
@@ -26,7 +27,7 @@ from repro.gateway import (
 )
 from repro.service.spec import build_server
 from repro.service.traffic import Request, run_traffic
-from repro.storage.tuples import Schema
+from repro.storage.tuples import Record, Schema, SchemaError
 
 N_RECORDS = 120
 SCHEMA = Schema("r", ("id", "a", "v"), "id")
@@ -291,7 +292,7 @@ def test_a_refused_transaction_moves_nothing():
     with launch_demo(2, n_records=40, seed=17) as router:
         assert router.shard_map.shard_of(one["a"]) == 0
         before = (router.query("by_a", 0, DOMAIN - 1), router.query("total"))
-        with pytest.raises(ClusterError, match="no shard owns"):
+        with pytest.raises(KeyError, match="no tuple with key 999999 in 'r'"):
             router.apply_update(txn)
         assert (router.query("by_a", 0, DOMAIN - 1), router.query("total")) == before
         assert router.metrics.counter(
@@ -305,3 +306,87 @@ def test_a_refused_transaction_moves_nothing():
         assert (server.query("by_a", 0, DOMAIN - 1), server.query("total")) == before
     finally:
         server.shutdown()
+
+
+def test_the_router_refuses_a_bad_field_set_before_any_leg():
+    """Reproduced at a903bec: an update of a tuple on shard 0 and an
+    insert with a field the schema lacks on shard 1.  The router read no
+    field set, so shard 0's leg committed and shard 1's raised
+    ``RemoteOpError``; ``total`` moved by the update.  It now reads the
+    documents as a shard does and refuses them before any leg is sent,
+    as in-process."""
+    spec = demo_spec(n_records=40, seed=17)
+    shard_map = demo_shard_map(2)
+    low = next(r for r in spec["relations"][0]["records"] if shard_map.shard_of(r["a"]) == 0)
+    values = {"id": 9000, "a": DOMAIN - 1, "v": 1, "zz": 1}
+    assert shard_map.shard_of(values["a"]) == 1
+    update = Update(low["id"], {"v": low["v"] + 731})
+    txn = Transaction.of("r", [update, Insert(Record(9000, values))])
+    docs = [encode_operation(update), {"kind": "insert", "values": values}]
+    with launch_demo(2, n_records=40, seed=17) as router:
+        before = (router.query("by_a", 0, DOMAIN - 1), router.query("total"))
+        with pytest.raises(SchemaError, match=r"extra=\['zz'\]"):
+            router.apply_update(txn)
+        with pytest.raises(SchemaError, match=r"extra=\['zz'\]"):
+            router.apply_documents("r", docs)
+        assert (router.query("by_a", 0, DOMAIN - 1), router.query("total")) == before
+    server = build_server(spec)
+    try:
+        with pytest.raises(SchemaError, match=r"extra=\['zz'\]"):
+            server.apply_update(txn)
+    finally:
+        server.shutdown()
+
+
+#: Refused writes as wire documents, with the error every placement
+#: raises for them.  Reproduced at a903bec: a shard placement raised a
+#: different error on each row (``ClusterError`` for a key, a kind or a
+#: relation it did not know, ``RemoteOpError`` for a field set, a
+#: reworded re-key message) and accepted the empty list; in-process an
+#: unknown relation was a bare ``KeyError``.
+REFUSALS = {
+    "missing-key": ("r", [{"kind": "update", "key": 0, "changes": {"v": 7}},
+                          {"kind": "update", "key": 999999, "changes": {"v": 1}}],
+                    KeyError, "no tuple with key 999999 in 'r'"),
+    "unknown-update-field": ("r", [{"kind": "update", "key": 1, "changes": {"zz": 1}}],
+                             SchemaError, r"unknown fields \['zz'\] in update"),
+    "wrong-fields-insert": ("r", [{"kind": "insert",
+                                   "values": {"id": 9000, "a": 5, "v": 1, "zz": 1}}],
+                            SchemaError, r"missing=\[\], extra=\['zz'\]"),
+    "unknown-kind": ("r", [{"kind": "upsert", "key": 1}],
+                     CodecError, "unknown operation kind 'upsert'"),
+    "empty": ("r", [], ValueError, "transaction has no operations"),
+    "unknown-relation": ("nope", [{"kind": "delete", "key": 1}],
+                         CatalogError, "unknown relation 'nope'"),
+    "key-field-update": ("r", [{"kind": "update", "key": 1, "changes": {"id": 5}}],
+                         UnsupportedTransactionError,
+                         "re-key a tuple with a Delete and an Insert"),
+}
+
+
+@pytest.fixture(scope="module")
+def backends():
+    server = build_server(demo_spec(n_records=40, seed=17))
+    try:
+        with launch_demo(2, n_records=40, seed=17) as router:
+            yield ViewServerBackend(server), ClusterBackend(router)
+    finally:
+        server.shutdown()
+
+
+def answers(backend):
+    return (backend.query("by_a", 0, DOMAIN - 1, "c"),
+            backend.query("total", None, None, "c"))
+
+
+@pytest.mark.parametrize("case", sorted(REFUSALS))
+def test_a_refused_write_is_refused_alike_on_every_placement(backends, case):
+    relation, ops, error, match = REFUSALS[case]
+    seen = []
+    for backend in backends:
+        before = answers(backend)
+        with pytest.raises(error, match=match) as info:
+            backend.update(relation, [dict(op) for op in ops], "c")
+        seen.append((type(info.value), str(info.value)))
+        assert answers(backend) == before
+    assert seen[0] == seen[1]
