@@ -45,17 +45,16 @@ def screen_serial(screen: TwoStageScreen, records: Iterable[Record]) -> list[Rec
 def net_from_entries_serial(relation: str, entries: Iterable[ADEntry]) -> DeltaSet:
     """Per-entry net-change toggling over sequence-sorted AD entries.
 
-    The spec for ``repro.hr.differential._net_from_entries``: unwrap
-    every entry into a :class:`Record` and feed it to the delta set's
-    insert/delete toggling in arrival order.
+    The spec for ``repro.hr.differential._net_from_entries``: feed every
+    entry's record to the delta set's insert/delete toggling in arrival
+    order.
     """
     delta = DeltaSet(relation)
     for entry in sorted(entries, key=lambda e: e.seq):
-        record = Record(entry.key, dict(entry.items))
         if entry.role == ROLE_APPENDED:
-            delta.add_insert(record)
+            delta.add_insert(entry.record)
         else:
-            delta.add_delete(record)
+            delta.add_delete(entry.record)
     return delta
 
 

@@ -74,14 +74,14 @@ class Layout:
         _set_row(vt, row)
         return vt
 
-    def record(self, key: Any, row: tuple, value_hash: int | None = None) -> "Record":
+    def record(self, key: Any, row: tuple) -> "Record":
         """Trusted constructor: the record ``key`` over ``row``, taken as
-        it is.  ``value_hash``, if given, is what ``hash(record)`` is."""
+        it is."""
         record = _new_record(Record)
         _set_key(record, key)
         _set_layout(record, self)
         _set_row(record, row)
-        _set_record_hash(record, value_hash)
+        _set_record_hash(record, None)
         return record
 
     def items(self, row: tuple) -> Iterable[tuple[str, Any]]:
@@ -142,18 +142,6 @@ class Schema:
             f"record fields do not match schema {self.name!r}: "
             f"missing={sorted(own - names)}, extra={sorted(names - own)}"
         )
-
-    def from_items(
-        self, key: Any, items: tuple[tuple[str, Any], ...], value_hash: int | None = None
-    ) -> "Record":
-        """The record an ``AD`` entry spells, its key and its sorted
-        ``(field, value)`` items, imaged in that order."""
-        names, values = zip(*items) if items else ((), ())
-        try:
-            layout = Layout.of(self.fields, names)
-        except ValueError:  # not this schema's field set
-            layout = Layout.of(names)
-        return layout.record(key, layout._from_image(values), value_hash)
 
     def updated(self, record: "Record", **changes: Any) -> "Record":
         """Return a copy of ``record`` with some fields replaced, imaged

@@ -11,9 +11,11 @@ and a WAL tail after it.  ``fixtures/rekey_760ec5f`` (by
 To regenerate either, run its function in a ``git archive`` of 760ec5f,
 never with the current code.  ``fixtures/row_history_v3`` is what
 :func:`row_history` writes with row blocks (``ROWS_VERSION``): generated
-by running it into that directory at the commit that introduced them,
-and regenerated the same way only when the writer's format changes on
-purpose.
+by running it into that directory with the current code, and regenerated
+the same way only when what the writer writes changes on purpose (last:
+a checkpointed or folded tuple keeps the image it was given).
+``fixtures/row_history_7009a3d`` is what it wrote at 7009a3d, where a
+pending ``AD`` tuple was checkpointed imaged by field name.
 """
 
 import hashlib
@@ -33,6 +35,7 @@ from repro.views.predicate import IntervalPredicate
 
 FIXTURE = Path(__file__).parent / "fixtures" / "state_760ec5f"
 ROWS_FIXTURE = Path(__file__).parent / "fixtures" / "row_history_v3"
+PARENT_ROWS_FIXTURE = Path(__file__).parent / "fixtures" / "row_history_7009a3d"
 #: ``_state(recovered, repr)`` of the fixture reopened at 760ec5f.
 PARENT_REOPENED = "15cd9107ed5e028f"
 
@@ -165,9 +168,10 @@ def _state(db, show=lambda record: record):
     return out
 
 
-def reopen(tmp_path):
-    copy = tmp_path / "copy"
-    shutil.copytree(FIXTURE, copy)
+def reopen(tmp_path, state_dir=FIXTURE):
+    """Recover a copy of ``state_dir``, with nothing journaled after."""
+    copy = tmp_path / f"copy-{state_dir.name}"
+    shutil.copytree(state_dir, copy)
     manager = DurabilityManager(copy)
     try:
         recovered, report, _ = manager.open()
@@ -213,6 +217,10 @@ def test_a_parent_logged_key_changing_update_replays(tmp_path):
     assert (state, answers) == PARENT_REKEYED
 
 
+def _wal_files(root):
+    return {name: data for name, data in _files(root).items() if name.startswith("wal/")}
+
+
 def _wal_frames(root):
     """Every WAL frame under ``root`` but the ``create_relation`` ones
     (which carry a row block now), as the bytes that were written."""
@@ -239,21 +247,36 @@ def test_the_same_history_writes_the_parents_bytes(tmp_path):
 
 def test_the_row_block_directory_restores_what_the_parents_held(tmp_path):
     """The same history written with row blocks reopens to the engine the
-    parent's directory reopens to, each restored base record over the
-    layout the live record had (the parent's restore images them by
-    name).  A pending AD entry is filed by name on both sides, so the
-    tuple it restores is imaged by name, as before."""
-    copy = tmp_path / "rows"
-    shutil.copytree(ROWS_FIXTURE, copy)
-    manager = DurabilityManager(copy)
-    try:
-        recovered, _report, _ = manager.open()
-        recovered.attach_journal(None)
-    finally:
-        manager.close()
+    parent's directory reopens to, each restored base record and pending
+    AD tuple over the layout the live record had (the parent's restore
+    images them by name)."""
     live = row_history(tmp_path / "again")
+    recovered = reopen(tmp_path, ROWS_FIXTURE)
     assert _state(recovered) == _state(reopen(tmp_path)) == _state(live)
     for name in ("r", "p"):
         shown, want = _state(recovered, repr)[name], _state(live, repr)[name]
         assert shown["base"] == want["base"] and shown.get("ad") == want.get("ad")
+    assert answers(recovered) == answers(live)
+
+
+def test_a_pending_ad_key_reopens_as_the_live_engine_holds_it(tmp_path):
+    """Keys whose latest change was checkpointed in the AD file, and not
+    touched after, read back over the live record's layout and image."""
+    live = row_history(tmp_path / "live")
+    recovered = reopen(tmp_path, tmp_path / "live")
+    for key in (6, 7, 8, 106, 107, 108):
+        want = live.relations["r"].logical_by_key(key)
+        got = recovered.relations["r"].logical_by_key(key)
+        assert (got.layout, repr(got)) == (want.layout, repr(want))
+    assert repr(live.relations["r"].logical_by_key(6)) == "Record(key=6, v='u6', a=6, id=6)"
+
+
+def test_the_directory_written_at_7009a3d_opens(tmp_path):
+    """The row-block directory written where a pending AD tuple was
+    checkpointed imaged by name: the same WAL bytes, and it reopens to an
+    engine equal by value to the live one, with the same answers."""
+    live = row_history(tmp_path / "again")
+    assert _wal_files(PARENT_ROWS_FIXTURE) == _wal_files(tmp_path / "again")
+    recovered = reopen(tmp_path, PARENT_ROWS_FIXTURE)
+    assert _state(recovered) == _state(live)
     assert answers(recovered) == answers(live)
