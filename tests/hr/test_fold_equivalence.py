@@ -127,7 +127,7 @@ def test_the_one_pass_fold_matches_the_record_at_a_time_fold(kind, seed):
         moves |= {(r["a"] > was[r.key]) for r in net.inserted if was.get(r.key, r["a"]) != r["a"]}
         new.reset()
         reference_fold(old.base, net.deleted, net.inserted)
-        old.reset(DeltaSet.from_disjoint("r", [], []))  # clears AD only
+        old.reset(DeltaSet("r"))  # clears AD only
         assert state(new) == state(old)
         assert state(new)["content"] == expected
         assert len(new.base) == len(expected)
