@@ -1,8 +1,9 @@
 """Single-thread engine kernel throughput: batch vs tuple-at-a-time.
 
 Times the four vectorized hot paths — stage-2 screening, net-change
-build, differential apply, and the end-to-end deferred refresh — each
-against its record-at-a-time executable spec
+build, differential apply, and the end-to-end deferred refresh the
+engine runs (net change, ``screen_batch``, ``SelectProjectModel.apply``)
+— each against its record-at-a-time executable spec
 (``repro.maintenance.reference``), with pacing off: these numbers are
 raw Python throughput, the thing the columnar refactor exists to buy.
 Every timed run also cross-checks the two formulations' outputs;
@@ -38,17 +39,17 @@ from repro.hr.differential import (
     HypotheticalRelation,
     _net_from_entries,
 )
+from repro.maintenance.models import SelectProjectModel
 from repro.maintenance.reference import (
     apply_changes_serial,
     net_from_entries_serial,
     screen_serial,
-    select_project_changes_serial,
 )
 from repro.maintenance.screening import TwoStageScreen
 from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
 from repro.storage.tuples import Record, Schema
 from repro.views.definition import SelectProjectView, ViewTuple
-from repro.views.delta import ChangeSet, select_project_changes
+from repro.views.delta import ChangeSet
 from repro.views.matview import MaterializedView
 from repro.views.predicate import AndPredicate, ComparisonPredicate, IntervalPredicate
 
@@ -211,8 +212,10 @@ def bench_apply(violations: list[int]) -> dict:
 
 
 def bench_refresh(violations: list[int]) -> dict:
-    """End-to-end deferred refresh: AD scan -> net -> screen/project
-    -> differential apply, batch pipeline vs serial pipeline."""
+    """End-to-end deferred refresh as the engine runs it: AD scan ->
+    net change -> ``screen_batch`` -> ``SelectProjectModel.apply`` (project,
+    then ``apply_changes``), against the serial chain: per-entry netting
+    -> ``screen_serial`` -> project -> ``apply_changes_serial``."""
     pool = BufferPool(SimulatedDisk(CostMeter()), capacity=512)
     base = ClusteredRelation(SCHEMA, pool, "a")
     relation = HypotheticalRelation(base, ad_buckets=16)
@@ -230,15 +233,23 @@ def bench_refresh(violations: list[int]) -> dict:
         return view
 
     def batch_refresh():
-        view = fresh_view()
+        model = SelectProjectModel(VIEW, relation, pool=pool, block_bytes=1000, fanout=200)
+        model.matview = fresh_view()
+        screen = TwoStageScreen(PREDICATE, CostMeter())
         delta = relation.net_changes()
-        view.apply_changes(select_project_changes(VIEW, delta))
-        return view
+        model.apply(screen.screen_batch(delta.inserted), screen.screen_batch(delta.deleted))
+        return model.matview
 
     def serial_refresh():
         view = fresh_view()
+        screen = TwoStageScreen(PREDICATE, CostMeter())
         delta = net_from_entries_serial("r", relation.ad.scan_all())
-        apply_changes_serial(view, select_project_changes_serial(VIEW, delta))
+        changes = ChangeSet()
+        for record in screen_serial(screen, delta.inserted):
+            changes.insert(VIEW.project(record))
+        for record in screen_serial(screen, delta.deleted):
+            changes.delete(VIEW.project(record))
+        apply_changes_serial(view, changes)
         return view
 
     if list(batch_refresh().scan_all()) != list(serial_refresh().scan_all()):

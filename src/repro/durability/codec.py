@@ -15,7 +15,7 @@ marker so round-trips preserve identity-sensitive types.
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Callable, Mapping, Sequence
 from itertools import zip_longest
 from operator import attrgetter
 from typing import Any
@@ -99,12 +99,13 @@ def encode_record(record: Record) -> dict[str, Any]:
     }
 
 
-def decode_record(doc: Mapping[str, Any]) -> Record:
-    """A row over the document's field order, imaged in it."""
+def decode_record(doc: Mapping[str, Any], fields: Sequence[str] | None = None) -> Record:
+    """A row in ``fields`` order (its relation's schema fields; by default
+    the document's own order), imaged in the document's field order."""
     values = doc["values"]
-    return Layout.of(values).record(
-        decode_value(doc["key"]), tuple(map(decode_value, values.values()))
-    )
+    layout = Layout.of(values if fields is None else fields, values)
+    row = tuple(decode_value(values[f]) for f in layout.fields)
+    return layout.record(decode_value(doc["key"]), row)
 
 
 _ATOMS = frozenset({type(None), bool, int, float, str})
@@ -157,12 +158,13 @@ def decode_rows(block: Mapping[str, Any]) -> list[Record]:
     return [layouts[n].record(k, tuple(r)) for n, k, r in zip(block.get("of", ()), keys, rows)]
 
 
-def decode_records(doc: Any) -> list[Record]:
-    """A row block, or a list of :func:`encode_record` documents as
-    written before blocks (each decoded as it was then)."""
+def decode_records(doc: Any, fields: Sequence[str] | None = None) -> list[Record]:
+    """A row block (each record over the layout it was written with), or
+    a list of :func:`encode_record` documents as written before blocks
+    (each a row in ``fields`` order, imaged as it was written)."""
     if isinstance(doc, Mapping):
         return decode_rows(doc)
-    return [decode_record(r) for r in doc]
+    return [decode_record(r, fields) for r in doc]
 
 
 def encode_schema(schema: Schema) -> dict[str, Any]:
@@ -354,16 +356,18 @@ def encode_operation(op: Operation, spelling: str = "wire") -> dict[str, Any]:
     raise CodecError(f"cannot encode operation type {type(op).__name__}")
 
 
-def decode_operation(schema: Schema | None, doc: Mapping[str, Any]) -> Operation:
+def decode_operation(schema: Schema | None, doc: Mapping[str, Any],
+                     fields: Sequence[str] | None = None) -> Operation:
     """Inverse of :func:`encode_operation`; ``schema`` picks the spelling.
     Without one the document is the WAL's (written by this process, an
-    insert carries its record); with one it is the wire's, which comes
-    from outside, so an insert is built by ``schema.new_record`` — it
-    checks the field set and names the key."""
+    insert carries its record, a row in ``fields`` order: see
+    :func:`decode_record`); with one it is the wire's, which comes from
+    outside, so an insert is built by ``schema.new_record`` — it checks
+    the field set and names the key."""
     if schema is None:
         kind = doc.get("op")
         if kind == "insert":
-            return Insert(decode_record(doc["record"]))
+            return Insert(decode_record(doc["record"], fields))
     else:
         kind = doc.get("kind")
         if kind == "insert":
@@ -386,10 +390,11 @@ def encode_transaction(txn: Transaction) -> dict[str, Any]:
     }
 
 
-def decode_transaction(doc: Mapping[str, Any]) -> Transaction:
+def decode_transaction(doc: Mapping[str, Any], fields: Sequence[str] | None = None) -> Transaction:
+    """A journaled transaction; ``fields`` is its relation's schema fields."""
     return Transaction(
         relation=doc["relation"],
-        operations=tuple(decode_operation(None, op) for op in doc["operations"]),
+        operations=tuple(decode_operation(None, op, fields) for op in doc["operations"]),
     )
 
 
@@ -424,22 +429,25 @@ def encode_event(event: str, payload: Mapping[str, Any]) -> dict[str, Any]:
     raise CodecError(f"unknown journal event {event!r}")
 
 
-def decode_event(doc: Mapping[str, Any]) -> tuple[str, dict[str, Any]]:
-    """Inverse of :func:`encode_event`: rebuild the engine objects."""
+def decode_event(doc: Mapping[str, Any],
+                 fields_of: Callable[[str], Any] = lambda name: None) -> tuple[str, dict[str, Any]]:
+    """Inverse of :func:`encode_event`: rebuild the engine objects, each
+    base record a row in its relation's schema order (``fields_of(name)``
+    for a transaction's relation)."""
     event = doc.get("event")
     if event == "txn":
-        return event, {"txn": decode_transaction(doc["txn"])}
+        return event, {"txn": decode_transaction(doc["txn"], fields_of(doc["txn"]["relation"]))}
     if event == "net_install":
         return event, {"relation": doc["relation"]}
     if event == "create_relation":
-        records = doc.get("records")
+        records, schema = doc.get("records"), decode_schema(doc["schema"])
         return event, {
-            "schema": decode_schema(doc["schema"]),
+            "schema": schema,
             "clustered_on": doc["clustered_on"],
             "kind": doc["kind"],
             "ad_buckets": doc["ad_buckets"],
             "hash_buckets": doc["hash_buckets"],
-            "records": None if records is None else decode_records(records),
+            "records": None if records is None else decode_records(records, schema.fields),
         }
     if event == "define_view":
         return event, {"spec": decode_spec(doc)}

@@ -179,11 +179,14 @@ def recover(
         wal_epoch = 1
     restore_meter = db.meter.diff(restore_start)
 
+    def fields_of(name: str) -> tuple[str, ...] | None:
+        return db.relations[name].schema.fields if name in db.relations else None
+
     replay_start = db.meter.snapshot()
     recomputes_before = _full_recompute_ops(db)
     replayed = 0
     for doc in wal.replay(from_epoch=wal_epoch):
-        event, payload = codec.decode_event(doc)
+        event, payload = codec.decode_event(doc, fields_of)
         apply_event(db, event, payload)
         replayed += 1
     report = RecoveryReport(
@@ -215,23 +218,28 @@ def _restore_checkpoint(
     db: Database, ckpt: CheckpointManager, name: str, image: str
 ) -> None:
     """Rebuild the engine ``name`` captured: base records from the full
-    ``image`` (``name`` itself unless differential), net change folded in."""
+    ``image`` (``name`` itself unless differential), net change folded in.
+    A record written before row blocks is rebuilt in its relation's
+    schema order (imaged as written)."""
     changes = {}
     if image != name:
         changes = {doc["relation"]: doc for doc in ckpt.read_lines(name, "relations.jsonl")}
+    catalog = list(ckpt.read_lines(name, "catalog.jsonl"))
+    schema_fields = {d["name"]: d["schema"]["fields"] for d in catalog if d["kind"] == "relation"}
     base_records: dict[str, list[Record]] = {}
     for doc in ckpt.read_lines(image, "relations.jsonl"):
-        kept, change = codec.decode_records(doc["records"]), changes.get(doc["relation"])
+        fields = schema_fields[doc["relation"]]
+        kept, change = codec.decode_records(doc["records"], fields), changes.get(doc["relation"])
         if change is not None:
             # Image order less the edited keys, then the upserts in edit order:
             # the live directory's order.
-            upserts = codec.decode_records(change["upserts"])
+            upserts = codec.decode_records(change["upserts"], fields)
             edited = {codec.decode_value(key) for key in change["deleted"]}
             edited.update(r.key for r in upserts)
             kept = [r for r in kept if r.key not in edited] + upserts
         base_records[doc["relation"]] = kept
 
-    for doc in ckpt.read_lines(name, "catalog.jsonl"):
+    for doc in catalog:
         kind = doc["kind"]
         if kind == "relation":
             spec = doc["spec"]
@@ -256,7 +264,8 @@ def _restore_checkpoint(
     for doc in ckpt.read_lines(name, "views.jsonl"):
         impl = db.views.get(doc["view"])
         if impl is not None:
-            impl.restore_state({**doc, "markers": codec.decode_records(doc["markers"])})
+            fields = impl.relation.schema.fields
+            impl.restore_state({**doc, "markers": codec.decode_records(doc["markers"], fields)})
 
 
 def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
@@ -271,7 +280,8 @@ def _restore_differential(db: Database, doc: dict[str, Any]) -> None:
     if isinstance(entries, dict):  # a row block with its roles and seqs
         entries = list(zip(codec.decode_rows(entries), entries["roles"], entries["seqs"]))
     else:
-        entries = [(codec.decode_record(e["record"]), e["role"], e["seq"]) for e in entries]
+        fields = relation.schema.fields
+        entries = [(codec.decode_record(e["record"], fields), e["role"], e["seq"]) for e in entries]
     with db.meter.setup_phase():
         relation.restore_state({"entries": entries, "bloom": doc["bloom"]})
         db.pool.flush_all()

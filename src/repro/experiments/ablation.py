@@ -15,7 +15,6 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from repro.core.parameters import PAPER_DEFAULTS, Parameters
 from repro.core.strategies import Strategy, ViewModel
@@ -144,15 +143,6 @@ def refresh_period_ablation(
         rows=tuple(rows),
         notes="monotone non-decreasing in the number of refreshes (Yao subadditivity)",
     )
-
-
-@dataclass(frozen=True)
-class PeriodicRefreshResult:
-    """Measured cost of deferred maintenance with forced periodic refresh."""
-
-    refresh_every: int
-    total_ms: float
-    refreshes: int
 
 
 def refresh_period_simulation(

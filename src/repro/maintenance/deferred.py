@@ -171,7 +171,7 @@ class Deferred(MaintenanceStrategy):
         if self.screen.transaction_is_riu(txn.written_fields()):
             return
         self._markers.update(
-            self.screen.screen_many(list(delta.inserted) + list(delta.deleted))
+            self.screen.screen_batch(list(delta.inserted) + list(delta.deleted))
         )
 
     def join_coordinator(self, coordinator: DeferredCoordinator) -> None:

@@ -43,8 +43,8 @@ class Immediate(MaintenanceStrategy):
         self.model.track(delta)
         if self.screen.transaction_is_riu(txn.written_fields()):
             return  # the whole command was readily ignorable
-        marked_ins = self.screen.screen_many(delta.inserted)
-        marked_del = self.screen.screen_many(delta.deleted)
+        marked_ins = self.screen.screen_batch(delta.inserted)
+        marked_del = self.screen.screen_batch(delta.deleted)
         # Each marked tuple costs c3 to place in / clear from the
         # in-memory A and D sets (C_overhead).
         self.relation.meter.record_ad_op(len(marked_ins) + len(marked_del))

@@ -1,13 +1,19 @@
 """Tuple-at-a-time reference implementations of the batch hot paths.
 
-The engine's hot loops are vectorized (`repro.storage.columnar`): the
-screens, net-change builds, delta algebra and differential apply all
-consume columnar batches.  This module keeps the original
-record-at-a-time formulations as the *executable specification*:
+A deferred refresh runs three kernels on the engine path: the net
+change of the AD entries (``repro.hr.differential._net_from_entries``),
+the two-stage screen (``TwoStageScreen.screen_batch``) and the
+differential apply of the stored copy (``MaterializedView.apply_changes``,
+called by ``Model.apply``).  This module keeps each one's original
+record-at-a-time formulation as its *executable specification*, built
+on the per-record ``TwoStageScreen.screen`` (with ``breaks_lock`` and
+``Predicate.matches``) and ``MaterializedView.insert_tuple`` /
+``delete_tuple``:
 
-* the hypothesis property suites assert that each batch kernel
-  produces identical results, identical cost-meter totals and (for
-  the stored view) byte-identical page layouts;
+* the hypothesis property suites assert that each batch kernel, and a
+  whole Model 1 refresh, produces identical results, identical
+  cost-meter totals and (for the stored view) byte-identical page
+  layouts;
 * the engine microbenchmark (``benchmarks/test_bench_engine.py``)
   times these against the batch kernels to report the speedup.
 
@@ -19,11 +25,10 @@ them touch bookkeeping counters beyond what their storage calls charge
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Iterable
 
 from repro.hr.differential import ROLE_APPENDED, ADEntry
 from repro.storage.tuples import Record
-from repro.views.definition import AggregateView, SelectProjectView
 from repro.views.delta import ChangeSet, DeltaSet
 from repro.views.matview import MaterializedView
 from .screening import TwoStageScreen
@@ -32,8 +37,6 @@ __all__ = [
     "screen_serial",
     "net_from_entries_serial",
     "apply_changes_serial",
-    "select_project_changes_serial",
-    "aggregate_changes_serial",
 ]
 
 
@@ -74,26 +77,3 @@ def apply_changes_serial(matview: MaterializedView, changes: ChangeSet) -> tuple
             matview.delete_tuple(vt, -signed)
             deleted += -signed
     return inserted, deleted
-
-
-def select_project_changes_serial(
-    view: SelectProjectView, delta: DeltaSet
-) -> ChangeSet:
-    """Per-record Model 1 delta projection (spec for the batch version)."""
-    changes = ChangeSet()
-    for record in delta.inserted:
-        if view.predicate.matches(record):
-            changes.insert(view.project(record))
-    for record in delta.deleted:
-        if view.predicate.matches(record):
-            changes.delete(view.project(record))
-    return changes
-
-
-def aggregate_changes_serial(
-    view: AggregateView, delta: DeltaSet
-) -> tuple[list[Any], list[Any]]:
-    """Per-record Model 3 entering/leaving values (spec for the batch one)."""
-    entering = [r[view.field] for r in delta.inserted if view.predicate.matches(r)]
-    leaving = [r[view.field] for r in delta.deleted if view.predicate.matches(r)]
-    return entering, leaving

@@ -18,7 +18,7 @@ exploit that structure end to end:
   backoff, and a per-file ``closed → open → half_open`` circuit
   breaker with observable transitions.
 * :mod:`repro.resilience.scrub` — an on-demand integrity scrubber that
-  walks heaps, indexes, AD files and materialized views, classifies
+  walks base files, indexes, AD files and materialized views, classifies
   damage by owner, and applies local repairs (view rebuilds).
 * :mod:`repro.resilience.degradation` — the caller-visible
   :class:`DegradedResult` and the query-modification / stale-read

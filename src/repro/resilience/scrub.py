@@ -110,7 +110,7 @@ def classify_file(db: Any, file: str) -> tuple[str, str]:
     for suffix in (".ad.hash", ".a.hash", ".d.hash"):
         if file.endswith(suffix):
             return ("differential", file[: -len(suffix)])
-    for suffix in (".leaf", ".int", ".hash", ".heap"):
+    for suffix in (".leaf", ".int", ".hash"):
         if file.endswith(suffix):
             name = file[: -len(suffix)]
             if name in getattr(db, "relations", {}):

@@ -2,18 +2,18 @@
 
 This package is the "1986 storage system" the paper's cost model
 implicitly assumes: a page-granular disk (``B``-byte blocks at ``c2``
-ms per I/O), clustered B+-trees, clustered hash files, heap files and
+ms per I/O), clustered B+-trees, clustered hash files and
 Severance-Lohman Bloom-filtered differential files.  Every page read
 and write is counted by a :class:`~repro.storage.pager.CostMeter` so
 the running system can be priced with the same constants the analytic
-formulas use.
+formulas use.  A sequential scan is a scan of the clustered file (the
+engine keeps no unordered heap).
 """
 
 from .bloom import BloomFilter, optimal_bits, optimal_hashes
 from .bplustree import BPlusTree, TreeStats
 from .columnar import ColumnBatch, SelectionVector
 from .hashindex import HashFile
-from .heap import HeapFile
 from .pager import (
     BufferPool,
     CostMeter,
@@ -33,7 +33,6 @@ __all__ = [
     "ColumnBatch",
     "CostMeter",
     "HashFile",
-    "HeapFile",
     "Page",
     "PageChecksumError",
     "PageId",

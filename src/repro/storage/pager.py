@@ -70,8 +70,7 @@ def _entry_image(entry: Any) -> bytes:
     A B+-tree leaf entry ``((sort_key, tiebreak), value)`` is its key
     part, the separator and the value's ``repr`` (a base ``Record``, or
     a stored view tuple, which renders itself as one); anything else (a
-    heap or hash record, an internal node, an aggregate state) is its
-    ``repr``.
+    hash record, an internal node, an aggregate state) is its ``repr``.
     """
     if type(entry) is tuple and len(entry) == 2 and type(entry[0]) is tuple:
         text = f"{entry[:-1]!r}\x1e{entry[-1]!r}"
@@ -120,7 +119,7 @@ class Page:
     """A disk page holding up to ``capacity`` records.
 
     Records are arbitrary Python objects; files impose their own layout
-    (sorted for B+-tree leaves, unordered for heaps and hash buckets).
+    (sorted for B+-tree leaves, unordered for hash buckets).
 
     ``records`` is read freely but edited only through the methods
     below (the ``page-edit`` lint rule holds the rest of the code to

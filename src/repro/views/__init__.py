@@ -21,11 +21,8 @@ from .definition import (
 from .delta import (
     ChangeSet,
     DeltaSet,
-    aggregate_changes,
     join_changes,
     join_changes_blakeley_original,
-    product_changes_telescoped,
-    select_project_changes,
 )
 from .matview import AggregateStateStore, DuplicateCountError, MaterializedView
 from .predicate import (
@@ -67,11 +64,8 @@ __all__ = [
     "TruePredicate",
     "ViewDefinitionError",
     "ViewTuple",
-    "aggregate_changes",
     "is_readily_ignorable",
     "join_changes",
     "join_changes_blakeley_original",
     "make_aggregate",
-    "product_changes_telescoped",
-    "select_project_changes",
 ]

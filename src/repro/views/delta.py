@@ -2,41 +2,37 @@
 
 A :class:`DeltaSet` holds the *net* inserted (``A``) and deleted
 (``D``) tuples of one relation for one transaction or one deferred
-batch, maintaining the paper's invariant ``A ∩ D = ∅``.
+batch, maintaining the paper's invariant ``A ∩ D = ∅``.  A
+:class:`ChangeSet` is the signed multiset of view-tuple changes a
+refresh applies to a duplicate-counted stored view.
 
-:func:`select_project_changes`, :func:`join_changes` and
-:func:`aggregate_changes` turn delta sets into signed multisets of view
-changes — the quantities the maintenance strategies apply to the
-stored view with duplicate counts.
-
-Appendix A: the original formulation in [Blak86] evaluates the
-deletion terms against the *pre-update* relations (``D1 x R2``,
+The engine's differential update of each view model is
+``repro.maintenance.models`` (``Model.apply``, fed the tuples
+``TwoStageScreen.screen_batch`` marked); its per-record specification
+is ``repro.maintenance.reference``.  This module keeps only the join
+algebra of Appendix A: the original formulation in [Blak86] evaluates
+the deletion terms against the *pre-update* relations (``D1 x R2``,
 ``R1 x D2``, ``D1 x D2``) and over-deletes when a transaction removes
 both halves of a joining pair.  :func:`join_changes_blakeley_original`
 implements that expression verbatim so tests and the Appendix-A
 example can demonstrate the bug; :func:`join_changes` implements the
 paper's corrected expression (using ``R1' = R1 - D1`` and
-``R2' = R2 - D2``), and :func:`product_changes_telescoped` generalizes
-the corrected rule to N-way products.
+``R2' = R2 - D2``).
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
-from repro.storage.columnar import ColumnBatch
 from repro.storage.tuples import Record
-from .definition import AggregateView, JoinView, SelectProjectView, ViewTuple
+from .definition import JoinView, ViewTuple
 
 __all__ = [
     "DeltaSet",
     "ChangeSet",
-    "select_project_changes",
     "join_changes",
     "join_changes_blakeley_original",
-    "product_changes_telescoped",
-    "aggregate_changes",
 ]
 
 
@@ -171,29 +167,6 @@ class ChangeSet:
         return result
 
 
-def select_project_changes(
-    view: SelectProjectView, delta: DeltaSet
-) -> ChangeSet:
-    """Changes to a Model 1 view: screen and project the delta.
-
-    ``V1 = V0 ∪ pi(sigma(A)) - pi(sigma(D))`` — selection and
-    projection distribute over union and difference once duplicate
-    counts are maintained.
-    """
-    changes = ChangeSet()
-    inserted = delta.inserted
-    if inserted:
-        batch = ColumnBatch.from_records(inserted)
-        for i in view.predicate.matches_batch(batch).indices:
-            changes.insert(view.project(inserted[i]))
-    deleted = delta.deleted
-    if deleted:
-        batch = ColumnBatch.from_records(deleted)
-        for i in view.predicate.matches_batch(batch).indices:
-            changes.delete(view.project(deleted[i]))
-    return changes
-
-
 def _join_side(
     view: JoinView,
     outer_records: Iterable[Record],
@@ -274,60 +247,3 @@ def join_changes_blakeley_original(
     _join_side(view, d1, r2, -1, changes)
     _join_side(view, r1, d2, -1, changes)
     return changes
-
-
-def product_changes_telescoped(
-    view: JoinView,
-    relations: Sequence[tuple[Iterable[Record], DeltaSet]],
-) -> ChangeSet:
-    """N-way generalization of the corrected rule (telescoping deltas).
-
-    For relations ``R_1..R_N`` with new states ``N_i = (R_i - D_i) ∪
-    A_i``, the change to the product telescopes as::
-
-        V1 - V0 = sum_i  N_1 x .. x N_{i-1} x (A_i - D_i) x R_{i+1} x .. x R_N
-
-    which for N=2 is algebraically identical to :func:`join_changes`
-    (tested in ``tests/views/test_delta.py``).  Only 2-way views are
-    used by the paper's models; this exists to show the algorithm is
-    not limited to them.  The ``view`` is used for predicate screening
-    of the first relation and pairwise combination; for N > 2 callers
-    supply a combining view chain (see tests).
-    """
-    if len(relations) != 2:
-        raise NotImplementedError(
-            "telescoped products beyond 2 relations require a view chain; "
-            "use join_changes composition as shown in the tests"
-        )
-    (r1, delta1), (r2, delta2) = relations
-    d1 = set(delta1.deleted)
-    r1_new = [t for t in r1 if t not in d1] + list(delta1.inserted)
-
-    changes = ChangeSet()
-    # Term 1: (A1 - D1) x R2_old
-    _join_side(view, delta1.inserted, r2, +1, changes)
-    _join_side(view, delta1.deleted, r2, -1, changes)
-    # Term 2: N1 x (A2 - D2)
-    _join_side(view, r1_new, delta2.inserted, +1, changes)
-    _join_side(view, r1_new, delta2.deleted, -1, changes)
-    return changes
-
-
-def aggregate_changes(
-    view: AggregateView, delta: DeltaSet
-) -> tuple[list[Any], list[Any]]:
-    """Values entering / leaving a Model 3 aggregate for one batch."""
-    return (
-        _selected_values(view, delta.inserted),
-        _selected_values(view, delta.deleted),
-    )
-
-
-def _selected_values(view: AggregateView, records: Sequence[Record]) -> list[Any]:
-    """Aggregated-field values of the records passing the view predicate."""
-    if not records:
-        return []
-    batch = ColumnBatch.from_records(records)
-    selection = view.predicate.matches_batch(batch)
-    field = view.field
-    return [records[i][field] for i in selection.indices]

@@ -280,3 +280,22 @@ def test_the_directory_written_at_7009a3d_opens(tmp_path):
     recovered = reopen(tmp_path, PARENT_ROWS_FIXTURE)
     assert _state(recovered) == _state(live)
     assert answers(recovered) == answers(live)
+
+
+def test_a_reopened_relation_holds_its_rows_in_schema_order(tmp_path):
+    """Every record recovery rebuilds of ``r`` (from a row block, a list
+    written before blocks, a pending AD entry or a replayed insert) is a
+    row in the schema's order, as the live engine holds all 60, imaged
+    as before (the reprs of the reopened ``FIXTURE`` are pinned above)."""
+    live = row_history(tmp_path / "again").relations["r"]
+    assert {r.layout.fields for r in live.logical_snapshot()} == {R.fields}
+    for state_dir in (ROWS_FIXTURE, FIXTURE):
+        relation = reopen(tmp_path, state_dir).relations["r"]
+        logical = relation.logical_snapshot()
+        pending = [record for record, _, _ in relation.state_doc()["entries"]]
+        assert len(logical) == 60
+        assert {
+            r.layout.fields for r in [*logical, *relation.base.records_snapshot(), *pending]
+        } == {R.fields}
+        if state_dir == ROWS_FIXTURE:
+            assert sorted(map(repr, logical)) == sorted(map(repr, live.logical_snapshot()))

@@ -77,10 +77,15 @@ class TestTwoStageScreen:
         assert meter.screens == 1
         assert screen.stats.stage2_rejected == 1
 
-    def test_screen_many_returns_marked(self):
-        screen = TwoStageScreen(IntervalPredicate("a", 0, 9), CostMeter())
+    def test_screen_batch_returns_marked(self):
+        """The batch screen marks what ``screen`` marks and charges
+        ``c1`` only for the rows that broke a t-lock."""
+        meter = CostMeter()
+        screen = TwoStageScreen(IntervalPredicate("a", 0, 9), meter)
         records = [rec(a=5, i=1), rec(a=50, i=2), rec(a=7, i=3)]
-        assert [r.key for r in screen.screen_many(records)] == [1, 3]
+        assert [r.key for r in screen.screen_batch(records)] == [1, 3]
+        assert meter.screens == 2
+        assert screen.stats.stage1_rejected == 1
 
     def test_riu_with_definition_fields(self):
         screen = TwoStageScreen(

@@ -25,7 +25,6 @@ from repro.service.traffic import PhaseSpec, demo_server, drifting_traffic, run_
 from repro.storage import pager
 from repro.storage.bplustree import BPlusTree, _InternalNode
 from repro.storage.hashindex import HashFile
-from repro.storage.heap import HeapFile
 from repro.storage.pager import (
     BufferPool,
     CostMeter,
@@ -135,20 +134,6 @@ class TestCachedImageEqualsScratch:
                 assert disk._checksums[page_id] == scratch_checksum(disk._pages[page_id])
                 assert disk.verify(page_id) is None
 
-    def test_heap_workload(self):
-        disk = CheckedDisk()
-        pool = BufferPool(disk, capacity=2)
-        heap = HeapFile("p", pool, records_per_page=3)
-        heap.bulk_load([record(i, i % 4) for i in range(8)])
-        for key in range(8, 14):
-            heap.insert(record(key, key % 4))
-        assert heap.delete_where(lambda r: r["a"] == 1) == 4
-        pool.flush_all()
-        assert disk.checked >= 10
-        assert sorted(r.key for r in heap.scan()) == [k for k in range(14) if k % 4 != 1]
-        for page_id in disk.file_pages("p"):
-            assert disk.verify(page_id) is None
-
 
 #: What the four kinds of page hold.
 ENTRIES = {
@@ -252,7 +237,7 @@ class TestAnyEditSequence:
 
 
 def seeded_files(seed=1987):
-    """A B+-tree, a hash file and a heap after a fixed seeded workload."""
+    """A B+-tree and a hash file after a fixed seeded workload."""
     rng = random.Random(seed)
     disk = SimulatedDisk(CostMeter())
     pool = BufferPool(disk, capacity=8)
@@ -260,8 +245,10 @@ def seeded_files(seed=1987):
     tree.bulk_load([record(i, rng.randrange(12), v=i) for i in range(40)])
     hashed = HashFile("h", pool, lambda r: r["id"], records_per_page=3, buckets=4)
     hashed.bulk_load([record(i, rng.randrange(12)) for i in range(20)])
-    heap = HeapFile("p", pool, records_per_page=5)
-    heap.bulk_load([record(i, rng.randrange(12)) for i in range(12)])
+    # Twelve draws once loaded a third file: taken still, so the
+    # workload below (and every pinned checksum) is what it was.
+    for _ in range(12):
+        rng.randrange(12)
     live = list(range(40))
     for step in range(60):
         key = 100 + step
@@ -276,8 +263,6 @@ def seeded_files(seed=1987):
         hashed.insert(record(key, step % 12))
         if step % 4 == 0:
             hashed.delete_key(step // 2)
-        heap.insert(record(key, step % 12))
-    heap.delete_where(lambda r: r["a"] == 3)
     pool.flush_all()
     return disk
 
@@ -289,7 +274,6 @@ class TestChecksumValuesPinned:
 
     @pytest.mark.parametrize("file, pages, first_three, crc_of_all", [
         ("h.hash", 24, [1201488485, 2018681506, 4018148715], 1347706357),
-        ("p", 15, [2188192260, 1537108415, 1143431228], 4118130192),
         ("t.int", 14, [3301172240, 174666730, 1835582679], 3030632069),
         ("t.leaf", 34, [2788396725, 788303421, 2427155437], 3673744162),
     ])

@@ -1,4 +1,10 @@
-"""Delta sets and the differential update algebra, incl. Appendix A."""
+"""Delta sets and the differential update algebra, incl. Appendix A.
+
+A select-project or aggregate view's changes are checked on the path
+the engine runs: the two-stage screen marks the delta's tuples
+(``TwoStageScreen.screen_batch``) and the view's model applies them to
+the stored copy (``Model.apply``).
+"""
 
 from collections import Counter
 
@@ -6,17 +12,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.maintenance.models import AggregateModel, SelectProjectModel
+from repro.maintenance.screening import TwoStageScreen
+from repro.storage.pager import BufferPool, CostMeter, SimulatedDisk
 from repro.storage.tuples import Schema
 from repro.views.definition import AggregateView, JoinView, SelectProjectView, ViewTuple
 from repro.views.delta import (
     ChangeSet,
     DeltaSet,
-    aggregate_changes,
     join_changes,
     join_changes_blakeley_original,
-    product_changes_telescoped,
-    select_project_changes,
 )
+from repro.views.matview import AggregateStateStore, MaterializedView
 from repro.views.predicate import IntervalPredicate, TruePredicate
 
 R = Schema("r", ("id", "a", "v"), "id")
@@ -152,23 +159,40 @@ class TestChangeSet:
         assert a == b
 
 
+def _model(model_class, view):
+    pool = BufferPool(SimulatedDisk(CostMeter()), capacity=8)
+    return model_class(view, None, pool=pool, block_bytes=400, fanout=4)
+
+
+def _refresh(model, delta):
+    """One delta through the engine's differential update: screen, apply."""
+    screen = TwoStageScreen(model.definition.predicate, CostMeter())
+    model.apply(screen.screen_batch(delta.inserted), screen.screen_batch(delta.deleted))
+
+
+def _select_project_model(stored):
+    model = _model(SelectProjectModel, SP_VIEW)
+    model.matview = MaterializedView("v", model.pool, "a", records_per_page=4, fanout=4)
+    model.matview.bulk_load([SP_VIEW.project(r) for r in stored])
+    return model
+
+
 class TestSelectProjectChanges:
     def test_screens_by_predicate(self):
+        model = _select_project_model([r_rec(3, a=2), r_rec(4, a=3)])
         delta = DeltaSet("r")
         delta.add_insert(r_rec(1, a=5))   # in view
         delta.add_insert(r_rec(2, a=50))  # out of view
         delta.add_delete(r_rec(3, a=2))   # in view
-        changes = select_project_changes(SP_VIEW, delta)
-        assert changes.insertions == 1
-        assert changes.deletions == 1
+        _refresh(model, delta)
+        assert sorted(vt["id"] for vt in model.matview.scan_all()) == [1, 4]
 
     def test_projection_applied(self):
+        model = _select_project_model([])
         delta = DeltaSet("r")
         delta.add_insert(r_rec(1, a=5, v=123))
-        changes = select_project_changes(SP_VIEW, delta)
-        (vt, signed), = changes.items()
-        assert signed == 1
-        assert vt == ViewTuple({"id": 1, "a": 5})  # v projected away
+        _refresh(model, delta)
+        assert list(model.matview.scan_all()) == [ViewTuple({"id": 1, "a": 5})]
 
 
 def _brute_force_join_diff(view, r1_before, r2_before, delta1, delta2) -> ChangeSet:
@@ -254,26 +278,6 @@ class TestJoinChanges:
         expected = _brute_force_join_diff(JOIN_VIEW, r1, r2, delta1, delta2)
         assert join_changes(JOIN_VIEW, r1, r2, delta1, delta2) == expected
 
-    @given(
-        r1_keys=st.lists(st.integers(0, 5), max_size=5, unique=True),
-        del1=st.sets(st.integers(0, 5), max_size=5),
-        ins2=st.lists(st.integers(3, 6), max_size=3, unique=True),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_telescoped_equals_corrected(self, r1_keys, del1, ins2):
-        r1 = [r1_rec(k, j=k % 4) for k in r1_keys]
-        r2 = [r2_rec(j) for j in range(4)]
-        delta1 = DeltaSet("r1")
-        for t in r1:
-            if t.key in del1:
-                delta1.add_delete(t)
-        delta2 = DeltaSet("r2")
-        for j in ins2:
-            delta2.add_insert(r2_rec(j, c=1))
-        assert product_changes_telescoped(
-            JOIN_VIEW, [(r1, delta1), (r2, delta2)]
-        ) == join_changes(JOIN_VIEW, r1, r2, delta1, delta2)
-
     def test_three_way_via_composition(self):
         """N-way deltas compose: apply the 2-way rule view-by-view.
 
@@ -305,10 +309,6 @@ class TestJoinChanges:
         (vt, signed), = level2.items()
         assert vt["d"] == 42 and vt["id"] == 2
 
-    def test_product_changes_rejects_other_arities(self):
-        with pytest.raises(NotImplementedError):
-            product_changes_telescoped(JOIN_VIEW, [([], DeltaSet("r1"))])
-
 
 class TestAggregateChanges:
     def test_entering_and_leaving_values(self):
@@ -317,6 +317,7 @@ class TestAggregateChanges:
         delta.add_insert(r_rec(1, a=1, v=10))
         delta.add_insert(r_rec(2, a=99, v=20))  # screened out
         delta.add_delete(r_rec(3, a=2, v=30))
-        entering, leaving = aggregate_changes(view, delta)
-        assert entering == [10]
-        assert leaving == [30]
+        model = _model(AggregateModel, view)
+        model.store = AggregateStateStore("s", model.pool, view.function())
+        _refresh(model, delta)
+        assert model.store.value() == 10 - 30
